@@ -1,7 +1,8 @@
 """Command-line interface: expansion, statistics, verification, and
 series-vs-enumeration cross-checking.
 
-Exit codes: 0 success, 1 check failure, 2 usage or infrastructure error.
+Exit codes: 0 success, 1 check failure, 2 usage or infrastructure error
+(including a check that ended in ERROR).
 """
 
 from __future__ import annotations
@@ -175,13 +176,14 @@ def _print_reports(result, fmt, output, report_path):
         line = f"{r.id:24s} {tag:18s} bound={r.bound:<5d} {r.ms:8.0f}ms"
         if r.witness:
             line += f"  witness={r.witness}"
-        if r.skip_reason:
-            line += f"  ({r.skip_reason})"
+        if r.skip_reason or r.error:
+            line += f"  ({r.skip_reason or r.error})"
         lines.append(line)
     s = result.summary()
+    errors = f", {s['error']} error" if "error" in s else ""
     lines.append(
         f"-- {s['checks']} checks: {s['pass']} pass, {s['fail']} fail, "
-        f"{s['skipped']} skipped (conjectures: {s['conjecture_pass']} pass, "
+        f"{s['skipped']} skipped{errors} (conjectures: {s['conjecture_pass']} pass, "
         f"{s['conjecture_fail']} fail)"
     )
     _emit("\n".join(lines), output)

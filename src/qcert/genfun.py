@@ -13,7 +13,9 @@ distributions match the enumeration oracle.
 
 Part-count difference series (total parts in objects with statistic
 congruent to b, minus those congruent to k - b) are produced by
-differentiating with respect to x at x = 1 via dual-number coefficients.
+differentiating with respect to x at x = 1: the inner sum carries
+dual-number coefficients, and the prefactor enters at x = 1 only (see
+``nt_diff_gf``).
 """
 
 from __future__ import annotations
@@ -205,9 +207,10 @@ def _inner_terms_dual_rat(family: Family, order: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _prefactor_dual_rat(family: Family, order: int) -> QSeries:
+def _prefactor_rat(family: Family, order: int) -> QSeries:
+    """The part-count prefactor at x = 1, shared across all (b, k)."""
     d = _family_data(family)
-    return _product(d.pref_num, d.pref_den, DualContext(RAT), order)
+    return _product(d.pref_num, d.pref_den, PlainContext(RAT), order)
 
 
 # ---------------------------------------------------------------------------
@@ -259,24 +262,18 @@ def rank_count_diff(family: Family, b1: int, b2: int, k: int, order: int) -> QSe
     for n, c in enumerate(g.coeffs):
         if c:
             sums = c.residue_sums(k)
-            out.coeffs[n] = sums[b1 % k] - sums[b2 % k]
+            out.coeffs[n] = RAT.lift(sums[b1 % k] - sums[b2 % k])
     return out
 
 
-@lru_cache(maxsize=None)
-def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
-    """Series over n of (total parts with statistic = b mod k) minus
-    (total parts with statistic = k-b mod k), computed as -d/dx at x = 1
-    of the transformed rank sum, with dual-number coefficients."""
-    _check_specialized(family)
-    NTDiffSpec(family, b, k)  # validates the residue range
-    d = _family_data(family)
-    s = d.qstep
-    ctx = DualContext(RAT)
+def _difference_sum(family: Family, b: int, k: int, ctx, terms, order: int) -> QSeries:
+    """The inner sum A of the transformed rank sum over the context's
+    ring, from that context's inner `terms` (see `_inner_terms`)."""
+    s = _family_data(family).qstep
     ring = ctx.ring
     acc = QSeries.zeros(ring, order)
     xk = ctx.x_power(k)
-    for n, common, quad in _inner_terms_dual_rat(family, order):
+    for n, common, quad in terms:
         e_lo = s * (b - 1) * n
         e_hi = s * (k - b - 1) * n
         e_kn = s * k * n
@@ -288,11 +285,30 @@ def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
         t_lo = common.mul_scalar(ctx.x_power(b)).shift(quad + e_lo, cap=order)
         p2 = (t_hi - t_lo).div_binomial(-xk, e_kn)
         acc = acc + p1 + p2
-    total = _prefactor_dual_rat(family, order) * acc
-    value, deriv = total.dual_parts()
+    return acc
+
+
+@lru_cache(maxsize=None)
+def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
+    """Series over n of (total parts with statistic = b mod k) minus
+    (total parts with statistic = k-b mod k), computed as -d/dx at x = 1
+    of the transformed rank sum P*A.
+
+    With x = 1 every power of x is 1, so the two halves of each inner
+    term cancel and A(1) = 0 coefficient by coefficient.  Hence
+    d/dx(P*A) at x = 1 is P(1)*A'(1): one integer convolution of the
+    x = 1 prefactor with the dual part of A, which carries the
+    derivative.
+    """
+    _check_specialized(family)
+    NTDiffSpec(family, b, k)  # validates the residue range
+    acc = _difference_sum(
+        family, b, k, DualContext(RAT), _inner_terms_dual_rat(family, order), order
+    )
+    value, deriv = acc.dual_parts()
     if not value.is_zero():
-        raise AssertionError("x = 1 evaluation of the difference sum must vanish")
-    return -deriv
+        raise AssertionError("x = 1 evaluation of the inner difference sum must vanish")
+    return -(_prefactor_rat(family, order) * deriv)
 
 
 def nt_diff_combo(terms, order: int) -> QSeries:
@@ -420,11 +436,11 @@ def _alt_kernel_sum(order: int, quad, ymult: int, ypoly: dict, denoms) -> QSerie
         for j, c in ypoly.items():
             e = quad(n) + ymult * n * j
             if e <= order:
-                term.coeffs[e] = Fraction(sign * c)
+                term.coeffs[e] = sign * c
                 live = True
         if live:
             for sgn, mult in denoms:
-                term = term.div_binomial(Fraction(sgn), mult * n)
+                term = term.div_binomial(sgn, mult * n)
             acc = acc + term
         n += 1
     return acc

@@ -2,7 +2,11 @@
 
 Four domains are supported:
 
-* ``Rat`` -- arbitrary-precision rationals (``fractions.Fraction``),
+* ``Rat`` -- exact rationals, integer-first: coefficients are Python
+  ``int``s by default, and a ``fractions.Fraction`` appears only where a
+  true non-integer does (the halves of bilateral sums, a sampled
+  rational weight); a ``Fraction`` with denominator 1 is demoted to
+  ``int`` when lifted,
 * ``LaurentPoly`` -- Laurent polynomials in the rank variable z,
 * ``DualScalar`` -- first-order jets a + b*eps with eps^2 = 0, used to
   evaluate d/dx at x = 1 exactly alongside the value,
@@ -328,7 +332,7 @@ class XPoly:
 
 def _int_scale(v, k: int):
     """k * v for an integer k and a domain value v."""
-    if isinstance(v, Fraction):
+    if isinstance(v, (int, Fraction)):
         return v * k
     if isinstance(v, LaurentPoly):
         return v.scale(k)
@@ -343,26 +347,31 @@ def _int_scale(v, k: int):
 
 
 class RatRing:
-    """Descriptor for exact rational coefficients."""
+    """Descriptor for exact rational coefficients, integer-first.
+
+    Values are ``int`` unless they are truly non-integral, in which case
+    they are ``Fraction``.  ``int`` and ``Fraction`` mix exactly under
+    +, -, *, so kernels never need to know which one they hold.
+    """
 
     name = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def lift(self, x):
-        if isinstance(x, Fraction):
-            return x
         if isinstance(x, int):
-            return Fraction(x)
+            return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         raise TypeError(f"cannot lift {type(x).__name__} into {self.name}")
 
     def is_unit(self, c) -> bool:
         return bool(c)
 
-    def invert(self, c) -> Fraction:
+    def invert(self, c):
         if not c:
             raise NonUnitConstantTerm("division by zero rational")
-        return Fraction(1) / c
+        return self.lift(Fraction(1) / c)
 
     def __repr__(self):
         return "RAT"

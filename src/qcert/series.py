@@ -549,7 +549,7 @@ def lerch_sum(
     acc = QSeries.zeros(RAT, order)
 
     def add_term(n: int):
-        sign = Fraction(-1 if (alternating and n % 2) else 1)
+        sign = -1 if (alternating and n % 2) else 1
         v0 = quad * n * n + lin * n + num_shift
         m = denom_step * n + denom_shift
         if m == 0:
@@ -558,7 +558,7 @@ def lerch_sum(
                     f"denominator 1 - q^0 vanishes at summation index n={n}"
                 )
             if 0 <= v0 <= order:
-                acc.coeffs[v0] = acc.coeffs[v0] + sign / 2
+                acc.coeffs[v0] = acc.coeffs[v0] + Fraction(sign, 2)
             elif v0 < 0:
                 raise ValueError("negative net q-valuation in bilateral sum")
             return
@@ -573,7 +573,7 @@ def lerch_sum(
             return
         term = QSeries.zeros(RAT, order)
         term.coeffs[v0] = sign
-        term = term.div_binomial(Fraction(denom_sign), m)
+        term = term.div_binomial(denom_sign, m)
         for i in range(v0, order + 1):
             acc.coeffs[i] = acc.coeffs[i] + term.coeffs[i]
 
@@ -673,7 +673,7 @@ def series_from_json(obj: dict) -> QSeries:
     if ring_name == "rational":
         s = QSeries.zeros(RAT, order)
         for t in obj["terms"]:
-            s.coeffs[int(t["q_exponent"])] = Fraction(t["coefficient"])
+            s.coeffs[int(t["q_exponent"])] = RAT.lift(Fraction(t["coefficient"]))
     elif ring_name == "laurent":
         s = QSeries.zeros(LAURENT, order)
         for t in obj["terms"]:

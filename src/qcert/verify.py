@@ -2,10 +2,13 @@
 identity, and conjecture the project certifies.
 
 Each check is a CheckSpec; running one produces a CheckReport with a
-PASS / FAIL / SKIPPED status and, on failure, a reproducible witness
-(the first offending index with the value found and the value
-expected).  Conjecture checks are flagged so that a failing conjecture
-is loudly reported without failing the suite unless strict mode is on.
+PASS / FAIL / SKIPPED / ERROR status and, on failure, a reproducible
+witness (the first offending index with the value found and the value
+expected).  An engine defect inside a check (an exception that is not a
+package error) becomes an ERROR report carrying the exception's type and
+message, so one broken check never loses the whole run's report.
+Conjecture checks are flagged so that a failing conjecture is loudly
+reported without failing the suite unless strict mode is on.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fnmatch import fnmatch
 from . import combinatorics as comb
 from . import genfun
 from .combinatorics import DEFAULT_BOUNDS, FAMILY_BOUND_KEY, raw_tally, tally
-from .errors import EnumBoundExceeded, InsufficientOrder, QcertError
+from .errors import EnumBoundExceeded, InsufficientOrder, NotAntisymmetric, QcertError
 from .genfun import Family, closed_form, nt_diff_combo, thmain_check
 from .series import QSeries
 
@@ -76,12 +79,13 @@ class CheckReport:
     engine: str
     order: int
     bound: int
-    status: str  # PASS | FAIL | SKIPPED
+    status: str  # PASS | FAIL | SKIPPED | ERROR
     statement: str
     conjecture: bool = False
     informational: bool = False
     witness: dict | None = None
     skip_reason: str | None = None
+    error: str | None = None
     notes: list[str] = field(default_factory=list)
     ms: float = 0.0
 
@@ -106,6 +110,8 @@ class CheckReport:
             out["witness"] = self.witness
         if self.skip_reason:
             out["skip_reason"] = self.skip_reason
+        if self.error:
+            out["error"] = self.error
         if self.notes:
             out["notes"] = list(self.notes)
         return out
@@ -165,12 +171,12 @@ def _series_combo(series_terms, order: int) -> QSeries:
     combo = []
     for (family, k), res in sorted(grouped.items()):
         if res.get(0):
-            raise ValueError("residue 0 has no antisymmetric partner")
+            raise NotAntisymmetric("residue 0 has no antisymmetric partner")
         for m in range(1, k // 2 + 1):
             c_lo = res.get(m, 0)
             c_hi = res.get(k - m, 0)
             if c_lo + c_hi != 0:
-                raise ValueError(
+                raise NotAntisymmetric(
                     f"residues {m},{k - m} mod {k} are not antisymmetric"
                 )
             if c_lo:
@@ -218,7 +224,7 @@ def _run_progression_zero(spec: CheckSpec, bound: int, config: VerifyConfig, rep
         try:
             series = _series_combo(series_terms, bound).assert_integral()
             series_vals = series.coeffs
-        except ValueError as exc:
+        except NotAntisymmetric as exc:
             # combination is not expressible as difference series
             # (possible for perturbed specs); fall back to enumeration
             use_series = False
@@ -858,7 +864,7 @@ class RunResult:
     exit_code: int
 
     def summary(self) -> dict:
-        counts = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
+        counts = {"PASS": 0, "FAIL": 0, "SKIPPED": 0, "ERROR": 0}
         conj = {"PASS": 0, "FAIL": 0}
         for r in self.reports:
             if r.informational:
@@ -866,7 +872,7 @@ class RunResult:
             counts[r.status] += 1
             if r.conjecture and r.status in conj:
                 conj[r.status] += 1
-        return {
+        out = {
             "checks": sum(counts.values()),
             "pass": counts["PASS"],
             "fail": counts["FAIL"],
@@ -875,6 +881,9 @@ class RunResult:
             "conjecture_fail": conj["FAIL"],
             "exit_code": self.exit_code,
         }
+        if counts["ERROR"]:
+            out["error"] = counts["ERROR"]
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -901,13 +910,19 @@ def run_all(only: str | None = None, order: int | None = None, config: VerifyCon
             return run_check(spec, order=order, config=config)
         except InsufficientOrder:
             raise  # a usage problem, not a check outcome
-        except QcertError as exc:
+        except Exception as exc:
+            # a package error skips the check; anything else is an engine
+            # defect, reported against this check while the run goes on
+            reason = f"{type(exc).__name__}: {exc}"
+            skipped = isinstance(exc, QcertError)
             return CheckReport(
                 id=spec.id, kind=spec.kind, engine=spec.engines,
                 order=order or spec.bound, bound=order or spec.bound,
-                status="SKIPPED", statement=spec.statement,
+                status="SKIPPED" if skipped else "ERROR",
+                statement=spec.statement,
                 conjecture=spec.conjecture, informational=spec.informational,
-                skip_reason=f"{type(exc).__name__}: {exc}",
+                skip_reason=reason if skipped else None,
+                error=None if skipped else reason,
             )
 
     if threads > 1 and len(specs) > 1:
@@ -924,6 +939,8 @@ def run_all(only: str | None = None, order: int | None = None, config: VerifyCon
             continue
         if r.status == "FAIL" and (not r.conjecture or config.strict_conjectures):
             exit_code = 1
+    if any(r.status == "ERROR" for r in reports):
+        exit_code = 2
     return RunResult(reports=reports, exit_code=exit_code)
 
 

@@ -129,3 +129,19 @@ def test_list_checks():
     res = run("list-checks", "--format", "json")
     ids = {c["id"] for c in json.loads(res.output)}
     assert {"T1", "T2A", "T2B", "T3"} <= ids
+
+
+def test_verify_engine_error_shows_in_text_and_csv(monkeypatch):
+    from qcert import verify as V
+
+    def broken(terms, order):
+        raise AssertionError("boom")
+
+    monkeypatch.setattr(V, "nt_diff_combo", broken)
+    res = run("verify", "--only", "NT5-I1", "--order", "30", "--format", "csv")
+    assert res.exit_code == 2
+    assert "NT5-I1,ERROR," in res.output
+    res = run("verify", "--only", "NT5-I1", "--order", "30")
+    assert res.exit_code == 2
+    assert "ERROR" in res.output and "AssertionError: boom" in res.output
+    assert "1 error" in res.output

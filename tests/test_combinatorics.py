@@ -287,3 +287,26 @@ def test_pair_profile_generating_polynomial_sampled_points():
                 want[m] = want.get(m, Fraction(0)) + w
             got = dict(series.coeffs[n].items())
             assert got == {m: v for m, v in want.items() if v}
+
+
+def test_enumeration_oracle_imports_no_series_code():
+    # the oracle must stay an independent second route: it may not
+    # import the series engine, the generating functions or the rings
+    import ast
+    from pathlib import Path
+
+    import qcert.combinatorics
+
+    tree = ast.parse(Path(qcert.combinatorics.__file__).read_text(encoding="utf-8"))
+    forbidden = {"series", "genfun", "rings"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [
+                f"{node.module or ''}.{a.name}" for a in node.names
+            ]
+        else:
+            continue
+        for name in names:
+            assert not forbidden & set(name.split(".")), f"combinatorics imports {name}"

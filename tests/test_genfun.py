@@ -124,6 +124,30 @@ def test_nt_diff_spec_validation():
         NTDiffSpec(Family.DYSON, 5, 5)
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_nt_diff_collapse_matches_uncollapsed_xpoly_product(family):
+    # the uncollapsed product P*A built over honest x-polynomials: its
+    # x = 1 value vanishes and minus its x-derivative is nt_diff_gf,
+    # which multiplies P(1) by A'(1) only
+    from qcert.genfun import _difference_sum, _family_data, _inner_terms, _product
+    from qcert.series import XPolyContext
+
+    order = 24
+    ctx = XPolyContext(RAT)
+    d = _family_data(family)
+    pref = _product(d.pref_num, d.pref_den, ctx, order)
+    for b, k in [(1, 3), (1, 5), (2, 5), (1, 7), (3, 7)]:
+        inner = _difference_sum(family, b, k, ctx, _inner_terms(family, ctx, order), order)
+        value, deriv = (pref * inner).xpoly_parts()
+        assert value.is_zero(), (b, k)
+        assert -deriv == nt_diff_gf(family, b, k, order), (b, k)
+
+
+def test_nt_diff_coefficients_are_ints():
+    series = nt_diff_gf(Family.DYSON, 1, 7, 60)
+    assert all(type(c) is int for c in series.coeffs)
+
+
 # -- closed forms ---------------------------------------------------------------
 
 
@@ -230,6 +254,12 @@ def test_conjecture_rhs_leading_terms():
 def test_conjecture_rhs_rejects_other_forms():
     with pytest.raises(UnknownFormId):
         conjecture_rhs("partition-gf", 4)
+
+
+def test_closed_forms_hold_no_floats():
+    for form_id in form_ids():
+        series = closed_form(form_id, 40)
+        assert not any(isinstance(c, float) for c in series.coeffs), form_id
 
 
 def test_unknown_form():

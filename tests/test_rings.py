@@ -103,3 +103,30 @@ def test_xpoly_value_and_derivative():
     g = f * f
     assert g.value_at_one(Fraction(0)) == 16
     assert g.deriv_at_one(Fraction(0)) == 2 * 4 * 5
+
+
+def test_xpoly_derivative_over_int_coefficients():
+    # f(x) = 2 - x + 3x^2 with int coefficients: f(1) = 4, f'(1) = 5
+    f = XPoly({0: 2, 1: -1, 2: 3})
+    assert f.value_at_one(RAT.zero) == 4
+    d = f.deriv_at_one(RAT.zero)
+    assert d == 5 and type(d) is int
+
+
+def test_rat_ring_is_integer_first():
+    assert type(RAT.zero) is int and type(RAT.one) is int
+    two = RAT.lift(Fraction(6, 3))
+    assert two == 2 and type(two) is int
+    assert type(RAT.lift(5)) is int
+    assert RAT.lift(Fraction(1, 2)) == Fraction(1, 2)
+    for unit in (1, -1, Fraction(1), Fraction(-1)):
+        inv = RAT.invert(unit)
+        assert inv == unit and type(inv) is int
+    assert RAT.invert(2) == Fraction(1, 2)
+    assert RAT.invert(Fraction(2, 3)) == Fraction(3, 2)
+    three = RAT.invert(Fraction(1, 3))
+    assert three == 3 and type(three) is int
+    with pytest.raises(NonUnitConstantTerm):
+        RAT.invert(0)
+    with pytest.raises(TypeError):
+        RAT.lift(0.5)

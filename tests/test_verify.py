@@ -149,6 +149,69 @@ def test_run_all_on_filter_reports_and_exit():
     assert all(r.ok for r in result.reports)
     s = result.summary()
     assert s["checks"] == 3 and s["fail"] == 0
+    assert "error" not in s  # the key appears only when a check errors
+
+
+def test_engine_defect_is_a_per_check_error(monkeypatch):
+    from qcert import verify as V
+
+    def broken(terms, order):
+        raise AssertionError("engine invariant broken")
+
+    monkeypatch.setattr(V, "nt_diff_combo", broken)
+    result = run_all(only="NT5-I1,ID-KERNEL3-BILAT", order=30)
+    status = {r.id: r.status for r in result.reports}
+    assert status == {"NT5-I1": "ERROR", "ID-KERNEL3-BILAT": "PASS"}
+    assert result.exit_code == 2
+    assert result.summary()["error"] == 1
+    payload = json.loads(json.dumps(result.to_dict(), sort_keys=True))
+    (err,) = [c for c in payload["checks"] if c["status"] == "ERROR"]
+    assert err["error"] == "AssertionError: engine invariant broken"
+
+
+def test_non_integral_series_is_an_error_not_a_fallback(monkeypatch):
+    # a half in the difference series is an engine defect; it must not
+    # be papered over by falling back to enumeration
+    from fractions import Fraction
+
+    from qcert import verify as V
+    from qcert.rings import RAT
+    from qcert.series import QSeries
+
+    monkeypatch.setattr(
+        V, "nt_diff_combo",
+        lambda terms, order: QSeries.from_terms(RAT, order, {1: Fraction(1, 2)}),
+    )
+    (rep,) = run_all(only="NT5-I1", order=30).reports
+    assert rep.status == "ERROR"
+    assert rep.error.startswith("ValueError")
+
+
+def test_nonvanishing_inner_sum_is_a_check_error(monkeypatch):
+    # a nonzero x = 1 value in the inner difference sum breaks the
+    # collapse P*A -> P(1)*A'(1); nt_diff_gf must refuse, and the
+    # runner must turn that into a per-check ERROR
+    from qcert import genfun as G
+    from qcert.rings import DualScalar
+
+    orig = G._difference_sum
+
+    def broken(*args, **kwargs):
+        acc = orig(*args, **kwargs)
+        acc.coeffs[3] = DualScalar(1, acc.coeffs[3].deriv)
+        return acc
+
+    monkeypatch.setattr(G, "_difference_sum", broken)
+    G.nt_diff_gf.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            G.nt_diff_gf(G.Family.DYSON, 1, 5, 12)
+        result = run_all(only="ID-NTDIFF-OV-1-3", order=23)
+    finally:
+        G.nt_diff_gf.cache_clear()
+    (rep,) = result.reports
+    assert rep.status == "ERROR" and rep.error.startswith("AssertionError")
+    assert result.exit_code == 2
 
 
 def test_run_all_empty_filter_exits_zero():
