@@ -129,15 +129,13 @@ def stat(family, k, single_n, n_range, fmt, unsafe_bounds, output):
         _emit("n,residue,value\n" + "\n".join(f"{n},{m},{v}" for n, m, v in rows), output)
 
 
-def _config_from_flags(strict, threads, unsafe_bounds, seed, explore, enum_bounds=()) -> VerifyConfig:
+def _config_from_flags(strict, unsafe_bounds, seed, explore, enum_bounds=()) -> VerifyConfig:
     cfg = VerifyConfig(
         strict_conjectures=strict,
         unsafe_bounds=unsafe_bounds,
         seed=seed,
         include_informational=explore,
     )
-    if threads is not None:
-        cfg.threads = threads
     for item in enum_bounds:
         try:
             key, _, val = item.partition("=")
@@ -194,7 +192,6 @@ def _print_reports(result, fmt, output, report_path):
               help="Comma-separated categories (theorems, classic, new, conjectures, identities, xchecks) or id globs.")
 @click.option("--order", type=int, default=None, help="Override every check's bound.")
 @click.option("--strict-conjectures", is_flag=True, help="Conjecture failures also fail the run.")
-@click.option("--threads", type=int, default=None, help="Worker threads (default: QCERT_THREADS or 1).")
 @click.option("--unsafe-bounds", is_flag=True)
 @click.option("--seed", type=int, default=0, help="Seed for extra sampled cross-check weights.")
 @click.option("--enum-bound", "enum_bounds", multiple=True,
@@ -203,9 +200,9 @@ def _print_reports(result, fmt, output, report_path):
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 @click.option("--report", "report_path", type=click.Path(), default=None, help="Write a JSON report file.")
 @click.option("--output", type=click.Path(), default=None)
-def verify(only, order, strict_conjectures, threads, unsafe_bounds, seed, enum_bounds, explore, fmt, report_path, output):
+def verify(only, order, strict_conjectures, unsafe_bounds, seed, enum_bounds, explore, fmt, report_path, output):
     """Run the registered checks (all of them by default)."""
-    cfg = _config_from_flags(strict_conjectures, threads, unsafe_bounds, seed, explore, enum_bounds)
+    cfg = _config_from_flags(strict_conjectures, unsafe_bounds, seed, explore, enum_bounds)
     try:
         result = run_all(only=only, order=order, config=cfg)
     except QcertError as exc:

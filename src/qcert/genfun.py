@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import UnknownFormId, UnsupportedSpecialization
-from .rings import LAURENT, RAT, LaurentPoly
+from .rings import LAURENT, RAT
 from .series import (
     DualContext,
     Monomial,
@@ -37,6 +37,7 @@ from .series import (
     lerch_sum,
     mono,
     pochhammer_infinite,
+    pochhammer_quotient,
 )
 
 
@@ -153,25 +154,6 @@ def _check_specialized(family: Family):
         )
 
 
-def _product(num, den, ctx, order: int) -> QSeries:
-    """Product of infinite Pochhammers over those in `den`, built from
-    binomial factors only."""
-    s = QSeries.one(ctx.ring, order)
-    for m, step in num:
-        c = -ctx.mon(m)
-        pos = m.qexp
-        while pos <= order:
-            s = s.mul_binomial(c, pos)
-            pos += step
-    for m, step in den:
-        c = -ctx.mon(m)
-        pos = m.qexp
-        while pos <= order:
-            s = s.div_binomial(c, pos)
-            pos += step
-    return s
-
-
 def _inner_terms(family: Family, ctx, order: int, margin=None):
     """Yield (n, common, quad) where common is the inner summand at level
     n without its q^{quad} shift and without the residue bracket.
@@ -210,7 +192,7 @@ def _inner_terms_dual_rat(family: Family, order: int) -> tuple:
 def _prefactor_rat(family: Family, order: int) -> QSeries:
     """The part-count prefactor at x = 1, shared across all (b, k)."""
     d = _family_data(family)
-    return _product(d.pref_num, d.pref_den, PlainContext(RAT), order)
+    return pochhammer_quotient(d.pref_num, d.pref_den, order=order, ctx=PlainContext(RAT))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +333,7 @@ def _thmain_rhs(family: Family, ctx, order: int) -> QSeries:
             .div_binomial(-xzinv, s * n)
         )
         acc = acc + p1 + p2
-    pref = _product(d.lit_num, d.lit_den, ctx, order)
+    pref = pochhammer_quotient(d.lit_num, d.lit_den, order=order, ctx=ctx)
     return QSeries.one(ring, order) - pref * acc
 
 

@@ -2,11 +2,12 @@
 
 Four domains are supported:
 
-* ``Rat`` -- exact rationals, integer-first: coefficients are Python
+* ``RAT`` -- exact rationals, integer-first: coefficients are Python
   ``int``s by default, and a ``fractions.Fraction`` appears only where a
   true non-integer does (the halves of bilateral sums, a sampled
   rational weight); a ``Fraction`` with denominator 1 is demoted to
-  ``int`` when lifted,
+  ``int`` when lifted.  ``RAT.lift`` is the one coefficient rule: every
+  other domain lifts its rational coefficients through it,
 * ``LaurentPoly`` -- Laurent polynomials in the rank variable z,
 * ``DualScalar`` -- first-order jets a + b*eps with eps^2 = 0, used to
   evaluate d/dx at x = 1 exactly alongside the value,
@@ -14,7 +15,7 @@ Four domains are supported:
   validating the dual-number derivative.
 
 Every value is immutable after construction and all operations return
-fresh objects, so values can be shared freely across threads.
+fresh objects.
 """
 
 from __future__ import annotations
@@ -26,20 +27,46 @@ from .errors import NonUnitConstantTerm
 Rat = Fraction
 
 
-def as_rat(x) -> Fraction:
-    """Coerce an int or Fraction to Fraction; reject inexact types."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+class RatRing:
+    """Descriptor for exact rational coefficients, integer-first.
+
+    Values are ``int`` unless they are truly non-integral, in which case
+    they are ``Fraction``.  ``int`` and ``Fraction`` mix exactly under
+    +, -, *, so kernels never need to know which one they hold.
+    """
+
+    name = "rational"
+    zero = 0
+    one = 1
+
+    def lift(self, x):
+        if isinstance(x, int):
+            return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
+        raise TypeError(f"cannot lift {type(x).__name__} into {self.name}")
+
+    def is_unit(self, c) -> bool:
+        return bool(c)
+
+    def invert(self, c):
+        if not c:
+            raise NonUnitConstantTerm("division by zero rational")
+        return self.lift(Fraction(1) / c)
+
+    def __repr__(self):
+        return "RAT"
+
+
+RAT = RatRing()
 
 
 class LaurentPoly:
     """Laurent polynomial in z with rational coefficients.
 
-    Stored sparsely as exponent -> nonzero Fraction.  Exponents may be
-    negative; the zero polynomial has an empty table.
+    Stored sparsely as exponent -> nonzero ``RAT`` value (an ``int``
+    unless truly non-integral).  Exponents may be negative; the zero
+    polynomial has an empty table.
     """
 
     __slots__ = ("_c",)
@@ -48,7 +75,7 @@ class LaurentPoly:
         table = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = as_rat(v)
+                v = RAT.lift(v)
                 if v:
                     table[int(e)] = v
         self._c = table
@@ -70,8 +97,8 @@ class LaurentPoly:
     def __len__(self):
         return len(self._c)
 
-    def __getitem__(self, e: int) -> Fraction:
-        return self._c.get(e, Fraction(0))
+    def __getitem__(self, e: int):
+        return self._c.get(e, 0)
 
     def min_exp(self) -> int | None:
         return min(self._c) if self._c else None
@@ -82,8 +109,8 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self._c or (len(self._c) == 1 and 0 in self._c)
 
-    def constant(self) -> Fraction:
-        return self._c.get(0, Fraction(0))
+    def constant(self):
+        return self._c.get(0, 0)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -153,7 +180,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, k) -> "LaurentPoly":
-        k = as_rat(k)
+        k = RAT.lift(k)
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = {} if not k else {e: v * k for e, v in self._c.items()}
         return out
@@ -165,15 +192,15 @@ class LaurentPoly:
                 "LaurentPoly is invertible only when it is a single term"
             )
         ((e, v),) = self._c.items()
-        return LaurentPoly({-e: Fraction(1) / v})
+        return LaurentPoly({-e: RAT.invert(v)})
 
-    def subs_one(self) -> Fraction:
+    def subs_one(self):
         """Value at z = 1 (sum of all coefficients)."""
-        return sum(self._c.values(), Fraction(0))
+        return sum(self._c.values())
 
-    def residue_sums(self, k: int) -> list[Fraction]:
+    def residue_sums(self, k: int) -> list:
         """Sum coefficients by exponent residue class mod k."""
-        out = [Fraction(0)] * k
+        out = [0] * k
         for e, v in self._c.items():
             out[e % k] += v
         return out
@@ -342,39 +369,9 @@ def _int_scale(v, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Ring descriptors: lift/zero/one/invert for each coefficient domain.
+# Ring descriptors for the composite domains (``RAT`` is defined above,
+# because ``LaurentPoly`` lifts its coefficients through it).
 # ---------------------------------------------------------------------------
-
-
-class RatRing:
-    """Descriptor for exact rational coefficients, integer-first.
-
-    Values are ``int`` unless they are truly non-integral, in which case
-    they are ``Fraction``.  ``int`` and ``Fraction`` mix exactly under
-    +, -, *, so kernels never need to know which one they hold.
-    """
-
-    name = "rational"
-    zero = 0
-    one = 1
-
-    def lift(self, x):
-        if isinstance(x, int):
-            return x
-        if isinstance(x, Fraction):
-            return x.numerator if x.denominator == 1 else x
-        raise TypeError(f"cannot lift {type(x).__name__} into {self.name}")
-
-    def is_unit(self, c) -> bool:
-        return bool(c)
-
-    def invert(self, c):
-        if not c:
-            raise NonUnitConstantTerm("division by zero rational")
-        return self.lift(Fraction(1) / c)
-
-    def __repr__(self):
-        return "RAT"
 
 
 class LaurentRing:
@@ -468,7 +465,6 @@ class XPolyRing:
         return f"XPOLY({self.base!r})"
 
 
-RAT = RatRing()
 LAURENT = LaurentRing()
 
 _DUAL_CACHE: dict[int, DualRing] = {}

@@ -4,10 +4,11 @@ A ``QSeries`` knows its coefficients exactly through ``q^order`` (i.e. the
 series is known modulo ``q^(order+1)``).  Every operation preserves or
 shrinks the order; no operation ever claims precision it does not hold.
 
-Builders cover the shapes this project needs: finite and infinite
-q-Pochhammer products with a dilation step, theta-style two-sided
-("bracket") products, and bilateral Appell-Lerch-type sums with exact
-handling of the half-integer n = 0 terms.
+Builders cover the shapes this project needs: finite q-Pochhammer
+products and quotients of infinite ones with a dilation step (one
+builder, ``pochhammer_quotient``, under the infinite and theta-style
+two-sided "bracket" products), and bilateral Appell-Lerch-type sums with
+exact handling of the half-integer n = 0 terms.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .rings import (
     LaurentPoly,
     XPoly,
     XPolyRing,
-    as_rat,
     dual_ring,
 )
 
@@ -36,13 +36,13 @@ class Monomial:
     series arguments are deliberately unsupported.
     """
 
-    coeff: Fraction
+    coeff: int | Fraction
     qexp: int
     zexp: int = 0
     xexp: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", as_rat(self.coeff))
+        object.__setattr__(self, "coeff", RAT.lift(self.coeff))
         if self.qexp < 0:
             raise ValueError("Monomial q-exponent must be >= 0")
 
@@ -54,12 +54,12 @@ class Monomial:
             raise DivergentProduct(
                 "bracket product needs 1 <= qexp < modulus on both arguments"
             )
-        return Monomial(1 / self.coeff, modulus - self.qexp, -self.zexp)
+        return Monomial(RAT.invert(self.coeff), modulus - self.qexp, -self.zexp)
 
 
 def mono(coeff, qexp, zexp=0, xexp=0) -> Monomial:
     """Shorthand Monomial constructor."""
-    return Monomial(as_rat(coeff), qexp, zexp, xexp)
+    return Monomial(coeff, qexp, zexp, xexp)
 
 
 # ---------------------------------------------------------------------------
@@ -67,23 +67,22 @@ def mono(coeff, qexp, zexp=0, xexp=0) -> Monomial:
 # ---------------------------------------------------------------------------
 
 
-class PlainContext:
-    """x fixed at a rational value (1 by default)."""
+class EvalContext:
+    """How the formal variable x is represented over a base ring.
 
-    def __init__(self, base_ring, x_value=1):
-        self.base_ring = base_ring
-        self.ring = base_ring
-        self.x_value = as_rat(x_value)
-
-    def x_power(self, j: int):
-        return self.ring.lift(self.x_value**j)
+    ``base_ring`` holds the coefficients in z (``RAT`` or ``LAURENT``);
+    ``ring`` is the series coefficient ring with x represented in it.
+    Each ring's ``lift`` wraps a base value, so lifting is written once
+    here; a subclass supplies its constructor and ``x_power``.
+    """
 
     def lift_zc(self, coeff, zexp: int):
-        if zexp and self.base_ring is not LAURENT:
-            raise TypeError("z-exponents need the Laurent coefficient ring")
+        """Lift coeff * z^zexp into the coefficient ring."""
         if self.base_ring is LAURENT:
-            return LaurentPoly.term(zexp, coeff)
-        return self.base_ring.lift(coeff)
+            return self.ring.lift(LaurentPoly.term(zexp, coeff))
+        if zexp:
+            raise TypeError("z-exponents need the Laurent coefficient ring")
+        return self.ring.lift(coeff)
 
     def mon(self, m: Monomial):
         """Lift the non-q part of a monomial into the coefficient ring."""
@@ -93,7 +92,19 @@ class PlainContext:
         return out
 
 
-class DualContext:
+class PlainContext(EvalContext):
+    """x fixed at a rational value (1 by default)."""
+
+    def __init__(self, base_ring, x_value=1):
+        self.base_ring = base_ring
+        self.ring = base_ring
+        self.x_value = RAT.lift(x_value)
+
+    def x_power(self, j: int):
+        return self.ring.lift(self.x_value**j)
+
+
+class DualContext(EvalContext):
     """x = 1 + eps, so every series carries its d/dx at x = 1."""
 
     def __init__(self, base_ring):
@@ -105,23 +116,8 @@ class DualContext:
         base = self.base_ring
         return DualScalar(base.one, base.lift(j) if j else base.zero)
 
-    def lift_zc(self, coeff, zexp: int):
-        if zexp and self.base_ring is not LAURENT:
-            raise TypeError("z-exponents need the Laurent coefficient ring")
-        if self.base_ring is LAURENT:
-            val = LaurentPoly.term(zexp, coeff)
-        else:
-            val = self.base_ring.lift(coeff)
-        return DualScalar(val, self.base_ring.zero)
 
-    def mon(self, m: Monomial):
-        out = self.lift_zc(m.coeff, m.zexp)
-        if m.xexp:
-            out = out * self.x_power(m.xexp)
-        return out
-
-
-class XPolyContext:
+class XPolyContext(EvalContext):
     """x kept as an honest polynomial variable (derivative oracle)."""
 
     def __init__(self, base_ring):
@@ -131,24 +127,8 @@ class XPolyContext:
     def x_power(self, j: int):
         return XPoly({j: self.base_ring.one})
 
-    def lift_zc(self, coeff, zexp: int):
-        if zexp and self.base_ring is not LAURENT:
-            raise TypeError("z-exponents need the Laurent coefficient ring")
-        if self.base_ring is LAURENT:
-            val = LaurentPoly.term(zexp, coeff)
-        else:
-            val = self.base_ring.lift(coeff)
-        return XPoly({0: val})
-
-    def mon(self, m: Monomial):
-        out = self.lift_zc(m.coeff, m.zexp)
-        if m.xexp:
-            out = out * self.x_power(m.xexp)
-        return out
-
 
 RAT_CTX = PlainContext(RAT)
-LAURENT_CTX = PlainContext(LAURENT)
 
 
 # ---------------------------------------------------------------------------
@@ -485,37 +465,43 @@ def pochhammer_finite(a: Monomial, n: int, qstep: int = 1, *, order: int, ctx=No
     return s
 
 
-def pochhammer_infinite(a: Monomial, qstep: int = 1, *, order: int, ctx=None) -> QSeries:
-    """(a; q^qstep)_infinity truncated at `order`.
+def pochhammer_quotient(num, den=(), *, order: int, ctx=None) -> QSeries:
+    """prod (a; q^step)_inf over (a, step) in `num`, divided by the same
+    product over `den`, truncated at `order`.
 
-    Factors whose q-valuation exceeds the order contribute 1.  The
-    argument must carry a positive q-power (or be 0, giving the empty
-    product); otherwise the constant term never settles.
+    Built from binomial factors only: a factor whose q-valuation exceeds
+    the order contributes 1.  Every argument must carry a positive
+    q-power (or be 0, giving the empty product); otherwise the constant
+    term never settles.
     """
-    if qstep < 1:
-        raise ValueError("qstep must be >= 1")
+    for a, step in (*num, *den):
+        if step < 1:
+            raise ValueError("qstep must be >= 1")
+        if a.coeff and a.qexp == 0:
+            raise DivergentProduct(
+                "infinite product needs a positive q-power in its argument"
+            )
     ctx = ctx or RAT_CTX
-    if not a.coeff:
-        return QSeries.one(ctx.ring, order)
-    if a.qexp == 0:
-        raise DivergentProduct(
-            "infinite product needs a positive q-power in its argument"
-        )
     s = QSeries.one(ctx.ring, order)
-    coeff = ctx.mon(a)
-    pos = a.qexp
-    while pos <= order:
-        s = s.mul_binomial(-coeff, pos)
-        pos += qstep
+    for side, apply in ((num, QSeries.mul_binomial), (den, QSeries.div_binomial)):
+        for a, step in side:
+            if not a.coeff:
+                continue
+            coeff = -ctx.mon(a)
+            for pos in range(a.qexp, order + 1, step):
+                s = apply(s, coeff, pos)
     return s
+
+
+def pochhammer_infinite(a: Monomial, qstep: int = 1, *, order: int, ctx=None) -> QSeries:
+    """(a; q^qstep)_infinity truncated at `order`."""
+    return pochhammer_quotient(((a, qstep),), order=order, ctx=ctx)
 
 
 def bracket_infinite(a: Monomial, modulus: int, *, order: int, ctx=None) -> QSeries:
     """[a; q^modulus]_infinity = (a; q^M)_inf * (q^M/a; q^M)_inf."""
     partner = a.bracket_partner(modulus)
-    left = pochhammer_infinite(a, modulus, order=order, ctx=ctx)
-    right = pochhammer_infinite(partner, modulus, order=order, ctx=ctx)
-    return left * right
+    return pochhammer_quotient(((a, modulus), (partner, modulus)), order=order, ctx=ctx)
 
 
 def lerch_sum(

@@ -22,7 +22,7 @@ from qcert.genfun import (
     rank_gf_ctx,
     thmain_check,
 )
-from qcert.rings import RAT
+from qcert.rings import RAT, DualScalar, LaurentPoly
 from qcert.series import DualContext, QSeries, derivative_check
 
 ALL_FAMILIES = (Family.DYSON, Family.OV_RANK, Family.OV_M2, Family.DO_M2)
@@ -129,18 +129,49 @@ def test_nt_diff_collapse_matches_uncollapsed_xpoly_product(family):
     # the uncollapsed product P*A built over honest x-polynomials: its
     # x = 1 value vanishes and minus its x-derivative is nt_diff_gf,
     # which multiplies P(1) by A'(1) only
-    from qcert.genfun import _difference_sum, _family_data, _inner_terms, _product
-    from qcert.series import XPolyContext
+    from qcert.genfun import _difference_sum, _family_data, _inner_terms
+    from qcert.series import XPolyContext, pochhammer_quotient
 
     order = 24
     ctx = XPolyContext(RAT)
     d = _family_data(family)
-    pref = _product(d.pref_num, d.pref_den, ctx, order)
+    pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ctx=ctx)
     for b, k in [(1, 3), (1, 5), (2, 5), (1, 7), (3, 7)]:
         inner = _difference_sum(family, b, k, ctx, _inner_terms(family, ctx, order), order)
         value, deriv = (pref * inner).xpoly_parts()
         assert value.is_zero(), (b, k)
         assert -deriv == nt_diff_gf(family, b, k, order), (b, k)
+
+
+def _leaves(c):
+    if isinstance(c, DualScalar):
+        yield from _leaves(c.value)
+        yield from _leaves(c.deriv)
+    elif isinstance(c, LaurentPoly):
+        for _, v in c.items():
+            yield v
+    else:
+        yield c
+
+
+def _integer_first(series) -> bool:
+    """No coefficient leaf is a float or a Fraction with denominator 1."""
+    return not any(
+        isinstance(v, float) or (isinstance(v, Fraction) and v.denominator == 1)
+        for c in series.coeffs
+        for v in _leaves(c)
+    )
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_laurent_series_are_integer_first(family):
+    assert _integer_first(rank_gf(family, 30))
+    report = thmain_check(family, 20)
+    assert _integer_first(report.lhs) and _integer_first(report.rhs)
+
+
+def test_genovpair_series_is_integer_first():
+    assert _integer_first(genovpair_series(1, 1, 1, 10))
 
 
 def test_nt_diff_coefficients_are_ints():

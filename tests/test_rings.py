@@ -37,6 +37,17 @@ def test_laurent_basic():
     )
 
 
+def test_laurent_coefficients_follow_rat_lift():
+    two = LaurentPoly({0: Fraction(4, 2)})[0]
+    assert two == 2 and type(two) is int
+    third = LaurentPoly.term(0, 3).invert_term()[0]
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    minus_one = LaurentPoly.term(1, -1).invert_term()[-1]
+    assert minus_one == -1 and type(minus_one) is int
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 0.5})
+
+
 def test_laurent_residue_sums():
     p = LaurentPoly({-1: 1, 0: 2, 1: 3, 4: 5})
     assert p.residue_sums(5) == [2, 3, 0, 0, 6]

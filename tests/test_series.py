@@ -11,13 +11,17 @@ import bruteforce as bf
 from qcert.errors import DivergentProduct, NonUnitConstantTerm, ZeroDenominator
 from qcert.rings import LAURENT, RAT, LaurentPoly
 from qcert.series import (
+    DualContext,
+    PlainContext,
     QSeries,
+    XPolyContext,
     bracket_infinite,
     derivative_check,
     lerch_sum,
     mono,
     pochhammer_finite,
     pochhammer_infinite,
+    pochhammer_quotient,
     series_from_json,
     series_to_json,
 )
@@ -141,6 +145,59 @@ def test_overpartition_count_from_products():
         mono(1, 1), 1, order=8
     ).invert()
     assert ov.coeffs[4] == 14  # the fourteen overpartitions of 4
+
+
+def _quotient_by_hand(num, den, order, ctx):
+    def prod(side):
+        acc = QSeries.one(ctx.ring, order)
+        for a, step in side:
+            acc = acc * pochhammer_infinite(a, step, order=order, ctx=ctx)
+        return acc
+
+    return prod(num) * prod(den).invert()
+
+
+def test_pochhammer_quotient_over_rationals():
+    num = ((mono(1, 1), 1), (mono(-1, 2), 3), (mono(Fraction(1, 2), 3), 2))
+    den = ((mono(1, 2), 2), (mono(-2, 1), 5), (mono(0, 0), 1))
+    got = pochhammer_quotient(num, den, order=60)
+    assert got == _quotient_by_hand(num, den, 60, PlainContext(RAT))
+
+
+def test_pochhammer_quotient_over_dual_laurent():
+    ctx = DualContext(LAURENT)
+    num = ((mono(1, 1, zexp=1), 1), (mono(-1, 1, xexp=1), 2))
+    den = ((mono(1, 1, zexp=-1, xexp=1), 1), (mono(2, 2, zexp=1), 3))
+    got = pochhammer_quotient(num, den, order=20, ctx=ctx)
+    assert got == _quotient_by_hand(num, den, 20, ctx)
+
+
+def test_pochhammer_quotient_validates_every_factor():
+    with pytest.raises(DivergentProduct):
+        pochhammer_quotient(((mono(1, 1), 1),), ((mono(1, 0), 1),), order=5)
+    with pytest.raises(ValueError):
+        pochhammer_quotient((), ((mono(1, 1), 0),), order=5)
+
+
+def test_contexts_share_one_lift():
+    m = mono(3, 2, zexp=1, xexp=2)
+    three_z = LaurentPoly.term(1, 3)
+    assert PlainContext(LAURENT).mon(m) == three_z
+    dual = DualContext(LAURENT).mon(m)
+    poly = XPolyContext(LAURENT).mon(m)
+    assert dual.value == poly.value_at_one(LAURENT.zero) == three_z
+    assert dual.deriv == poly.deriv_at_one(LAURENT.zero) == three_z.scale(2)
+    for ctx in (PlainContext(RAT), DualContext(RAT), XPolyContext(RAT)):
+        with pytest.raises(TypeError):
+            ctx.lift_zc(1, 1)
+
+
+def test_monomial_coefficients_follow_rat_lift():
+    partner = mono(2, 1).bracket_partner(3)
+    assert partner.coeff == Fraction(1, 2) and type(partner.coeff) is Fraction
+    assert type(mono(Fraction(4, 2), 1).coeff) is int
+    with pytest.raises(TypeError):
+        mono(1.5, 1)
 
 
 def test_pochhammer_zero_argument():

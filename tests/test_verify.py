@@ -275,15 +275,6 @@ def test_determinism_modulo_timing():
     assert run_once() == run_once()
 
 
-def test_threaded_run_matches_serial():
-    serial = run_all(only="identities", order=30, config=VerifyConfig(threads=1))
-    threaded = run_all(only="identities", order=30, config=VerifyConfig(threads=4))
-    strip = lambda res: [
-        {k: v for k, v in r.to_dict().items() if k != "ms"} for r in res.reports
-    ]
-    assert strip(serial) == strip(threaded)
-
-
 def test_stat_term_validation():
     with pytest.raises(ValueError):
         StatTerm(0, "NT", 1, 5)
