@@ -4,7 +4,14 @@ This module is the brute-force oracle for the whole project: every
 generating function is checked against counts and statistic tallies
 computed here by walking actual objects.
 
-Conventions for objects a definition leaves open:
+One iterative generator, ``_non_increasing``, walks the partitions of n
+(optionally without repeated odd parts) in reverse lexicographic order;
+overpartitions are expanded from it.  Each statistic has one definition,
+shared by its public function and the sweeps (the pair rank works on
+per-overpartition summaries, `_pair_rank`).
+
+Conventions for objects a definition leaves open live in the statistic
+functions, not in the sweeps:
 
 * the empty partition / overpartition / pair has every rank statistic 0;
   it contributes one object to residue class 0 of count-type tallies and
@@ -77,63 +84,67 @@ class OverpartitionPair:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as non-increasing tuples, each exactly once."""
+def _non_increasing(n: int, odd_once: bool = False) -> Iterator[tuple[int, ...]]:
+    """Non-increasing tuples of positive integers summing to n, in reverse
+    lexicographic order; with `odd_once`, no odd value repeats.
+
+    One parts list is extended greedily by the largest allowed part and
+    backtracked by popping: the last part that exceeds 1 is lowered by
+    one and the remainder refilled.  `cap` is the largest value the next
+    part may take.
+    """
     if n < 0:
         raise ValueError("weight must be >= 0")
-    buf: list[int] = []
-
-    def rec(rem: int, maxv: int):
-        if rem == 0:
-            yield tuple(buf)
+    parts: list[int] = []
+    rem = cap = n
+    while True:
+        while rem and cap:
+            v = rem if rem < cap else cap
+            parts.append(v)
+            rem -= v
+            cap = v - 1 if odd_once and v & 1 else v
+        if not rem:
+            yield tuple(parts)
+        while parts:
+            v = parts.pop()
+            rem += v
+            if v > 1:
+                v -= 1
+                parts.append(v)
+                rem -= v
+                cap = v - 1 if odd_once and v & 1 else v
+                break
+        else:
             return
-        for v in range(min(rem, maxv), 0, -1):
-            buf.append(v)
-            yield from rec(rem - v, v)
-            buf.pop()
 
-    yield from rec(n, max_part if max_part is not None else n)
+
+def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n as non-increasing tuples, each exactly once."""
+    return _non_increasing(n)
 
 
 def enumerate_distinct_odd(n: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n in which no odd part repeats."""
-    if n < 0:
-        raise ValueError("weight must be >= 0")
-    buf: list[int] = []
-
-    def rec(rem: int, maxv: int):
-        if rem == 0:
-            yield tuple(buf)
-            return
-        for v in range(min(rem, maxv), 0, -1):
-            buf.append(v)
-            # an odd value may appear once; evens repeat freely
-            yield from rec(rem - v, v - 1 if v % 2 else v)
-            buf.pop()
-
-    yield from rec(n, n)
+    return _non_increasing(n, odd_once=True)
 
 
 def enumerate_overpartitions(n: int) -> Iterator[Overpartition]:
-    """All overpartitions of n, each exactly once, canonically ordered."""
-    if n < 0:
-        raise ValueError("weight must be >= 0")
-    buf: list[tuple[int, bool]] = []
+    """All overpartitions of n, each exactly once, canonically ordered.
 
-    def rec(rem: int, maxv: int):
-        if rem == 0:
+    Each partition is expanded by every subset of its distinct values:
+    bit j of the mask overlines the first copy of the j-th distinct value,
+    which is where the canonical order puts the overlined copy.
+    """
+    for parts in _non_increasing(n):
+        plain = [(v, False) for v in parts]
+        firsts = [(i, (v, True)) for i, v in enumerate(parts)
+                  if not i or v != parts[i - 1]]
+        for mask in range(1 << len(firsts)):
+            buf = plain[:]
+            for j, (i, over) in enumerate(firsts):
+                if mask >> j & 1:
+                    buf[i] = over
             yield Overpartition(tuple(buf))
-            return
-        for v in range(min(rem, maxv), 0, -1):
-            for mult in range(1, rem // v + 1):
-                for first_ov in (True, False):
-                    buf.append((v, first_ov))
-                    for _ in range(mult - 1):
-                        buf.append((v, False))
-                    yield from rec(rem - v * mult, v - 1)
-                    del buf[-mult:]
-
-    yield from rec(n, n)
 
 
 def enumerate_overpartition_pairs(n: int) -> Iterator[OverpartitionPair]:
@@ -206,24 +217,32 @@ def m2_rank_distinct_odd(parts: tuple[int, ...]) -> int:
     return -(-parts[0] // 2) - len(parts)
 
 
+def _ov_summary(op: Overpartition) -> tuple[int, int, int, int, int]:
+    """(largest, leading part overlined, #parts, #overlined, #plain); all
+    zero for the empty overpartition."""
+    parts = op.parts
+    if not parts:
+        return (0, 0, 0, 0, 0)
+    t = len(parts)
+    ovc = sum(1 for _, ov in parts if ov)
+    return (parts[0][0], int(parts[0][1]), t, ovc, t - ovc)
+
+
+def _pair_rank(lam: tuple, mu: tuple) -> int:
+    """The pair rank from the `_ov_summary` of lam and of mu."""
+    chi = 1 if (mu[0] > lam[0] and not mu[1]) else 0
+    return (lam[0] if lam[0] >= mu[0] else mu[0]) - lam[2] - mu[3] - chi
+
+
 def pair_rank(pair: OverpartitionPair) -> int:
     """Largest part of the pair, minus #parts of lam, minus #overlined of
     mu, minus chi; chi is 1 when the largest part is plain and lives in mu.
 
     Parts are ranked overlined-lam > plain-lam > overlined-mu > plain-mu
     at equal value, so "the largest part" is in mu only when mu strictly
-    exceeds lam in value.
+    exceeds lam in value.  The empty pair has rank 0.
     """
-    lam, mu = pair.lam, pair.mu
-    if not lam.parts and not mu.parts:
-        return 0
-    l_lam = lam.largest()
-    l_mu = mu.largest()
-    largest = max(l_lam, l_mu)
-    chi = 0
-    if l_mu > l_lam and not mu.parts[0][1]:
-        chi = 1
-    return largest - lam.num_parts() - mu.overlined_count() - chi
+    return _pair_rank(_ov_summary(pair.lam), _ov_summary(pair.mu))
 
 
 def crank(parts: tuple[int, ...]) -> int:
@@ -249,7 +268,8 @@ def count_ones(parts: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 # Cached raw sweeps: one enumeration pass per (object family, n) serves
 # every statistic and every modulus.  Counters are keyed by the raw
-# statistic value; weights are object counts, part counts, or ones.
+# statistic value; weights are object counts, part counts, or ones, and
+# no counter holds a zero-valued entry.
 # ---------------------------------------------------------------------------
 
 
@@ -259,23 +279,16 @@ def partition_sweep(n: int) -> dict[str, Counter]:
     rank_parts: Counter = Counter()
     crank_count: Counter = Counter()
     crank_ones: Counter = Counter()
-    if n == 0:
-        rank_count[0] = 1
-        crank_count[0] = 1
-    else:
-        for parts in enumerate_partitions(n):
-            t = len(parts)
-            r = parts[0] - t
-            rank_count[r] += 1
-            rank_parts[r] += t
-            ones = count_ones(parts)
-            if ones == 0:
-                c = parts[0]
-            else:
-                c = sum(1 for v in parts if v > ones) - ones
-            crank_count[c] += 1
-            if ones:
-                crank_ones[c] += ones
+    for parts in enumerate_partitions(n):
+        r = dyson_rank(parts)
+        rank_count[r] += 1
+        if parts:
+            rank_parts[r] += len(parts)
+        c = crank(parts)
+        crank_count[c] += 1
+        ones = count_ones(parts)
+        if ones:
+            crank_ones[c] += ones
     return {
         "rank_count": rank_count,
         "rank_parts": rank_parts,
@@ -290,21 +303,14 @@ def overpartition_sweep(n: int) -> dict[str, Counter]:
     rank_parts: Counter = Counter()
     m2_count: Counter = Counter()
     m2_parts: Counter = Counter()
-    if n == 0:
-        rank_count[0] = 1
-        m2_count[0] = 1
-    else:
-        for op in enumerate_overpartitions(n):
-            parts = op.parts
-            t = len(parts)
-            largest, lead_ov = parts[0]
-            r = largest - t
-            rank_count[r] += 1
+    for op in enumerate_overpartitions(n):
+        r = ov_rank(op)
+        m2 = m2_rank_overpartition(op)
+        rank_count[r] += 1
+        m2_count[m2] += 1
+        t = len(op.parts)
+        if t:
             rank_parts[r] += t
-            odd_plain = sum(1 for v, ov in parts if v % 2 and not ov)
-            chi = 1 if (largest % 2 and not lead_ov) else 0
-            m2 = -(-largest // 2) - t + odd_plain - chi
-            m2_count[m2] += 1
             m2_parts[m2] += t
     return {
         "rank_count": rank_count,
@@ -318,47 +324,41 @@ def overpartition_sweep(n: int) -> dict[str, Counter]:
 def distinct_odd_sweep(n: int) -> dict[str, Counter]:
     m2_count: Counter = Counter()
     m2_parts: Counter = Counter()
-    if n == 0:
-        m2_count[0] = 1
-    else:
-        for parts in enumerate_distinct_odd(n):
-            t = len(parts)
-            m2 = -(-parts[0] // 2) - t
-            m2_count[m2] += 1
-            m2_parts[m2] += t
+    for parts in enumerate_distinct_odd(n):
+        m2 = m2_rank_distinct_odd(parts)
+        m2_count[m2] += 1
+        if parts:
+            m2_parts[m2] += len(parts)
     return {"m2_count": m2_count, "m2_parts": m2_parts}
 
 
 @lru_cache(maxsize=None)
 def _ov_summaries(n: int) -> list[tuple[int, int, int, int, int]]:
-    """Per-overpartition summaries used by the pair sweeps:
-    (largest, leading part overlined, #parts, #overlined, #plain)."""
-    out = []
-    for op in enumerate_overpartitions(n):
-        parts = op.parts
-        t = len(parts)
-        ovc = sum(1 for _, ov in parts if ov)
-        if parts:
-            out.append((parts[0][0], int(parts[0][1]), t, ovc, t - ovc))
-        else:
-            out.append((0, 0, 0, 0, 0))
-    return out
+    """The `_ov_summary` of every overpartition of n."""
+    return [_ov_summary(op) for op in enumerate_overpartitions(n)]
+
+
+def _pair_joint(n: int) -> Counter:
+    """One uncached pass over the pairs of weight n; see `pair_profile`."""
+    if n < 0:
+        raise ValueError("weight must be >= 0")
+    joint: Counter = Counter()
+    for j in range(n + 1):
+        mus = _ov_summaries(n - j)
+        for lam in _ov_summaries(j):
+            for mu in mus:
+                joint[(lam[3] + mu[4], mu[2], lam[2] + mu[2], _pair_rank(lam, mu))] += 1
+    return joint
 
 
 @lru_cache(maxsize=None)
 def pair_sweep(n: int) -> dict[str, Counter]:
     rank_count: Counter = Counter()
     rank_parts: Counter = Counter()
-    if n == 0:
-        rank_count[0] = 1
-        return {"rank_count": rank_count, "rank_parts": rank_parts}
-    for j in range(n + 1):
-        for llam, _lam_ov, tlam, _ovlam, _plam in _ov_summaries(j):
-            for lmu, mu_ov, tmu, ovmu, _pmu in _ov_summaries(n - j):
-                chi = 1 if (lmu > llam and not mu_ov) else 0
-                r = max(llam, lmu) - tlam - ovmu - chi
-                rank_count[r] += 1
-                rank_parts[r] += tlam + tmu
+    for (_r, _s, t, m), cnt in _pair_joint(n).items():
+        rank_count[m] += cnt
+        if t:
+            rank_parts[m] += cnt * t
     return {"rank_count": rank_count, "rank_parts": rank_parts}
 
 
@@ -370,56 +370,43 @@ def pair_profile(n: int, limit: int | None = None) -> Counter:
     bound = DEFAULT_BOUNDS["pair"] if limit is None else limit
     if n > bound:
         raise BoundExceeded(f"pair profile at n={n} exceeds bound {bound}")
-    profile: Counter = Counter()
-    if n == 0:
-        profile[(0, 0, 0, 0)] = 1
-        return profile
-    for j in range(n + 1):
-        for llam, _lam_ov, tlam, ovlam, _plam in _ov_summaries(j):
-            for lmu, mu_ov, tmu, ovmu, pmu in _ov_summaries(n - j):
-                chi = 1 if (lmu > llam and not mu_ov) else 0
-                m = max(llam, lmu) - tlam - ovmu - chi
-                profile[(ovlam + pmu, tmu, tlam + tmu, m)] += 1
-    return profile
+    return _pair_joint(n)
 
 
 # ---------------------------------------------------------------------------
 # Tallies by residue class.
 # ---------------------------------------------------------------------------
 
-# family -> (sweep function, raw-counter key)
+# family -> (sweep function, raw-counter key, enumeration bound key)
 _TALLY_TABLE = {
-    "NT": (partition_sweep, "rank_parts"),
-    "N": (partition_sweep, "rank_count"),
-    "NTbar": (overpartition_sweep, "rank_parts"),
-    "Nbar": (overpartition_sweep, "rank_count"),
-    "NTbar2": (overpartition_sweep, "m2_parts"),
-    "Nbar2": (overpartition_sweep, "m2_count"),
-    "NT2": (distinct_odd_sweep, "m2_parts"),
-    "N2": (distinct_odd_sweep, "m2_count"),
-    "Momega": (partition_sweep, "crank_ones"),
-    "M": (partition_sweep, "crank_count"),
-    "NTpair": (pair_sweep, "rank_parts"),
-    "Npair": (pair_sweep, "rank_count"),
+    "NT": (partition_sweep, "rank_parts", "partition"),
+    "N": (partition_sweep, "rank_count", "partition"),
+    "NTbar": (overpartition_sweep, "rank_parts", "overpartition"),
+    "Nbar": (overpartition_sweep, "rank_count", "overpartition"),
+    "NTbar2": (overpartition_sweep, "m2_parts", "overpartition"),
+    "Nbar2": (overpartition_sweep, "m2_count", "overpartition"),
+    "NT2": (distinct_odd_sweep, "m2_parts", "distinct_odd"),
+    "N2": (distinct_odd_sweep, "m2_count", "distinct_odd"),
+    "Momega": (partition_sweep, "crank_ones", "partition"),
+    "M": (partition_sweep, "crank_count", "partition"),
+    "NTpair": (pair_sweep, "rank_parts", "pair"),
+    "Npair": (pair_sweep, "rank_count", "pair"),
 }
 
 TALLY_FAMILIES = tuple(_TALLY_TABLE)
 
 # family -> which enumeration bound governs it
-FAMILY_BOUND_KEY = {
-    "NT": "partition",
-    "N": "partition",
-    "Momega": "partition",
-    "M": "partition",
-    "NTbar": "overpartition",
-    "Nbar": "overpartition",
-    "NTbar2": "overpartition",
-    "Nbar2": "overpartition",
-    "NT2": "distinct_odd",
-    "N2": "distinct_odd",
-    "NTpair": "pair",
-    "Npair": "pair",
-}
+FAMILY_BOUND_KEY = {family: row[2] for family, row in _TALLY_TABLE.items()}
+
+
+def _raw(family: str, n: int) -> Counter:
+    try:
+        sweep, key, _ = _TALLY_TABLE[family]
+    except KeyError:
+        raise ValueError(
+            f"unknown statistic family {family!r}; known: {sorted(_TALLY_TABLE)}"
+        ) from None
+    return sweep(n)[key]
 
 
 def tally(family: str, n: int, k: int) -> list[int]:
@@ -428,23 +415,15 @@ def tally(family: str, n: int, k: int) -> list[int]:
     objects, Momega sums ones."""
     if k < 1:
         raise ValueError("modulus must be >= 1")
-    try:
-        sweep, key = _TALLY_TABLE[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown statistic family {family!r}; known: {sorted(_TALLY_TABLE)}"
-        ) from None
-    raw = sweep(n)[key]
     out = [0] * k
-    for value, weight in raw.items():
+    for value, weight in _raw(family, n).items():
         out[value % k] += weight
     return out
 
 
 def raw_tally(family: str, n: int) -> Counter:
     """Counter keyed by the raw statistic value (no residue reduction)."""
-    sweep, key = _TALLY_TABLE[family]
-    return sweep(n)[key]
+    return _raw(family, n)
 
 
 def clear_caches():

@@ -2,11 +2,13 @@
 
 Everything here is deliberately dumb: dense dict-based polynomial
 arithmetic, product expansion factor by factor, and the classic
-recurrence for the partition numbers.  Nothing imports qcert series
+recurrence for the partition numbers, and partition-like objects built
+from multisets and subsets of parts.  Nothing imports qcert series
 internals, so agreement is meaningful.
 """
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 
 def poly_mul(a: dict, b: dict, order: int) -> dict:
@@ -80,3 +82,38 @@ def partition_numbers(order: int) -> list[int]:
             k += 1
         p[n] = total
     return p
+
+
+def partitions(n: int) -> set[tuple[int, ...]]:
+    """Partitions of n as non-increasing tuples: every multiset of parts
+    in 1..n that sums to n."""
+    return {
+        tuple(sorted(parts, reverse=True))
+        for k in range(n + 1)
+        for parts in combinations_with_replacement(range(1, n + 1), k)
+        if sum(parts) == n
+    }
+
+
+def distinct_odd_partitions(n: int) -> set[tuple[int, ...]]:
+    """Partitions of n in which no odd value occurs twice."""
+    return {
+        parts for parts in partitions(n)
+        if all(parts.count(v) == 1 for v in parts if v % 2)
+    }
+
+
+def overpartitions(n: int) -> set[tuple[tuple[int, bool], ...]]:
+    """Overpartitions of n as canonical (value, overlined) tuples: each
+    partition with every subset of part positions overlined, keeping the
+    subsets that overline at most one copy of each value."""
+    out = set()
+    for parts in partitions(n):
+        for k in range(len(parts) + 1):
+            for chosen in combinations(range(len(parts)), k):
+                values = [parts[i] for i in chosen]
+                if len(values) != len(set(values)):
+                    continue
+                marked = [(v, i in chosen) for i, v in enumerate(parts)]
+                out.add(tuple(sorted(marked, key=lambda p: (-p[0], not p[1]))))
+    return out

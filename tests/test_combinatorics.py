@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from qcert.combinatorics import (
+    TALLY_FAMILIES,
     Overpartition,
     OverpartitionPair,
     count_distinct_odd,
@@ -17,6 +18,7 @@ from qcert.combinatorics import (
     count_overpartitions,
     count_partitions,
     crank,
+    distinct_odd_sweep,
     dyson_rank,
     enumerate_distinct_odd,
     enumerate_overpartition_pairs,
@@ -24,9 +26,12 @@ from qcert.combinatorics import (
     enumerate_partitions,
     m2_rank_distinct_odd,
     m2_rank_overpartition,
+    ov_rank,
+    overpartition_sweep,
     pair_profile,
     pair_rank,
     pair_sweep,
+    partition_sweep,
     raw_tally,
     tally,
 )
@@ -90,6 +95,21 @@ def test_distinct_odd_examples():
     assert sorted(enumerate_distinct_odd(2)) == [(2,)]
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_enumerators_match_naive_references(n):
+    for got, want in (
+        (list(enumerate_partitions(n)), bf.partitions(n)),
+        (list(enumerate_distinct_odd(n)), bf.distinct_odd_partitions(n)),
+        ([o.parts for o in enumerate_overpartitions(n)], bf.overpartitions(n)),
+    ):
+        assert len(got) == len(set(got))
+        assert set(got) == want
+    # partitions come in reverse lexicographic order
+    for enum in (enumerate_partitions, enumerate_distinct_odd):
+        got = list(enum(n))
+        assert got == sorted(got, reverse=True)
+
+
 def test_no_duplicates_in_enumerations():
     for n in range(9):
         ps = list(enumerate_partitions(n))
@@ -145,6 +165,66 @@ def test_crank_and_ones_examples():
     assert crank((1,)) == -1
     assert crank((2, 1, 1)) == -2 and count_ones((2, 1, 1)) == 2
     assert crank((5, 4, 2)) == 5
+
+
+def _pair_parts(pair):
+    return pair.lam.num_parts() + pair.mu.num_parts()
+
+
+# sweep -> (objects of weight n, {counter key: (statistic, weight per object)})
+_SWEEP_DEFINITIONS = {
+    partition_sweep: (enumerate_partitions, {
+        "rank_count": (dyson_rank, lambda p: 1),
+        "rank_parts": (dyson_rank, len),
+        "crank_count": (crank, lambda p: 1),
+        "crank_ones": (crank, count_ones),
+    }),
+    overpartition_sweep: (enumerate_overpartitions, {
+        "rank_count": (ov_rank, lambda o: 1),
+        "rank_parts": (ov_rank, Overpartition.num_parts),
+        "m2_count": (m2_rank_overpartition, lambda o: 1),
+        "m2_parts": (m2_rank_overpartition, Overpartition.num_parts),
+    }),
+    distinct_odd_sweep: (enumerate_distinct_odd, {
+        "m2_count": (m2_rank_distinct_odd, lambda p: 1),
+        "m2_parts": (m2_rank_distinct_odd, len),
+    }),
+    pair_sweep: (enumerate_overpartition_pairs, {
+        "rank_count": (pair_rank, lambda pr: 1),
+        "rank_parts": (pair_rank, _pair_parts),
+    }),
+}
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_sweeps_match_public_statistics(n):
+    # every counter of every sweep is the public statistic applied to the
+    # enumerated objects, with no zero-valued entry (dict equality is strict)
+    for sweep, (enum, counters) in _SWEEP_DEFINITIONS.items():
+        got = sweep(n)
+        assert set(got) == set(counters), sweep.__name__
+        objects = list(enum(n))
+        for key, (stat, weight) in counters.items():
+            want = Counter()
+            for obj in objects:
+                want[stat(obj)] += weight(obj)
+            assert dict(got[key]) == {m: c for m, c in want.items() if c}, (
+                sweep.__name__, key)
+
+
+@pytest.mark.parametrize("sweep", [partition_sweep, overpartition_sweep,
+                                   distinct_odd_sweep, pair_sweep, pair_profile])
+def test_sweeps_refuse_negative_weight(sweep):
+    with pytest.raises(ValueError, match="weight must be >= 0"):
+        sweep(-1)
+
+
+@pytest.mark.parametrize("family", TALLY_FAMILIES)
+def test_tallies_refuse_negative_weight(family):
+    with pytest.raises(ValueError, match="weight must be >= 0"):
+        tally(family, -2, 3)
+    with pytest.raises(ValueError, match="weight must be >= 0"):
+        raw_tally(family, -2)
 
 
 # -- the chi convention, validated against the generating function -----------
@@ -219,6 +299,8 @@ def test_rank_symmetry_object_counts():
 def test_tally_unknown_family():
     with pytest.raises(ValueError):
         tally("nonsense", 3, 5)
+    with pytest.raises(ValueError, match="known: "):
+        raw_tally("nonsense", 3)
 
 
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=9))
