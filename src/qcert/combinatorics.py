@@ -363,11 +363,11 @@ def pair_sweep(n: int) -> dict[str, Counter]:
 
 
 @lru_cache(maxsize=None)
-def pair_profile(n: int, limit: int | None = None) -> Counter:
+def pair_profile(n: int) -> Counter:
     """Joint distribution over pairs of weight n, keyed by (r, s, t, m):
     r = overlined-in-lam + plain-in-mu, s = #parts of mu, t = total
     parts, m = pair rank."""
-    bound = DEFAULT_BOUNDS["pair"] if limit is None else limit
+    bound = DEFAULT_BOUNDS["pair"]
     if n > bound:
         raise BoundExceeded(f"pair profile at n={n} exceeds bound {bound}")
     return _pair_joint(n)

@@ -508,7 +508,6 @@ def lerch_sum(
     *,
     quad: int,
     lin: int = 0,
-    alternating: bool = True,
     denom_step: int,
     denom_sign: int,
     denom_shift: int = 0,
@@ -518,7 +517,7 @@ def lerch_sum(
 ) -> QSeries:
     """Bilateral Appell-Lerch-type sum over n in Z (optionally without 0):
 
-        sum (+-1)^n q^(quad*n^2 + lin*n + num_shift)
+        sum (-1)^n q^(quad*n^2 + lin*n + num_shift)
             / (1 + denom_sign * q^(denom_step*n + denom_shift))
 
     Denominators with negative q-power are rewritten to positive
@@ -535,7 +534,7 @@ def lerch_sum(
     acc = QSeries.zeros(RAT, order)
 
     def add_term(n: int):
-        sign = -1 if (alternating and n % 2) else 1
+        sign = -1 if n % 2 else 1
         v0 = quad * n * n + lin * n + num_shift
         m = denom_step * n + denom_shift
         if m == 0:

@@ -4,11 +4,15 @@ identity, and conjecture the project certifies.
 Each check is a CheckSpec; running one produces a CheckReport with a
 PASS / FAIL / SKIPPED / ERROR status and, on failure, a reproducible
 witness (the first offending index with the value found and the value
-expected).  An engine defect inside a check (an exception that is not a
-package error) becomes an ERROR report carrying the exception's type and
-message, so one broken check never loses the whole run's report.
-Conjecture checks are flagged so that a failing conjecture is loudly
-reported without failing the suite unless strict mode is on.
+expected).  One progression runner serves every statement along a
+progression (congruence, exact relation, or identity against a form):
+it reads the lhs from the difference series plus enumeration and
+compares each value with its target.  An engine defect inside a check
+(an exception that is not a package error) becomes an ERROR report
+carrying the exception's type and message, so one broken check never
+loses the whole run's report.  Conjecture checks are flagged so that a
+failing conjecture is loudly reported without failing the suite unless
+strict mode is on.
 """
 
 from __future__ import annotations
@@ -117,7 +121,6 @@ class CheckReport:
 
 @dataclass
 class VerifyConfig:
-    order: int | None = None
     enum_bounds: dict = field(default_factory=lambda: dict(DEFAULT_BOUNDS))
     strict_conjectures: bool = False
     unsafe_bounds: bool = False
@@ -146,12 +149,6 @@ def _combo_str(terms) -> str:
 # ---------------------------------------------------------------------------
 # Engines.
 # ---------------------------------------------------------------------------
-
-
-def _split_terms(terms):
-    series_terms = [t for t in terms if t.family in _SERIES_FAMILY]
-    enum_terms = [t for t in terms if t.family not in _SERIES_FAMILY]
-    return series_terms, enum_terms
 
 
 def _series_combo(series_terms, order: int) -> QSeries:
@@ -188,13 +185,10 @@ def _enum_value(terms, n: int) -> int:
     return acc
 
 
-def _enum_limit_for(terms, config: VerifyConfig) -> int:
-    keys = {FAMILY_BOUND_KEY[t.family] for t in terms}
-    return min(config.enum_bounds[k] for k in keys) if keys else 0
-
-
-def _require_enum_range(spec: CheckSpec, terms, upto: int, config: VerifyConfig):
-    limit = _enum_limit_for(terms, config)
+def _require_enum_range(spec: CheckSpec, families, upto: int, config: VerifyConfig):
+    """Skip the check (EnumBoundExceeded) when enumerating `families` to
+    weight `upto` passes their tightest configured limit."""
+    limit = min(config.enum_bounds[FAMILY_BOUND_KEY[f]] for f in families)
     if upto > limit and not config.unsafe_bounds:
         raise EnumBoundExceeded(
             f"{spec.id} needs enumeration to n={upto}, limit is {limit} "
@@ -202,8 +196,9 @@ def _require_enum_range(spec: CheckSpec, terms, upto: int, config: VerifyConfig)
         )
 
 
-def _progression_points(i: int, step: int, bound: int):
-    return range(i, bound + 1, step)
+def _fail(report: CheckReport, n: int, value, expected):
+    report.status = "FAIL"
+    report.witness = {"n": n, "value": value, "expected": expected}
 
 
 # ---------------------------------------------------------------------------
@@ -211,121 +206,88 @@ def _progression_points(i: int, step: int, bound: int):
 # ---------------------------------------------------------------------------
 
 
-def _run_progression_zero(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
-    """CONGRUENCE (mod p) or EXACT_RELATION (= 0) along a progression."""
-    i, step = spec.progression
-    series_terms, enum_terms = _split_terms(spec.lhs)
-    use_series = bool(series_terms) and spec.engines != "ENUM"
-    series_vals = None
-    if use_series:
-        try:
-            series = _series_combo(series_terms, bound).assert_integral()
-            series_vals = series.coeffs
-        except NotAntisymmetric as exc:
-            # combination is not expressible as difference series
-            # (possible for perturbed specs); fall back to enumeration
-            use_series = False
-            enum_terms = list(spec.lhs)
-            report.notes.append(f"series engine unavailable: {exc}")
-    enum_needed = bool(enum_terms) or not use_series
-    if enum_needed:
-        enum_like = enum_terms if (enum_terms and use_series) else spec.lhs
-        _require_enum_range(spec, enum_like, bound, config)
+def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
+    """The lhs combination at n = step*t + i, compared with its target:
+    0 (mod p) for a CONGRUENCE, 0 for an EXACT_RELATION, and the q^t
+    coefficient of the rhs form for an identity.
 
-    for n in _progression_points(i, step, bound):
-        val = 0
-        if use_series:
-            val += int(series_vals[n])
-            if enum_terms:
-                val += _enum_value(enum_terms, n)
-        else:
-            val = _enum_value(spec.lhs, n)
-        bad = (val % spec.modulus != 0) if spec.kind == "CONGRUENCE" else (val != 0)
-        if bad:
-            expected = f"0 (mod {spec.modulus})" if spec.kind == "CONGRUENCE" else "0"
-            report.status = "FAIL"
-            report.witness = {"n": n, "value": val, "expected": expected}
+    Part-count terms are read from the difference series, the rest from
+    enumeration; a combination with no difference series is read from
+    enumeration alone.
+    """
+    i, step = spec.progression
+    series_terms = [t for t in spec.lhs if t.family in _SERIES_FAMILY]
+    series_vals = None
+    if series_terms and spec.engines != "ENUM":
+        try:
+            series_vals = _series_combo(series_terms, bound).assert_integral().coeffs
+        except NotAntisymmetric as exc:
+            # possible for perturbed specs; every term moves to enumeration
+            report.notes.append(f"series engine unavailable: {exc}")
+    if series_vals is None:
+        enum_terms = spec.lhs
+    else:
+        enum_terms = [t for t in spec.lhs if t.family not in _SERIES_FAMILY]
+    if enum_terms:
+        _require_enum_range(spec, [t.family for t in enum_terms], bound, config)
+
+    def value(n: int) -> int:
+        val = _enum_value(enum_terms, n)
+        return val if series_vals is None else int(series_vals[n]) + val
+
+    rhs = None
+    if spec.rhs_form:
+        t_max = (bound - i) // step
+        rhs = closed_form(spec.rhs_form, t_max).assert_integral().coeffs
+    for t, n in enumerate(range(i, bound + 1, step)):
+        val = value(n)
+        if rhs is not None:
+            if val != int(rhs[t]):
+                _fail(report, n, val, int(rhs[t]))
+                return
+        elif spec.kind == "CONGRUENCE":
+            if val % spec.modulus:
+                _fail(report, n, val, f"0 (mod {spec.modulus})")
+                return
+        elif val:
+            _fail(report, n, val, "0")
             return
 
     # independent confirmation by full enumeration on the overlap
-    if spec.engines == "BOTH" and use_series:
+    if spec.engines == "BOTH" and series_vals is not None:
         confirm_to = min(spec.enum_bound or 0, bound)
-        _require_enum_range(spec, spec.lhs, confirm_to, config)
-        for n in _progression_points(i, step, confirm_to):
+        _require_enum_range(spec, [t.family for t in spec.lhs], confirm_to, config)
+        for n in range(i, confirm_to + 1, step):
             ev = _enum_value(spec.lhs, n)
-            sv = int(series_vals[n]) + (_enum_value(enum_terms, n) if enum_terms else 0)
+            sv = value(n)
             if ev != sv:
-                report.status = "FAIL"
-                report.witness = {
-                    "n": n,
-                    "value": sv,
-                    "expected": f"{ev} (enumeration)",
-                }
+                _fail(report, n, sv, f"{ev} (enumeration)")
                 return
         report.notes.append(f"enumeration confirms values for n <= {confirm_to}")
+    if rhs is not None:
+        report.notes.append(f"progression index up to {t_max}")
     report.status = "PASS"
 
 
-def _run_exact_identity(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
-    if spec.progression is None:
-        lhs = (
-            closed_form(spec.lhs_form, bound)
-            if spec.lhs_form
-            else _series_combo(spec.lhs, bound)
-        )
-        rhs = closed_form(spec.rhs_form, bound)
-        if spec.modulus:
-            diff = (lhs - rhs).reduce_mod(spec.modulus)
-            first = next((n for n, v in enumerate(diff) if v), None)
-            if first is not None:
-                report.status = "FAIL"
-                report.witness = {
-                    "n": first,
-                    "value": int((lhs - rhs).coeffs[first]),
-                    "expected": f"0 (mod {spec.modulus})",
-                }
-                return
-        else:
-            first = lhs.first_difference(rhs)
-            if first is not None:
-                report.status = "FAIL"
-                report.witness = {
-                    "n": first,
-                    "value": str(lhs.coeffs[first]),
-                    "expected": str(rhs.coeffs[first]),
-                }
-                return
-        report.status = "PASS"
-        return
-
-    # progression form: sum over t of lhs(step*t + i) q^t equals the rhs
-    i, step = spec.progression
-    t_max = (bound - i) // step
-    if t_max < 1:
-        raise InsufficientOrder(
-            f"{spec.id}: bound {bound} yields fewer than two samples of "
-            f"the progression {step}n+{i}"
-        )
-    series_terms, enum_terms = _split_terms(spec.lhs)
-    series_vals = None
-    if series_terms:
-        series_vals = _series_combo(series_terms, bound).assert_integral().coeffs
-    if enum_terms:
-        _require_enum_range(spec, enum_terms, i + step * t_max, config)
-    rhs = closed_form(spec.rhs_form, t_max).assert_integral()
-    for t in range(t_max + 1):
-        n = i + step * t
-        val = 0
-        if series_vals is not None:
-            val += int(series_vals[n])
-        if enum_terms:
-            val += _enum_value(enum_terms, n)
-        want = int(rhs.coeffs[t])
-        if val != want:
-            report.status = "FAIL"
-            report.witness = {"n": n, "value": val, "expected": want}
+def _run_identity(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
+    """lhs = rhs coefficient by coefficient, or mod p for a CONGRUENCE."""
+    lhs = (
+        closed_form(spec.lhs_form, bound)
+        if spec.lhs_form
+        else _series_combo(spec.lhs, bound)
+    )
+    rhs = closed_form(spec.rhs_form, bound)
+    if spec.modulus:
+        diff = lhs - rhs
+        first = next((n for n, v in enumerate(diff.reduce_mod(spec.modulus)) if v), None)
+        if first is not None:
+            _fail(report, first, int(diff.coeffs[first]), f"0 (mod {spec.modulus})")
             return
-    report.notes.append(f"progression index up to {t_max}")
+    else:
+        first = lhs.first_difference(rhs)
+        if first is not None:
+            _fail(report, first, str(lhs.coeffs[first]), str(rhs.coeffs[first]))
+            return
     report.status = "PASS"
 
 
@@ -337,15 +299,14 @@ def _run_special(spec: CheckSpec, bound: int, config: VerifyConfig, report: Chec
             report.status = "PASS"
             report.notes.append("value and derivative components both match")
         else:
-            report.status = "FAIL"
-            report.witness = {
-                "n": res.first_mismatch,
-                "value": str(res.lhs.coeffs[res.first_mismatch]),
-                "expected": str(res.rhs.coeffs[res.first_mismatch]),
-            }
+            n = res.first_mismatch
+            _fail(report, n, str(res.lhs.coeffs[n]), str(res.rhs.coeffs[n]))
         return
     if kind == "xcheck":
-        _XCHECKS[arg](spec, bound, config, report)
+        if arg == "pair":
+            _xcheck_pair(spec, bound, config, report)
+        else:
+            _xcheck_rank_distribution(spec, bound, config, report, *_RANK_XCHECKS[arg])
         return
     raise QcertError(f"unknown special runner {spec.special!r}")
 
@@ -362,23 +323,18 @@ def _poly_matches_counter(poly, counter) -> bool:
 
 def _xcheck_rank_distribution(spec, bound, config, report, family, count_family,
                               diff_family, diff_pairs, gf_id):
-    _require_enum_range(spec, [StatTerm(1, count_family, 0, 1)], bound, config)
+    _require_enum_range(spec, [count_family, diff_family], bound, config)
     g = genfun.rank_gf(family, bound)
     for n in range(bound + 1):
         if not _poly_matches_counter(g.coeffs[n], raw_tally(count_family, n)):
-            report.status = "FAIL"
-            report.witness = {
-                "n": n,
-                "value": str(g.coeffs[n]),
-                "expected": str(dict(sorted(raw_tally(count_family, n).items()))),
-            }
+            _fail(report, n, str(g.coeffs[n]),
+                  str(dict(sorted(raw_tally(count_family, n).items()))))
             return
     counts = closed_form(gf_id, bound)
     for n in range(bound + 1):
         total = sum(raw_tally(count_family, n).values())
         if total != counts.coeffs[n]:
-            report.status = "FAIL"
-            report.witness = {"n": n, "value": total, "expected": str(counts.coeffs[n])}
+            _fail(report, n, total, str(counts.coeffs[n]))
             return
     for b, k in diff_pairs:
         series = genfun.nt_diff_gf(family, b, k, bound)
@@ -386,12 +342,7 @@ def _xcheck_rank_distribution(spec, bound, config, report, family, count_family,
             tl = tally(diff_family, n, k)
             want = tl[b] - tl[(k - b) % k]
             if series.coeffs[n] != want:
-                report.status = "FAIL"
-                report.witness = {
-                    "n": n,
-                    "value": str(series.coeffs[n]),
-                    "expected": want,
-                }
+                _fail(report, n, str(series.coeffs[n]), want)
                 report.notes.append(f"part-count difference b={b} mod {k}")
                 return
     report.notes.append(
@@ -401,28 +352,16 @@ def _xcheck_rank_distribution(spec, bound, config, report, family, count_family,
 
 
 def _xcheck_pair(spec, bound, config, report):
-    limit = config.enum_bounds["pair"]
-    if bound > limit and not config.unsafe_bounds:
-        raise EnumBoundExceeded(f"pair cross-check bound {bound} > limit {limit}")
+    _require_enum_range(spec, ["Npair"], bound, config)
     g = genfun.genovpair_series(1, 1, 1, bound)
     counts = closed_form("overpartition-pair-gf", bound)
     for n in range(bound + 1):
         sweep = comb.pair_sweep(n)["rank_count"]
         if not _poly_matches_counter(g.coeffs[n], sweep):
-            report.status = "FAIL"
-            report.witness = {
-                "n": n,
-                "value": str(g.coeffs[n]),
-                "expected": str(dict(sorted(sweep.items()))),
-            }
+            _fail(report, n, str(g.coeffs[n]), str(dict(sorted(sweep.items()))))
             return
         if sum(sweep.values()) != counts.coeffs[n]:
-            report.status = "FAIL"
-            report.witness = {
-                "n": n,
-                "value": sum(sweep.values()),
-                "expected": str(counts.coeffs[n]),
-            }
+            _fail(report, n, sum(sweep.values()), str(counts.coeffs[n]))
             return
     # joint profile vs the generic series at sampled integer weights
     samples = [(2, 1, 1), (1, 2, 1), (2, 3, 1), (1, 1, 2), (3, 2, 2)]
@@ -440,12 +379,7 @@ def _xcheck_pair(spec, bound, config, report):
                 want[m] = want.get(m, 0) + cnt * d**r * e**s * x**t
             got = {exp: v for exp, v in series.coeffs[n].items()}
             if got != {m: v for m, v in want.items() if v}:
-                report.status = "FAIL"
-                report.witness = {
-                    "n": n,
-                    "value": str(series.coeffs[n]),
-                    "expected": str(dict(sorted(want.items()))),
-                }
+                _fail(report, n, str(series.coeffs[n]), str(dict(sorted(want.items()))))
                 report.notes.append(f"sampled weights (d,e,x)=({d},{e},{x})")
                 return
     report.notes.append(
@@ -455,24 +389,15 @@ def _xcheck_pair(spec, bound, config, report):
     report.status = "PASS"
 
 
-_XCHECKS = {
-    "rank-part": lambda spec, bound, config, report: _xcheck_rank_distribution(
-        spec, bound, config, report, Family.DYSON, "N", "NT",
-        [(1, 5), (2, 5), (1, 7), (2, 7), (3, 7)], "partition-gf",
-    ),
-    "rank-ov": lambda spec, bound, config, report: _xcheck_rank_distribution(
-        spec, bound, config, report, Family.OV_RANK, "Nbar", "NTbar",
-        [(1, 3)], "overpartition-gf",
-    ),
-    "m2-ov": lambda spec, bound, config, report: _xcheck_rank_distribution(
-        spec, bound, config, report, Family.OV_M2, "Nbar2", "NTbar2",
-        [(1, 5), (2, 5), (1, 3)], "overpartition-gf",
-    ),
-    "m2-do": lambda spec, bound, config, report: _xcheck_rank_distribution(
-        spec, bound, config, report, Family.DO_M2, "N2", "NT2",
-        [(1, 5), (2, 5)], "distinct-odd-gf",
-    ),
-    "pair": _xcheck_pair,
+# key -> (rank family, count family, part-count family, (b, k) pairs,
+#         count form)
+_RANK_XCHECKS = {
+    "rank-part": (Family.DYSON, "N", "NT",
+                  [(1, 5), (2, 5), (1, 7), (2, 7), (3, 7)], "partition-gf"),
+    "rank-ov": (Family.OV_RANK, "Nbar", "NTbar", [(1, 3)], "overpartition-gf"),
+    "m2-ov": (Family.OV_M2, "Nbar2", "NTbar2",
+              [(1, 5), (2, 5), (1, 3)], "overpartition-gf"),
+    "m2-do": (Family.DO_M2, "N2", "NT2", [(1, 5), (2, 5)], "distinct-odd-gf"),
 }
 
 
@@ -481,16 +406,8 @@ _XCHECKS = {
 # ---------------------------------------------------------------------------
 
 
-def run_check(spec: CheckSpec, order: int | None = None, config: VerifyConfig | None = None) -> CheckReport:
-    """Execute one check and return its report.
-
-    `order` overrides the spec's bound (largest lhs weight examined).
-    Raises InsufficientOrder when a progression cannot be sampled at
-    least twice at the requested order.
-    """
-    config = config or VerifyConfig()
-    bound = order if order is not None else (config.order or spec.bound)
-    report = CheckReport(
+def _blank_report(spec: CheckSpec, bound: int) -> CheckReport:
+    return CheckReport(
         id=spec.id,
         kind=spec.kind,
         engine=spec.engines,
@@ -501,6 +418,18 @@ def run_check(spec: CheckSpec, order: int | None = None, config: VerifyConfig | 
         conjecture=spec.conjecture,
         informational=spec.informational,
     )
+
+
+def run_check(spec: CheckSpec, order: int | None = None, config: VerifyConfig | None = None) -> CheckReport:
+    """Execute one check and return its report.
+
+    `order` overrides the spec's bound (largest lhs weight examined).
+    Raises InsufficientOrder when a progression cannot be sampled at
+    least twice at the requested order.
+    """
+    config = config or VerifyConfig()
+    bound = spec.bound if order is None else order
+    report = _blank_report(spec, bound)
     if spec.progression is not None:
         i, step = spec.progression
         if bound < i + step:
@@ -512,10 +441,10 @@ def run_check(spec: CheckSpec, order: int | None = None, config: VerifyConfig | 
     try:
         if spec.special:
             _run_special(spec, bound, config, report)
-        elif spec.kind in ("CONGRUENCE", "EXACT_RELATION") and spec.progression:
-            _run_progression_zero(spec, bound, config, report)
-        elif spec.kind in ("CONGRUENCE", "EXACT_IDENTITY"):
-            _run_exact_identity(spec, bound, config, report)
+        elif spec.progression:
+            _run_progression(spec, bound, config, report)
+        elif spec.rhs_form:
+            _run_identity(spec, bound, config, report)
         else:
             raise QcertError(f"cannot dispatch check {spec.id}")
     except EnumBoundExceeded as exc:
@@ -531,12 +460,15 @@ def registry() -> list[CheckSpec]:
 
 
 def _congruence(id, category, terms, p, prog, bound, engines="SERIES", enum_bound=None, informational=False):
+    """A combination along a progression: = 0 (mod p), or exactly 0 (an
+    EXACT_RELATION) when p is None."""
     i, step = prog
+    rel = "0" if p is None else f"0 (mod {p})"
     return CheckSpec(
         id=id,
-        kind="CONGRUENCE",
+        kind="EXACT_RELATION" if p is None else "CONGRUENCE",
         category=category,
-        statement=f"{_combo_str(terms)} = 0 (mod {p}) for n = {step}m+{i}",
+        statement=f"{_combo_str(terms)} = {rel} for n = {step}m+{i}",
         engines=engines,
         lhs=tuple(terms),
         modulus=p,
@@ -544,20 +476,6 @@ def _congruence(id, category, terms, p, prog, bound, engines="SERIES", enum_boun
         bound=bound,
         enum_bound=enum_bound,
         informational=informational,
-    )
-
-
-def _relation(id, category, terms, prog, bound, engines="ENUM"):
-    i, step = prog
-    return CheckSpec(
-        id=id,
-        kind="EXACT_RELATION",
-        category=category,
-        statement=f"{_combo_str(terms)} = 0 for n = {step}m+{i}",
-        engines=engines,
-        lhs=tuple(terms),
-        progression=prog,
-        bound=bound,
     )
 
 
@@ -584,18 +502,14 @@ def _identity(id, category, rhs_form, bound, *, terms=(), lhs_form=None, prog=No
     )
 
 
-def _st(c, fam, m, k):
-    return StatTerm(c, fam, m, k)
-
-
 def _build_registry() -> list[CheckSpec]:
     specs: list[CheckSpec] = []
 
     def combo(fam, pairs, k):
         out = []
         for c, m in pairs:
-            out.append(_st(c, fam, m, k))
-            out.append(_st(-c, fam, k - m, k))
+            out.append(StatTerm(c, fam, m, k))
+            out.append(StatTerm(-c, fam, k - m, k))
         return out
 
     # --- the three headline theorems -----------------------------------
@@ -667,14 +581,14 @@ def _build_registry() -> list[CheckSpec]:
     )
 
     mw5_eq = combo("Momega", [(1, 1), (2, 2)], 5)
-    specs.append(_relation("CJ-MW5-EQ-5N4", "conjecture", mw5_eq, (4, 5), 60))
+    specs.append(_congruence("CJ-MW5-EQ-5N4", "conjecture", mw5_eq, None, (4, 5), 60, engines="ENUM"))
 
     mixed504 = combo("Momega", [(1, 1)], 5) + combo("NT", [(2, 2)], 5)
     for i in (0, 4):
         specs.append(
             _congruence(f"CJ-MWNT5-I{i}", "conjecture", mixed504, 5, (i, 5), 60, engines="MIXED")
         )
-    specs.append(_relation("CJ-MWNT5-EQ-5N2", "conjecture", mixed504, (2, 5), 60, engines="MIXED"))
+    specs.append(_congruence("CJ-MWNT5-EQ-5N2", "conjecture", mixed504, None, (2, 5), 60, engines="MIXED"))
 
     mixed512 = combo("NT", [(1, 1)], 5) + combo("Momega", [(2, 2)], 5)
     for i in (1, 2):
@@ -688,7 +602,7 @@ def _build_registry() -> list[CheckSpec]:
         )
     )
     mixed_eq54 = combo("Momega", [(1, 1)], 5) + combo("NT", [(4, 1)], 5)
-    specs.append(_relation("CJ-MWNT5-EQ-5N4", "conjecture", mixed_eq54, (4, 5), 60, engines="MIXED"))
+    specs.append(_congruence("CJ-MWNT5-EQ-5N4", "conjecture", mixed_eq54, None, (4, 5), 60, engines="MIXED"))
 
     mw7a = combo("Momega", [(1, 1), (2, 3)], 7)
     for i in (0, 2, 5, 6):
@@ -724,7 +638,7 @@ def _build_registry() -> list[CheckSpec]:
     ]:
         specs.append(
             _identity(id_, "identity", form, 60,
-                      terms=[_st(1, fam, b, k), _st(-1, fam, k - b, k)])
+                      terms=[StatTerm(1, fam, b, k), StatTerm(-1, fam, k - b, k)])
         )
     specs.append(
         _identity("ID-KERNEL5-OVM2", "identity", "ovm2-mod5-kernel", 150,
@@ -791,24 +705,19 @@ def _build_registry() -> list[CheckSpec]:
         )
 
     # --- exploratory residues outside the stated lists ------------------
-    seen = {(s.id) for s in specs}
-    extras: list[CheckSpec] = []
-    for base_id, terms, p, k, stated, bound in [
-        ("NT5", nt5, 5, 5, (1, 4), 60),
-        ("NT7", nt7, 7, 7, (1, 5), 60),
-        ("NT7-ALT1", alt1, 7, 7, (1, 3, 4, 5), 60),
-        ("NT7-ALT2", alt2, 7, 7, (0, 1, 5), 60),
+    for base_id, terms, p, stated in [
+        ("NT5", nt5, 5, (1, 4)),
+        ("NT7", nt7, 7, (1, 5)),
+        ("NT7-ALT1", alt1, 7, (1, 3, 4, 5)),
+        ("NT7-ALT2", alt2, 7, (0, 1, 5)),
     ]:
-        for i in range(k):
-            if i in stated:
-                continue
-            sid = f"{base_id}-SCAN-I{i}"
-            if sid in seen:
-                continue
-            extras.append(
-                _congruence(sid, "exploratory", terms, p, (i, k), bound, informational=True)
-            )
-    return specs + extras
+        for i in range(p):
+            if i not in stated:
+                specs.append(_congruence(
+                    f"{base_id}-SCAN-I{i}", "exploratory", terms, p, (i, p), 60,
+                    informational=True,
+                ))
+    return specs
 
 
 _REGISTRY = _build_registry()
@@ -899,16 +808,13 @@ def run_all(only: str | None = None, order: int | None = None, config: VerifyCon
             # a package error skips the check; anything else is an engine
             # defect, reported against this check while the run goes on
             reason = f"{type(exc).__name__}: {exc}"
-            skipped = isinstance(exc, QcertError)
-            return CheckReport(
-                id=spec.id, kind=spec.kind, engine=spec.engines,
-                order=order or spec.bound, bound=order or spec.bound,
-                status="SKIPPED" if skipped else "ERROR",
-                statement=spec.statement,
-                conjecture=spec.conjecture, informational=spec.informational,
-                skip_reason=reason if skipped else None,
-                error=None if skipped else reason,
-            )
+            report = _blank_report(spec, spec.bound if order is None else order)
+            if isinstance(exc, QcertError):
+                report.skip_reason = reason
+            else:
+                report.status = "ERROR"
+                report.error = reason
+            return report
 
     reports = [run_one(s) for s in specs]
 

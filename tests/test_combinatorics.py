@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from qcert.combinatorics import (
+    DEFAULT_BOUNDS,
     TALLY_FAMILIES,
     Overpartition,
     OverpartitionPair,
@@ -321,7 +322,7 @@ def test_pair_profile_weight_zero():
 
 def test_pair_profile_bound():
     with pytest.raises(BoundExceeded):
-        pair_profile(2, limit=1)
+        pair_profile(DEFAULT_BOUNDS["pair"] + 1)
 
 
 def test_pair_weight_one_structure():

@@ -104,7 +104,12 @@ def test_enum_bound_exceeded_is_skip():
     assert "limit" in rep.skip_reason
 
 
-@pytest.mark.parametrize("cid", THEOREM_IDS + ("NT5-I1", "NT7-I5", "NT7-ALT1-I3", "NT7-ALT2-I0"))
+@pytest.mark.parametrize("cid", THEOREM_IDS + (
+    "NT5-I1", "NT7-I5", "NT7-ALT1-I3", "NT7-ALT2-I0",
+    # progression identities: a mutated combination has no difference
+    # series and must fall back to enumeration, not skip
+    "CJ-NTMW5-ETA-5N4", "CJ-NT7-ETA-7N5",
+))
 def test_mutation_sensitivity(cid):
     # a single perturbed coefficient must produce a failure witness fast
     mutated = mutate_first_term(get_spec(cid))
@@ -117,6 +122,12 @@ def test_mutation_sensitivity_exact_relation():
     m = mutate_first_term(get_spec("CJ-MW5-EQ-5N4"))
     rep = run_check(m, order=30)
     assert rep.status == "FAIL" and rep.witness["n"] <= 30
+
+
+def test_pair_xcheck_over_limit_is_skip():
+    rep = run_check(get_spec("X-PAIR"), order=25)
+    assert rep.status == "SKIPPED"
+    assert "X-PAIR needs enumeration to n=25, limit is 24" in rep.skip_reason
 
 
 def test_exact_identity_with_progression_small():
@@ -169,6 +180,19 @@ def test_engine_defect_is_a_per_check_error(monkeypatch):
     assert err["error"] == "AssertionError: engine invariant broken"
 
 
+def test_error_report_records_the_run_bound(monkeypatch):
+    # an explicit order of 0 is the bound the check ran at, not "unset"
+    from qcert import verify as V
+
+    def broken(terms, order):
+        raise AssertionError("engine invariant broken")
+
+    monkeypatch.setattr(V, "nt_diff_combo", broken)
+    (rep,) = run_all(only="ID-NTDIFF-OV-1-3", order=0).reports
+    assert rep.status == "ERROR"
+    assert rep.order == 0 and rep.bound == 0
+
+
 def test_non_integral_series_is_an_error_not_a_fallback(monkeypatch):
     # a half in the difference series is an engine defect; it must not
     # be papered over by falling back to enumeration
@@ -212,6 +236,21 @@ def test_nonvanishing_inner_sum_is_a_check_error(monkeypatch):
     (rep,) = result.reports
     assert rep.status == "ERROR" and rep.error.startswith("AssertionError")
     assert result.exit_code == 2
+
+
+def test_whole_registry_at_smallest_order():
+    # 17 samples every progression at least twice, so each dispatch
+    # shape of the runner is exercised in one pass
+    result = run_all(order=17)
+    assert len(result.reports) == len(registry())
+    stated = [r for r in result.reports if not r.informational]
+    scans = [r for r in result.reports if r.informational]
+    assert len(stated) == 63 and len(scans) == 15
+    assert [r.id for r in stated if r.status != "PASS"] == []
+    for r in scans:
+        assert r.status == "FAIL", r.id
+        assert set(r.witness) == {"n", "value", "expected"}, r.id
+    assert result.exit_code == 0
 
 
 def test_run_all_empty_filter_exits_zero():
