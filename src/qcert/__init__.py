@@ -10,8 +10,9 @@ The package has five layers:
   overpartitions, overpartition pairs, and distinct-odd partitions, with
   every rank / crank statistic and residue tally;
 * ``qcert.genfun`` -- the rank generating functions, part-count
-  difference series (exact d/dx at 1 via dual numbers), and the closed
-  forms they are compared against;
+  difference series (exact d/dx at 1 via dual numbers), the main
+  transformation check, and the table of closed forms they are compared
+  against;
 * ``qcert.verify`` -- the declarative check registry and runner;
 * ``qcert.cli`` -- the ``qcert`` command-line tool.
 """
@@ -35,16 +36,13 @@ from .combinatorics import (
 )
 from .genfun import (
     Family,
-    NTDiffSpec,
     closed_form,
-    conjecture_rhs,
     form_ids,
-    lemma42_check,
     nt_diff_gf,
     rank_gf,
     thmain_check,
 )
-from .rings import LAURENT, RAT, DualScalar, LaurentPoly, Rat
+from .rings import LAURENT, RAT, DualScalar, LaurentPoly
 from .series import (
     Monomial,
     QSeries,

@@ -15,7 +15,13 @@ Part-count difference series (total parts in objects with statistic
 congruent to b, minus those congruent to k - b) are produced by
 differentiating with respect to x at x = 1: the inner sum carries
 dual-number coefficients, and the prefactor enters at x = 1 only (see
-``nt_diff_gf``).
+``nt_diff_gf``).  Each family has one prefactor, shared by the
+part-count series and the main transformation.
+
+The closed forms live in one table, ``_FORM_BUILDERS``.  The forms that
+multiply a generating function by an alternating kernel sum all come
+from one builder, ``_kernel_product``, over a three-row table keyed by
+kernel family.
 """
 
 from __future__ import annotations
@@ -52,30 +58,14 @@ class Family(str, Enum):
 
 
 @dataclass(frozen=True)
-class NTDiffSpec:
-    """A part-count difference request: residues b vs k-b mod k."""
-
-    family: Family
-    b: int
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.b <= self.k - 1:
-            raise ValueError("need 1 <= b <= k-1")
-
-
-@dataclass(frozen=True)
 class _FamilyData:
     qstep: int
     # rank gf summand: extras(n) * x^n * q^{lhs_quad(n)} / (z-product)
     lhs_extra: tuple[Monomial, ...]
     lhs_quad: Callable[[int], int]
-    # prefactor as displayed for the part-count series, and as literally
-    # specialized for the main transformation (they agree as series)
+    # prefactor of the transformed sum, as a quotient of infinite products
     pref_num: tuple[tuple[Monomial, int], ...]
     pref_den: tuple[tuple[Monomial, int], ...]
-    lit_num: tuple[tuple[Monomial, int], ...]
-    lit_den: tuple[tuple[Monomial, int], ...]
     # inner summand: nums(n) * (-x)^n * q^{inner_quad(n)}
     #                / ((q^s; q^s)_{n-1} * dens(n))
     inner_num: tuple[Monomial, ...]
@@ -88,70 +78,52 @@ _X = 1  # marker for readability: monomials with xexp=1 carry one power of x
 
 def _family_data(family: Family) -> _FamilyData:
     if family == Family.DYSON:
-        pref = ((mono(1, 1, xexp=_X), 1),)
         return _FamilyData(
             qstep=1,
             lhs_extra=(),
             lhs_quad=lambda n: n * n,
             pref_num=(),
-            pref_den=pref,
-            lit_num=(),
-            lit_den=pref,
+            pref_den=((mono(1, 1, xexp=_X), 1),),
             inner_num=(mono(1, 1, xexp=_X),),
             inner_den=(),
             inner_quad=lambda n: (3 * n * n + n) // 2,
         )
     if family == Family.OV_RANK:
-        num = ((mono(-1, 1, xexp=_X), 1),)
-        den = ((mono(1, 1, xexp=_X), 1),)
         return _FamilyData(
             qstep=1,
             lhs_extra=(mono(-1, 0),),
             lhs_quad=lambda n: n * (n + 1) // 2,
-            pref_num=num,
-            pref_den=den,
-            lit_num=num,
-            lit_den=den,
+            pref_num=((mono(-1, 1, xexp=_X), 1),),
+            pref_den=((mono(1, 1, xexp=_X), 1),),
             inner_num=(mono(1, 1, xexp=_X), mono(-1, 0)),
             inner_den=(mono(-1, 1, xexp=_X),),
             inner_quad=lambda n: n * n + n,
         )
     if family == Family.OV_M2:
+        # the base-q^2 split (-xq^2, -xq; q^2)_inf / (xq^2, xq; q^2)_inf of
+        # the specialized prefactor, merged into base q
         return _FamilyData(
             qstep=2,
             lhs_extra=(mono(-1, 0), mono(-1, 1)),
             lhs_quad=lambda n: n,
             pref_num=((mono(-1, 1, xexp=_X), 1),),
             pref_den=((mono(1, 1, xexp=_X), 1),),
-            lit_num=((mono(-1, 2, xexp=_X), 2), (mono(-1, 1, xexp=_X), 2)),
-            lit_den=((mono(1, 2, xexp=_X), 2), (mono(1, 1, xexp=_X), 2)),
             inner_num=(mono(1, 2, xexp=_X), mono(-1, 0), mono(-1, 1)),
             inner_den=(mono(-1, 2, xexp=_X), mono(-1, 1, xexp=_X)),
             inner_quad=lambda n: n * n + 2 * n,
         )
     if family == Family.DO_M2:
-        num = ((mono(-1, 1, xexp=_X), 2),)
-        den = ((mono(1, 2, xexp=_X), 2),)
         return _FamilyData(
             qstep=2,
             lhs_extra=(mono(-1, 1),),
             lhs_quad=lambda n: n * n,
-            pref_num=num,
-            pref_den=den,
-            lit_num=num,
-            lit_den=den,
+            pref_num=((mono(-1, 1, xexp=_X), 2),),
+            pref_den=((mono(1, 2, xexp=_X), 2),),
             inner_num=(mono(1, 2, xexp=_X), mono(-1, 1)),
             inner_den=(mono(-1, 1, xexp=_X),),
             inner_quad=lambda n: 2 * n * n + n,
         )
     raise UnsupportedSpecialization(f"no closed summand for {family}")
-
-
-def _check_specialized(family: Family):
-    if family == Family.PAIR_GENERIC:
-        raise UnsupportedSpecialization(
-            "the generic two-parameter family has no specialized summand"
-        )
 
 
 def _inner_terms(family: Family, ctx, order: int, margin=None):
@@ -202,7 +174,6 @@ def _prefactor_rat(family: Family, order: int) -> QSeries:
 
 def rank_gf_ctx(family: Family, order: int, ctx) -> QSeries:
     """Rank generating function with x supplied by the context."""
-    _check_specialized(family)
     d = _family_data(family)
     s = d.qstep
     ring = ctx.ring
@@ -282,8 +253,8 @@ def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
     x = 1 prefactor with the dual part of A, which carries the
     derivative.
     """
-    _check_specialized(family)
-    NTDiffSpec(family, b, k)  # validates the residue range
+    if not 1 <= b <= k - 1:
+        raise ValueError("need 1 <= b <= k-1")
     acc = _difference_sum(
         family, b, k, DualContext(RAT), _inner_terms_dual_rat(family, order), order
     )
@@ -333,15 +304,15 @@ def _thmain_rhs(family: Family, ctx, order: int) -> QSeries:
             .div_binomial(-xzinv, s * n)
         )
         acc = acc + p1 + p2
-    pref = pochhammer_quotient(d.lit_num, d.lit_den, order=order, ctx=ctx)
+    pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ctx=ctx)
     return QSeries.one(ring, order) - pref * acc
 
 
-def thmain_check(family: Family, order: int, dual: bool = True) -> IdentityReport:
-    """Compare the rank sum with its transformed product form, over z,
-    either at x = 1 or with the exact first derivative carried along."""
-    _check_specialized(family)
-    ctx = DualContext(LAURENT) if dual else PlainContext(LAURENT)
+def thmain_check(family: Family, order: int) -> IdentityReport:
+    """Compare the rank sum with its transformed product form over z, with
+    the exact first x-derivative carried along; the value component is
+    the comparison at x = 1."""
+    ctx = DualContext(LAURENT)
     lhs = rank_gf_ctx(family, order, ctx)
     rhs = _thmain_rhs(family, ctx, order)
     first = lhs.first_difference(rhs)
@@ -406,9 +377,23 @@ def _conv(a: dict, b: dict) -> dict:
     return out
 
 
-def _alt_kernel_sum(order: int, quad, ymult: int, ypoly: dict, denoms) -> QSeries:
-    """sum_{n>=1} (-1)^n q^{quad(n)} (sum_j ypoly[j] q^{ymult*n*j})
-    / prod_{(sgn, mult)} (1 + sgn * q^{mult*n}), truncated at `order`."""
+# kernel family -> (generating function, its multiplier, quad(n), y-step)
+# of sum_{n>=1} (-1)^n q^{quad(n)} ypoly(q^{step*n}) / prod (1 + sgn q^{mult*n}).
+# The quadratics are written out here rather than read from _family_data:
+# the ID-NTDIFF identities compare nt_diff_gf, which reads inner_quad,
+# against these forms, so the two routes must not share one.
+_KERNELS = {
+    Family.OV_RANK: ("overpartition-gf", 2, lambda n: n * n + n, 1),
+    Family.OV_M2: ("overpartition-gf", 2, lambda n: n * n + 2 * n, 2),
+    Family.DO_M2: ("distinct-odd-gf", 1, lambda n: 2 * n * n + n, 2),
+}
+
+
+def _kernel_sum(family: Family, ypoly: dict, denoms, order: int) -> QSeries:
+    """sum_{n>=1} (-1)^n q^{quad(n)} (sum_j ypoly[j] q^{step*n*j})
+    / prod_{(sgn, mult) in denoms} (1 + sgn * q^{mult*n}), truncated at
+    `order`, with quad and step from the kernel family's row."""
+    _, _, quad, ystep = _KERNELS[family]
     acc = QSeries.zeros(RAT, order)
     n = 1
     while quad(n) <= order:
@@ -416,7 +401,7 @@ def _alt_kernel_sum(order: int, quad, ymult: int, ypoly: dict, denoms) -> QSerie
         term = QSeries.zeros(RAT, order)
         live = False
         for j, c in ypoly.items():
-            e = quad(n) + ymult * n * j
+            e = quad(n) + ystep * n * j
             if e <= order:
                 term.coeffs[e] = sign * c
                 live = True
@@ -426,6 +411,21 @@ def _alt_kernel_sum(order: int, quad, ymult: int, ypoly: dict, denoms) -> QSerie
             acc = acc + term
         n += 1
     return acc
+
+
+def _kernel_product(family: Family, ypoly: dict, denoms, order: int) -> QSeries:
+    """The kernel family's generating function (times its multiplier)
+    times the kernel sum."""
+    gf, mult, _, _ = _KERNELS[family]
+    inner = _kernel_sum(family, ypoly, denoms, order)
+    return closed_form(gf, order).mul_scalar(mult) * inner
+
+
+# (y - 1)^3 (y^2 - 1) times the brace polynomial of each mod-5 form
+_CUBE_DIFF = _conv({0: -1, 1: 3, 2: -3, 3: 1}, {0: -1, 2: 1})
+_QUINTIC_FULL = _conv(_CUBE_DIFF, {0: 1, 1: 2, 2: 4, 3: 2, 4: 1})
+_QUINTIC_MID = _conv(_CUBE_DIFF, {1: 2, 2: 1, 3: 2})
+_QUARTIC = {0: 1, 1: -4, 2: 6, 3: -4, 4: 1}  # (y - 1)^4
 
 
 def _sbar2(b: int, order: int) -> QSeries:
@@ -443,35 +443,6 @@ def _s2(b: int, order: int) -> QSeries:
         include_n0=False, order=order,
     )
 
-
-_QUINTIC_FULL = {0: 1, 1: 2, 2: 4, 3: 2, 4: 1}
-_QUINTIC_MID = {1: 2, 2: 1, 3: 2}
-# (y - 1)^3 (y^2 - 1); multiplied below by the brace polynomial per form
-_CUBE_DIFF = _conv({0: -1, 1: 3, 2: -3, 3: 1}, {0: -1, 2: 1})
-
-
-def _quintic_ov(order: int, brace: dict) -> QSeries:
-    num = _conv(_CUBE_DIFF, brace)
-    inner = _alt_kernel_sum(
-        order, lambda n: n * n + 2 * n, 2, num, [(1, 2), (-1, 10), (-1, 10)]
-    )
-    return closed_form("overpartition-gf", order).mul_scalar(2) * inner
-
-
-def _quintic_do(order: int, brace: dict) -> QSeries:
-    num = _conv(_CUBE_DIFF, brace)
-    inner = _alt_kernel_sum(
-        order, lambda n: 2 * n * n + n, 2, num, [(-1, 10), (-1, 10)]
-    )
-    return closed_form("distinct-odd-gf", order) * inner
-
-
-def _quartic_13(order: int, quad, ymult: int, dmult: int) -> QSeries:
-    inner = _alt_kernel_sum(
-        order, quad, ymult, {0: 1, 1: -4, 2: 6, 3: -4, 4: 1},
-        [(-1, dmult), (-1, dmult)],
-    )
-    return closed_form("overpartition-gf", order).mul_scalar(2) * inner
 
 
 def _theta_base9_lhs(order: int) -> QSeries:
@@ -531,12 +502,6 @@ def _theta_overpartition_rhs(order: int) -> QSeries:
     return lead * den.invert() * inner
 
 
-def _mod3_kernel_onesided(order: int) -> QSeries:
-    return _alt_kernel_sum(
-        order, lambda n: n * n + n, 1, {0: 1, 1: 1}, [(1, 3)]
-    )
-
-
 def _mod3_kernel_bilateral(order: int) -> QSeries:
     half = QSeries.from_terms(RAT, order, {0: Fraction(-1, 2)})
     return half + lerch_sum(quad=1, lin=1, denom_step=3, denom_sign=1, order=order)
@@ -575,98 +540,72 @@ def _eta7_quotient(order: int, mid_pow: int, low_pow: int) -> QSeries:
     return num.mul_scalar(-7) * den.invert()
 
 
-_FORM_BUILDERS: dict[str, Callable[[int], QSeries]] = {}
-
-
-def _form(name: str):
-    def deco(fn):
-        _FORM_BUILDERS[name] = fn
-        return fn
-
-    return deco
-
-
-_form("partition-gf")(
-    lambda order: pochhammer_infinite(mono(1, 1), 1, order=order).invert()
-)
-_form("overpartition-gf")(
-    lambda order: pochhammer_infinite(mono(-1, 1), 1, order=order)
-    * pochhammer_infinite(mono(1, 1), 1, order=order).invert()
-)
-_form("overpartition-pair-gf")(
-    lambda order: closed_form("overpartition-gf", order).pow(2)
-)
-_form("distinct-odd-gf")(
-    lambda order: pochhammer_infinite(mono(-1, 1), 2, order=order)
-    * pochhammer_infinite(mono(1, 2), 2, order=order).invert()
-)
-_form("ovm2-ntdiff-1-5-rhs")(lambda order: _quintic_ov(order, _QUINTIC_FULL))
-_form("ovm2-ntdiff-2-5-rhs")(lambda order: _quintic_ov(order, _QUINTIC_MID))
-_form("dom2-ntdiff-1-5-rhs")(lambda order: _quintic_do(order, _QUINTIC_FULL))
-_form("dom2-ntdiff-2-5-rhs")(lambda order: _quintic_do(order, _QUINTIC_MID))
-_form("ovrank-ntdiff-1-3-rhs")(
-    lambda order: _quartic_13(order, lambda n: n * n + n, 1, 3)
-)
-_form("ovm2-ntdiff-1-3-rhs")(
-    lambda order: _quartic_13(order, lambda n: n * n + 2 * n, 2, 6)
-)
-_form("mod3-kernel-onesided")(_mod3_kernel_onesided)
-_form("mod3-kernel-bilateral")(_mod3_kernel_bilateral)
-_form("mod3-kernel-base9")(_mod3_kernel_base9)
-_form("mod3-combined-rhs")(
-    lambda order: closed_form("overpartition-gf", order).mul_scalar(2)
-    * _mod3_kernel_onesided(order)
-)
-_form("theta-overpartition-rhs")(_theta_overpartition_rhs)
-_form("theta-base9-lhs")(_theta_base9_lhs)
-_form("theta-base9-lhs-alt")(_theta_base9_lhs_alt)
-_form("theta-base9-rhs")(_theta_base9_rhs)
-_form("ovm2-mod5-kernel-onesided")(
-    lambda order: closed_form("overpartition-gf", order).mul_scalar(2)
-    * _alt_kernel_sum(
-        order, lambda n: n * n + 2 * n, 2, {0: 1, 1: -3, 2: 3, 3: -1}, [(-1, 10)]
-    )
-)
-_form("ovm2-mod5-kernel")(
-    lambda order: closed_form("overpartition-gf", order).mul_scalar(2)
-    * (_sbar2(1, order) + _sbar2(3, order).mul_scalar(3))
-)
-_form("dom2-mod5-kernel-onesided")(
-    lambda order: closed_form("distinct-odd-gf", order)
-    * _alt_kernel_sum(
-        order, lambda n: 2 * n * n + n, 2, {0: 1, 1: -2, 3: 2, 4: -1}, [(-1, 10)]
-    )
-)
-_form("dom2-mod5-kernel")(
-    lambda order: closed_form("distinct-odd-gf", order)
-    * (_s2(1, order) - _s2(3, order).mul_scalar(2))
-)
-_form("ovm2-count-diff-1-2-5")(
-    lambda order: rank_count_diff(Family.OV_M2, 1, 2, 5, order)
-)
-_form("ovm2-count-diff-1-2-5-rhs")(
-    lambda order: -closed_form("ovm2-mod5-kernel", order)
-)
-_form("dom2-count-diff-1-2-5")(
-    lambda order: rank_count_diff(Family.DO_M2, 1, 2, 5, order)
-)
-_form("dom2-count-diff-1-2-5-rhs")(
-    lambda order: -closed_form("dom2-mod5-kernel", order)
-)
-_form("eta7-rank-7n5-rhs")(lambda order: _eta7_quotient(order, 1, 2))
-_form("eta7-rank-7n4-rhs")(lambda order: _eta7_quotient(order, 2, 3))
-_form("eta5-crank-rank-5n4-rhs")(
-    lambda order: pochhammer_infinite(mono(1, 5), 5, order=order)
-    .pow(4)
-    .mul_scalar(-5)
-    * pochhammer_infinite(mono(1, 1), 1, order=order).invert()
-)
-
-_CONJECTURE_FORMS = (
-    "eta7-rank-7n5-rhs",
-    "eta7-rank-7n4-rhs",
-    "eta5-crank-rank-5n4-rhs",
-)
+_FORM_BUILDERS: dict[str, Callable[[int], QSeries]] = {
+    "partition-gf": lambda order: pochhammer_infinite(mono(1, 1), 1, order=order).invert(),
+    "overpartition-gf": lambda order: (
+        pochhammer_infinite(mono(-1, 1), 1, order=order)
+        * pochhammer_infinite(mono(1, 1), 1, order=order).invert()
+    ),
+    "overpartition-pair-gf": lambda order: closed_form("overpartition-gf", order).pow(2),
+    "distinct-odd-gf": lambda order: (
+        pochhammer_infinite(mono(-1, 1), 2, order=order)
+        * pochhammer_infinite(mono(1, 2), 2, order=order).invert()
+    ),
+    "ovm2-ntdiff-1-5-rhs": lambda order: _kernel_product(
+        Family.OV_M2, _QUINTIC_FULL, ((1, 2), (-1, 10), (-1, 10)), order
+    ),
+    "ovm2-ntdiff-2-5-rhs": lambda order: _kernel_product(
+        Family.OV_M2, _QUINTIC_MID, ((1, 2), (-1, 10), (-1, 10)), order
+    ),
+    "dom2-ntdiff-1-5-rhs": lambda order: _kernel_product(
+        Family.DO_M2, _QUINTIC_FULL, ((-1, 10), (-1, 10)), order
+    ),
+    "dom2-ntdiff-2-5-rhs": lambda order: _kernel_product(
+        Family.DO_M2, _QUINTIC_MID, ((-1, 10), (-1, 10)), order
+    ),
+    "ovrank-ntdiff-1-3-rhs": lambda order: _kernel_product(
+        Family.OV_RANK, _QUARTIC, ((-1, 3), (-1, 3)), order
+    ),
+    "ovm2-ntdiff-1-3-rhs": lambda order: _kernel_product(
+        Family.OV_M2, _QUARTIC, ((-1, 6), (-1, 6)), order
+    ),
+    "mod3-kernel-onesided": lambda order: _kernel_sum(
+        Family.OV_RANK, {0: 1, 1: 1}, ((1, 3),), order
+    ),
+    "mod3-kernel-bilateral": _mod3_kernel_bilateral,
+    "mod3-kernel-base9": _mod3_kernel_base9,
+    "mod3-combined-rhs": lambda order: _kernel_product(
+        Family.OV_RANK, {0: 1, 1: 1}, ((1, 3),), order
+    ),
+    "theta-overpartition-rhs": _theta_overpartition_rhs,
+    "theta-base9-lhs": _theta_base9_lhs,
+    "theta-base9-lhs-alt": _theta_base9_lhs_alt,
+    "theta-base9-rhs": _theta_base9_rhs,
+    "ovm2-mod5-kernel-onesided": lambda order: _kernel_product(
+        Family.OV_M2, {0: 1, 1: -3, 2: 3, 3: -1}, ((-1, 10),), order
+    ),
+    "ovm2-mod5-kernel": lambda order: (
+        closed_form("overpartition-gf", order).mul_scalar(2)
+        * (_sbar2(1, order) + _sbar2(3, order).mul_scalar(3))
+    ),
+    "dom2-mod5-kernel-onesided": lambda order: _kernel_product(
+        Family.DO_M2, {0: 1, 1: -2, 3: 2, 4: -1}, ((-1, 10),), order
+    ),
+    "dom2-mod5-kernel": lambda order: (
+        closed_form("distinct-odd-gf", order)
+        * (_s2(1, order) - _s2(3, order).mul_scalar(2))
+    ),
+    "ovm2-count-diff-1-2-5": lambda order: rank_count_diff(Family.OV_M2, 1, 2, 5, order),
+    "ovm2-count-diff-1-2-5-rhs": lambda order: -closed_form("ovm2-mod5-kernel", order),
+    "dom2-count-diff-1-2-5": lambda order: rank_count_diff(Family.DO_M2, 1, 2, 5, order),
+    "dom2-count-diff-1-2-5-rhs": lambda order: -closed_form("dom2-mod5-kernel", order),
+    "eta7-rank-7n5-rhs": lambda order: _eta7_quotient(order, 1, 2),
+    "eta7-rank-7n4-rhs": lambda order: _eta7_quotient(order, 2, 3),
+    "eta5-crank-rank-5n4-rhs": lambda order: (
+        pochhammer_infinite(mono(1, 5), 5, order=order).pow(4).mul_scalar(-5)
+        * pochhammer_infinite(mono(1, 1), 1, order=order).invert()
+    ),
+}
 
 
 def form_ids() -> list[str]:
@@ -683,33 +622,3 @@ def closed_form(form_id: str, order: int) -> QSeries:
             f"unknown form id {form_id!r}; known ids: {', '.join(form_ids())}"
         ) from None
     return builder(order)
-
-
-def conjecture_rhs(form_id: str, order: int) -> QSeries:
-    """The eta-quotient right sides of the conjectured exact identities."""
-    if form_id not in _CONJECTURE_FORMS:
-        raise UnknownFormId(
-            f"{form_id!r} is not a conjectured product; "
-            f"expected one of {', '.join(_CONJECTURE_FORMS)}"
-        )
-    return closed_form(form_id, order)
-
-
-def lemma42_check(order: int) -> IdentityReport:
-    """Theta quotient vs. its three-term bilateral-sum expansion, base 9.
-
-    The bilateral sums individually carry half-integer coefficients; the
-    combination must be integral and must match the quotient exactly.
-    """
-    lhs = closed_form("theta-base9-lhs", order)
-    rhs = closed_form("theta-base9-rhs", order)
-    rhs.assert_integral()
-    first = lhs.first_difference(rhs)
-    return IdentityReport(
-        name="theta-base9",
-        ok=first is None,
-        first_mismatch=first,
-        order=order,
-        lhs=lhs,
-        rhs=rhs,
-    )

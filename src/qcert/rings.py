@@ -24,8 +24,6 @@ from fractions import Fraction
 
 from .errors import NonUnitConstantTerm
 
-Rat = Fraction
-
 
 class RatRing:
     """Descriptor for exact rational coefficients, integer-first.

@@ -7,10 +7,11 @@ witness (the first offending index with the value found and the value
 expected).  One progression runner serves every statement along a
 progression (congruence, exact relation, or identity against a form):
 it reads the lhs from the difference series plus enumeration and
-compares each value with its target.  An engine defect inside a check
-(an exception that is not a package error) becomes an ERROR report
-carrying the exception's type and message, so one broken check never
-loses the whole run's report.  Conjecture checks are flagged so that a
+compares each value with its target.  The identity runner reads a
+statistic combination through the same lhs reader.  An engine defect
+inside a check (an exception that is not a package error) becomes an
+ERROR report carrying the exception's type and message, so one broken
+check never loses the whole run's report.  Conjecture checks are flagged so that a
 failing conjecture is loudly reported without failing the suite unless
 strict mode is on.
 """
@@ -27,6 +28,7 @@ from . import genfun
 from .combinatorics import DEFAULT_BOUNDS, FAMILY_BOUND_KEY, raw_tally, tally
 from .errors import EnumBoundExceeded, InsufficientOrder, NotAntisymmetric, QcertError
 from .genfun import Family, closed_form, nt_diff_combo, thmain_check
+from .rings import RAT
 from .series import QSeries
 
 # statistic family -> generating-function family for part-count series
@@ -206,16 +208,15 @@ def _fail(report: CheckReport, n: int, value, expected):
 # ---------------------------------------------------------------------------
 
 
-def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
-    """The lhs combination at n = step*t + i, compared with its target:
-    0 (mod p) for a CONGRUENCE, 0 for an EXACT_RELATION, and the q^t
-    coefficient of the rhs form for an identity.
+def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig, report: CheckReport):
+    """The lhs combination as a function of the weight n <= bound, and
+    whether it reads the difference series.
 
     Part-count terms are read from the difference series, the rest from
-    enumeration; a combination with no difference series is read from
-    enumeration alone.
+    enumeration, checked against the limits up to `upto`, the last weight
+    the caller reads; a combination with no difference series is read
+    from enumeration alone.
     """
-    i, step = spec.progression
     series_terms = [t for t in spec.lhs if t.family in _SERIES_FAMILY]
     series_vals = None
     if series_terms and spec.engines != "ENUM":
@@ -229,12 +230,23 @@ def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: 
     else:
         enum_terms = [t for t in spec.lhs if t.family not in _SERIES_FAMILY]
     if enum_terms:
-        _require_enum_range(spec, [t.family for t in enum_terms], bound, config)
+        _require_enum_range(spec, [t.family for t in enum_terms], upto, config)
 
     def value(n: int) -> int:
         val = _enum_value(enum_terms, n)
         return val if series_vals is None else int(series_vals[n]) + val
 
+    return value, series_vals is not None
+
+
+def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
+    """The lhs combination at n = step*t + i, compared with its target:
+    0 (mod p) for a CONGRUENCE, 0 for an EXACT_RELATION, and the q^t
+    coefficient of the rhs form for an identity."""
+    i, step = spec.progression
+    # enumeration ranges are checked against the last n read, not the bound
+    last = bound - (bound - i) % step
+    value, from_series = _lhs_reader(spec, bound, last, config, report)
     rhs = None
     if spec.rhs_form:
         t_max = (bound - i) // step
@@ -254,9 +266,10 @@ def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: 
             return
 
     # independent confirmation by full enumeration on the overlap
-    if spec.engines == "BOTH" and series_vals is not None:
+    if spec.engines == "BOTH" and from_series:
         confirm_to = min(spec.enum_bound or 0, bound)
-        _require_enum_range(spec, [t.family for t in spec.lhs], confirm_to, config)
+        last = confirm_to - (confirm_to - i) % step
+        _require_enum_range(spec, [t.family for t in spec.lhs], last, config)
         for n in range(i, confirm_to + 1, step):
             ev = _enum_value(spec.lhs, n)
             sv = value(n)
@@ -271,11 +284,11 @@ def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: 
 
 def _run_identity(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
     """lhs = rhs coefficient by coefficient, or mod p for a CONGRUENCE."""
-    lhs = (
-        closed_form(spec.lhs_form, bound)
-        if spec.lhs_form
-        else _series_combo(spec.lhs, bound)
-    )
+    if spec.lhs_form:
+        lhs = closed_form(spec.lhs_form, bound)
+    else:
+        value, _ = _lhs_reader(spec, bound, bound, config, report)
+        lhs = QSeries(RAT, bound, [value(n) for n in range(bound + 1)])
     rhs = closed_form(spec.rhs_form, bound)
     if spec.modulus:
         diff = lhs - rhs
@@ -294,7 +307,7 @@ def _run_identity(spec: CheckSpec, bound: int, config: VerifyConfig, report: Che
 def _run_special(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
     kind, _, arg = spec.special.partition(":")
     if kind == "thmain":
-        res = thmain_check(Family(arg), bound, dual=True)
+        res = thmain_check(Family(arg), bound)
         if res.ok:
             report.status = "PASS"
             report.notes.append("value and derivative components both match")

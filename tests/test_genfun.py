@@ -10,12 +10,9 @@ from qcert.combinatorics import raw_tally, tally
 from qcert.errors import UnknownFormId, UnsupportedSpecialization
 from qcert.genfun import (
     Family,
-    NTDiffSpec,
     closed_form,
-    conjecture_rhs,
     form_ids,
     genovpair_series,
-    lemma42_check,
     nt_diff_combo,
     nt_diff_gf,
     rank_gf,
@@ -119,9 +116,9 @@ def test_nt_diff_antisymmetry():
 
 def test_nt_diff_spec_validation():
     with pytest.raises(ValueError):
-        NTDiffSpec(Family.DYSON, 0, 5)
+        nt_diff_gf(Family.DYSON, 0, 5, 4)
     with pytest.raises(ValueError):
-        NTDiffSpec(Family.DYSON, 5, 5)
+        nt_diff_gf(Family.DYSON, 5, 5, 4)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -141,6 +138,25 @@ def test_nt_diff_collapse_matches_uncollapsed_xpoly_product(family):
         value, deriv = (pref * inner).xpoly_parts()
         assert value.is_zero(), (b, k)
         assert -deriv == nt_diff_gf(family, b, k, order), (b, k)
+
+
+@pytest.mark.parametrize("context", ["xpoly-rat", "dual-laurent"])
+def test_ovm2_prefactor_equals_base_q2_split(context):
+    # the one OV_M2 prefactor (-xq;q)_inf/(xq;q)_inf is, as a series, the
+    # literal specialization (-xq^2,-xq;q^2)_inf/(xq^2,xq;q^2)_inf
+    from qcert.genfun import _family_data
+    from qcert.rings import LAURENT
+    from qcert.series import XPolyContext, mono, pochhammer_quotient
+
+    ctx = XPolyContext(RAT) if context == "xpoly-rat" else DualContext(LAURENT)
+    d = _family_data(Family.OV_M2)
+    merged = pochhammer_quotient(d.pref_num, d.pref_den, order=40, ctx=ctx)
+    split = pochhammer_quotient(
+        ((mono(-1, 2, xexp=1), 2), (mono(-1, 1, xexp=1), 2)),
+        ((mono(1, 2, xexp=1), 2), (mono(1, 1, xexp=1), 2)),
+        order=40, ctx=ctx,
+    )
+    assert merged == split
 
 
 def _leaves(c):
@@ -229,10 +245,11 @@ def test_theta_product_for_overpartition_gf():
 
 
 def test_lemma_base9_small():
-    rep = lemma42_check(80)
-    assert rep.ok, rep.first_mismatch
+    lhs = closed_form("theta-base9-lhs", 80)
+    rhs = closed_form("theta-base9-rhs", 80).assert_integral()
+    assert lhs == rhs, lhs.first_difference(rhs)
     # constant terms: quotient starts at 1; the half-terms cancel to 1
-    assert rep.lhs.coeffs[0] == 1 and rep.rhs.coeffs[0] == 1
+    assert lhs.coeffs[0] == 1 and rhs.coeffs[0] == 1
 
 
 def test_lemma_base9_lhs_two_constructions():
@@ -276,15 +293,10 @@ def test_proof_chain_mod3():
 
 
 def test_conjecture_rhs_leading_terms():
-    assert conjecture_rhs("eta5-crank-rank-5n4-rhs", 4).coeffs[0] == -5
-    assert conjecture_rhs("eta7-rank-7n5-rhs", 4).coeffs[0] == -7
-    s = conjecture_rhs("eta7-rank-7n4-rhs", 50)
+    assert closed_form("eta5-crank-rank-5n4-rhs", 4).coeffs[0] == -5
+    assert closed_form("eta7-rank-7n5-rhs", 4).coeffs[0] == -7
+    s = closed_form("eta7-rank-7n4-rhs", 50)
     assert all(v % 7 == 0 for v in s.reduce_mod(7))
-
-
-def test_conjecture_rhs_rejects_other_forms():
-    with pytest.raises(UnknownFormId):
-        conjecture_rhs("partition-gf", 4)
 
 
 def test_closed_forms_hold_no_floats():
@@ -304,16 +316,17 @@ def test_unknown_form():
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_thmain_small_orders(family):
-    rep = thmain_check(family, 18, dual=True)
+    rep = thmain_check(family, 18)
     assert rep.ok, (family, rep.first_mismatch)
-    rep = thmain_check(family, 18, dual=False)
-    assert rep.ok
 
 
 def test_thmain_constant_terms():
-    rep = thmain_check(Family.OV_RANK, 6, dual=False)
-    assert rep.lhs.coeffs[0].constant() == 1
-    assert rep.rhs.coeffs[0].constant() == 1
+    # the value component is the x = 1 comparison; the constant term
+    # carries no power of x, so its derivative component vanishes
+    rep = thmain_check(Family.OV_RANK, 6)
+    for c in (rep.lhs.coeffs[0], rep.rhs.coeffs[0]):
+        assert c.value.constant() == 1
+        assert not c.deriv
 
 
 def test_thmain_rejects_generic():

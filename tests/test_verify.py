@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qcert.combinatorics import DEFAULT_BOUNDS
 from qcert.errors import InsufficientOrder
 from qcert.verify import (
     CheckSpec,
@@ -106,9 +107,12 @@ def test_enum_bound_exceeded_is_skip():
 
 @pytest.mark.parametrize("cid", THEOREM_IDS + (
     "NT5-I1", "NT7-I5", "NT7-ALT1-I3", "NT7-ALT2-I0",
-    # progression identities: a mutated combination has no difference
-    # series and must fall back to enumeration, not skip
+    # identities: a mutated combination has no difference series and
+    # must fall back to enumeration, not skip
     "CJ-NTMW5-ETA-5N4", "CJ-NT7-ETA-7N5",
+    "ID-NTDIFF-OVM2-1-5", "ID-NTDIFF-OVM2-2-5", "ID-NTDIFF-DOM2-1-5",
+    "ID-NTDIFF-DOM2-2-5", "ID-NTDIFF-OV-1-3", "ID-NTDIFF-OVM2-1-3",
+    "CG-CHAIN-OVM2-MOD5", "CG-CHAIN-DOM2-MOD5", "CG-DIS-MOD3",
 ))
 def test_mutation_sensitivity(cid):
     # a single perturbed coefficient must produce a failure witness fast
@@ -116,6 +120,16 @@ def test_mutation_sensitivity(cid):
     rep = run_check(mutated, order=30)
     assert rep.status == "FAIL"
     assert rep.witness is not None and rep.witness["n"] <= 30
+
+
+@pytest.mark.parametrize("cid,order,limit", [
+    ("CJ-MW5-EQ-5N4", 22, 20),  # last n read is 19
+    ("NT5-I4", 35, 29),  # last n confirmed by enumeration is 29
+])
+def test_enum_range_checked_against_last_n_read(cid, order, limit):
+    config = VerifyConfig(enum_bounds={**DEFAULT_BOUNDS, "partition": limit})
+    rep = run_check(get_spec(cid), order=order, config=config)
+    assert rep.status == "PASS", rep.skip_reason
 
 
 def test_mutation_sensitivity_exact_relation():
