@@ -1,14 +1,14 @@
-"""qcert: exact q-series arithmetic and an enumeration oracle for
-verifying partition-statistic congruences and identities.
+"""qcert: exact q-series arithmetic and a combinatorial counting oracle
+for verifying partition-statistic congruences and identities.
 
 The package has five layers:
 
 * ``qcert.rings`` / ``qcert.series`` -- truncated power series in q over
   exact coefficient rings, with Pochhammer, theta-bracket, and bilateral
   Appell-Lerch builders;
-* ``qcert.combinatorics`` -- streaming enumeration of partitions,
-  overpartitions, overpartition pairs, and distinct-odd partitions, with
-  every rank / crank statistic and residue tally;
+* ``qcert.combinatorics`` -- partitions, overpartitions, overpartition
+  pairs and distinct-odd partitions: streaming enumerators, every rank /
+  crank statistic, and residue tallies counted from those definitions;
 * ``qcert.genfun`` -- the rank generating functions, part-count
   difference series (exact d/dx at 1 via dual numbers), the main
   transformation check, and the table of closed forms they are compared

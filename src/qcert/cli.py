@@ -18,6 +18,8 @@ from .genfun import closed_form, form_ids
 from .series import series_to_json
 from .verify import VerifyConfig, run_all, select_specs
 
+_CATEGORIES = "theorems, classic, new, conjectures, identities, xchecks"
+
 
 def _emit(text: str, output: str | None):
     if output:
@@ -34,7 +36,8 @@ def main():
 
 @main.command()
 @click.option("--form", "form_id", required=True, help="Registered form id (see `qcert expand --form help`).")
-@click.option("--order", type=int, required=True, help="Truncation order N (series known through q^N).")
+@click.option("--order", type=click.IntRange(min=0), required=True,
+              help="Truncation order N (series known through q^N).")
 @click.option("--mod", "mod_p", type=int, default=None, help="Reduce integer coefficients mod p.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 @click.option("--output", type=click.Path(), default=None, help="Write to file instead of stdout.")
@@ -43,8 +46,6 @@ def expand(form_id, order, mod_p, fmt, output):
     if form_id == "help":
         click.echo("\n".join(form_ids()))
         return
-    if order < 0:
-        raise click.UsageError("order must be >= 0")
     try:
         series = closed_form(form_id, order)
     except QcertError as exc:
@@ -188,9 +189,8 @@ def _print_reports(result, fmt, output, report_path):
 
 
 @main.command()
-@click.option("--only", default=None,
-              help="Comma-separated categories (theorems, classic, new, conjectures, identities, xchecks) or id globs.")
-@click.option("--order", type=int, default=None, help="Override every check's bound.")
+@click.option("--only", default=None, help=f"Comma-separated categories ({_CATEGORIES}) or id globs.")
+@click.option("--order", type=click.IntRange(min=0), default=None, help="Override every check's bound.")
 @click.option("--strict-conjectures", is_flag=True, help="Conjecture failures also fail the run.")
 @click.option("--unsafe-bounds", is_flag=True)
 @click.option("--seed", type=int, default=0, help="Seed for extra sampled cross-check weights.")
@@ -203,6 +203,9 @@ def _print_reports(result, fmt, output, report_path):
 def verify(only, order, strict_conjectures, unsafe_bounds, seed, enum_bounds, explore, fmt, report_path, output):
     """Run the registered checks (all of them by default)."""
     cfg = _config_from_flags(strict_conjectures, unsafe_bounds, seed, explore, enum_bounds)
+    if only and not select_specs(only, explore):
+        raise click.UsageError(
+            f"--only {only!r} selects no check; give categories ({_CATEGORIES}) or id globs")
     try:
         result = run_all(only=only, order=order, config=cfg)
     except QcertError as exc:
@@ -216,7 +219,7 @@ def verify(only, order, strict_conjectures, unsafe_bounds, seed, enum_bounds, ex
 @click.option("--family", required=True,
               type=click.Choice(["dyson", "ov-rank", "ov-m2", "do-m2", "pair"]),
               help="Which enumeration oracle to compare against the series engine.")
-@click.option("--max-n", type=int, default=None, help="Largest weight to compare.")
+@click.option("--max-n", type=click.IntRange(min=0), default=None, help="Largest weight to compare.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @click.option("--output", type=click.Path(), default=None)

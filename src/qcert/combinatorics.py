@@ -1,17 +1,18 @@
-"""Exhaustive enumeration of partition-like objects and their statistics.
+"""Partition-like objects, their statistics, and exact counts of them.
 
-This module is the brute-force oracle for the whole project: every
-generating function is checked against counts and statistic tallies
-computed here by walking actual objects.
+This module is the second route for the whole project: every generating
+function is checked against counts and statistic tallies computed here
+from the statistics' definitions, with no series code.
 
 One iterative generator, ``_non_increasing``, walks the partitions of n
 (optionally without repeated odd parts) in reverse lexicographic order;
-overpartitions are expanded from it.  Each statistic has one definition,
-shared by its public function and the sweeps (the pair rank works on
-per-overpartition summaries, `_pair_rank`).
+overpartitions are expanded from it.  The tests hold the sweeps to these
+enumerators.  The sweeps count without walking: a statistic's row writes
+it as a head term of the largest part plus a term per part (the crank's,
+once its number of ones is fixed), and one dynamic program over part
+values, ``_tabulate``, counts a row's objects by statistic.
 
-Conventions for objects a definition leaves open live in the statistic
-functions, not in the sweeps:
+Conventions for objects a definition leaves open:
 
 * the empty partition / overpartition / pair has every rank statistic 0;
   it contributes one object to residue class 0 of count-type tallies and
@@ -26,12 +27,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator
 
 from .errors import BoundExceeded, RepeatedOddPart
 
-# Default sweep limits: full sweeps up to these weights finish in minutes.
+# Default weight limits of the tallies; a sweep at each takes well under a second.
 DEFAULT_BOUNDS = {
     "partition": 80,
     "distinct_odd": 80,
@@ -55,9 +56,6 @@ class Overpartition:
 
     parts: tuple[tuple[int, bool], ...]
 
-    def weight(self) -> int:
-        return sum(v for v, _ in self.parts)
-
     def num_parts(self) -> int:
         return len(self.parts)
 
@@ -74,9 +72,6 @@ class OverpartitionPair:
 
     lam: Overpartition
     mu: Overpartition
-
-    def weight(self) -> int:
-        return self.lam.weight() + self.mu.weight()
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +170,10 @@ def count_overpartition_pairs(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Statistics.
+# Statistics, each with its row for the counting tables: `kinds(v)` lists
+# the kinds of part of value v, lowest precedence first (the last kind
+# present at the largest value is "the largest part"), each as (at most one
+# copy, per-part term, head term when it is the largest part).
 # ---------------------------------------------------------------------------
 
 
@@ -186,11 +184,19 @@ def dyson_rank(parts: tuple[int, ...]) -> int:
     return parts[0] - len(parts)
 
 
+def _dyson_kinds(v: int) -> tuple:
+    return ((False, -1, v),)
+
+
 def ov_rank(op: Overpartition) -> int:
     """Dyson's rank carried over verbatim to overpartitions."""
     if not op.parts:
         return 0
     return op.parts[0][0] - len(op.parts)
+
+
+def _ov_rank_kinds(v: int) -> tuple:
+    return ((False, -1, v), (True, -1, v))
 
 
 def m2_rank_overpartition(op: Overpartition) -> int:
@@ -207,6 +213,11 @@ def m2_rank_overpartition(op: Overpartition) -> int:
     return -(-largest // 2) - len(op.parts) + odd_plain - chi
 
 
+def _ov_m2_kinds(v: int) -> tuple:
+    odd, half = v % 2, (v + 1) // 2
+    return ((False, odd - 1, half - odd), (True, -1, half))
+
+
 def m2_rank_distinct_odd(parts: tuple[int, ...]) -> int:
     """ceil(largest/2) - #parts for partitions without repeated odd parts."""
     if not parts:
@@ -217,21 +228,8 @@ def m2_rank_distinct_odd(parts: tuple[int, ...]) -> int:
     return -(-parts[0] // 2) - len(parts)
 
 
-def _ov_summary(op: Overpartition) -> tuple[int, int, int, int, int]:
-    """(largest, leading part overlined, #parts, #overlined, #plain); all
-    zero for the empty overpartition."""
-    parts = op.parts
-    if not parts:
-        return (0, 0, 0, 0, 0)
-    t = len(parts)
-    ovc = sum(1 for _, ov in parts if ov)
-    return (parts[0][0], int(parts[0][1]), t, ovc, t - ovc)
-
-
-def _pair_rank(lam: tuple, mu: tuple) -> int:
-    """The pair rank from the `_ov_summary` of lam and of mu."""
-    chi = 1 if (mu[0] > lam[0] and not mu[1]) else 0
-    return (lam[0] if lam[0] >= mu[0] else mu[0]) - lam[2] - mu[3] - chi
+def _do_m2_kinds(v: int) -> tuple:
+    return ((v % 2 == 1, -1, (v + 1) // 2),)
 
 
 def pair_rank(pair: OverpartitionPair) -> int:
@@ -242,7 +240,20 @@ def pair_rank(pair: OverpartitionPair) -> int:
     at equal value, so "the largest part" is in mu only when mu strictly
     exceeds lam in value.  The empty pair has rank 0.
     """
-    return _pair_rank(_ov_summary(pair.lam), _ov_summary(pair.mu))
+    lam, mu = pair.lam, pair.mu
+    largest, chi = lam.largest(), 0
+    if mu.largest() > largest:
+        largest, chi = mu.largest(), int(not mu.parts[0][1])
+    return largest - lam.num_parts() - mu.overlined_count() - chi
+
+
+def _pair_kinds(v: int, base: int = 0) -> tuple:
+    """Plain-mu, overlined-mu, plain-lam, overlined-lam.  A nonzero `base`
+    packs the pair profile's r, s and t into each term as digits above the
+    rank m: term = m + base*(r + base*(s + base*t))."""
+    r, s, t = base, base**2, base**3
+    return ((False, r + s + t, v - 1), (True, -1 + s + t, v),
+            (False, -1 + t, v), (True, -1 + r + t, v))
 
 
 def crank(parts: tuple[int, ...]) -> int:
@@ -256,6 +267,13 @@ def crank(parts: tuple[int, ...]) -> int:
     return bigger - ones
 
 
+def _crank_kinds(ones: int, v: int) -> tuple:
+    """The parts >= 2 of a partition with `ones` ones; the caller adds -ones."""
+    if v == 1:
+        return ()
+    return ((False, 0, v),) if not ones else ((False, int(v > ones), 0),)
+
+
 def count_ones(parts: tuple[int, ...]) -> int:
     ones = 0
     for v in reversed(parts):
@@ -266,100 +284,72 @@ def count_ones(parts: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cached raw sweeps: one enumeration pass per (object family, n) serves
-# every statistic and every modulus.  Counters are keyed by the raw
-# statistic value; weights are object counts, part counts, or ones, and
-# no counter holds a zero-valued entry.
+# Cached per-n sweeps, counted from the rows, serve every statistic and
+# modulus.  Counters are keyed by the raw statistic value; weights are object
+# counts, part counts, or ones, and no counter holds a zero-valued entry.
 # ---------------------------------------------------------------------------
+
+
+def _tabulate(kinds, n: int) -> tuple[Counter, Counter]:
+    """Objects and parts by statistic over the objects of weight n of a row.
+
+    Kinds are added in ascending order of (value, precedence); acc[w] maps
+    the term sum of the objects of weight w built so far to [objects,
+    parts].  An object that reaches weight n with a copy of the current
+    kind has that kind as its largest part, so its head is added there.
+    """
+    if n < 0:
+        raise ValueError("weight must be >= 0")
+    acc: list[dict] = [{} for _ in range(n + 1)]
+    acc[0][0] = [1, 0]
+    for v in range(1, n + 1):
+        for once, term, head in kinds(v):
+            # one copy extends the objects without this kind (weights
+            # descending), any number those with it (ascending)
+            for w in range(n, v - 1, -1) if once else range(v, n + 1):
+                dst, shift = acc[w], term + head if w == n else term
+                for s, (c, p) in acc[w - v].items():
+                    e = dst.setdefault(s + shift, [0, 0])
+                    e[0] += c
+                    e[1] += p + c
+    return (Counter({m: c for m, (c, _) in acc[n].items()}),
+            Counter({m: p for m, (_, p) in acc[n].items() if p}))
+
+
+def _counters(n: int, **rows) -> dict[str, Counter]:
+    """The `<name>_count` and `<name>_parts` counters of each row at n."""
+    sweep = {}
+    for name, kinds in rows.items():
+        sweep[f"{name}_count"], sweep[f"{name}_parts"] = _tabulate(kinds, n)
+    return sweep
 
 
 @lru_cache(maxsize=None)
 def partition_sweep(n: int) -> dict[str, Counter]:
-    rank_count: Counter = Counter()
-    rank_parts: Counter = Counter()
-    crank_count: Counter = Counter()
-    crank_ones: Counter = Counter()
-    for parts in enumerate_partitions(n):
-        r = dyson_rank(parts)
-        rank_count[r] += 1
-        if parts:
-            rank_parts[r] += len(parts)
-        c = crank(parts)
-        crank_count[c] += 1
-        ones = count_ones(parts)
-        if ones:
-            crank_ones[c] += ones
-    return {
-        "rank_count": rank_count,
-        "rank_parts": rank_parts,
-        "crank_count": crank_count,
-        "crank_ones": crank_ones,
-    }
+    sweep = _counters(n, rank=_dyson_kinds)
+    crank_count = sweep["crank_count"] = Counter()
+    crank_ones = sweep["crank_ones"] = Counter()
+    for ones in range(n + 1):
+        for c, cnt in _tabulate(partial(_crank_kinds, ones), n - ones)[0].items():
+            crank_count[c - ones] += cnt
+            if ones:
+                crank_ones[c - ones] += cnt * ones
+    return sweep
 
 
 @lru_cache(maxsize=None)
 def overpartition_sweep(n: int) -> dict[str, Counter]:
-    rank_count: Counter = Counter()
-    rank_parts: Counter = Counter()
-    m2_count: Counter = Counter()
-    m2_parts: Counter = Counter()
-    for op in enumerate_overpartitions(n):
-        r = ov_rank(op)
-        m2 = m2_rank_overpartition(op)
-        rank_count[r] += 1
-        m2_count[m2] += 1
-        t = len(op.parts)
-        if t:
-            rank_parts[r] += t
-            m2_parts[m2] += t
-    return {
-        "rank_count": rank_count,
-        "rank_parts": rank_parts,
-        "m2_count": m2_count,
-        "m2_parts": m2_parts,
-    }
+    return _counters(n, rank=_ov_rank_kinds, m2=_ov_m2_kinds)
 
 
 @lru_cache(maxsize=None)
 def distinct_odd_sweep(n: int) -> dict[str, Counter]:
-    m2_count: Counter = Counter()
-    m2_parts: Counter = Counter()
-    for parts in enumerate_distinct_odd(n):
-        m2 = m2_rank_distinct_odd(parts)
-        m2_count[m2] += 1
-        if parts:
-            m2_parts[m2] += len(parts)
-    return {"m2_count": m2_count, "m2_parts": m2_parts}
-
-
-@lru_cache(maxsize=None)
-def _ov_summaries(n: int) -> list[tuple[int, int, int, int, int]]:
-    """The `_ov_summary` of every overpartition of n."""
-    return [_ov_summary(op) for op in enumerate_overpartitions(n)]
-
-
-def _pair_joint(n: int) -> Counter:
-    """One uncached pass over the pairs of weight n; see `pair_profile`."""
-    if n < 0:
-        raise ValueError("weight must be >= 0")
-    joint: Counter = Counter()
-    for j in range(n + 1):
-        mus = _ov_summaries(n - j)
-        for lam in _ov_summaries(j):
-            for mu in mus:
-                joint[(lam[3] + mu[4], mu[2], lam[2] + mu[2], _pair_rank(lam, mu))] += 1
-    return joint
+    return _counters(n, m2=_do_m2_kinds)
 
 
 @lru_cache(maxsize=None)
 def pair_sweep(n: int) -> dict[str, Counter]:
-    rank_count: Counter = Counter()
-    rank_parts: Counter = Counter()
-    for (_r, _s, t, m), cnt in _pair_joint(n).items():
-        rank_count[m] += cnt
-        if t:
-            rank_parts[m] += cnt * t
-    return {"rank_count": rank_count, "rank_parts": rank_parts}
+    return _counters(n, rank=_pair_kinds)
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +360,13 @@ def pair_profile(n: int) -> Counter:
     bound = DEFAULT_BOUNDS["pair"]
     if n > bound:
         raise BoundExceeded(f"pair profile at n={n} exceeds bound {bound}")
-    return _pair_joint(n)
+    base = 2 * n + 2  # every digit has |value| <= n
+    profile: Counter = Counter()
+    for key, cnt in _tabulate(partial(_pair_kinds, base=base), n)[0].items():
+        m = (key + n) % base - n
+        rst = (key - m) // base
+        profile[(rst % base, rst // base % base, rst // base**2, m)] = cnt
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +427,5 @@ def clear_caches():
     partition_sweep.cache_clear()
     overpartition_sweep.cache_clear()
     distinct_odd_sweep.cache_clear()
-    _ov_summaries.cache_clear()
     pair_sweep.cache_clear()
     pair_profile.cache_clear()

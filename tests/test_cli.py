@@ -116,6 +116,21 @@ def test_verify_seed_changes_only_samples():
     assert res.exit_code == 0 and "PASS" in res.output
 
 
+def test_verify_usage_errors_certify_nothing():
+    # an empty selection or a negative order is a usage error (exit 2),
+    # never an empty PASS run nor a check reported as an engine ERROR
+    res = run("verify", "--only", "nonsense")
+    assert res.exit_code == 2
+    assert "selects no check" in res.output and "theorems, classic" in res.output
+    for args in (("verify", "--only", "T1,NT5-I1", "--order", "-1"),
+                 ("crosscheck", "--family", "dyson", "--max-n", "-3")):
+        res = run(*args)
+        assert res.exit_code == 2 and "ERROR" not in res.output, args
+        assert "x>=0" in res.output, args
+    res = run("crosscheck", "--family", "dyson", "--max-n", "0")
+    assert res.exit_code == 0 and "PASS" in res.output
+
+
 def test_crosscheck_dyson():
     res = run("crosscheck", "--family", "dyson", "--max-n", "16")
     assert res.exit_code == 0

@@ -172,36 +172,39 @@ def _pair_parts(pair):
     return pair.lam.num_parts() + pair.mu.num_parts()
 
 
-# sweep -> (objects of weight n, {counter key: (statistic, weight per object)})
+# sweep -> (largest n checked, objects of weight n,
+#           {counter key: (statistic, weight per object)})
 _SWEEP_DEFINITIONS = {
-    partition_sweep: (enumerate_partitions, {
+    partition_sweep: (30, enumerate_partitions, {
         "rank_count": (dyson_rank, lambda p: 1),
         "rank_parts": (dyson_rank, len),
         "crank_count": (crank, lambda p: 1),
         "crank_ones": (crank, count_ones),
     }),
-    overpartition_sweep: (enumerate_overpartitions, {
+    overpartition_sweep: (24, enumerate_overpartitions, {
         "rank_count": (ov_rank, lambda o: 1),
         "rank_parts": (ov_rank, Overpartition.num_parts),
         "m2_count": (m2_rank_overpartition, lambda o: 1),
         "m2_parts": (m2_rank_overpartition, Overpartition.num_parts),
     }),
-    distinct_odd_sweep: (enumerate_distinct_odd, {
+    distinct_odd_sweep: (30, enumerate_distinct_odd, {
         "m2_count": (m2_rank_distinct_odd, lambda p: 1),
         "m2_parts": (m2_rank_distinct_odd, len),
     }),
-    pair_sweep: (enumerate_overpartition_pairs, {
+    pair_sweep: (12, enumerate_overpartition_pairs, {
         "rank_count": (pair_rank, lambda pr: 1),
         "rank_parts": (pair_rank, _pair_parts),
     }),
 }
 
 
-@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("n", range(31))
 def test_sweeps_match_public_statistics(n):
     # every counter of every sweep is the public statistic applied to the
     # enumerated objects, with no zero-valued entry (dict equality is strict)
-    for sweep, (enum, counters) in _SWEEP_DEFINITIONS.items():
+    for sweep, (reach, enum, counters) in _SWEEP_DEFINITIONS.items():
+        if n > reach:
+            continue
         got = sweep(n)
         assert set(got) == set(counters), sweep.__name__
         objects = list(enum(n))
@@ -313,6 +316,52 @@ def test_tally_residue_reduction_consistent(n, k):
         assert reduced[m] == sum(v for r, v in raw.items() if r % k == m)
 
 
+_COLD_CACHE_SCRIPT = """
+from qcert import combinatorics as C, verify
+
+verify.registry()
+CONSTANTS = {"DEFAULT_BOUNDS", "FAMILY_BOUND_KEY", "TALLY_FAMILIES", "_TALLY_TABLE"}
+
+
+def filled():
+    return {k: v.cache_info().currsize for k, v in vars(C).items()
+            if hasattr(v, "cache_info") and v.cache_info().currsize}
+
+
+def data():
+    return {k: repr(v) for k, v in vars(C).items()
+            if isinstance(v, (dict, list, set, tuple)) and not k.startswith("__")}
+
+
+constants = data()
+assert set(constants) == CONSTANTS, set(constants) ^ CONSTANTS
+assert not filled(), filled()
+first = [C.raw_tally(f, 12) for f in C.TALLY_FAMILIES] + [C.pair_profile(8)]
+assert filled()
+C.clear_caches()
+assert not filled() and data() == constants, filled()
+assert [C.raw_tally(f, 12) for f in C.TALLY_FAMILIES] + [C.pair_profile(8)] == first
+"""
+
+
+def test_sweeps_start_cold_and_clear_caches_empties_them():
+    # the benchmark worker checks only lru_cache sizes before it times a
+    # run, so counts may live only in lru_caches: none filled by importing
+    # qcert and building the registry, all emptied by clear_caches, and
+    # rebuilt identically afterwards.  A fresh interpreter sees the import.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qcert
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qcert.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_CACHE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- pair profile -------------------------------------------------------------
 
 
@@ -345,7 +394,7 @@ def test_pair_profile_marginals_match_sweep():
 
 
 def test_pair_profile_matches_direct_enumeration():
-    for n in range(6):
+    for n in range(11):
         direct = Counter()
         for pr in enumerate_overpartition_pairs(n):
             r = pr.lam.overlined_count() + (
