@@ -38,7 +38,8 @@ def main():
 @click.option("--form", "form_id", required=True, help="Registered form id (see `qcert expand --form help`).")
 @click.option("--order", type=click.IntRange(min=0), required=True,
               help="Truncation order N (series known through q^N).")
-@click.option("--mod", "mod_p", type=int, default=None, help="Reduce integer coefficients mod p.")
+@click.option("--mod", "mod_p", type=click.IntRange(min=1), default=None,
+              help="Reduce integer coefficients mod p.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 @click.option("--output", type=click.Path(), default=None, help="Write to file instead of stdout.")
 def expand(form_id, order, mod_p, fmt, output):

@@ -172,25 +172,29 @@ def _prefactor_rat(family: Family, order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def rank_gf_ctx(family: Family, order: int, ctx) -> QSeries:
-    """Rank generating function with x supplied by the context."""
-    d = _family_data(family)
-    s = d.qstep
+def _rank_sum(ctx, extras, quad, qstep: int, scalar, order: int) -> QSeries:
+    """sum_{n>=0} prod_{a in extras} (a; q^s)_n scalar^n q^{quad(n)}
+    / (z q^s, x q^s / z; q^s)_n, with x supplied by the context."""
     ring = ctx.ring
-    x1 = ctx.x_power(1)
     z = ctx.lift_zc(1, 1)
-    xz = ctx.lift_zc(1, -1) * x1
+    xz = ctx.lift_zc(1, -1) * ctx.x_power(1)
     acc = QSeries.one(ring, order)
     cur = QSeries.one(ring, order)
     n = 1
-    while d.lhs_quad(n) <= order:
-        for a in d.lhs_extra:
-            cur = cur.mul_binomial(-ctx.mon(a), a.qexp + (n - 1) * s)
-        cur = cur.mul_scalar(x1)
-        cur = cur.div_binomial(-z, s * n).div_binomial(-xz, s * n)
-        acc = acc + cur.shift(d.lhs_quad(n), cap=order)
+    while quad(n) <= order:
+        for a in extras:
+            cur = cur.mul_binomial(-ctx.mon(a), a.qexp + (n - 1) * qstep)
+        cur = cur.mul_scalar(scalar)
+        cur = cur.div_binomial(-z, qstep * n).div_binomial(-xz, qstep * n)
+        acc = acc + cur.shift(quad(n), cap=order)
         n += 1
     return acc
+
+
+def rank_gf_ctx(family: Family, order: int, ctx) -> QSeries:
+    """Rank generating function with x supplied by the context."""
+    d = _family_data(family)
+    return _rank_sum(ctx, d.lhs_extra, d.lhs_quad, d.qstep, ctx.x_power(1), order)
 
 
 @lru_cache(maxsize=None)
@@ -343,20 +347,8 @@ def genovpair_series(d, e, x, order: int) -> QSeries:
     if not d or not e:
         raise ValueError("sampled weights d, e must be nonzero (limits are hardcoded per family)")
     ctx = PlainContext(LAURENT, x_value=x)
-    ring = ctx.ring
-    z = ctx.lift_zc(1, 1)
-    xz = ctx.lift_zc(1, -1) * ctx.x_power(1)
-    scale = ring.lift(x * d * e)
-    inv_d = ring.lift(Fraction(1) / d)
-    inv_e = ring.lift(Fraction(1) / e)
-    acc = QSeries.one(ring, order)
-    cur = QSeries.one(ring, order)
-    for n in range(1, order + 1):
-        cur = cur.mul_binomial(inv_d, n - 1).mul_binomial(inv_e, n - 1)
-        cur = cur.mul_scalar(scale).shift(1, cap=order)
-        cur = cur.div_binomial(-z, n).div_binomial(-xz, n)
-        acc = acc + cur
-    return acc
+    extras = (mono(-1 / d, 0), mono(-1 / e, 0))
+    return _rank_sum(ctx, extras, lambda n: n, 1, ctx.ring.lift(x * d * e), order)
 
 
 # ---------------------------------------------------------------------------
@@ -469,20 +461,29 @@ def _theta_base9_lhs_alt(order: int) -> QSeries:
     return num * den.invert()
 
 
-def _theta_base9_rhs(order: int) -> QSeries:
-    a = lerch_sum(quad=9, lin=6, denom_step=9, denom_sign=1, order=order)
+def _base9_sums(c_shift: int, order: int) -> tuple[QSeries, QSeries, QSeries]:
+    """The three base-9 bilateral sums of the theta and mod-3 forms.  The
+    first leaves out its n = 0 term, exactly 1/2, which each caller adds
+    back or cancels in integers."""
+    a = lerch_sum(quad=9, lin=6, denom_step=9, denom_sign=1, include_n0=False, order=order)
     b = lerch_sum(
         quad=9, lin=12, num_shift=3, denom_step=9, denom_sign=1,
         denom_shift=3, order=order,
     )
     c = lerch_sum(
-        quad=9, lin=18, num_shift=9, denom_step=9, denom_sign=1,
+        quad=9, lin=18, num_shift=c_shift, denom_step=9, denom_sign=1,
         denom_shift=6, order=order,
     )
+    return a, b, c
+
+
+def _theta_base9_rhs(order: int) -> QSeries:
+    a, b, c = _base9_sums(9, order)
     ratio = pochhammer_infinite(mono(-1, 9), 9, order=order).pow(
         2
     ) * bracket_infinite(mono(-1, 3), 9, order=order).invert()
-    return a.mul_scalar(2) - b.mul_scalar(2) + ratio.mul_scalar(4) * c
+    # twice the first sum's n = 0 term is the leading 1
+    return QSeries.one(RAT, order) + a.mul_scalar(2) - b.mul_scalar(2) + ratio.mul_scalar(4) * c
 
 
 def _theta_overpartition_rhs(order: int) -> QSeries:
@@ -502,23 +503,10 @@ def _theta_overpartition_rhs(order: int) -> QSeries:
     return lead * den.invert() * inner
 
 
-def _mod3_kernel_bilateral(order: int) -> QSeries:
-    half = QSeries.from_terms(RAT, order, {0: Fraction(-1, 2)})
-    return half + lerch_sum(quad=1, lin=1, denom_step=3, denom_sign=1, order=order)
-
-
 def _mod3_kernel_base9(order: int) -> QSeries:
-    half = QSeries.from_terms(RAT, order, {0: Fraction(-1, 2)})
-    a = lerch_sum(quad=9, lin=6, denom_step=9, denom_sign=1, order=order)
-    b = lerch_sum(
-        quad=9, lin=12, num_shift=3, denom_step=9, denom_sign=1,
-        denom_shift=3, order=order,
-    )
-    c = lerch_sum(
-        quad=9, lin=18, num_shift=8, denom_step=9, denom_sign=1,
-        denom_shift=6, order=order,
-    )
-    return half + a - b + c
+    # -1/2 + a - b + c, with the first sum's n = 0 term (+1/2) cancelling the -1/2
+    a, b, c = _base9_sums(8, order)
+    return a - b + c
 
 
 def _eta7_quotient(order: int, mid_pow: int, low_pow: int) -> QSeries:
@@ -572,7 +560,10 @@ _FORM_BUILDERS: dict[str, Callable[[int], QSeries]] = {
     "mod3-kernel-onesided": lambda order: _kernel_sum(
         Family.OV_RANK, {0: 1, 1: 1}, ((1, 3),), order
     ),
-    "mod3-kernel-bilateral": _mod3_kernel_bilateral,
+    # -1/2 plus the bilateral sum, whose n = 0 term is exactly +1/2
+    "mod3-kernel-bilateral": lambda order: lerch_sum(
+        quad=1, lin=1, denom_step=3, denom_sign=1, include_n0=False, order=order
+    ),
     "mod3-kernel-base9": _mod3_kernel_base9,
     "mod3-combined-rhs": lambda order: _kernel_product(
         Family.OV_RANK, {0: 1, 1: 1}, ((1, 3),), order

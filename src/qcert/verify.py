@@ -4,16 +4,17 @@ identity, and conjecture the project certifies.
 Each check is a CheckSpec; running one produces a CheckReport with a
 PASS / FAIL / SKIPPED / ERROR status and, on failure, a reproducible
 witness (the first offending index with the value found and the value
-expected).  One progression runner serves every statement along a
-progression (congruence, exact relation, or identity against a form):
-it reads the lhs from the difference series plus enumeration and
-compares each value with its target.  The identity runner reads a
-statistic combination through the same lhs reader.  An engine defect
-inside a check (an exception that is not a package error) becomes an
-ERROR report carrying the exception's type and message, so one broken
-check never loses the whole run's report.  Conjecture checks are flagged so that a
-failing conjecture is loudly reported without failing the suite unless
-strict mode is on.
+expected).  One statement runner serves every check that is not a
+structural special: it reads the lhs (a closed form, or a statistic
+combination from the difference series plus enumeration) along the
+check's progression, every n when it has none, and compares each value
+with its target: the rhs form's coefficient, or 0, exactly or mod p.
+A spec's kind and engines follow from its other fields.  An engine
+defect inside a check (an exception that is not a package error)
+becomes an ERROR report carrying the exception's type and message, so
+one broken check never loses the whole run's report.  Conjecture checks
+are flagged so that a failing conjecture is loudly reported without
+failing the suite unless strict mode is on.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from . import genfun
 from .combinatorics import DEFAULT_BOUNDS, FAMILY_BOUND_KEY, raw_tally, tally
 from .errors import EnumBoundExceeded, InsufficientOrder, NotAntisymmetric, QcertError
 from .genfun import Family, closed_form, nt_diff_combo, thmain_check
-from .rings import RAT
 from .series import QSeries
 
 # statistic family -> generating-function family for part-count series
@@ -57,10 +57,8 @@ class StatTerm:
 @dataclass(frozen=True)
 class CheckSpec:
     id: str
-    kind: str  # CONGRUENCE | EXACT_RELATION | EXACT_IDENTITY | ORACLE_XCHECK
     category: str  # theorem | classic | new | conjecture | identity | xcheck
     statement: str
-    engines: str  # SERIES | ENUM | BOTH | MIXED | FORM
     lhs: tuple[StatTerm, ...] = ()
     lhs_form: str | None = None
     rhs_form: str | None = None
@@ -74,6 +72,31 @@ class CheckSpec:
     @property
     def conjecture(self) -> bool:
         return self.category == "conjecture"
+
+    @property
+    def kind(self) -> str:
+        """CONGRUENCE | EXACT_RELATION | EXACT_IDENTITY | ORACLE_XCHECK"""
+        special = (self.special or "").partition(":")[0]
+        if special == "xcheck":
+            return "ORACLE_XCHECK"
+        if self.modulus is not None:
+            return "CONGRUENCE"
+        if self.rhs_form or special == "thmain":
+            return "EXACT_IDENTITY"
+        return "EXACT_RELATION"
+
+    @property
+    def engines(self) -> str:
+        """SERIES | ENUM | BOTH | MIXED | FORM"""
+        special = (self.special or "").partition(":")[0]
+        if special == "xcheck" or self.enum_bound is not None:
+            return "BOTH"
+        if self.lhs_form or special == "thmain":
+            return "FORM"
+        in_series = {t.family in _SERIES_FAMILY for t in self.lhs}
+        if False not in in_series:
+            return "SERIES"
+        return "MIXED" if True in in_series else "ENUM"
 
 
 @dataclass
@@ -209,19 +232,22 @@ def _fail(report: CheckReport, n: int, value, expected):
 
 
 def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig, report: CheckReport):
-    """The lhs combination as a function of the weight n <= bound, and
-    whether it reads the difference series.
+    """The lhs as a function of the weight n <= bound, and whether it
+    reads the difference series.
 
-    Part-count terms are read from the difference series, the rest from
-    enumeration, checked against the limits up to `upto`, the last weight
-    the caller reads; a combination with no difference series is read
-    from enumeration alone.
+    An lhs form is read from its expansion.  Otherwise part-count terms
+    are read from the difference series, the rest from enumeration,
+    checked against the limits up to `upto`, the last weight the caller
+    reads; a combination with no difference series is read from
+    enumeration alone.
     """
+    if spec.lhs_form:
+        return closed_form(spec.lhs_form, bound).integer_coefficients().__getitem__, False
     series_terms = [t for t in spec.lhs if t.family in _SERIES_FAMILY]
     series_vals = None
-    if series_terms and spec.engines != "ENUM":
+    if series_terms:
         try:
-            series_vals = _series_combo(series_terms, bound).assert_integral().coeffs
+            series_vals = _series_combo(series_terms, bound).integer_coefficients()
         except NotAntisymmetric as exc:
             # possible for perturbed specs; every term moves to enumeration
             report.notes.append(f"series engine unavailable: {exc}")
@@ -234,40 +260,37 @@ def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig, re
 
     def value(n: int) -> int:
         val = _enum_value(enum_terms, n)
-        return val if series_vals is None else int(series_vals[n]) + val
+        return val if series_vals is None else series_vals[n] + val
 
     return value, series_vals is not None
 
 
 def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
-    """The lhs combination at n = step*t + i, compared with its target:
-    0 (mod p) for a CONGRUENCE, 0 for an EXACT_RELATION, and the q^t
-    coefficient of the rhs form for an identity."""
-    i, step = spec.progression
+    """The lhs at n = step*t + i (every n when the spec has no
+    progression), compared with its target, the q^t coefficient of the
+    rhs form or 0: modulo p when the spec has a modulus, exactly
+    otherwise."""
+    i, step = spec.progression or (0, 1)
+    p = spec.modulus
     # enumeration ranges are checked against the last n read, not the bound
     last = bound - (bound - i) % step
     value, from_series = _lhs_reader(spec, bound, last, config, report)
-    rhs = None
-    if spec.rhs_form:
-        t_max = (bound - i) // step
-        rhs = closed_form(spec.rhs_form, t_max).assert_integral().coeffs
+    t_max = (bound - i) // step
+    rhs = closed_form(spec.rhs_form, t_max).integer_coefficients() if spec.rhs_form else None
     for t, n in enumerate(range(i, bound + 1, step)):
         val = value(n)
-        if rhs is not None:
-            if val != int(rhs[t]):
-                _fail(report, n, val, int(rhs[t]))
+        want = 0 if rhs is None else rhs[t]
+        if p is not None:
+            if (val - want) % p:
+                _fail(report, n, val - want, f"0 (mod {p})")
                 return
-        elif spec.kind == "CONGRUENCE":
-            if val % spec.modulus:
-                _fail(report, n, val, f"0 (mod {spec.modulus})")
-                return
-        elif val:
-            _fail(report, n, val, "0")
+        elif val != want:
+            _fail(report, n, val, "0" if rhs is None else want)
             return
 
     # independent confirmation by full enumeration on the overlap
-    if spec.engines == "BOTH" and from_series:
-        confirm_to = min(spec.enum_bound or 0, bound)
+    if spec.enum_bound is not None and from_series:
+        confirm_to = min(spec.enum_bound, bound)
         last = confirm_to - (confirm_to - i) % step
         _require_enum_range(spec, [t.family for t in spec.lhs], last, config)
         for n in range(i, confirm_to + 1, step):
@@ -277,30 +300,8 @@ def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: 
                 _fail(report, n, sv, f"{ev} (enumeration)")
                 return
         report.notes.append(f"enumeration confirms values for n <= {confirm_to}")
-    if rhs is not None:
+    if rhs is not None and spec.progression:  # without one, t is n itself
         report.notes.append(f"progression index up to {t_max}")
-    report.status = "PASS"
-
-
-def _run_identity(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
-    """lhs = rhs coefficient by coefficient, or mod p for a CONGRUENCE."""
-    if spec.lhs_form:
-        lhs = closed_form(spec.lhs_form, bound)
-    else:
-        value, _ = _lhs_reader(spec, bound, bound, config, report)
-        lhs = QSeries(RAT, bound, [value(n) for n in range(bound + 1)])
-    rhs = closed_form(spec.rhs_form, bound)
-    if spec.modulus:
-        diff = lhs - rhs
-        first = next((n for n, v in enumerate(diff.reduce_mod(spec.modulus)) if v), None)
-        if first is not None:
-            _fail(report, first, int(diff.coeffs[first]), f"0 (mod {spec.modulus})")
-            return
-    else:
-        first = lhs.first_difference(rhs)
-        if first is not None:
-            _fail(report, first, str(lhs.coeffs[first]), str(rhs.coeffs[first]))
-            return
     report.status = "PASS"
 
 
@@ -454,12 +455,10 @@ def run_check(spec: CheckSpec, order: int | None = None, config: VerifyConfig | 
     try:
         if spec.special:
             _run_special(spec, bound, config, report)
-        elif spec.progression:
+        elif spec.lhs or spec.lhs_form:
             _run_progression(spec, bound, config, report)
-        elif spec.rhs_form:
-            _run_identity(spec, bound, config, report)
         else:
-            raise QcertError(f"cannot dispatch check {spec.id}")
+            raise QcertError(f"check {spec.id} has no lhs to read")
     except EnumBoundExceeded as exc:
         report.status = "SKIPPED"
         report.skip_reason = str(exc)
@@ -472,17 +471,15 @@ def registry() -> list[CheckSpec]:
     return list(_REGISTRY)
 
 
-def _congruence(id, category, terms, p, prog, bound, engines="SERIES", enum_bound=None, informational=False):
+def _congruence(id, category, terms, p, prog, bound, enum_bound=None, informational=False):
     """A combination along a progression: = 0 (mod p), or exactly 0 (an
     EXACT_RELATION) when p is None."""
     i, step = prog
     rel = "0" if p is None else f"0 (mod {p})"
     return CheckSpec(
         id=id,
-        kind="EXACT_RELATION" if p is None else "CONGRUENCE",
         category=category,
         statement=f"{_combo_str(terms)} = {rel} for n = {step}m+{i}",
-        engines=engines,
         lhs=tuple(terms),
         modulus=p,
         progression=prog,
@@ -492,7 +489,7 @@ def _congruence(id, category, terms, p, prog, bound, engines="SERIES", enum_boun
     )
 
 
-def _identity(id, category, rhs_form, bound, *, terms=(), lhs_form=None, prog=None, engines="SERIES", modulus=None):
+def _identity(id, category, rhs_form, bound, *, terms=(), lhs_form=None, prog=None, modulus=None):
     if lhs_form:
         lhs_str = lhs_form
     else:
@@ -502,10 +499,8 @@ def _identity(id, category, rhs_form, bound, *, terms=(), lhs_form=None, prog=No
     rel = f"= {rhs_form}" if modulus is None else f"= {rhs_form} (mod {modulus})"
     return CheckSpec(
         id=id,
-        kind="EXACT_IDENTITY" if modulus is None else "CONGRUENCE",
         category=category,
         statement=f"{lhs_str} {rel}",
-        engines=engines,
         lhs=tuple(terms),
         lhs_form=lhs_form,
         rhs_form=rhs_form,
@@ -529,20 +524,20 @@ def _build_registry() -> list[CheckSpec]:
     specs.append(
         _congruence(
             "T1", "theorem", combo("NTbar2", [(1, 1), (2, 2)], 5), 5, (2, 5),
-            300, engines="BOTH", enum_bound=37,
+            300, enum_bound=37,
         )
     )
     t2_terms = combo("NTbar", [(1, 1)], 3) + combo("NTbar2", [(-1, 1)], 3)
     specs.append(
-        _congruence("T2A", "theorem", t2_terms, 3, (0, 3), 300, engines="BOTH", enum_bound=37)
+        _congruence("T2A", "theorem", t2_terms, 3, (0, 3), 300, enum_bound=37)
     )
     specs.append(
-        _congruence("T2B", "theorem", t2_terms, 3, (1, 3), 300, engines="BOTH", enum_bound=37)
+        _congruence("T2B", "theorem", t2_terms, 3, (1, 3), 300, enum_bound=37)
     )
     specs.append(
         _congruence(
             "T3", "theorem", combo("NT2", [(1, 1), (2, 2)], 5), 5, (1, 5),
-            300, engines="BOTH", enum_bound=76,
+            300, enum_bound=76,
         )
     )
 
@@ -550,24 +545,24 @@ def _build_registry() -> list[CheckSpec]:
     nt5 = combo("NT", [(1, 1), (2, 2)], 5)
     for i in (1, 4):
         specs.append(
-            _congruence(f"NT5-I{i}", "classic", nt5, 5, (i, 5), 300, engines="BOTH", enum_bound=30)
+            _congruence(f"NT5-I{i}", "classic", nt5, 5, (i, 5), 300, enum_bound=30)
         )
     nt7 = combo("NT", [(1, 1), (1, 2), (-1, 3)], 7)
     for i in (1, 5):
         specs.append(
-            _congruence(f"NT7-I{i}", "classic", nt7, 7, (i, 7), 300, engines="BOTH", enum_bound=30)
+            _congruence(f"NT7-I{i}", "classic", nt7, 7, (i, 7), 300, enum_bound=30)
         )
 
     # --- the two further mod-7 families --------------------------------
     alt1 = combo("NT", [(1, 1), (2, 3)], 7)
     for i in (1, 3, 4, 5):
         specs.append(
-            _congruence(f"NT7-ALT1-I{i}", "new", alt1, 7, (i, 7), 300, engines="BOTH", enum_bound=30)
+            _congruence(f"NT7-ALT1-I{i}", "new", alt1, 7, (i, 7), 300, enum_bound=30)
         )
     alt2 = combo("NT", [(1, 2), (4, 3)], 7)
     for i in (0, 1, 5):
         specs.append(
-            _congruence(f"NT7-ALT2-I{i}", "new", alt2, 7, (i, 7), 300, engines="BOTH", enum_bound=30)
+            _congruence(f"NT7-ALT2-I{i}", "new", alt2, 7, (i, 7), 300, enum_bound=30)
         )
 
     # --- conjectured congruences, relations, and identities -------------
@@ -594,52 +589,52 @@ def _build_registry() -> list[CheckSpec]:
     )
 
     mw5_eq = combo("Momega", [(1, 1), (2, 2)], 5)
-    specs.append(_congruence("CJ-MW5-EQ-5N4", "conjecture", mw5_eq, None, (4, 5), 60, engines="ENUM"))
+    specs.append(_congruence("CJ-MW5-EQ-5N4", "conjecture", mw5_eq, None, (4, 5), 60))
 
     mixed504 = combo("Momega", [(1, 1)], 5) + combo("NT", [(2, 2)], 5)
     for i in (0, 4):
         specs.append(
-            _congruence(f"CJ-MWNT5-I{i}", "conjecture", mixed504, 5, (i, 5), 60, engines="MIXED")
+            _congruence(f"CJ-MWNT5-I{i}", "conjecture", mixed504, 5, (i, 5), 60)
         )
-    specs.append(_congruence("CJ-MWNT5-EQ-5N2", "conjecture", mixed504, None, (2, 5), 60, engines="MIXED"))
+    specs.append(_congruence("CJ-MWNT5-EQ-5N2", "conjecture", mixed504, None, (2, 5), 60))
 
     mixed512 = combo("NT", [(1, 1)], 5) + combo("Momega", [(2, 2)], 5)
     for i in (1, 2):
         specs.append(
-            _congruence(f"CJ-NTMW5-I{i}", "conjecture", mixed512, 5, (i, 5), 60, engines="MIXED")
+            _congruence(f"CJ-NTMW5-I{i}", "conjecture", mixed512, 5, (i, 5), 60)
         )
     specs.append(
         _identity(
             "CJ-NTMW5-ETA-5N4", "conjecture", "eta5-crank-rank-5n4-rhs", 59,
-            terms=mixed512, prog=(4, 5), engines="MIXED",
+            terms=mixed512, prog=(4, 5),
         )
     )
     mixed_eq54 = combo("Momega", [(1, 1)], 5) + combo("NT", [(4, 1)], 5)
-    specs.append(_congruence("CJ-MWNT5-EQ-5N4", "conjecture", mixed_eq54, None, (4, 5), 60, engines="MIXED"))
+    specs.append(_congruence("CJ-MWNT5-EQ-5N4", "conjecture", mixed_eq54, None, (4, 5), 60))
 
     mw7a = combo("Momega", [(1, 1), (2, 3)], 7)
     for i in (0, 2, 5, 6):
-        specs.append(_congruence(f"CJ-MW7-A-I{i}", "conjecture", mw7a, 7, (i, 7), 60, engines="ENUM"))
+        specs.append(_congruence(f"CJ-MW7-A-I{i}", "conjecture", mw7a, 7, (i, 7), 60))
     mw7b = combo("Momega", [(1, 2), (-3, 3)], 7)
     for i in (0, 1, 4, 5):
-        specs.append(_congruence(f"CJ-MW7-B-I{i}", "conjecture", mw7b, 7, (i, 7), 60, engines="ENUM"))
+        specs.append(_congruence(f"CJ-MW7-B-I{i}", "conjecture", mw7b, 7, (i, 7), 60))
 
     # --- exact identity suite -------------------------------------------
     specs.append(
         _identity("ID-THETA-BASE9", "identity", "theta-base9-rhs", 200,
-                  lhs_form="theta-base9-lhs", engines="FORM")
+                  lhs_form="theta-base9-lhs")
     )
     specs.append(
         _identity("ID-THETA-OVGF", "identity", "theta-overpartition-rhs", 150,
-                  lhs_form="overpartition-gf", engines="FORM")
+                  lhs_form="overpartition-gf")
     )
     specs.append(
         _identity("ID-KERNEL3-BILAT", "identity", "mod3-kernel-bilateral", 150,
-                  lhs_form="mod3-kernel-onesided", engines="FORM")
+                  lhs_form="mod3-kernel-onesided")
     )
     specs.append(
         _identity("ID-KERNEL3-BASE9", "identity", "mod3-kernel-base9", 150,
-                  lhs_form="mod3-kernel-onesided", engines="FORM")
+                  lhs_form="mod3-kernel-onesided")
     )
     for id_, fam, b, k, form in [
         ("ID-NTDIFF-OVM2-1-5", "NTbar2", 1, 5, "ovm2-ntdiff-1-5-rhs"),
@@ -655,19 +650,19 @@ def _build_registry() -> list[CheckSpec]:
         )
     specs.append(
         _identity("ID-KERNEL5-OVM2", "identity", "ovm2-mod5-kernel", 150,
-                  lhs_form="ovm2-mod5-kernel-onesided", engines="FORM")
+                  lhs_form="ovm2-mod5-kernel-onesided")
     )
     specs.append(
         _identity("ID-KERNEL5-DOM2", "identity", "dom2-mod5-kernel", 150,
-                  lhs_form="dom2-mod5-kernel-onesided", engines="FORM")
+                  lhs_form="dom2-mod5-kernel-onesided")
     )
     specs.append(
         _identity("ID-COUNTDIFF-OVM2", "identity", "ovm2-count-diff-1-2-5-rhs", 60,
-                  lhs_form="ovm2-count-diff-1-2-5", engines="FORM")
+                  lhs_form="ovm2-count-diff-1-2-5")
     )
     specs.append(
         _identity("ID-COUNTDIFF-DOM2", "identity", "dom2-count-diff-1-2-5-rhs", 60,
-                  lhs_form="dom2-count-diff-1-2-5", engines="FORM")
+                  lhs_form="dom2-count-diff-1-2-5")
     )
     specs.append(
         _identity("CG-CHAIN-OVM2-MOD5", "identity", "ovm2-mod5-kernel", 200,
@@ -685,13 +680,11 @@ def _build_registry() -> list[CheckSpec]:
         specs.append(
             CheckSpec(
                 id=f"ID-MAIN-{fam.name.replace('_', '')}",
-                kind="EXACT_IDENTITY",
                 category="identity",
                 statement=(
                     f"rank sum equals its product transformation [{fam.value}], "
                     "with exact x-derivative"
                 ),
-                engines="FORM",
                 special=f"thmain:{fam.value}",
                 bound=40,
             )
@@ -708,10 +701,8 @@ def _build_registry() -> list[CheckSpec]:
         specs.append(
             CheckSpec(
                 id=id_,
-                kind="ORACLE_XCHECK",
                 category="xcheck",
                 statement=f"series engine matches exhaustive enumeration ({desc})",
-                engines="BOTH",
                 special=f"xcheck:{key}",
                 bound=bound,
             )
@@ -736,7 +727,6 @@ def _build_registry() -> list[CheckSpec]:
 _REGISTRY = _build_registry()
 _BY_ID = {s.id: s for s in _REGISTRY}
 
-_CATEGORIES = ("theorem", "classic", "new", "conjecture", "identity", "xcheck", "exploratory")
 _FILTER_ALIASES = {
     "theorems": "theorem",
     "conjectures": "conjecture",
@@ -766,8 +756,6 @@ def select_specs(only: str | None, include_informational: bool = True) -> list[C
                 if tok.lower() == "all" or s.category == tl or fnmatch(s.id.lower(), tok.lower()):
                     chosen.append(s)
                     break
-        if not chosen:
-            return []
     if not include_informational:
         chosen = [s for s in chosen if not s.informational]
     return chosen

@@ -49,6 +49,16 @@ def test_expand_mod_view_matches_exact():
         assert int(mod_rows[str(i)]) == want
 
 
+def test_expand_rejects_nonpositive_modulus():
+    # --mod 0 used to crash with ZeroDivisionError and exit 1, the code of
+    # a failed check; --mod -3 printed "residues" in (-3, 0]
+    for p in ("0", "-3"):
+        res = run("expand", "--form", "partition-gf", "--order", "5", "--mod", p)
+        # a usage error exits through SystemExit; a crash leaves its exception
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), p
+        assert "x>=1" in res.output, p
+
+
 def test_stat_zero_row():
     res = run("stat", "--family", "NT", "--k", "5", "--n", "0")
     assert res.exit_code == 0

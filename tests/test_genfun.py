@@ -190,6 +190,11 @@ def test_genovpair_series_is_integer_first():
     assert _integer_first(genovpair_series(1, 1, 1, 10))
 
 
+@pytest.mark.parametrize("form", form_ids())
+def test_closed_forms_are_integer_first(form):
+    assert _integer_first(closed_form(form, 40))
+
+
 def test_nt_diff_coefficients_are_ints():
     series = nt_diff_gf(Family.DYSON, 1, 7, 60)
     assert all(type(c) is int for c in series.coeffs)

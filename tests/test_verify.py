@@ -152,17 +152,64 @@ def test_exact_identity_with_progression_small():
 def test_identity_failure_witness():
     bad = CheckSpec(
         id="BAD-ID",
-        kind="EXACT_IDENTITY",
         category="identity",
         statement="deliberately wrong pairing",
-        engines="FORM",
         lhs_form="partition-gf",
         rhs_form="overpartition-gf",
         bound=20,
     )
     rep = run_check(bad)
     assert rep.status == "FAIL"
-    assert rep.witness["n"] == 1  # first difference: 1 vs 2
+    # first difference: p(1) = 1 against 2 overpartitions, read as ints
+    assert rep.witness == {"n": 1, "value": 1, "expected": 2}
+
+
+def test_spec_with_nothing_to_read_is_refused():
+    # an empty combination would read 0 at every n and pass vacuously
+    from qcert.errors import QcertError
+
+    empty = CheckSpec(id="EMPTY", category="identity", statement="no lhs", bound=10)
+    assert empty.kind == "EXACT_RELATION"
+    with pytest.raises(QcertError, match="no lhs"):
+        run_check(empty)
+
+
+def test_non_integral_form_is_an_error_not_a_pass(monkeypatch):
+    # both sides of an identity are read as ints; a half in a closed form
+    # is an engine defect even when it appears on both sides alike
+    from fractions import Fraction
+
+    from qcert import verify as V
+    from qcert.rings import RAT
+    from qcert.series import QSeries
+
+    monkeypatch.setattr(
+        V, "closed_form",
+        lambda form_id, order: QSeries.from_terms(RAT, order, {2: Fraction(1, 2)}),
+    )
+    (rep,) = run_all(only="ID-KERNEL3-BILAT", order=30).reports
+    assert rep.status == "ERROR"
+    assert rep.error.startswith("ValueError")
+
+
+def test_kind_and_engines_census():
+    # both are derived from the other spec fields; this pins the registry
+    census = {}
+    for spec in registry():
+        key = (spec.kind, spec.engines)
+        census[key] = census.get(key, 0) + 1
+    assert census == {
+        ("CONGRUENCE", "BOTH"): 15,
+        ("CONGRUENCE", "ENUM"): 8,
+        ("CONGRUENCE", "MIXED"): 4,
+        ("CONGRUENCE", "SERIES"): 22,
+        ("EXACT_IDENTITY", "FORM"): 12,
+        ("EXACT_IDENTITY", "MIXED"): 1,
+        ("EXACT_IDENTITY", "SERIES"): 8,
+        ("EXACT_RELATION", "ENUM"): 1,
+        ("EXACT_RELATION", "MIXED"): 2,
+        ("ORACLE_XCHECK", "BOTH"): 5,
+    }
 
 
 def test_run_all_on_filter_reports_and_exit():
