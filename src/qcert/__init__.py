@@ -10,13 +10,15 @@ The package has five layers:
   pairs and distinct-odd partitions: streaming enumerators, every rank /
   crank statistic, and residue tallies counted from those definitions;
 * ``qcert.genfun`` -- the rank generating functions, part-count
-  difference series (exact d/dx at 1 via dual numbers), the main
-  transformation check, and the table of closed forms they are compared
-  against;
+  difference series (exact d/dx at 1 from the x = 1 inner terms, over
+  integers), the main transformation check (dual numbers, which also
+  serve ``derivative_check``), and the table of closed forms they are
+  compared against;
 * ``qcert.verify`` -- the declarative check registry and runner;
 * ``qcert.cli`` -- the ``qcert`` command-line tool.
 """
 
+from . import combinatorics, genfun
 from .combinatorics import (
     Overpartition,
     OverpartitionPair,
@@ -58,3 +60,10 @@ from .series import (
 from .verify import CheckReport, CheckSpec, VerifyConfig, registry, run_all, run_check
 
 __version__ = "0.1.0"
+
+
+def clear_caches():
+    """Empty every memoized result in qcert: the genfun series and the
+    combinatorics counting tables."""
+    genfun.clear_caches()
+    combinatorics.clear_caches()

@@ -13,10 +13,12 @@ distributions match the enumeration oracle.
 
 Part-count difference series (total parts in objects with statistic
 congruent to b, minus those congruent to k - b) are produced by
-differentiating with respect to x at x = 1: the inner sum carries
-dual-number coefficients, and the prefactor enters at x = 1 only (see
-``nt_diff_gf``).  Each family has one prefactor, shared by the
-part-count series and the main transformation.
+differentiating with respect to x at x = 1.  Every term of the inner
+sum vanishes at x = 1, so the derivative needs only the x = 1 inner
+terms, A'(1) = sum_n C_n(1) * g_n'(1), and the prefactor enters at
+x = 1 only: integer series throughout (see ``nt_diff_gf``).  Each
+family has one prefactor, shared by the part-count series and the main
+transformation.
 
 The closed forms live in one table, ``_FORM_BUILDERS``.  The forms that
 multiply a generating function by an alternating kernel sum all come
@@ -155,9 +157,10 @@ def _inner_terms(family: Family, ctx, order: int, margin=None):
 
 
 @lru_cache(maxsize=None)
-def _inner_terms_dual_rat(family: Family, order: int) -> tuple:
-    """Cached inner terms over dual rationals, shared across all (b, k)."""
-    return tuple(_inner_terms(family, DualContext(RAT), order))
+def _inner_terms_rat(family: Family, order: int) -> tuple:
+    """Cached inner terms C_n(1) at x = 1, over integers, shared across
+    all (b, k)."""
+    return tuple(_inner_terms(family, PlainContext(RAT), order))
 
 
 @lru_cache(maxsize=None)
@@ -245,6 +248,33 @@ def _difference_sum(family: Family, b: int, k: int, ctx, terms, order: int) -> Q
     return acc
 
 
+def _difference_deriv(family: Family, b: int, k: int, terms, order: int) -> QSeries:
+    """A'(1), the x-derivative of the inner sum A at x = 1, from the
+    x = 1 inner terms C_n(1) (see `_inner_terms_rat`).
+
+    Each summand of A is C_n(x) * g_n(x) with g_n(1) = 0, so C_n'(1)
+    drops out and A'(1) = sum_n C_n(1) * g_n'(1), where, with
+    lo = quad + s(b-1)n, hi = quad + s(k-b-1)n and kn = s*k*n,
+
+        g_n'(1) = [(k-b) q^hi - b q^lo + b q^(hi+kn) - (k-b) q^(lo+kn)]
+                  / (1 - q^kn)^2
+    """
+    s = _family_data(family).qstep
+    acc = QSeries.zeros(RAT, order)
+    for n, common, quad in terms:
+        lo = quad + s * (b - 1) * n
+        hi = quad + s * (k - b - 1) * n
+        kn = s * k * n
+        num = (
+            common.shift(hi, cap=order).mul_scalar(k - b)
+            - common.shift(lo, cap=order).mul_scalar(b)
+            + common.shift(hi + kn, cap=order).mul_scalar(b)
+            - common.shift(lo + kn, cap=order).mul_scalar(k - b)
+        )
+        acc = acc + num.div_binomial(-1, kn).div_binomial(-1, kn)
+    return acc
+
+
 @lru_cache(maxsize=None)
 def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
     """Series over n of (total parts with statistic = b mod k) minus
@@ -252,19 +282,21 @@ def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
     of the transformed rank sum P*A.
 
     With x = 1 every power of x is 1, so the two halves of each inner
-    term cancel and A(1) = 0 coefficient by coefficient.  Hence
-    d/dx(P*A) at x = 1 is P(1)*A'(1): one integer convolution of the
-    x = 1 prefactor with the dual part of A, which carries the
-    derivative.
+    term cancel and A(1) = 0 coefficient by coefficient; that is
+    asserted on every call.  Hence d/dx(P*A) at x = 1 is P(1)*A'(1), and
+    A'(1) = sum_n C_n(1) * g_n'(1) needs only the x = 1 inner terms
+    (see `_difference_deriv`).  Everything is integer arithmetic, and
+    P(1)*A'(1) is one integer convolution.  The generic
+    `_difference_sum` over honest x-polynomials is the tests' oracle for
+    this collapse.
     """
     if not 1 <= b <= k - 1:
         raise ValueError("need 1 <= b <= k-1")
-    acc = _difference_sum(
-        family, b, k, DualContext(RAT), _inner_terms_dual_rat(family, order), order
-    )
-    value, deriv = acc.dual_parts()
+    terms = _inner_terms_rat(family, order)
+    value = _difference_sum(family, b, k, PlainContext(RAT), terms, order)
     if not value.is_zero():
         raise AssertionError("x = 1 evaluation of the inner difference sum must vanish")
+    deriv = _difference_deriv(family, b, k, terms, order)
     return -(_prefactor_rat(family, order) * deriv)
 
 
@@ -613,3 +645,12 @@ def closed_form(form_id: str, order: int) -> QSeries:
             f"unknown form id {form_id!r}; known ids: {', '.join(form_ids())}"
         ) from None
     return builder(order)
+
+
+def clear_caches():
+    """Drop every memoized series of this module (mainly for tests)."""
+    _inner_terms_rat.cache_clear()
+    _prefactor_rat.cache_clear()
+    rank_gf.cache_clear()
+    nt_diff_gf.cache_clear()
+    closed_form.cache_clear()

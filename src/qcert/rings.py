@@ -10,7 +10,9 @@ Four domains are supported:
   other domain lifts its rational coefficients through it,
 * ``LaurentPoly`` -- Laurent polynomials in the rank variable z,
 * ``DualScalar`` -- first-order jets a + b*eps with eps^2 = 0, used to
-  evaluate d/dx at x = 1 exactly alongside the value,
+  evaluate d/dx at x = 1 exactly alongside the value in the main
+  transformation check and ``derivative_check`` (the part-count series
+  need no jets: they read the derivative from x = 1 integer terms),
 * ``XPoly`` -- honest polynomials in x, the independent second route for
   validating the dual-number derivative.
 
@@ -224,7 +226,10 @@ class LaurentPoly:
 
 
 class DualScalar:
-    """First-order jet value + deriv*eps over a base domain (eps^2 = 0)."""
+    """First-order jet value + deriv*eps over a base domain (eps^2 = 0).
+
+    Serves ``thmain_check`` and ``derivative_check``; ``nt_diff_gf``
+    reads its derivative from the x = 1 inner terms over integers."""
 
     __slots__ = ("value", "deriv")
 

@@ -231,9 +231,11 @@ class QSeries:
             return NotImplemented
         self._check_ring(other)
         n = min(self.order, other.order)
+        a, b = self.coeffs, other.coeffs
+        if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+            return QSeries(self.ring, n, _int_product(a, b, n))
         zero = self.ring.zero
         out = [zero] * (n + 1)
-        a, b = self.coeffs, other.coeffs
         for i in range(min(len(a) - 1, n) + 1):
             ai = a[i]
             if not ai:
@@ -441,6 +443,47 @@ class QSeries:
                 bits.append(qs if cs == "1" else f"{cs}*{qs}")
         body = " + ".join(bits) if bits else "0"
         return f"{body} + O(q^{self.order + 1})".replace("+ -", "- ")
+
+
+def _pack(coeffs, width: int, nbytes: int) -> int:
+    """sum_i coeffs[i] * 2^(width*i), for |coeffs[i]| < 2^(width-1).
+
+    Each coefficient is written as a two's-complement digit; a negative
+    digit c is read back as c + 2^width, so one unit is borrowed from the
+    digit above it."""
+    digits = b"".join(c.to_bytes(nbytes, "little", signed=True) for c in coeffs)
+    one, nil = b"\x01" + bytes(nbytes - 1), bytes(nbytes)
+    borrows = b"".join(one if c < 0 else nil for c in coeffs)
+    return int.from_bytes(digits, "little") - (int.from_bytes(borrows, "little") << width)
+
+
+def _int_product(a: list, b: list, n: int) -> list:
+    """Coefficients 0..n of the product of two int coefficient lists,
+    by one big-integer product (Kronecker substitution).
+
+    Each list is packed into one integer with a digit width that no
+    product coefficient can overflow: |c_m| <= max|a| * max|b| *
+    min(len a, len b), plus a sign bit.  The product's digits are then
+    read back with an offset of half a digit, which makes every digit
+    non-negative so that no digit borrows from the next.
+    """
+    a, b = a[: n + 1], b[: n + 1]
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:
+        return [0] * (n + 1)
+    nbytes = bound.bit_length() // 8 + 1  # leaves the sign bit free
+    width = 8 * nbytes
+    half = 1 << (width - 1)
+    size = len(a) + len(b) - 1
+    offset = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    prod = _pack(a, width, nbytes) * _pack(b, width, nbytes) + offset
+    raw = prod.to_bytes(nbytes * size, "little")
+    out = [
+        int.from_bytes(raw[i : i + nbytes], "little") - half
+        for i in range(0, nbytes * min(size, n + 1), nbytes)
+    ]
+    out.extend([0] * (n + 1 - len(out)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -129,15 +129,59 @@ def test_nt_diff_collapse_matches_uncollapsed_xpoly_product(family):
     from qcert.genfun import _difference_sum, _family_data, _inner_terms
     from qcert.series import XPolyContext, pochhammer_quotient
 
-    order = 24
+    order = 40
     ctx = XPolyContext(RAT)
     d = _family_data(family)
     pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ctx=ctx)
-    for b, k in [(1, 3), (1, 5), (2, 5), (1, 7), (3, 7)]:
-        inner = _difference_sum(family, b, k, ctx, _inner_terms(family, ctx, order), order)
+    terms = tuple(_inner_terms(family, ctx, order))
+    pairs = [(1, 3), (1, 5), (2, 5), (1, 7), (3, 7), (1, 11), (6, 11), (1, 13), (3, 13)]
+    for b, k in pairs:
+        inner = _difference_sum(family, b, k, ctx, terms, order)
         value, deriv = (pref * inner).xpoly_parts()
         assert value.is_zero(), (b, k)
         assert -deriv == nt_diff_gf(family, b, k, order), (b, k)
+
+
+def test_nt_diff_builds_no_dual_numbers(monkeypatch):
+    # the derivative is read from the x = 1 inner terms, over integers
+    import qcert
+    from qcert import rings
+
+    def refuse(self, *args):
+        raise AssertionError("nt_diff_gf built a DualScalar")
+
+    qcert.clear_caches()
+    monkeypatch.setattr(rings.DualScalar, "__init__", refuse)
+    for family in ALL_FAMILIES:
+        series = nt_diff_gf(family, 2, 5, 60)
+        assert all(type(c) is int for c in series.coeffs), family
+
+
+def test_clear_caches_empties_every_lru_cache():
+    # the benchmark worker reads cache_info().currsize of every cached
+    # function in these two modules to decide that a run starts cold
+    import qcert
+    from qcert import combinatorics, genfun
+
+    def filled():
+        return {
+            f"{mod.__name__}.{name}": obj.cache_info().currsize
+            for mod in (combinatorics, genfun)
+            for name, obj in vars(mod).items()
+            if hasattr(obj, "cache_info") and obj.cache_info().currsize
+        }
+
+    nt_diff_gf(Family.OV_M2, 1, 5, 20)
+    rank_gf(Family.DYSON, 8)
+    closed_form("ovm2-ntdiff-1-3-rhs", 20)
+    tally("NTbar", 6, 5)
+    raw_tally("N", 6)
+    warm = {f"qcert.genfun.{name}" for name in (
+        "_inner_terms_rat", "_prefactor_rat", "nt_diff_gf", "rank_gf", "closed_form")}
+    warm |= {"qcert.combinatorics.overpartition_sweep", "qcert.combinatorics.partition_sweep"}
+    assert warm <= set(filled()), filled()
+    qcert.clear_caches()
+    assert filled() == {}
 
 
 @pytest.mark.parametrize("context", ["xpoly-rat", "dual-laurent"])

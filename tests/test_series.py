@@ -5,9 +5,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bruteforce as bf
+from qcert import series as series_module
 from qcert.errors import DivergentProduct, NonUnitConstantTerm, ZeroDenominator
 from qcert.rings import LAURENT, RAT, LaurentPoly
 from qcert.series import (
@@ -15,6 +16,7 @@ from qcert.series import (
     PlainContext,
     QSeries,
     XPolyContext,
+    _int_product,
     bracket_infinite,
     derivative_check,
     lerch_sum,
@@ -419,6 +421,79 @@ def test_binomial_ops_match_general_mul(a, m, c):
         binomial = QSeries.from_terms(RAT, a.order, terms)
         assert a.mul_binomial(c, m) == a * binomial
     assert a.mul_binomial(c, m).div_binomial(c, m) == a
+
+
+# -- the big-integer product of int series -----------------------------------
+
+
+def _loop_product(a, b, n):
+    """Coefficients 0..n of a*b by QSeries' generic loop, which a
+    Fraction coefficient keeps it on."""
+    order = max(len(a), len(b), n + 1) - 1
+
+    def series(cs):
+        cs = [Fraction(c) for c in cs] + [Fraction(0)] * (order + 1 - len(cs))
+        return QSeries(RAT, order, cs)
+
+    return (series(a) * series(b)).coeffs[: n + 1]
+
+
+big_ints = st.one_of(
+    st.just(0), st.just(0), st.integers(min_value=-10**40, max_value=10**40)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(big_ints, min_size=1, max_size=30),
+       st.lists(big_ints, min_size=1, max_size=30),
+       st.integers(min_value=0, max_value=70))
+@example([0], [0], 0)
+@example([0] * 5, [3, -1], 8)
+@example([7], [0] * 9, 4)
+def test_int_product_matches_generic_loop(a, b, n):
+    out = _int_product(a, b, n)
+    assert len(out) == n + 1 and all(type(c) is int for c in out)
+    assert out == _loop_product(a, b, n)
+
+
+@pytest.mark.parametrize("m", [1, 11, 127, 181, 255, 46340, 2**32 - 1, 10**40])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+@pytest.mark.parametrize("length", [2, 60, 300])
+def test_int_product_worst_case_carries(m, signs, length):
+    # every product coefficient is a full sum of +-m^2 terms: the digit
+    # width must cover the number of terms, not only m^2
+    a = [signs[0] * m] * length
+    b = [signs[1] * m] * length
+    assert _int_product(a, b, length) == _loop_product(a, b, length)
+
+
+def test_int_series_product_takes_the_big_int_path(monkeypatch):
+    a = pochhammer_infinite(mono(1, 1), 1, order=40)
+    b = pochhammer_infinite(mono(-1, 1), 1, order=40).invert()
+    want = _loop_product(a.coeffs, b.coeffs, 40)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _int_product(*args)
+
+    monkeypatch.setattr(series_module, "_int_product", counted)
+    assert (a * b).coeffs == want and len(calls) == 1
+
+
+def test_fraction_series_product_stays_on_generic_loop(monkeypatch):
+    # a bilateral sum's n = 0 term is exactly 1/2
+    half = lerch_sum(quad=1, lin=1, denom_step=3, denom_sign=1, order=30)
+    assert any(isinstance(c, Fraction) for c in half.coeffs)
+    ints = pochhammer_infinite(mono(1, 1), 1, order=30)
+    want = bf.coeffs(bf.poly_mul(dict(enumerate(half.coeffs)), dict(enumerate(ints.coeffs)), 30), 30)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction series took the int path")
+
+    monkeypatch.setattr(series_module, "_int_product", refuse)
+    assert (half * ints).coeffs == want
+    assert (ints * half).coeffs == want
 
 
 # -- dual derivative vs polynomial oracle -----------------------------------
