@@ -83,7 +83,7 @@ def expand(form_id, order, mod_p, fmt, output):
 @main.command()
 @click.option("--family", required=True, type=click.Choice(sorted(TALLY_FAMILIES)),
               help="Statistic family (NT* sum parts, N* count objects, Momega sums ones).")
-@click.option("--k", type=int, required=True, help="Modulus for the residue classes.")
+@click.option("--k", type=click.IntRange(min=1), required=True, help="Modulus for the residue classes.")
 @click.option("--n", "single_n", type=int, default=None, help="Single weight n.")
 @click.option("--n-range", "n_range", default=None, help="Weight range lo:hi (inclusive).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="csv")
@@ -93,8 +93,6 @@ def stat(family, k, single_n, n_range, fmt, unsafe_bounds, output):
     """Tally a statistic family by residue class via enumeration."""
     if (single_n is None) == (n_range is None):
         raise click.UsageError("give exactly one of --n or --n-range")
-    if k < 1:
-        raise click.UsageError("modulus must be >= 1")
     if single_n is not None:
         lo = hi = single_n
     else:
@@ -141,13 +139,14 @@ def _config_from_flags(strict, unsafe_bounds, seed, explore, enum_bounds=()) -> 
     for item in enum_bounds:
         try:
             key, _, val = item.partition("=")
-            if key not in cfg.enum_bounds:
+            bound = int(val)
+            if key not in cfg.enum_bounds or bound < 0:
                 raise ValueError
-            cfg.enum_bounds[key] = int(val)
+            cfg.enum_bounds[key] = bound
         except ValueError:
             raise click.UsageError(
                 f"--enum-bound must look like family=N with family in "
-                f"{sorted(cfg.enum_bounds)}; got {item!r}"
+                f"{sorted(cfg.enum_bounds)} and N >= 0; got {item!r}"
             )
     return cfg
 

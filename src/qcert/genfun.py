@@ -20,10 +20,12 @@ x = 1 only: integer series throughout (see ``nt_diff_gf``).  Each
 family has one prefactor, shared by the part-count series and the main
 transformation.
 
-The closed forms live in one table, ``_FORM_BUILDERS``.  The forms that
-multiply a generating function by an alternating kernel sum all come
-from one builder, ``_kernel_product``, over a three-row table keyed by
-kernel family.
+The closed forms live in one table, ``_FORM_BUILDERS``.  Every infinite
+product in a closed form is one ``pochhammer_quotient`` call, its powers
+stated by repeating factor rows (``_poch``, ``_bracket``).  The forms
+that multiply a generating function by an alternating kernel sum all
+come from one builder, ``_kernel_product``, over a three-row table keyed
+by kernel family.
 """
 
 from __future__ import annotations
@@ -35,16 +37,14 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import UnknownFormId, UnsupportedSpecialization
-from .rings import LAURENT, RAT
+from .rings import LAURENT, RAT, LaurentPoly
 from .series import (
     DualContext,
     Monomial,
     PlainContext,
     QSeries,
-    bracket_infinite,
     lerch_sum,
     mono,
-    pochhammer_infinite,
     pochhammer_quotient,
 )
 
@@ -388,17 +388,15 @@ def genovpair_series(d, e, x, order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _conv(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for i, u in a.items():
-        for j, v in b.items():
-            k = i + j
-            w = out.get(k, 0) + u * v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-    return out
+def _poch(c, e: int, step: int, k: int = 1) -> tuple:
+    """Factor rows of (c q^e; q^step)_inf^k for `pochhammer_quotient`."""
+    return ((mono(c, e), step),) * k
+
+
+def _bracket(c, e: int, modulus: int, k: int = 1) -> tuple:
+    """Factor rows of [c q^e; q^modulus]_inf^k for `pochhammer_quotient`."""
+    a = mono(c, e)
+    return ((a, modulus), (a.bracket_partner(modulus), modulus)) * k
 
 
 # kernel family -> (generating function, its multiplier, quad(n), y-step)
@@ -413,10 +411,11 @@ _KERNELS = {
 }
 
 
-def _kernel_sum(family: Family, ypoly: dict, denoms, order: int) -> QSeries:
+def _kernel_sum(family: Family, ypoly, denoms, order: int) -> QSeries:
     """sum_{n>=1} (-1)^n q^{quad(n)} (sum_j ypoly[j] q^{step*n*j})
     / prod_{(sgn, mult) in denoms} (1 + sgn * q^{mult*n}), truncated at
-    `order`, with quad and step from the kernel family's row."""
+    `order`, with quad and step from the kernel family's row; `ypoly`
+    is a dict or LaurentPoly, read through its items()."""
     _, _, quad, ystep = _KERNELS[family]
     acc = QSeries.zeros(RAT, order)
     n = 1
@@ -437,7 +436,7 @@ def _kernel_sum(family: Family, ypoly: dict, denoms, order: int) -> QSeries:
     return acc
 
 
-def _kernel_product(family: Family, ypoly: dict, denoms, order: int) -> QSeries:
+def _kernel_product(family: Family, ypoly, denoms, order: int) -> QSeries:
     """The kernel family's generating function (times its multiplier)
     times the kernel sum."""
     gf, mult, _, _ = _KERNELS[family]
@@ -446,10 +445,12 @@ def _kernel_product(family: Family, ypoly: dict, denoms, order: int) -> QSeries:
 
 
 # (y - 1)^3 (y^2 - 1) times the brace polynomial of each mod-5 form
-_CUBE_DIFF = _conv({0: -1, 1: 3, 2: -3, 3: 1}, {0: -1, 2: 1})
-_QUINTIC_FULL = _conv(_CUBE_DIFF, {0: 1, 1: 2, 2: 4, 3: 2, 4: 1})
-_QUINTIC_MID = _conv(_CUBE_DIFF, {1: 2, 2: 1, 3: 2})
-_QUARTIC = {0: 1, 1: -4, 2: 6, 3: -4, 4: 1}  # (y - 1)^4
+_Y_MINUS_1 = LaurentPoly({0: -1, 1: 1})
+_CUBE = _Y_MINUS_1 * _Y_MINUS_1 * _Y_MINUS_1
+_CUBE_DIFF = _CUBE * LaurentPoly({0: -1, 2: 1})
+_QUINTIC_FULL = _CUBE_DIFF * LaurentPoly({0: 1, 1: 2, 2: 4, 3: 2, 4: 1})
+_QUINTIC_MID = _CUBE_DIFF * LaurentPoly({1: 2, 2: 1, 3: 2})
+_QUARTIC = _CUBE * _Y_MINUS_1  # (y - 1)^4
 
 
 def _sbar2(b: int, order: int) -> QSeries:
@@ -468,31 +469,6 @@ def _s2(b: int, order: int) -> QSeries:
     )
 
 
-
-def _theta_base9_lhs(order: int) -> QSeries:
-    # the matching cube on both bracket factors is forced by the identity's
-    # own derivation (and by expansion); see also _theta_base9_lhs_alt
-    num = bracket_infinite(mono(1, 3), 9, order=order).pow(3) * pochhammer_infinite(
-        mono(1, 9), 9, order=order
-    ).pow(2)
-    den = bracket_infinite(mono(-1, 3), 9, order=order).pow(3) * pochhammer_infinite(
-        mono(-1, 9), 9, order=order
-    ).pow(2)
-    return num * den.invert()
-
-
-def _theta_base9_lhs_alt(order: int) -> QSeries:
-    """Same quotient rewritten over base-3 Pochhammers, an independent
-    construction used to cross-check the bracket form."""
-    num = pochhammer_infinite(mono(1, 3), 3, order=order).pow(3) * pochhammer_infinite(
-        mono(-1, 9), 9, order=order
-    )
-    den = pochhammer_infinite(mono(-1, 3), 3, order=order).pow(
-        3
-    ) * pochhammer_infinite(mono(1, 9), 9, order=order)
-    return num * den.invert()
-
-
 def _base9_sums(c_shift: int, order: int) -> tuple[QSeries, QSeries, QSeries]:
     """The three base-9 bilateral sums of the theta and mod-3 forms.  The
     first leaves out its n = 0 term, exactly 1/2, which each caller adds
@@ -509,30 +485,30 @@ def _base9_sums(c_shift: int, order: int) -> tuple[QSeries, QSeries, QSeries]:
     return a, b, c
 
 
+# (-q^9; q^9)_inf^2 / [-q^3; q^9]_inf, shared by both theta right-hand sides
+_THETA_RATIO = (_poch(-1, 9, 9, 2), _bracket(-1, 3, 9))
+
+
 def _theta_base9_rhs(order: int) -> QSeries:
     a, b, c = _base9_sums(9, order)
-    ratio = pochhammer_infinite(mono(-1, 9), 9, order=order).pow(
-        2
-    ) * bracket_infinite(mono(-1, 3), 9, order=order).invert()
+    ratio = pochhammer_quotient(*_THETA_RATIO, order=order)
     # twice the first sum's n = 0 term is the leading 1
     return QSeries.one(RAT, order) + a.mul_scalar(2) - b.mul_scalar(2) + ratio.mul_scalar(4) * c
 
 
 def _theta_overpartition_rhs(order: int) -> QSeries:
-    lead = pochhammer_infinite(mono(1, 18), 18, order=order).pow(3)
-    den = (
-        bracket_infinite(mono(1, 3), 18, order=order).pow(8)
-        * pochhammer_infinite(mono(1, 6), 6, order=order).pow(4)
-        * bracket_infinite(mono(1, 9), 18, order=order)
+    lead = pochhammer_quotient(
+        _poch(1, 18, 18, 3),
+        _bracket(1, 3, 18, 8) + _poch(1, 6, 6, 4) + _bracket(1, 9, 18),
+        order=order,
     )
-    e = pochhammer_infinite(mono(-1, 9), 9, order=order)
-    finv = bracket_infinite(mono(-1, 3), 9, order=order).invert()
+    ratio = pochhammer_quotient(*_THETA_RATIO, order=order)
     inner = (
         QSeries.one(RAT, order)
-        + (e.pow(2) * finv).shift(1, cap=order).mul_scalar(2)
-        + (e.pow(4) * finv.pow(2)).shift(2, cap=order).mul_scalar(4)
+        + ratio.shift(1, cap=order).mul_scalar(2)
+        + (ratio * ratio).shift(2, cap=order).mul_scalar(4)
     )
-    return lead * den.invert() * inner
+    return lead * inner
 
 
 def _mod3_kernel_base9(order: int) -> QSeries:
@@ -541,35 +517,16 @@ def _mod3_kernel_base9(order: int) -> QSeries:
     return a - b + c
 
 
-def _eta7_quotient(order: int, mid_pow: int, low_pow: int) -> QSeries:
-    num = (
-        pochhammer_infinite(mono(1, 7), 7, order=order).pow(3)
-        * (
-            pochhammer_infinite(mono(1, 3), 7, order=order)
-            * pochhammer_infinite(mono(1, 4), 7, order=order)
-        ).pow(mid_pow)
-    )
-    den = (
-        pochhammer_infinite(mono(1, 1), 7, order=order)
-        * pochhammer_infinite(mono(1, 6), 7, order=order)
-        * (
-            pochhammer_infinite(mono(1, 2), 7, order=order)
-            * pochhammer_infinite(mono(1, 5), 7, order=order)
-        ).pow(low_pow)
-    )
-    return num.mul_scalar(-7) * den.invert()
-
-
 _FORM_BUILDERS: dict[str, Callable[[int], QSeries]] = {
-    "partition-gf": lambda order: pochhammer_infinite(mono(1, 1), 1, order=order).invert(),
-    "overpartition-gf": lambda order: (
-        pochhammer_infinite(mono(-1, 1), 1, order=order)
-        * pochhammer_infinite(mono(1, 1), 1, order=order).invert()
+    "partition-gf": lambda order: pochhammer_quotient((), _poch(1, 1, 1), order=order),
+    "overpartition-gf": lambda order: pochhammer_quotient(
+        _poch(-1, 1, 1), _poch(1, 1, 1), order=order
     ),
-    "overpartition-pair-gf": lambda order: closed_form("overpartition-gf", order).pow(2),
-    "distinct-odd-gf": lambda order: (
-        pochhammer_infinite(mono(-1, 1), 2, order=order)
-        * pochhammer_infinite(mono(1, 2), 2, order=order).invert()
+    "overpartition-pair-gf": lambda order: pochhammer_quotient(
+        _poch(-1, 1, 1, 2), _poch(1, 1, 1, 2), order=order
+    ),
+    "distinct-odd-gf": lambda order: pochhammer_quotient(
+        _poch(-1, 1, 2), _poch(1, 2, 2), order=order
     ),
     "ovm2-ntdiff-1-5-rhs": lambda order: _kernel_product(
         Family.OV_M2, _QUINTIC_FULL, ((1, 2), (-1, 10), (-1, 10)), order
@@ -601,8 +558,20 @@ _FORM_BUILDERS: dict[str, Callable[[int], QSeries]] = {
         Family.OV_RANK, {0: 1, 1: 1}, ((1, 3),), order
     ),
     "theta-overpartition-rhs": _theta_overpartition_rhs,
-    "theta-base9-lhs": _theta_base9_lhs,
-    "theta-base9-lhs-alt": _theta_base9_lhs_alt,
+    # the matching cube on both bracket factors is forced by the identity's
+    # own derivation (and by expansion)
+    "theta-base9-lhs": lambda order: pochhammer_quotient(
+        _bracket(1, 3, 9, 3) + _poch(1, 9, 9, 2),
+        _bracket(-1, 3, 9, 3) + _poch(-1, 9, 9, 2),
+        order=order,
+    ),
+    # the same quotient over base-3 Pochhammers, an independent
+    # construction used to cross-check the bracket form
+    "theta-base9-lhs-alt": lambda order: pochhammer_quotient(
+        _poch(1, 3, 3, 3) + _poch(-1, 9, 9),
+        _poch(-1, 3, 3, 3) + _poch(1, 9, 9),
+        order=order,
+    ),
     "theta-base9-rhs": _theta_base9_rhs,
     "ovm2-mod5-kernel-onesided": lambda order: _kernel_product(
         Family.OV_M2, {0: 1, 1: -3, 2: 3, 3: -1}, ((-1, 10),), order
@@ -622,12 +591,20 @@ _FORM_BUILDERS: dict[str, Callable[[int], QSeries]] = {
     "ovm2-count-diff-1-2-5-rhs": lambda order: -closed_form("ovm2-mod5-kernel", order),
     "dom2-count-diff-1-2-5": lambda order: rank_count_diff(Family.DO_M2, 1, 2, 5, order),
     "dom2-count-diff-1-2-5-rhs": lambda order: -closed_form("dom2-mod5-kernel", order),
-    "eta7-rank-7n5-rhs": lambda order: _eta7_quotient(order, 1, 2),
-    "eta7-rank-7n4-rhs": lambda order: _eta7_quotient(order, 2, 3),
-    "eta5-crank-rank-5n4-rhs": lambda order: (
-        pochhammer_infinite(mono(1, 5), 5, order=order).pow(4).mul_scalar(-5)
-        * pochhammer_infinite(mono(1, 1), 1, order=order).invert()
-    ),
+    # [q^a; q^7]_inf is (q^a, q^{7-a}; q^7)_inf
+    "eta7-rank-7n5-rhs": lambda order: pochhammer_quotient(
+        _poch(1, 7, 7, 3) + _bracket(1, 3, 7),
+        _bracket(1, 1, 7) + _bracket(1, 2, 7, 2),
+        order=order,
+    ).mul_scalar(-7),
+    "eta7-rank-7n4-rhs": lambda order: pochhammer_quotient(
+        _poch(1, 7, 7, 3) + _bracket(1, 3, 7, 2),
+        _bracket(1, 1, 7) + _bracket(1, 2, 7, 3),
+        order=order,
+    ).mul_scalar(-7),
+    "eta5-crank-rank-5n4-rhs": lambda order: pochhammer_quotient(
+        _poch(1, 5, 5, 4), _poch(1, 1, 1), order=order
+    ).mul_scalar(-5),
 }
 
 

@@ -311,14 +311,6 @@ class QSeries:
                 out[n] = -(inv0 * acc)
         return QSeries(self.ring, self.order, out)
 
-    def pow(self, k: int) -> "QSeries":
-        if k < 0:
-            return self.invert().pow(-k)
-        acc = QSeries.one(self.ring, self.order)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
     # -- reshaping ---------------------------------------------------------
 
     def truncate(self, order: int) -> "QSeries":

@@ -20,6 +20,7 @@ from qcert.combinatorics import (
     count_overpartitions,
     count_partitions,
     pair_rank,
+    raw_tally,
 )
 from qcert.genfun import Family, closed_form, nt_diff_gf, thmain_check
 from qcert.rings import LAURENT, RAT, DualScalar, LaurentPoly
@@ -42,14 +43,23 @@ def test_accept_01_counting_oracles():
     dgf = closed_form("distinct-odd-gf", 40)
     prgf = closed_form("overpartition-pair-gf", 24)
     assert int(pgf.coeffs[4]) == 5 and int(ogf.coeffs[4]) == 14
+    # the counting oracle the registry reads, at the stated orders
+    for family, gf, top in (("N", pgf, 40), ("N2", dgf, 40), ("Nbar", ogf, 40),
+                            ("Npair", prgf, 24)):
+        for n in range(top + 1):
+            assert sum(raw_tally(family, n).values()) == gf.coeffs[n], (family, n)
+    # the object walks, that oracle's reference, to where they stay cheap
     for n in range(41):
-        assert count_partitions(n) == int(pgf.coeffs[n])
-        assert count_distinct_odd(n) == int(dgf.coeffs[n])
-        assert count_overpartitions(n) == int(ogf.coeffs[n])
-    for n in range(25):
-        assert count_overpartition_pairs(n) == int(prgf.coeffs[n])
+        assert count_partitions(n) == pgf.coeffs[n]
+        assert count_distinct_odd(n) == dgf.coeffs[n]
+    for n in range(31):
+        assert count_overpartitions(n) == ogf.coeffs[n]
+    for n in range(17):
+        assert count_overpartition_pairs(n) == prgf.coeffs[n]
     ok("01 counting-oracles",
-       "(partitions, overpartitions, distinct-odd to n=40; pairs to n=24)")
+       "(counting oracle: partitions, overpartitions, distinct-odd to n=40, "
+       "pairs to n=24; object walks: partitions, distinct-odd to n=40, "
+       "overpartitions to n=30 (was 40), pairs to n=16 (was 24))")
 
 
 # -- 2. worked rank examples --------------------------------------------------

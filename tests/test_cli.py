@@ -85,6 +85,8 @@ def test_stat_range_and_bounds():
     assert len(res.output.strip().splitlines()) == 1 + 7 * 3
     res = run("stat", "--family", "NTpair", "--k", "3", "--n", "70")
     assert res.exit_code != 0  # beyond the pair enumeration bound
+    res = run("stat", "--family", "NT", "--k", "0", "--n", "3")
+    assert res.exit_code == 2 and "x>=1" in res.output
 
 
 def test_verify_single_check_and_report(tmp_path):
@@ -119,6 +121,12 @@ def test_verify_enum_bound_override():
     assert res.exit_code == 0
     res = run("verify", "--only", "T1", "--enum-bound", "bogus=3")
     assert res.exit_code == 2
+    # a negative limit used to be accepted and SKIP every check it governs,
+    # so a run that certified nothing exited 0
+    res = run("verify", "--only", "NT5-I1,CJ-MW5-EQ-5N4", "--order", "30",
+              "--enum-bound", "partition=-1")
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "N >= 0" in res.output and "SKIPPED" not in res.output
 
 
 def test_verify_seed_changes_only_samples():
