@@ -16,7 +16,7 @@ from .combinatorics import DEFAULT_BOUNDS, FAMILY_BOUND_KEY, TALLY_FAMILIES, tal
 from .errors import QcertError
 from .genfun import closed_form, form_ids
 from .series import series_to_json
-from .verify import VerifyConfig, run_all, select_specs
+from .verify import _XCHECKS, VerifyConfig, run_all, select_specs
 
 _CATEGORIES = "theorems, classic, new, conjectures, identities, xchecks"
 
@@ -217,7 +217,7 @@ def verify(only, order, strict_conjectures, unsafe_bounds, seed, enum_bounds, ex
 
 @main.command()
 @click.option("--family", required=True,
-              type=click.Choice(["dyson", "ov-rank", "ov-m2", "do-m2", "pair"]),
+              type=click.Choice(list(_XCHECKS)),
               help="Which enumeration oracle to compare against the series engine.")
 @click.option("--max-n", type=click.IntRange(min=0), default=None, help="Largest weight to compare.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
@@ -225,15 +225,8 @@ def verify(only, order, strict_conjectures, unsafe_bounds, seed, enum_bounds, ex
 @click.option("--output", type=click.Path(), default=None)
 def crosscheck(family, max_n, fmt, report_path, output):
     """Compare the series engine against exhaustive enumeration."""
-    spec_id = {
-        "dyson": "X-RANK-PART",
-        "ov-rank": "X-RANK-OV",
-        "ov-m2": "X-M2-OV",
-        "do-m2": "X-M2-DO",
-        "pair": "X-PAIR",
-    }[family]
     try:
-        result = run_all(only=spec_id, order=max_n, config=VerifyConfig())
+        result = run_all(only=_XCHECKS[family].id, order=max_n, config=VerifyConfig())
     except QcertError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

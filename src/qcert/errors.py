@@ -29,10 +29,6 @@ class UnknownFormId(QcertError):
     """No closed form registered under the requested id."""
 
 
-class UnsupportedSpecialization(QcertError):
-    """The requested specialization family is out of scope."""
-
-
 class InsufficientOrder(QcertError):
     """Truncation order too small to sample the check's progression."""
 

@@ -9,7 +9,9 @@ rank generating function
 obtained at (d, e) = (0, 0), (1, 0), (1, 1/q with q -> q^2) and
 (0, 1/q with q -> q^2).  The two q^2 families absorb the base change
 into every Pochhammer argument, which is what makes their coefficient
-distributions match the enumeration oracle.
+distributions match the enumeration oracle.  ``Family`` names exactly
+these four; the generic pair series, at sampled numeric weights, is
+``genovpair_series``.
 
 Part-count difference series (total parts in objects with statistic
 congruent to b, minus those congruent to k - b) are produced by
@@ -36,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .errors import UnknownFormId, UnsupportedSpecialization
+from .errors import UnknownFormId
 from .rings import LAURENT, RAT, LaurentPoly
 from .series import (
     DualContext,
@@ -52,7 +54,6 @@ from .series import (
 class Family(str, Enum):
     """Rank statistic families, named by object family and statistic."""
 
-    PAIR_GENERIC = "pair-generic"
     DYSON = "dyson"
     OV_RANK = "ov-rank"
     OV_M2 = "ov-m2"
@@ -78,54 +79,50 @@ class _FamilyData:
 _X = 1  # marker for readability: monomials with xexp=1 carry one power of x
 
 
-def _family_data(family: Family) -> _FamilyData:
-    if family == Family.DYSON:
-        return _FamilyData(
-            qstep=1,
-            lhs_extra=(),
-            lhs_quad=lambda n: n * n,
-            pref_num=(),
-            pref_den=((mono(1, 1, xexp=_X), 1),),
-            inner_num=(mono(1, 1, xexp=_X),),
-            inner_den=(),
-            inner_quad=lambda n: (3 * n * n + n) // 2,
-        )
-    if family == Family.OV_RANK:
-        return _FamilyData(
-            qstep=1,
-            lhs_extra=(mono(-1, 0),),
-            lhs_quad=lambda n: n * (n + 1) // 2,
-            pref_num=((mono(-1, 1, xexp=_X), 1),),
-            pref_den=((mono(1, 1, xexp=_X), 1),),
-            inner_num=(mono(1, 1, xexp=_X), mono(-1, 0)),
-            inner_den=(mono(-1, 1, xexp=_X),),
-            inner_quad=lambda n: n * n + n,
-        )
-    if family == Family.OV_M2:
-        # the base-q^2 split (-xq^2, -xq; q^2)_inf / (xq^2, xq; q^2)_inf of
-        # the specialized prefactor, merged into base q
-        return _FamilyData(
-            qstep=2,
-            lhs_extra=(mono(-1, 0), mono(-1, 1)),
-            lhs_quad=lambda n: n,
-            pref_num=((mono(-1, 1, xexp=_X), 1),),
-            pref_den=((mono(1, 1, xexp=_X), 1),),
-            inner_num=(mono(1, 2, xexp=_X), mono(-1, 0), mono(-1, 1)),
-            inner_den=(mono(-1, 2, xexp=_X), mono(-1, 1, xexp=_X)),
-            inner_quad=lambda n: n * n + 2 * n,
-        )
-    if family == Family.DO_M2:
-        return _FamilyData(
-            qstep=2,
-            lhs_extra=(mono(-1, 1),),
-            lhs_quad=lambda n: n * n,
-            pref_num=((mono(-1, 1, xexp=_X), 2),),
-            pref_den=((mono(1, 2, xexp=_X), 2),),
-            inner_num=(mono(1, 2, xexp=_X), mono(-1, 1)),
-            inner_den=(mono(-1, 1, xexp=_X),),
-            inner_quad=lambda n: 2 * n * n + n,
-        )
-    raise UnsupportedSpecialization(f"no closed summand for {family}")
+_FAMILY_DATA = {
+    Family.DYSON: _FamilyData(
+        qstep=1,
+        lhs_extra=(),
+        lhs_quad=lambda n: n * n,
+        pref_num=(),
+        pref_den=((mono(1, 1, xexp=_X), 1),),
+        inner_num=(mono(1, 1, xexp=_X),),
+        inner_den=(),
+        inner_quad=lambda n: (3 * n * n + n) // 2,
+    ),
+    Family.OV_RANK: _FamilyData(
+        qstep=1,
+        lhs_extra=(mono(-1, 0),),
+        lhs_quad=lambda n: n * (n + 1) // 2,
+        pref_num=((mono(-1, 1, xexp=_X), 1),),
+        pref_den=((mono(1, 1, xexp=_X), 1),),
+        inner_num=(mono(1, 1, xexp=_X), mono(-1, 0)),
+        inner_den=(mono(-1, 1, xexp=_X),),
+        inner_quad=lambda n: n * n + n,
+    ),
+    # the base-q^2 split (-xq^2, -xq; q^2)_inf / (xq^2, xq; q^2)_inf of
+    # the specialized prefactor, merged into base q
+    Family.OV_M2: _FamilyData(
+        qstep=2,
+        lhs_extra=(mono(-1, 0), mono(-1, 1)),
+        lhs_quad=lambda n: n,
+        pref_num=((mono(-1, 1, xexp=_X), 1),),
+        pref_den=((mono(1, 1, xexp=_X), 1),),
+        inner_num=(mono(1, 2, xexp=_X), mono(-1, 0), mono(-1, 1)),
+        inner_den=(mono(-1, 2, xexp=_X), mono(-1, 1, xexp=_X)),
+        inner_quad=lambda n: n * n + 2 * n,
+    ),
+    Family.DO_M2: _FamilyData(
+        qstep=2,
+        lhs_extra=(mono(-1, 1),),
+        lhs_quad=lambda n: n * n,
+        pref_num=((mono(-1, 1, xexp=_X), 2),),
+        pref_den=((mono(1, 2, xexp=_X), 2),),
+        inner_num=(mono(1, 2, xexp=_X), mono(-1, 1)),
+        inner_den=(mono(-1, 1, xexp=_X),),
+        inner_quad=lambda n: 2 * n * n + n,
+    ),
+}
 
 
 def _inner_terms(family: Family, ctx, order: int, margin=None):
@@ -135,7 +132,7 @@ def _inner_terms(family: Family, ctx, order: int, margin=None):
     `margin(n)` is how far below q^{quad(n)} the caller's bracket can
     reach; iteration continues while quad(n) - margin(n) <= order.
     """
-    d = _family_data(family)
+    d = _FAMILY_DATA[family]
     s = d.qstep
     ring = ctx.ring
     neg_x = -ctx.x_power(1)
@@ -166,7 +163,7 @@ def _inner_terms_rat(family: Family, order: int) -> tuple:
 @lru_cache(maxsize=None)
 def _prefactor_rat(family: Family, order: int) -> QSeries:
     """The part-count prefactor at x = 1, shared across all (b, k)."""
-    d = _family_data(family)
+    d = _FAMILY_DATA[family]
     return pochhammer_quotient(d.pref_num, d.pref_den, order=order, ctx=PlainContext(RAT))
 
 
@@ -196,7 +193,7 @@ def _rank_sum(ctx, extras, quad, qstep: int, scalar, order: int) -> QSeries:
 
 def rank_gf_ctx(family: Family, order: int, ctx) -> QSeries:
     """Rank generating function with x supplied by the context."""
-    d = _family_data(family)
+    d = _FAMILY_DATA[family]
     return _rank_sum(ctx, d.lhs_extra, d.lhs_quad, d.qstep, ctx.x_power(1), order)
 
 
@@ -229,7 +226,7 @@ def rank_count_diff(family: Family, b1: int, b2: int, k: int, order: int) -> QSe
 def _difference_sum(family: Family, b: int, k: int, ctx, terms, order: int) -> QSeries:
     """The inner sum A of the transformed rank sum over the context's
     ring, from that context's inner `terms` (see `_inner_terms`)."""
-    s = _family_data(family).qstep
+    s = _FAMILY_DATA[family].qstep
     ring = ctx.ring
     acc = QSeries.zeros(ring, order)
     xk = ctx.x_power(k)
@@ -259,7 +256,7 @@ def _difference_deriv(family: Family, b: int, k: int, terms, order: int) -> QSer
         g_n'(1) = [(k-b) q^hi - b q^lo + b q^(hi+kn) - (k-b) q^(lo+kn)]
                   / (1 - q^kn)^2
     """
-    s = _family_data(family).qstep
+    s = _FAMILY_DATA[family].qstep
     acc = QSeries.zeros(RAT, order)
     for n, common, quad in terms:
         lo = quad + s * (b - 1) * n
@@ -325,7 +322,7 @@ class IdentityReport:
 
 
 def _thmain_rhs(family: Family, ctx, order: int) -> QSeries:
-    d = _family_data(family)
+    d = _FAMILY_DATA[family]
     s = d.qstep
     ring = ctx.ring
     z = ctx.lift_zc(1, 1)
@@ -401,7 +398,7 @@ def _bracket(c, e: int, modulus: int, k: int = 1) -> tuple:
 
 # kernel family -> (generating function, its multiplier, quad(n), y-step)
 # of sum_{n>=1} (-1)^n q^{quad(n)} ypoly(q^{step*n}) / prod (1 + sgn q^{mult*n}).
-# The quadratics are written out here rather than read from _family_data:
+# The quadratics are written out here rather than read from _FAMILY_DATA:
 # the ID-NTDIFF identities compare nt_diff_gf, which reads inner_quad,
 # against these forms, so the two routes must not share one.
 _KERNELS = {

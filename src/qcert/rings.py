@@ -17,7 +17,9 @@ Four domains are supported:
   validating the dual-number derivative.
 
 Every value is immutable after construction and all operations return
-fresh objects.
+fresh objects.  Ring descriptors compare equal when their base rings
+do; they are compared, never hashed, so each evaluation context builds
+its own.
 """
 
 from __future__ import annotations
@@ -428,9 +430,6 @@ class DualRing:
     def __eq__(self, other):
         return isinstance(other, DualRing) and other.base == self.base
 
-    def __hash__(self):
-        return hash(("dual", id(type(self.base))))
-
     def __repr__(self):
         return f"DUAL({self.base!r})"
 
@@ -461,21 +460,8 @@ class XPolyRing:
     def __eq__(self, other):
         return isinstance(other, XPolyRing) and other.base == self.base
 
-    def __hash__(self):
-        return hash(("xpoly", id(type(self.base))))
-
     def __repr__(self):
         return f"XPOLY({self.base!r})"
 
 
 LAURENT = LaurentRing()
-
-_DUAL_CACHE: dict[int, DualRing] = {}
-
-
-def dual_ring(base) -> DualRing:
-    key = id(base)
-    ring = _DUAL_CACHE.get(key)
-    if ring is None:
-        ring = _DUAL_CACHE[key] = DualRing(base)
-    return ring

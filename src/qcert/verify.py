@@ -9,7 +9,10 @@ structural special: it reads the lhs (a closed form, or a statistic
 combination from the difference series plus enumeration) along the
 check's progression, every n when it has none, and compares each value
 with its target: the rhs form's coefficient, or 0, exactly or mod p.
-A spec's kind and engines follow from its other fields.  An engine
+A spec's kind and engines follow from its other fields.  Each
+statistic family's two routes are named once, in ``_XCHECKS``: its
+``X-*`` check, the family's part-count series and the ``crosscheck``
+command's choices are all read from that table.  An engine
 defect inside a check (an exception that is not a package error)
 becomes an ERROR report carrying the exception's type and message, so
 one broken check never loses the whole run's report.  Conjecture checks
@@ -31,13 +34,42 @@ from .errors import EnumBoundExceeded, InsufficientOrder, NotAntisymmetric, Qcer
 from .genfun import Family, closed_form, nt_diff_combo, thmain_check
 from .series import QSeries
 
-# statistic family -> generating-function family for part-count series
-_SERIES_FAMILY = {
-    "NT": Family.DYSON,
-    "NTbar": Family.OV_RANK,
-    "NTbar2": Family.OV_M2,
-    "NT2": Family.DO_M2,
+
+@dataclass(frozen=True)
+class _XCheck:
+    """Where one statistic family's two routes meet: its rank series and
+    count form against the oracle's distribution and object counts, and
+    its part-count difference series against the oracle's part counts."""
+
+    id: str
+    desc: str
+    bound: int
+    rank_family: Family | None  # None: the pair series at unit weights
+    count_family: str
+    part_count_family: str
+    pairs: tuple[tuple[int, int], ...]  # (b, k) part-count differences
+    count_form: str
+
+
+# crosscheck family name (the rank family's value, or "pair") -> X-check
+_XCHECKS = {
+    (x.rank_family.value if x.rank_family else "pair"): x
+    for x in (
+        _XCheck("X-RANK-PART", "partition rank", 30, Family.DYSON, "N", "NT",
+                ((1, 5), (2, 5), (1, 7), (2, 7), (3, 7)), "partition-gf"),
+        _XCheck("X-RANK-OV", "overpartition rank", 24, Family.OV_RANK, "Nbar", "NTbar",
+                ((1, 3),), "overpartition-gf"),
+        _XCheck("X-M2-OV", "overpartition M2-rank", 24, Family.OV_M2, "Nbar2", "NTbar2",
+                ((1, 5), (2, 5), (1, 3)), "overpartition-gf"),
+        _XCheck("X-M2-DO", "distinct-odd M2-rank", 40, Family.DO_M2, "N2", "NT2",
+                ((1, 5), (2, 5)), "distinct-odd-gf"),
+        _XCheck("X-PAIR", "overpartition pair rank", 14, None, "Npair", "NTpair",
+                (), "overpartition-pair-gf"),
+    )
 }
+
+# part-count statistic family -> generating-function family of its series
+_SERIES_FAMILY = {x.part_count_family: x.rank_family for x in _XCHECKS.values() if x.rank_family}
 
 
 @dataclass(frozen=True)
@@ -57,7 +89,7 @@ class StatTerm:
 @dataclass(frozen=True)
 class CheckSpec:
     id: str
-    category: str  # theorem | classic | new | conjecture | identity | xcheck
+    category: str  # theorem | classic | new | conjecture | identity | xcheck | exploratory
     statement: str
     lhs: tuple[StatTerm, ...] = ()
     lhs_form: str | None = None
@@ -67,11 +99,14 @@ class CheckSpec:
     bound: int = 0  # largest weight n examined on the lhs scale
     enum_bound: int | None = None  # enum confirmation range for BOTH
     special: str | None = None  # named runner for structural checks
-    informational: bool = False
 
     @property
     def conjecture(self) -> bool:
         return self.category == "conjecture"
+
+    @property
+    def informational(self) -> bool:
+        return self.category == "exploratory"
 
     @property
     def kind(self) -> str:
@@ -317,10 +352,7 @@ def _run_special(spec: CheckSpec, bound: int, config: VerifyConfig, report: Chec
             _fail(report, n, str(res.lhs.coeffs[n]), str(res.rhs.coeffs[n]))
         return
     if kind == "xcheck":
-        if arg == "pair":
-            _xcheck_pair(spec, bound, config, report)
-        else:
-            _xcheck_rank_distribution(spec, bound, config, report, *_RANK_XCHECKS[arg])
+        _run_xcheck(spec, bound, config, report, _XCHECKS[arg])
         return
     raise QcertError(f"unknown special runner {spec.special!r}")
 
@@ -335,55 +367,47 @@ def _poly_matches_counter(poly, counter) -> bool:
     return table == {m: c for m, c in counter.items() if c}
 
 
-def _xcheck_rank_distribution(spec, bound, config, report, family, count_family,
-                              diff_family, diff_pairs, gf_id):
-    _require_enum_range(spec, [count_family, diff_family], bound, config)
-    g = genfun.rank_gf(family, bound)
+def _run_xcheck(spec, bound, config, report, x: _XCheck):
+    """The family's rank series and count form against the oracle's
+    distribution and object counts at each n <= bound, then its
+    part-count differences; the pair series also at sampled weights."""
+    _require_enum_range(spec, [x.count_family, x.part_count_family], bound, config)
+    if x.rank_family is None:
+        g = genfun.genovpair_series(1, 1, 1, bound)
+    else:
+        g = genfun.rank_gf(x.rank_family, bound)
+    counts = closed_form(x.count_form, bound)
     for n in range(bound + 1):
-        if not _poly_matches_counter(g.coeffs[n], raw_tally(count_family, n)):
-            _fail(report, n, str(g.coeffs[n]),
-                  str(dict(sorted(raw_tally(count_family, n).items()))))
+        dist = raw_tally(x.count_family, n)
+        if not _poly_matches_counter(g.coeffs[n], dist):
+            _fail(report, n, str(g.coeffs[n]), str(dict(sorted(dist.items()))))
             return
-    counts = closed_form(gf_id, bound)
-    for n in range(bound + 1):
-        total = sum(raw_tally(count_family, n).values())
-        if total != counts.coeffs[n]:
-            _fail(report, n, total, str(counts.coeffs[n]))
+        if sum(dist.values()) != counts.coeffs[n]:
+            _fail(report, n, sum(dist.values()), str(counts.coeffs[n]))
             return
-    for b, k in diff_pairs:
-        series = genfun.nt_diff_gf(family, b, k, bound)
+    for b, k in x.pairs:
+        series = genfun.nt_diff_gf(x.rank_family, b, k, bound)
         for n in range(bound + 1):
-            tl = tally(diff_family, n, k)
+            tl = tally(x.part_count_family, n, k)
             want = tl[b] - tl[(k - b) % k]
             if series.coeffs[n] != want:
                 _fail(report, n, str(series.coeffs[n]), want)
                 report.notes.append(f"part-count difference b={b} mod {k}")
                 return
-    report.notes.append(
-        f"distribution, counts, and part-count differences agree to n={bound}"
-    )
+    if x.rank_family is not None:
+        report.notes.append(f"distribution, counts, and part-count differences agree to n={bound}")
+    elif _pair_profile_fails(bound, config, report):
+        return
     report.status = "PASS"
 
 
-def _xcheck_pair(spec, bound, config, report):
-    _require_enum_range(spec, ["Npair"], bound, config)
-    g = genfun.genovpair_series(1, 1, 1, bound)
-    counts = closed_form("overpartition-pair-gf", bound)
-    for n in range(bound + 1):
-        sweep = comb.pair_sweep(n)["rank_count"]
-        if not _poly_matches_counter(g.coeffs[n], sweep):
-            _fail(report, n, str(g.coeffs[n]), str(dict(sorted(sweep.items()))))
-            return
-        if sum(sweep.values()) != counts.coeffs[n]:
-            _fail(report, n, sum(sweep.values()), str(counts.coeffs[n]))
-            return
-    # joint profile vs the generic series at sampled integer weights
+def _pair_profile_fails(bound, config, report) -> bool:
+    """Compare the oracle's joint pair profile with the generic pair
+    series at sampled integer weights; record the first mismatch."""
     samples = [(2, 1, 1), (1, 2, 1), (2, 3, 1), (1, 1, 2), (3, 2, 2)]
     if config.seed:
         rng = random.Random(config.seed)
-        samples = samples + [
-            tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(2)
-        ]
+        samples += [tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(2)]
     profile_to = min(bound, 10)
     for d, e, x in samples:
         series = genfun.genovpair_series(d, e, x, profile_to)
@@ -395,24 +419,12 @@ def _xcheck_pair(spec, bound, config, report):
             if got != {m: v for m, v in want.items() if v}:
                 _fail(report, n, str(series.coeffs[n]), str(dict(sorted(want.items()))))
                 report.notes.append(f"sampled weights (d,e,x)=({d},{e},{x})")
-                return
+                return True
     report.notes.append(
         f"rank distribution to n={bound}; joint profile at {len(samples)} "
         f"sampled weights to n={profile_to}"
     )
-    report.status = "PASS"
-
-
-# key -> (rank family, count family, part-count family, (b, k) pairs,
-#         count form)
-_RANK_XCHECKS = {
-    "rank-part": (Family.DYSON, "N", "NT",
-                  [(1, 5), (2, 5), (1, 7), (2, 7), (3, 7)], "partition-gf"),
-    "rank-ov": (Family.OV_RANK, "Nbar", "NTbar", [(1, 3)], "overpartition-gf"),
-    "m2-ov": (Family.OV_M2, "Nbar2", "NTbar2",
-              [(1, 5), (2, 5), (1, 3)], "overpartition-gf"),
-    "m2-do": (Family.DO_M2, "N2", "NT2", [(1, 5), (2, 5)], "distinct-odd-gf"),
-}
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +483,7 @@ def registry() -> list[CheckSpec]:
     return list(_REGISTRY)
 
 
-def _congruence(id, category, terms, p, prog, bound, enum_bound=None, informational=False):
+def _congruence(id, category, terms, p, prog, bound, enum_bound=None):
     """A combination along a progression: = 0 (mod p), or exactly 0 (an
     EXACT_RELATION) when p is None."""
     i, step = prog
@@ -485,7 +497,6 @@ def _congruence(id, category, terms, p, prog, bound, enum_bound=None, informatio
         progression=prog,
         bound=bound,
         enum_bound=enum_bound,
-        informational=informational,
     )
 
 
@@ -676,7 +687,7 @@ def _build_registry() -> list[CheckSpec]:
         _identity("CG-DIS-MOD3", "identity", "mod3-combined-rhs", 200,
                   terms=t2_terms, modulus=3)
     )
-    for fam in (Family.DYSON, Family.OV_RANK, Family.OV_M2, Family.DO_M2):
+    for fam in Family:
         specs.append(
             CheckSpec(
                 id=f"ID-MAIN-{fam.name.replace('_', '')}",
@@ -691,20 +702,14 @@ def _build_registry() -> list[CheckSpec]:
         )
 
     # --- oracle cross-checks --------------------------------------------
-    for id_, key, bound, desc in [
-        ("X-RANK-PART", "rank-part", 30, "partition rank"),
-        ("X-RANK-OV", "rank-ov", 24, "overpartition rank"),
-        ("X-M2-OV", "m2-ov", 24, "overpartition M2-rank"),
-        ("X-M2-DO", "m2-do", 40, "distinct-odd M2-rank"),
-        ("X-PAIR", "pair", 14, "overpartition pair rank"),
-    ]:
+    for key, x in _XCHECKS.items():
         specs.append(
             CheckSpec(
-                id=id_,
+                id=x.id,
                 category="xcheck",
-                statement=f"series engine matches exhaustive enumeration ({desc})",
+                statement=f"series engine matches exhaustive enumeration ({x.desc})",
                 special=f"xcheck:{key}",
-                bound=bound,
+                bound=x.bound,
             )
         )
 
@@ -718,9 +723,7 @@ def _build_registry() -> list[CheckSpec]:
         for i in range(p):
             if i not in stated:
                 specs.append(_congruence(
-                    f"{base_id}-SCAN-I{i}", "exploratory", terms, p, (i, p), 60,
-                    informational=True,
-                ))
+                    f"{base_id}-SCAN-I{i}", "exploratory", terms, p, (i, p), 60))
     return specs
 
 

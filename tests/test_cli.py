@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from qcert.cli import main
@@ -153,6 +154,32 @@ def test_crosscheck_dyson():
     res = run("crosscheck", "--family", "dyson", "--max-n", "16")
     assert res.exit_code == 0
     assert "PASS" in res.output
+
+
+XCHECK_IDS = {
+    "dyson": "X-RANK-PART",
+    "ov-rank": "X-RANK-OV",
+    "ov-m2": "X-M2-OV",
+    "do-m2": "X-M2-DO",
+    "pair": "X-PAIR",
+}
+
+
+def _without_ms(report: dict) -> dict:
+    return {**report, "checks": [{k: v for k, v in c.items() if k != "ms"}
+                                 for c in report["checks"]]}
+
+
+@pytest.mark.parametrize("family", list(XCHECK_IDS))
+def test_crosscheck_runs_its_xcheck(family):
+    choices = next(p for p in main.commands["crosscheck"].params if p.name == "family").type.choices
+    assert list(choices) == list(XCHECK_IDS)
+    res = run("crosscheck", "--family", family, "--format", "json")
+    assert res.exit_code == 0
+    got = json.loads(res.output)
+    assert [c["id"] for c in got["checks"]] == [XCHECK_IDS[family]]
+    want = json.loads(run("verify", "--only", XCHECK_IDS[family], "--format", "json").output)
+    assert _without_ms(got) == _without_ms(want)
 
 
 def test_list_checks():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcert.combinatorics import raw_tally, tally
-from qcert.errors import UnknownFormId, UnsupportedSpecialization
+from qcert.errors import UnknownFormId
 from qcert.genfun import (
     Family,
     closed_form,
@@ -73,13 +73,6 @@ def test_rank_gf_dyson_z_symmetry():
             assert c[-m] == v
 
 
-def test_rank_gf_generic_unsupported():
-    with pytest.raises(UnsupportedSpecialization):
-        rank_gf(Family.PAIR_GENERIC, 4)
-    with pytest.raises(UnsupportedSpecialization):
-        nt_diff_gf(Family.PAIR_GENERIC, 1, 5, 4)
-
-
 # -- part-count difference series ----------------------------------------------
 
 
@@ -126,12 +119,12 @@ def test_nt_diff_collapse_matches_uncollapsed_xpoly_product(family):
     # the uncollapsed product P*A built over honest x-polynomials: its
     # x = 1 value vanishes and minus its x-derivative is nt_diff_gf,
     # which multiplies P(1) by A'(1) only
-    from qcert.genfun import _difference_sum, _family_data, _inner_terms
+    from qcert.genfun import _FAMILY_DATA, _difference_sum, _inner_terms
     from qcert.series import XPolyContext, pochhammer_quotient
 
     order = 40
     ctx = XPolyContext(RAT)
-    d = _family_data(family)
+    d = _FAMILY_DATA[family]
     pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ctx=ctx)
     terms = tuple(_inner_terms(family, ctx, order))
     pairs = [(1, 3), (1, 5), (2, 5), (1, 7), (3, 7), (1, 11), (6, 11), (1, 13), (3, 13)]
@@ -188,12 +181,12 @@ def test_clear_caches_empties_every_lru_cache():
 def test_ovm2_prefactor_equals_base_q2_split(context):
     # the one OV_M2 prefactor (-xq;q)_inf/(xq;q)_inf is, as a series, the
     # literal specialization (-xq^2,-xq;q^2)_inf/(xq^2,xq;q^2)_inf
-    from qcert.genfun import _family_data
+    from qcert.genfun import _FAMILY_DATA
     from qcert.rings import LAURENT
     from qcert.series import XPolyContext, mono, pochhammer_quotient
 
     ctx = XPolyContext(RAT) if context == "xpoly-rat" else DualContext(LAURENT)
-    d = _family_data(Family.OV_M2)
+    d = _FAMILY_DATA[Family.OV_M2]
     merged = pochhammer_quotient(d.pref_num, d.pref_den, order=40, ctx=ctx)
     split = pochhammer_quotient(
         ((mono(-1, 2, xexp=1), 2), (mono(-1, 1, xexp=1), 2)),
@@ -376,11 +369,6 @@ def test_thmain_constant_terms():
     for c in (rep.lhs.coeffs[0], rep.rhs.coeffs[0]):
         assert c.value.constant() == 1
         assert not c.deriv
-
-
-def test_thmain_rejects_generic():
-    with pytest.raises(UnsupportedSpecialization):
-        thmain_check(Family.PAIR_GENERIC, 8)
 
 
 # -- generic pair series -----------------------------------------------------------

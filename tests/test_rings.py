@@ -9,10 +9,10 @@ from qcert.errors import NonUnitConstantTerm
 from qcert.rings import (
     LAURENT,
     RAT,
+    DualRing,
     DualScalar,
     LaurentPoly,
     XPoly,
-    dual_ring,
 )
 
 fracs = st.fractions(
@@ -90,7 +90,7 @@ def test_dual_product_law(a, b, c, d):
 
 
 def test_dual_ring_inverse():
-    ring = dual_ring(RAT)
+    ring = DualRing(RAT)
     x = DualScalar(Fraction(2), Fraction(3))
     inv = ring.invert(x)
     assert x * inv == ring.one
@@ -99,7 +99,7 @@ def test_dual_ring_inverse():
 
 
 def test_dual_constant_and_generator():
-    ring = dual_ring(RAT)
+    ring = DualRing(RAT)
     assert ring.lift(7) == DualScalar(Fraction(7), Fraction(0))
     x = DualScalar(Fraction(1), Fraction(1))
     # x^3 = 1 + 3 eps

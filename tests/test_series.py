@@ -317,13 +317,10 @@ def test_lerch_against_naive_sum():
 # -- shaping and views ------------------------------------------------------
 
 
-def test_shift_and_dilate():
+def test_shift():
     s = QSeries.from_terms(RAT, 3, {0: 1, 1: 2, 3: 4})
     t = s.shift(2)
     assert t.order == 5 and t.coeffs[2] == 1 and t.coeffs[5] == 4
-    d = s.dilate(3)
-    assert d.order == 11 and d.coeffs[0] == 1 and d.coeffs[3] == 2 and d.coeffs[9] == 4
-    assert d.coeffs[1] == 0
 
 
 @settings(max_examples=80, deadline=None)

@@ -59,10 +59,10 @@ def test_both_engine_specs_have_xcheck_companions():
     specs = registry()
     xkeys = {s.special for s in specs if s.kind == "ORACLE_XCHECK"}
     fam_to_x = {
-        "NT": "xcheck:rank-part",
-        "NTbar": "xcheck:rank-ov",
-        "NTbar2": "xcheck:m2-ov",
-        "NT2": "xcheck:m2-do",
+        "NT": "xcheck:dyson",
+        "NTbar": "xcheck:ov-rank",
+        "NTbar2": "xcheck:ov-m2",
+        "NT2": "xcheck:do-m2",
     }
     for spec in specs:
         if spec.engines == "BOTH" and spec.lhs:
