@@ -4,8 +4,9 @@ for verifying partition-statistic congruences and identities.
 The package has five layers:
 
 * ``qcert.rings`` / ``qcert.series`` -- truncated power series in q over
-  exact coefficient rings, with Pochhammer, theta-bracket, and bilateral
-  Appell-Lerch builders;
+  exact coefficient rings, each of which carries the part-marking
+  variable x (1, a dual number 1 + eps, or an honest polynomial), with
+  Pochhammer, theta-bracket, and bilateral Appell-Lerch builders;
 * ``qcert.combinatorics`` -- partitions, overpartitions, overpartition
   pairs and distinct-odd partitions: streaming enumerators, every rank /
   crank statistic, and residue tallies counted from those definitions;

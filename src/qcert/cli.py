@@ -2,7 +2,8 @@
 series-vs-enumeration cross-checking.
 
 Exit codes: 0 success, 1 check failure, 2 usage or infrastructure error
-(including a check that ended in ERROR).
+(including a check that ended in ERROR, and a cross-check that was
+SKIPPED and so compared nothing).
 """
 
 from __future__ import annotations
@@ -192,7 +193,8 @@ def _print_reports(result, fmt, output, report_path):
 @click.option("--only", default=None, help=f"Comma-separated categories ({_CATEGORIES}) or id globs.")
 @click.option("--order", type=click.IntRange(min=0), default=None, help="Override every check's bound.")
 @click.option("--strict-conjectures", is_flag=True, help="Conjecture failures also fail the run.")
-@click.option("--unsafe-bounds", is_flag=True)
+@click.option("--unsafe-bounds", is_flag=True,
+              help="Ignore the enumeration limits (a check past its limit is SKIPPED).")
 @click.option("--seed", type=int, default=0, help="Seed for extra sampled cross-check weights.")
 @click.option("--enum-bound", "enum_bounds", multiple=True,
               help="Override an enumeration limit, e.g. --enum-bound overpartition=30.")
@@ -231,7 +233,8 @@ def crosscheck(family, max_n, fmt, report_path, output):
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     _print_reports(result, fmt, output, report_path)
-    sys.exit(result.exit_code)
+    # a SKIPPED cross-check compared nothing, so it must not read as success
+    sys.exit(2 if result.reports[0].status == "SKIPPED" else result.exit_code)
 
 
 @main.command(name="list-checks")

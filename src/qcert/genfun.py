@@ -22,6 +22,10 @@ x = 1 only: integer series throughout (see ``nt_diff_gf``).  Each
 family has one prefactor, shared by the part-count series and the main
 transformation.
 
+The generic helpers take the coefficient ring, which carries x: x = 1
+over ``RAT`` or ``LAURENT``, 1 + eps over ``DualRing(LAURENT)`` for
+``thmain_check``, and x itself over ``XPolyRing``, the tests' oracle.
+
 The closed forms live in one table, ``_FORM_BUILDERS``.  Every infinite
 product in a closed form is one ``pochhammer_quotient`` call, its powers
 stated by repeating factor rows (``_poch``, ``_bracket``).  The forms
@@ -39,13 +43,13 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import UnknownFormId
-from .rings import LAURENT, RAT, LaurentPoly
+from .rings import LAURENT, RAT, DualRing, LaurentPoly
 from .series import (
-    DualContext,
     Monomial,
-    PlainContext,
     QSeries,
     lerch_sum,
+    lift_zc,
+    mon,
     mono,
     pochhammer_quotient,
 )
@@ -125,7 +129,7 @@ _FAMILY_DATA = {
 }
 
 
-def _inner_terms(family: Family, ctx, order: int, margin=None):
+def _inner_terms(family: Family, ring, order: int, margin=None):
     """Yield (n, common, quad) where common is the inner summand at level
     n without its q^{quad} shift and without the residue bracket.
 
@@ -134,8 +138,7 @@ def _inner_terms(family: Family, ctx, order: int, margin=None):
     """
     d = _FAMILY_DATA[family]
     s = d.qstep
-    ring = ctx.ring
-    neg_x = -ctx.x_power(1)
+    neg_x = -ring.x_power(1)
     cur = QSeries.one(ring, order)
     n = 1
     while True:
@@ -143,12 +146,12 @@ def _inner_terms(family: Family, ctx, order: int, margin=None):
         if quad - (margin(n) if margin else 0) > order:
             return
         for a in d.inner_num:
-            cur = cur.mul_binomial(-ctx.mon(a), a.qexp + (n - 1) * s)
+            cur = cur.mul_binomial(-mon(ring, a), a.qexp + (n - 1) * s)
         cur = cur.mul_scalar(neg_x)
         if n >= 2:
             cur = cur.div_binomial(ring.lift(-1), s * (n - 1))
         for a in d.inner_den:
-            cur = cur.div_binomial(-ctx.mon(a), a.qexp + (n - 1) * s)
+            cur = cur.div_binomial(-mon(ring, a), a.qexp + (n - 1) * s)
         yield n, cur, quad
         n += 1
 
@@ -157,14 +160,14 @@ def _inner_terms(family: Family, ctx, order: int, margin=None):
 def _inner_terms_rat(family: Family, order: int) -> tuple:
     """Cached inner terms C_n(1) at x = 1, over integers, shared across
     all (b, k)."""
-    return tuple(_inner_terms(family, PlainContext(RAT), order))
+    return tuple(_inner_terms(family, RAT, order))
 
 
 @lru_cache(maxsize=None)
 def _prefactor_rat(family: Family, order: int) -> QSeries:
     """The part-count prefactor at x = 1, shared across all (b, k)."""
     d = _FAMILY_DATA[family]
-    return pochhammer_quotient(d.pref_num, d.pref_den, order=order, ctx=PlainContext(RAT))
+    return pochhammer_quotient(d.pref_num, d.pref_den, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +175,17 @@ def _prefactor_rat(family: Family, order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _rank_sum(ctx, extras, quad, qstep: int, scalar, order: int) -> QSeries:
+def _rank_sum(ring, extras, quad, qstep: int, scalar, x, order: int) -> QSeries:
     """sum_{n>=0} prod_{a in extras} (a; q^s)_n scalar^n q^{quad(n)}
-    / (z q^s, x q^s / z; q^s)_n, with x supplied by the context."""
-    ring = ctx.ring
-    z = ctx.lift_zc(1, 1)
-    xz = ctx.lift_zc(1, -1) * ctx.x_power(1)
+    / (z q^s, x q^s / z; q^s)_n, with x a value of the ring."""
+    z = lift_zc(ring, 1, 1)
+    xz = lift_zc(ring, 1, -1) * x
     acc = QSeries.one(ring, order)
     cur = QSeries.one(ring, order)
     n = 1
     while quad(n) <= order:
         for a in extras:
-            cur = cur.mul_binomial(-ctx.mon(a), a.qexp + (n - 1) * qstep)
+            cur = cur.mul_binomial(-mon(ring, a), a.qexp + (n - 1) * qstep)
         cur = cur.mul_scalar(scalar)
         cur = cur.div_binomial(-z, qstep * n).div_binomial(-xz, qstep * n)
         acc = acc + cur.shift(quad(n), cap=order)
@@ -191,17 +193,18 @@ def _rank_sum(ctx, extras, quad, qstep: int, scalar, order: int) -> QSeries:
     return acc
 
 
-def rank_gf_ctx(family: Family, order: int, ctx) -> QSeries:
-    """Rank generating function with x supplied by the context."""
+def rank_gf_over(family: Family, order: int, ring) -> QSeries:
+    """Rank generating function over `ring`, which carries x."""
     d = _FAMILY_DATA[family]
-    return _rank_sum(ctx, d.lhs_extra, d.lhs_quad, d.qstep, ctx.x_power(1), order)
+    x = ring.x_power(1)
+    return _rank_sum(ring, d.lhs_extra, d.lhs_quad, d.qstep, x, x, order)
 
 
 @lru_cache(maxsize=None)
 def rank_gf(family: Family, order: int) -> QSeries:
     """z-refined rank generating function at x = 1, over LaurentPoly:
     coefficient of z^m q^n counts objects of weight n with statistic m."""
-    g = rank_gf_ctx(family, order, PlainContext(LAURENT))
+    g = rank_gf_over(family, order, LAURENT)
     for n, c in enumerate(g.coeffs):
         if c:
             lo, hi = c.min_exp(), c.max_exp()
@@ -223,13 +226,12 @@ def rank_count_diff(family: Family, b1: int, b2: int, k: int, order: int) -> QSe
     return out
 
 
-def _difference_sum(family: Family, b: int, k: int, ctx, terms, order: int) -> QSeries:
-    """The inner sum A of the transformed rank sum over the context's
-    ring, from that context's inner `terms` (see `_inner_terms`)."""
+def _difference_sum(family: Family, b: int, k: int, ring, terms, order: int) -> QSeries:
+    """The inner sum A of the transformed rank sum over `ring`, from the
+    inner `terms` over that ring (see `_inner_terms`)."""
     s = _FAMILY_DATA[family].qstep
-    ring = ctx.ring
     acc = QSeries.zeros(ring, order)
-    xk = ctx.x_power(k)
+    xk = ring.x_power(k)
     for n, common, quad in terms:
         e_lo = s * (b - 1) * n
         e_hi = s * (k - b - 1) * n
@@ -238,8 +240,8 @@ def _difference_sum(family: Family, b: int, k: int, ctx, terms, order: int) -> Q
             quad + e_hi, cap=order
         )
         p1 = p1.div_binomial(ring.lift(-1), e_kn)
-        t_hi = common.mul_scalar(ctx.x_power(k - b)).shift(quad + e_hi, cap=order)
-        t_lo = common.mul_scalar(ctx.x_power(b)).shift(quad + e_lo, cap=order)
+        t_hi = common.mul_scalar(ring.x_power(k - b)).shift(quad + e_hi, cap=order)
+        t_lo = common.mul_scalar(ring.x_power(b)).shift(quad + e_lo, cap=order)
         p2 = (t_hi - t_lo).div_binomial(-xk, e_kn)
         acc = acc + p1 + p2
     return acc
@@ -290,7 +292,7 @@ def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
     if not 1 <= b <= k - 1:
         raise ValueError("need 1 <= b <= k-1")
     terms = _inner_terms_rat(family, order)
-    value = _difference_sum(family, b, k, PlainContext(RAT), terms, order)
+    value = _difference_sum(family, b, k, RAT, terms, order)
     if not value.is_zero():
         raise AssertionError("x = 1 evaluation of the inner difference sum must vanish")
     deriv = _difference_deriv(family, b, k, terms, order)
@@ -321,14 +323,13 @@ class IdentityReport:
     rhs: QSeries
 
 
-def _thmain_rhs(family: Family, ctx, order: int) -> QSeries:
+def _thmain_rhs(family: Family, ring, order: int) -> QSeries:
     d = _FAMILY_DATA[family]
     s = d.qstep
-    ring = ctx.ring
-    z = ctx.lift_zc(1, 1)
-    xzinv = ctx.lift_zc(1, -1) * ctx.x_power(1)
+    z = lift_zc(ring, 1, 1)
+    xzinv = lift_zc(ring, 1, -1) * ring.x_power(1)
     acc = QSeries.zeros(ring, order)
-    for n, common, quad in _inner_terms(family, ctx, order, margin=lambda n: s * n):
+    for n, common, quad in _inner_terms(family, ring, order, margin=lambda n: s * n):
         # 1/(q^{sn} (1 - z q^{sn}))  +  x z^-1 / (1 - x q^{sn} / z)
         p1 = common.shift(quad - s * n, cap=order).div_binomial(-z, s * n)
         p2 = (
@@ -337,7 +338,7 @@ def _thmain_rhs(family: Family, ctx, order: int) -> QSeries:
             .div_binomial(-xzinv, s * n)
         )
         acc = acc + p1 + p2
-    pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ctx=ctx)
+    pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ring=ring)
     return QSeries.one(ring, order) - pref * acc
 
 
@@ -345,9 +346,9 @@ def thmain_check(family: Family, order: int) -> IdentityReport:
     """Compare the rank sum with its transformed product form over z, with
     the exact first x-derivative carried along; the value component is
     the comparison at x = 1."""
-    ctx = DualContext(LAURENT)
-    lhs = rank_gf_ctx(family, order, ctx)
-    rhs = _thmain_rhs(family, ctx, order)
+    ring = DualRing(LAURENT)
+    lhs = rank_gf_over(family, order, ring)
+    rhs = _thmain_rhs(family, ring, order)
     first = lhs.first_difference(rhs)
     return IdentityReport(
         name=f"main-transformation[{family.value}]",
@@ -375,9 +376,8 @@ def genovpair_series(d, e, x, order: int) -> QSeries:
     x = Fraction(x)
     if not d or not e:
         raise ValueError("sampled weights d, e must be nonzero (limits are hardcoded per family)")
-    ctx = PlainContext(LAURENT, x_value=x)
     extras = (mono(-1 / d, 0), mono(-1 / e, 0))
-    return _rank_sum(ctx, extras, lambda n: n, 1, ctx.ring.lift(x * d * e), order)
+    return _rank_sum(LAURENT, extras, lambda n: n, 1, LAURENT.lift(x * d * e), LAURENT.lift(x), order)
 
 
 # ---------------------------------------------------------------------------

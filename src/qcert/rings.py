@@ -16,10 +16,13 @@ Four domains are supported:
 * ``XPoly`` -- honest polynomials in x, the independent second route for
   validating the dual-number derivative.
 
+Each ring descriptor carries the part-marking variable x: ``x_power(j)``
+is 1 over ``RAT`` and ``LAURENT``, 1 + j*eps over ``DualRing`` and x^j
+over ``XPolyRing``, whose ``at_one`` give (value, d/dx) at x = 1.
+
 Every value is immutable after construction and all operations return
 fresh objects.  Ring descriptors compare equal when their base rings
-do; they are compared, never hashed, so each evaluation context builds
-its own.
+do; they are compared, never hashed, so a caller may build its own.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ class RatRing:
         if not c:
             raise NonUnitConstantTerm("division by zero rational")
         return self.lift(Fraction(1) / c)
+
+    def x_power(self, j: int):
+        return self.one
 
     def __repr__(self):
         return "RAT"
@@ -355,22 +361,11 @@ class XPoly:
         acc = zero
         for d, v in self._c.items():
             if d:
-                acc = acc + _int_scale(v, d)
+                acc = acc + v * d
         return acc
 
     def __repr__(self):
         return f"XPoly({self._c!r})"
-
-
-def _int_scale(v, k: int):
-    """k * v for an integer k and a domain value v."""
-    if isinstance(v, (int, Fraction)):
-        return v * k
-    if isinstance(v, LaurentPoly):
-        return v.scale(k)
-    if isinstance(v, DualScalar):
-        return DualScalar(_int_scale(v.value, k), _int_scale(v.deriv, k))
-    raise TypeError(f"cannot integer-scale {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +396,9 @@ class LaurentRing:
             raise NonUnitConstantTerm("division by zero Laurent polynomial")
         return c.invert_term()
 
+    def x_power(self, j: int):
+        return self.one
+
     def __repr__(self):
         return "LAURENT"
 
@@ -426,6 +424,14 @@ class DualRing:
         # (a + b eps)^-1 = a^-1 - a^-1 b a^-1 eps
         inv = self.base.invert(c.value)
         return DualScalar(inv, -(inv * c.deriv * inv))
+
+    def x_power(self, j: int) -> DualScalar:
+        """x^j with x = 1 + eps: exactly 1 + j*eps, because eps^2 = 0."""
+        return DualScalar(self.base.one, self.base.lift(j))
+
+    def at_one(self, c) -> tuple:
+        """(value, d/dx) of a coefficient at x = 1."""
+        return c.value, c.deriv
 
     def __eq__(self, other):
         return isinstance(other, DualRing) and other.base == self.base
@@ -456,6 +462,14 @@ class XPolyRing:
         if not isinstance(c, XPoly) or len(c._c) != 1 or 0 not in c._c:
             raise NonUnitConstantTerm("XPoly inverse requires a constant unit")
         return XPoly({0: self.base.invert(c._c[0])})
+
+    def x_power(self, j: int) -> XPoly:
+        """x^j as an honest monomial."""
+        return XPoly({j: self.base.one})
+
+    def at_one(self, c) -> tuple:
+        """(value, d/dx) of a coefficient at x = 1."""
+        return c.value_at_one(self.base.zero), c.deriv_at_one(self.base.zero)
 
     def __eq__(self, other):
         return isinstance(other, XPolyRing) and other.base == self.base

@@ -9,6 +9,10 @@ products and quotients of infinite ones with a dilation step (one
 builder, ``pochhammer_quotient``, under the infinite and theta-style
 two-sided "bracket" products), and bilateral Appell-Lerch-type sums with
 exact handling of the half-integer n = 0 terms.
+
+The coefficient ring carries x (see ``rings``): a builder takes
+``ring=`` and lifts each argument with ``mon``; ``QSeries.at_one`` reads
+a dual or x-polynomial series back as (value, d/dx) at x = 1.
 """
 
 from __future__ import annotations
@@ -17,15 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivergentProduct, NonUnitConstantTerm, ZeroDenominator
-from .rings import (
-    LAURENT,
-    RAT,
-    DualRing,
-    DualScalar,
-    LaurentPoly,
-    XPoly,
-    XPolyRing,
-)
+from .rings import LAURENT, RAT, DualRing, LaurentPoly, XPolyRing
 
 
 @dataclass(frozen=True)
@@ -62,73 +58,17 @@ def mono(coeff, qexp, zexp=0, xexp=0) -> Monomial:
     return Monomial(coeff, qexp, zexp, xexp)
 
 
-# ---------------------------------------------------------------------------
-# Evaluation contexts: how the formal variable x is represented.
-# ---------------------------------------------------------------------------
+def lift_zc(ring, coeff, zexp: int):
+    """Lift coeff * z^zexp into the ring (z needs a ring over LAURENT)."""
+    return ring.lift(LaurentPoly.term(zexp, coeff) if zexp else coeff)
 
 
-class EvalContext:
-    """How the formal variable x is represented over a base ring.
-
-    ``base_ring`` holds the coefficients in z (``RAT`` or ``LAURENT``);
-    ``ring`` is the series coefficient ring with x represented in it.
-    Each ring's ``lift`` wraps a base value, so lifting is written once
-    here; a subclass supplies its constructor and ``x_power``.
-    """
-
-    def lift_zc(self, coeff, zexp: int):
-        """Lift coeff * z^zexp into the coefficient ring."""
-        if self.base_ring is LAURENT:
-            return self.ring.lift(LaurentPoly.term(zexp, coeff))
-        if zexp:
-            raise TypeError("z-exponents need the Laurent coefficient ring")
-        return self.ring.lift(coeff)
-
-    def mon(self, m: Monomial):
-        """Lift the non-q part of a monomial into the coefficient ring."""
-        out = self.lift_zc(m.coeff, m.zexp)
-        if m.xexp:
-            out = out * self.x_power(m.xexp)
-        return out
-
-
-class PlainContext(EvalContext):
-    """x fixed at a rational value (1 by default)."""
-
-    def __init__(self, base_ring, x_value=1):
-        self.base_ring = base_ring
-        self.ring = base_ring
-        self.x_value = RAT.lift(x_value)
-
-    def x_power(self, j: int):
-        return self.ring.lift(self.x_value**j)
-
-
-class DualContext(EvalContext):
-    """x = 1 + eps, so every series carries its d/dx at x = 1."""
-
-    def __init__(self, base_ring):
-        self.base_ring = base_ring
-        self.ring = DualRing(base_ring)
-
-    def x_power(self, j: int):
-        # (1 + eps)^j = 1 + j*eps exactly, because eps^2 = 0
-        base = self.base_ring
-        return DualScalar(base.one, base.lift(j) if j else base.zero)
-
-
-class XPolyContext(EvalContext):
-    """x kept as an honest polynomial variable (derivative oracle)."""
-
-    def __init__(self, base_ring):
-        self.base_ring = base_ring
-        self.ring = XPolyRing(base_ring)
-
-    def x_power(self, j: int):
-        return XPoly({j: self.base_ring.one})
-
-
-RAT_CTX = PlainContext(RAT)
+def mon(ring, m: Monomial):
+    """Lift the non-q part of a monomial, x included, into the ring."""
+    out = lift_zc(ring, m.coeff, m.zexp)
+    if m.xexp:
+        out = out * ring.x_power(m.xexp)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -360,27 +300,12 @@ class QSeries:
     def reduce_mod(self, p: int) -> list[int]:
         return [c % p for c in self.integer_coefficients()]
 
-    def dual_parts(self) -> tuple["QSeries", "QSeries"]:
-        """Split a dual-coefficient series into (value, derivative)."""
-        ring = self.ring
-        base = ring.base
-        vals = [c.value for c in self.coeffs]
-        ders = [c.deriv for c in self.coeffs]
-        return (
-            QSeries(base, self.order, vals),
-            QSeries(base, self.order, ders),
-        )
-
-    def xpoly_parts(self) -> tuple["QSeries", "QSeries"]:
-        """Evaluate x-polynomial coefficients: (value at 1, d/dx at 1)."""
+    def at_one(self) -> tuple["QSeries", "QSeries"]:
+        """(value, d/dx) at x = 1 over the base ring, for a series whose
+        ring carries x (``DualRing`` or ``XPolyRing``)."""
         base = self.ring.base
-        zero = base.zero
-        vals = [c.value_at_one(zero) for c in self.coeffs]
-        ders = [c.deriv_at_one(zero) for c in self.coeffs]
-        return (
-            QSeries(base, self.order, vals),
-            QSeries(base, self.order, ders),
-        )
+        vals, ders = zip(*map(self.ring.at_one, self.coeffs))
+        return QSeries(base, self.order, vals), QSeries(base, self.order, ders)
 
     def __repr__(self):
         return f"QSeries({self.ring!r}, order={self.order})"
@@ -451,15 +376,14 @@ def _int_product(a: list, b: list, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def pochhammer_finite(a: Monomial, n: int, qstep: int = 1, *, order: int, ctx=None) -> QSeries:
+def pochhammer_finite(a: Monomial, n: int, qstep: int = 1, *, order: int, ring=RAT) -> QSeries:
     """(a; q^qstep)_n = prod_{k=1..n} (1 - a*q^((k-1)*qstep))."""
     if n < 0:
         raise ValueError("Pochhammer length must be >= 0")
     if qstep < 1:
         raise ValueError("qstep must be >= 1")
-    ctx = ctx or RAT_CTX
-    s = QSeries.one(ctx.ring, order)
-    coeff = ctx.mon(a)
+    s = QSeries.one(ring, order)
+    coeff = mon(ring, a)
     for k in range(n):
         pos = a.qexp + k * qstep
         if pos > order:
@@ -468,7 +392,7 @@ def pochhammer_finite(a: Monomial, n: int, qstep: int = 1, *, order: int, ctx=No
     return s
 
 
-def pochhammer_quotient(num, den=(), *, order: int, ctx=None) -> QSeries:
+def pochhammer_quotient(num, den=(), *, order: int, ring=RAT) -> QSeries:
     """prod (a; q^step)_inf over (a, step) in `num`, divided by the same
     product over `den`, truncated at `order`.
 
@@ -484,27 +408,26 @@ def pochhammer_quotient(num, den=(), *, order: int, ctx=None) -> QSeries:
             raise DivergentProduct(
                 "infinite product needs a positive q-power in its argument"
             )
-    ctx = ctx or RAT_CTX
-    s = QSeries.one(ctx.ring, order)
+    s = QSeries.one(ring, order)
     for side, apply in ((num, QSeries.mul_binomial), (den, QSeries.div_binomial)):
         for a, step in side:
             if not a.coeff:
                 continue
-            coeff = -ctx.mon(a)
+            coeff = -mon(ring, a)
             for pos in range(a.qexp, order + 1, step):
                 s = apply(s, coeff, pos)
     return s
 
 
-def pochhammer_infinite(a: Monomial, qstep: int = 1, *, order: int, ctx=None) -> QSeries:
+def pochhammer_infinite(a: Monomial, qstep: int = 1, *, order: int, ring=RAT) -> QSeries:
     """(a; q^qstep)_infinity truncated at `order`."""
-    return pochhammer_quotient(((a, qstep),), order=order, ctx=ctx)
+    return pochhammer_quotient(((a, qstep),), order=order, ring=ring)
 
 
-def bracket_infinite(a: Monomial, modulus: int, *, order: int, ctx=None) -> QSeries:
+def bracket_infinite(a: Monomial, modulus: int, *, order: int, ring=RAT) -> QSeries:
     """[a; q^modulus]_infinity = (a; q^M)_inf * (q^M/a; q^M)_inf."""
     partner = a.bracket_partner(modulus)
-    return pochhammer_quotient(((a, modulus), (partner, modulus)), order=order, ctx=ctx)
+    return pochhammer_quotient(((a, modulus), (partner, modulus)), order=order, ring=ring)
 
 
 def lerch_sum(
@@ -607,16 +530,14 @@ class DerivativeComparison:
 
 
 def derivative_check(build, base_ring, order: int) -> DerivativeComparison:
-    """Evaluate `build(ctx)` via dual numbers and via honest polynomials
+    """Evaluate `build(ring)` via dual numbers and via honest polynomials
     in x, and compare value and derivative at x = 1 coefficientwise.
 
-    `build` must accept an evaluation context and return a QSeries over
-    that context's ring.
+    `build` must accept a coefficient ring that carries x and return a
+    QSeries over that ring.
     """
-    dual = build(DualContext(base_ring))
-    dv, dd = dual.dual_parts()
-    poly = build(XPolyContext(base_ring))
-    pv, pd = poly.xpoly_parts()
+    dv, dd = build(DualRing(base_ring)).at_one()
+    pv, pd = build(XPolyRing(base_ring)).at_one()
     return DerivativeComparison(
         value_ok=dv.first_difference(pv) is None,
         deriv_ok=dd.first_difference(pd) is None,

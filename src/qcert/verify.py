@@ -250,10 +250,7 @@ def _require_enum_range(spec: CheckSpec, families, upto: int, config: VerifyConf
     weight `upto` passes their tightest configured limit."""
     limit = min(config.enum_bounds[FAMILY_BOUND_KEY[f]] for f in families)
     if upto > limit and not config.unsafe_bounds:
-        raise EnumBoundExceeded(
-            f"{spec.id} needs enumeration to n={upto}, limit is {limit} "
-            "(pass unsafe bounds to override)"
-        )
+        raise EnumBoundExceeded(f"{spec.id} needs enumeration to n={upto}, limit is {limit}")
 
 
 def _fail(report: CheckReport, n: int, value, expected):

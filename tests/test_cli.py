@@ -156,6 +156,15 @@ def test_crosscheck_dyson():
     assert "PASS" in res.output
 
 
+def test_crosscheck_skip_is_error():
+    # past its enumeration limit the one check is SKIPPED and compares
+    # nothing, which must not read as success; the reason keeps the limit
+    # and names no option that crosscheck lacks
+    res = run("crosscheck", "--family", "pair", "--max-n", "25")
+    assert res.exit_code == 2 and "SKIPPED" in res.output
+    assert "limit is 24" in res.output and "unsafe" not in res.output
+
+
 XCHECK_IDS = {
     "dyson": "X-RANK-PART",
     "ov-rank": "X-RANK-OV",

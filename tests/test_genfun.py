@@ -16,11 +16,11 @@ from qcert.genfun import (
     nt_diff_combo,
     nt_diff_gf,
     rank_gf,
-    rank_gf_ctx,
+    rank_gf_over,
     thmain_check,
 )
-from qcert.rings import RAT, DualScalar, LaurentPoly
-from qcert.series import DualContext, QSeries, derivative_check
+from qcert.rings import RAT, DualRing, DualScalar, LaurentPoly, XPolyRing
+from qcert.series import QSeries, derivative_check
 
 ALL_FAMILIES = (Family.DYSON, Family.OV_RANK, Family.OV_M2, Family.DO_M2)
 
@@ -120,17 +120,17 @@ def test_nt_diff_collapse_matches_uncollapsed_xpoly_product(family):
     # x = 1 value vanishes and minus its x-derivative is nt_diff_gf,
     # which multiplies P(1) by A'(1) only
     from qcert.genfun import _FAMILY_DATA, _difference_sum, _inner_terms
-    from qcert.series import XPolyContext, pochhammer_quotient
+    from qcert.series import pochhammer_quotient
 
     order = 40
-    ctx = XPolyContext(RAT)
+    ring = XPolyRing(RAT)
     d = _FAMILY_DATA[family]
-    pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ctx=ctx)
-    terms = tuple(_inner_terms(family, ctx, order))
+    pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ring=ring)
+    terms = tuple(_inner_terms(family, ring, order))
     pairs = [(1, 3), (1, 5), (2, 5), (1, 7), (3, 7), (1, 11), (6, 11), (1, 13), (3, 13)]
     for b, k in pairs:
-        inner = _difference_sum(family, b, k, ctx, terms, order)
-        value, deriv = (pref * inner).xpoly_parts()
+        inner = _difference_sum(family, b, k, ring, terms, order)
+        value, deriv = (pref * inner).at_one()
         assert value.is_zero(), (b, k)
         assert -deriv == nt_diff_gf(family, b, k, order), (b, k)
 
@@ -177,21 +177,21 @@ def test_clear_caches_empties_every_lru_cache():
     assert filled() == {}
 
 
-@pytest.mark.parametrize("context", ["xpoly-rat", "dual-laurent"])
-def test_ovm2_prefactor_equals_base_q2_split(context):
+@pytest.mark.parametrize("ring_name", ["xpoly-rat", "dual-laurent"])
+def test_ovm2_prefactor_equals_base_q2_split(ring_name):
     # the one OV_M2 prefactor (-xq;q)_inf/(xq;q)_inf is, as a series, the
     # literal specialization (-xq^2,-xq;q^2)_inf/(xq^2,xq;q^2)_inf
     from qcert.genfun import _FAMILY_DATA
     from qcert.rings import LAURENT
-    from qcert.series import XPolyContext, mono, pochhammer_quotient
+    from qcert.series import mono, pochhammer_quotient
 
-    ctx = XPolyContext(RAT) if context == "xpoly-rat" else DualContext(LAURENT)
+    ring = XPolyRing(RAT) if ring_name == "xpoly-rat" else DualRing(LAURENT)
     d = _FAMILY_DATA[Family.OV_M2]
-    merged = pochhammer_quotient(d.pref_num, d.pref_den, order=40, ctx=ctx)
+    merged = pochhammer_quotient(d.pref_num, d.pref_den, order=40, ring=ring)
     split = pochhammer_quotient(
         ((mono(-1, 2, xexp=1), 2), (mono(-1, 1, xexp=1), 2)),
         ((mono(1, 2, xexp=1), 2), (mono(1, 1, xexp=1), 2)),
-        order=40, ctx=ctx,
+        order=40, ring=ring,
     )
     assert merged == split
 
@@ -402,8 +402,8 @@ def test_genovpair_rejects_zero_weights():
 def test_rank_sum_dual_vs_polynomial(family):
     # the full rank sum evaluated by dual numbers and by honest
     # x-polynomials; both value and derivative must agree
-    def build(ctx):
-        return rank_gf_ctx(family, 16, ctx)
+    def build(ring):
+        return rank_gf_over(family, 16, ring)
 
     from qcert.rings import LAURENT
 
@@ -418,9 +418,9 @@ def test_inner_sum_dual_vs_polynomial_order_30():
     from qcert.rings import LAURENT
 
     for family in (Family.OV_M2, Family.DYSON):
-        def build(ctx, fam=family):
-            acc = QSeries.zeros(ctx.ring, 30)
-            for _, common, quad in _inner_terms(fam, ctx, 30):
+        def build(ring, fam=family):
+            acc = QSeries.zeros(ring, 30)
+            for _, common, quad in _inner_terms(fam, ring, 30):
                 acc = acc + common.shift(quad, cap=30)
             return acc
 
@@ -444,14 +444,14 @@ def test_operator_law_one_minus_x():
     @given(rnd)
     def inner(terms):
         order = 6
-        ctx = DualContext(RAT)
-        f = QSeries.zeros(ctx.ring, order)
+        ring = DualRing(RAT)
+        f = QSeries.zeros(ring, order)
         for qe, c, xd in terms:
-            f.coeffs[qe] = f.coeffs[qe] + ctx.ring.lift(c) * ctx.x_power(xd)
-        one = QSeries.one(ctx.ring, order)
-        g = (one - one.mul_scalar(ctx.x_power(1))) * f
-        value, deriv = g.dual_parts()
-        f_at_1 = f.dual_parts()[0]
+            f.coeffs[qe] = f.coeffs[qe] + ring.lift(c) * ring.x_power(xd)
+        one = QSeries.one(ring, order)
+        g = (one - one.mul_scalar(ring.x_power(1))) * f
+        value, deriv = g.at_one()
+        f_at_1 = f.at_one()[0]
         assert value.is_zero()
         assert deriv == -f_at_1
 

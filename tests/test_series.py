@@ -10,16 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 import bruteforce as bf
 from qcert import series as series_module
 from qcert.errors import DivergentProduct, NonUnitConstantTerm, ZeroDenominator
-from qcert.rings import LAURENT, RAT, LaurentPoly
+from qcert.rings import LAURENT, RAT, DualRing, LaurentPoly, XPolyRing
 from qcert.series import (
-    DualContext,
-    PlainContext,
     QSeries,
-    XPolyContext,
     _int_product,
     bracket_infinite,
     derivative_check,
     lerch_sum,
+    lift_zc,
+    mon,
     mono,
     pochhammer_finite,
     pochhammer_infinite,
@@ -149,11 +148,11 @@ def test_overpartition_count_from_products():
     assert ov.coeffs[4] == 14  # the fourteen overpartitions of 4
 
 
-def _quotient_by_hand(num, den, order, ctx):
+def _quotient_by_hand(num, den, order, ring):
     def prod(side):
-        acc = QSeries.one(ctx.ring, order)
+        acc = QSeries.one(ring, order)
         for a, step in side:
-            acc = acc * pochhammer_infinite(a, step, order=order, ctx=ctx)
+            acc = acc * pochhammer_infinite(a, step, order=order, ring=ring)
         return acc
 
     return prod(num) * prod(den).invert()
@@ -163,15 +162,15 @@ def test_pochhammer_quotient_over_rationals():
     num = ((mono(1, 1), 1), (mono(-1, 2), 3), (mono(Fraction(1, 2), 3), 2))
     den = ((mono(1, 2), 2), (mono(-2, 1), 5), (mono(0, 0), 1))
     got = pochhammer_quotient(num, den, order=60)
-    assert got == _quotient_by_hand(num, den, 60, PlainContext(RAT))
+    assert got == _quotient_by_hand(num, den, 60, RAT)
 
 
 def test_pochhammer_quotient_over_dual_laurent():
-    ctx = DualContext(LAURENT)
+    ring = DualRing(LAURENT)
     num = ((mono(1, 1, zexp=1), 1), (mono(-1, 1, xexp=1), 2))
     den = ((mono(1, 1, zexp=-1, xexp=1), 1), (mono(2, 2, zexp=1), 3))
-    got = pochhammer_quotient(num, den, order=20, ctx=ctx)
-    assert got == _quotient_by_hand(num, den, 20, ctx)
+    got = pochhammer_quotient(num, den, order=20, ring=ring)
+    assert got == _quotient_by_hand(num, den, 20, ring)
 
 
 def test_pochhammer_quotient_validates_every_factor():
@@ -181,17 +180,31 @@ def test_pochhammer_quotient_validates_every_factor():
         pochhammer_quotient((), ((mono(1, 1), 0),), order=5)
 
 
-def test_contexts_share_one_lift():
+@pytest.mark.parametrize(
+    "ring",
+    [RAT, LAURENT, DualRing(RAT), DualRing(LAURENT), XPolyRing(RAT), XPolyRing(LAURENT)],
+    ids=repr,
+)
+def test_rings_carry_x_and_share_one_lift(ring):
+    # x = 1 over RAT and LAURENT; over the dual and x-polynomial rings
+    # x^j reads back at x = 1 as (1, j), its value and d/dx
+    base = getattr(ring, "base", ring)
+    for j in range(14):
+        if ring is base:
+            assert ring.x_power(j) == ring.one
+        else:
+            assert ring.at_one(ring.x_power(j)) == (base.one, base.lift(j))
+    # one lift: a monomial is its z-part times x^xexp, in every ring
     m = mono(3, 2, zexp=1, xexp=2)
-    three_z = LaurentPoly.term(1, 3)
-    assert PlainContext(LAURENT).mon(m) == three_z
-    dual = DualContext(LAURENT).mon(m)
-    poly = XPolyContext(LAURENT).mon(m)
-    assert dual.value == poly.value_at_one(LAURENT.zero) == three_z
-    assert dual.deriv == poly.deriv_at_one(LAURENT.zero) == three_z.scale(2)
-    for ctx in (PlainContext(RAT), DualContext(RAT), XPolyContext(RAT)):
+    if base is RAT:
         with pytest.raises(TypeError):
-            ctx.lift_zc(1, 1)
+            lift_zc(ring, 1, 1)
+        return
+    three_z = LaurentPoly.term(1, 3)
+    if ring is base:
+        assert mon(ring, m) == three_z
+    else:
+        assert ring.at_one(mon(ring, m)) == (three_z, three_z.scale(2))
 
 
 def test_monomial_coefficients_follow_rat_lift():
@@ -497,8 +510,8 @@ def test_fraction_series_product_stays_on_generic_loop(monkeypatch):
 
 
 def test_derivative_square():
-    def build(ctx):
-        return QSeries.one(ctx.ring, 3).mul_scalar(ctx.x_power(2))
+    def build(ring):
+        return QSeries.one(ring, 3).mul_scalar(ring.x_power(2))
 
     cmp = derivative_check(build, RAT, 3)
     assert cmp.ok
@@ -509,12 +522,12 @@ def test_derivative_one_minus_x_factor():
     # d/dx at 1 of (1-x) g(x) is -g(1), for any series g
     g_terms = {0: 3, 2: Fraction(5, 2), 4: -1}
 
-    def build(ctx):
-        g = QSeries.from_terms(ctx.ring, 5, {})
+    def build(ring):
+        g = QSeries.from_terms(ring, 5, {})
         for e, c in g_terms.items():
-            g.coeffs[e] = ctx.ring.lift(c) * ctx.x_power(e % 3)
-        one = QSeries.one(ctx.ring, 5)
-        return (one - one.mul_scalar(ctx.x_power(1))) * g
+            g.coeffs[e] = ring.lift(c) * ring.x_power(e % 3)
+        one = QSeries.one(ring, 5)
+        return (one - one.mul_scalar(ring.x_power(1))) * g
 
     cmp = derivative_check(build, RAT, 5)
     assert cmp.ok
@@ -534,19 +547,19 @@ def test_derivative_one_minus_x_factor():
 )
 def test_derivative_random_x_polynomials(terms):
     # random series-valued polynomials in x: dual == polynomial oracle
-    def build(ctx):
-        s = QSeries.zeros(ctx.ring, 6)
+    def build(ring):
+        s = QSeries.zeros(ring, 6)
         for qe, c, xd in terms:
-            s.coeffs[qe] = s.coeffs[qe] + ctx.ring.lift(c) * ctx.x_power(xd)
+            s.coeffs[qe] = s.coeffs[qe] + ring.lift(c) * ring.x_power(xd)
         return s * s  # square it to exercise products
 
     assert derivative_check(build, RAT, 6).ok
 
 
 def test_derivative_check_on_pochhammer_expression():
-    def build(ctx):
-        s = pochhammer_finite(mono(1, 1, xexp=1), 3, 1, order=8, ctx=ctx)
-        t = pochhammer_finite(mono(-1, 2, xexp=1), 2, 2, order=8, ctx=ctx)
+    def build(ring):
+        s = pochhammer_finite(mono(1, 1, xexp=1), 3, 1, order=8, ring=ring)
+        t = pochhammer_finite(mono(-1, 2, xexp=1), 2, 2, order=8, ring=ring)
         return s * t.invert()
 
     assert derivative_check(build, RAT, 8).ok
