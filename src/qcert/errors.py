@@ -35,7 +35,3 @@ class InsufficientOrder(QcertError):
 
 class EnumBoundExceeded(QcertError):
     """Check needs enumeration beyond the configured limits."""
-
-
-class NotAntisymmetric(QcertError):
-    """A statistic combination has no part-count difference series."""

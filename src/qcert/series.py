@@ -529,7 +529,7 @@ class DerivativeComparison:
         return self.value_ok and self.deriv_ok
 
 
-def derivative_check(build, base_ring, order: int) -> DerivativeComparison:
+def derivative_check(build, base_ring) -> DerivativeComparison:
     """Evaluate `build(ring)` via dual numbers and via honest polynomials
     in x, and compare value and derivative at x = 1 coefficientwise.
 

@@ -4,20 +4,25 @@ identity, and conjecture the project certifies.
 Each check is a CheckSpec; running one produces a CheckReport with a
 PASS / FAIL / SKIPPED / ERROR status and, on failure, a reproducible
 witness (the first offending index with the value found and the value
-expected).  One statement runner serves every check that is not a
-structural special: it reads the lhs (a closed form, or a statistic
-combination from the difference series plus enumeration) along the
-check's progression, every n when it has none, and compares each value
-with its target: the rhs form's coefficient, or 0, exactly or mod p.
-A spec's kind and engines follow from its other fields.  Each
-statistic family's two routes are named once, in ``_XCHECKS``: its
-``X-*`` check, the family's part-count series and the ``crosscheck``
-command's choices are all read from that table.  An engine
-defect inside a check (an exception that is not a package error)
-becomes an ERROR report carrying the exception's type and message, so
-one broken check never loses the whole run's report.  Conjecture checks
-are flagged so that a failing conjecture is loudly reported without
-failing the suite unless strict mode is on.
+expected).  A statistic combination is a sum of antisymmetric residue
+pairs c*(F(b,k,n) - F(k-b,k,n)), 0 < 2b < k, fixed when the registry is
+built: a part-count pair is read from its difference series, any other
+pair from the counting oracle, with no fallback from one route to the
+other.  One statement runner serves every check that names no
+structural runner (``thmain`` or ``xcheck``): it reads the lhs (a
+closed form or a statistic combination) along the check's progression,
+every n when it has none, and compares each value with its target: the
+rhs form's coefficient, or 0, exactly or mod p.  A spec's kind and
+engines follow from its other fields.  Each statistic family's two
+routes are named once, in ``_XCHECKS``: its ``X-*`` check, the
+family's part-count series and the ``crosscheck`` command's choices
+are all read from that table.  An engine defect inside a check (an
+exception that is not a package error) becomes an ERROR report carrying
+the exception's type and message, so one broken check never loses the
+whole run's report; a stated check that ends SKIPPED certified nothing,
+and fails the run like an ERROR.  Conjecture checks are flagged so that
+a failing conjecture is loudly reported without failing the suite
+unless strict mode is on.
 """
 
 from __future__ import annotations
@@ -30,9 +35,8 @@ from fnmatch import fnmatch
 from . import combinatorics as comb
 from . import genfun
 from .combinatorics import DEFAULT_BOUNDS, FAMILY_BOUND_KEY, raw_tally, tally
-from .errors import EnumBoundExceeded, InsufficientOrder, NotAntisymmetric, QcertError
+from .errors import EnumBoundExceeded, InsufficientOrder, QcertError
 from .genfun import Family, closed_form, nt_diff_combo, thmain_check
-from .series import QSeries
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,9 @@ _SERIES_FAMILY = {x.part_count_family: x.rank_family for x in _XCHECKS.values() 
 
 @dataclass(frozen=True)
 class StatTerm:
+    """One antisymmetric residue pair coeff*(F(b,k,n) - F(k-b,k,n)) of
+    the statistic family F, with b = residue and k = modulus."""
+
     coeff: int
     family: str
     residue: int
@@ -82,8 +89,8 @@ class StatTerm:
     def __post_init__(self):
         if self.coeff == 0:
             raise ValueError("zero coefficient in statistic combination")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError("residue out of range")
+        if not 0 < 2 * self.residue < self.modulus:
+            raise ValueError("residue pair out of range: need 0 < 2b < k")
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,8 @@ class CheckSpec:
     progression: tuple[int, int] | None = None  # (offset i, step M)
     bound: int = 0  # largest weight n examined on the lhs scale
     enum_bound: int | None = None  # enum confirmation range for BOTH
-    special: str | None = None  # named runner for structural checks
+    thmain: Family | None = None  # structural runner: the main transformation
+    xcheck: str | None = None  # structural runner: an _XCHECKS key
 
     @property
     def conjecture(self) -> bool:
@@ -111,22 +119,20 @@ class CheckSpec:
     @property
     def kind(self) -> str:
         """CONGRUENCE | EXACT_RELATION | EXACT_IDENTITY | ORACLE_XCHECK"""
-        special = (self.special or "").partition(":")[0]
-        if special == "xcheck":
+        if self.xcheck:
             return "ORACLE_XCHECK"
         if self.modulus is not None:
             return "CONGRUENCE"
-        if self.rhs_form or special == "thmain":
+        if self.rhs_form or self.thmain is not None:
             return "EXACT_IDENTITY"
         return "EXACT_RELATION"
 
     @property
     def engines(self) -> str:
         """SERIES | ENUM | BOTH | MIXED | FORM"""
-        special = (self.special or "").partition(":")[0]
-        if special == "xcheck" or self.enum_bound is not None:
+        if self.xcheck or self.enum_bound is not None:
             return "BOTH"
-        if self.lhs_form or special == "thmain":
+        if self.lhs_form or self.thmain is not None:
             return "FORM"
         in_series = {t.family in _SERIES_FAMILY for t in self.lhs}
         if False not in in_series:
@@ -188,21 +194,18 @@ class VerifyConfig:
     include_informational: bool = True
 
 
-def _term_str(t: StatTerm) -> str:
-    c = "" if t.coeff == 1 else ("-" if t.coeff == -1 else f"{t.coeff}*")
-    return f"{c}{t.family}({t.residue},{t.modulus},n)"
-
-
 def _combo_str(terms) -> str:
+    """The combination with each pair written out as its two terms."""
     out = ""
-    for i, t in enumerate(terms):
-        s = _term_str(t)
-        if i == 0:
-            out = s
-        elif s.startswith("-"):
-            out += " - " + s[1:]
-        else:
-            out += " + " + s
+    for t in terms:
+        for c, m in ((t.coeff, t.residue), (-t.coeff, t.modulus - t.residue)):
+            s = ("" if c == 1 else "-" if c == -1 else f"{c}*") + f"{t.family}({m},{t.modulus},n)"
+            if not out:
+                out = s
+            elif s.startswith("-"):
+                out += " - " + s[1:]
+            else:
+                out += " + " + s
     return out
 
 
@@ -211,37 +214,11 @@ def _combo_str(terms) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _series_combo(series_terms, order: int) -> QSeries:
-    """Rewrite a statistic combination as difference series.
-
-    A part-count series exists only for antisymmetric residue pairs
-    (coefficient c on residue b, -c on k - b); every statement in the
-    registry has this shape.
-    """
-    grouped: dict[tuple[str, int], dict[int, int]] = {}
-    for t in series_terms:
-        res = grouped.setdefault((t.family, t.modulus), {})
-        res[t.residue % t.modulus] = res.get(t.residue % t.modulus, 0) + t.coeff
-    combo = []
-    for (family, k), res in sorted(grouped.items()):
-        if res.get(0):
-            raise NotAntisymmetric("residue 0 has no antisymmetric partner")
-        for m in range(1, k // 2 + 1):
-            c_lo = res.get(m, 0)
-            c_hi = res.get(k - m, 0)
-            if c_lo + c_hi != 0:
-                raise NotAntisymmetric(
-                    f"residues {m},{k - m} mod {k} are not antisymmetric"
-                )
-            if c_lo:
-                combo.append((c_lo, _SERIES_FAMILY[family], m, k))
-    return nt_diff_combo(combo, order)
-
-
 def _enum_value(terms, n: int) -> int:
     acc = 0
     for t in terms:
-        acc += t.coeff * tally(t.family, n, t.modulus)[t.residue]
+        tl = tally(t.family, n, t.modulus)
+        acc += t.coeff * (tl[t.residue] - tl[t.modulus - t.residue])
     return acc
 
 
@@ -263,30 +240,20 @@ def _fail(report: CheckReport, n: int, value, expected):
 # ---------------------------------------------------------------------------
 
 
-def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig, report: CheckReport):
-    """The lhs as a function of the weight n <= bound, and whether it
-    reads the difference series.
+def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig):
+    """The lhs as a function of the weight n <= bound.
 
-    An lhs form is read from its expansion.  Otherwise part-count terms
-    are read from the difference series, the rest from enumeration,
-    checked against the limits up to `upto`, the last weight the caller
-    reads; a combination with no difference series is read from
-    enumeration alone.
+    An lhs form is read from its expansion.  Otherwise part-count pairs
+    are read from their difference series, the other pairs from the
+    counting oracle, checked against the limits up to `upto`, the last
+    weight the caller reads.
     """
     if spec.lhs_form:
-        return closed_form(spec.lhs_form, bound).integer_coefficients().__getitem__, False
-    series_terms = [t for t in spec.lhs if t.family in _SERIES_FAMILY]
-    series_vals = None
-    if series_terms:
-        try:
-            series_vals = _series_combo(series_terms, bound).integer_coefficients()
-        except NotAntisymmetric as exc:
-            # possible for perturbed specs; every term moves to enumeration
-            report.notes.append(f"series engine unavailable: {exc}")
-    if series_vals is None:
-        enum_terms = spec.lhs
-    else:
-        enum_terms = [t for t in spec.lhs if t.family not in _SERIES_FAMILY]
+        return closed_form(spec.lhs_form, bound).integer_coefficients().__getitem__
+    series_terms = [(t.coeff, _SERIES_FAMILY[t.family], t.residue, t.modulus)
+                    for t in spec.lhs if t.family in _SERIES_FAMILY]
+    series_vals = nt_diff_combo(series_terms, bound).integer_coefficients() if series_terms else None
+    enum_terms = [t for t in spec.lhs if t.family not in _SERIES_FAMILY]
     if enum_terms:
         _require_enum_range(spec, [t.family for t in enum_terms], upto, config)
 
@@ -294,7 +261,7 @@ def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig, re
         val = _enum_value(enum_terms, n)
         return val if series_vals is None else series_vals[n] + val
 
-    return value, series_vals is not None
+    return value
 
 
 def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
@@ -306,7 +273,7 @@ def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: 
     p = spec.modulus
     # enumeration ranges are checked against the last n read, not the bound
     last = bound - (bound - i) % step
-    value, from_series = _lhs_reader(spec, bound, last, config, report)
+    value = _lhs_reader(spec, bound, last, config)
     t_max = (bound - i) // step
     rhs = closed_form(spec.rhs_form, t_max).integer_coefficients() if spec.rhs_form else None
     for t, n in enumerate(range(i, bound + 1, step)):
@@ -321,7 +288,7 @@ def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: 
             return
 
     # independent confirmation by full enumeration on the overlap
-    if spec.enum_bound is not None and from_series:
+    if spec.enum_bound is not None:
         confirm_to = min(spec.enum_bound, bound)
         last = confirm_to - (confirm_to - i) % step
         _require_enum_range(spec, [t.family for t in spec.lhs], last, config)
@@ -337,25 +304,18 @@ def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: 
     report.status = "PASS"
 
 
-def _run_special(spec: CheckSpec, bound: int, config: VerifyConfig, report: CheckReport):
-    kind, _, arg = spec.special.partition(":")
-    if kind == "thmain":
-        res = thmain_check(Family(arg), bound)
-        if res.ok:
-            report.status = "PASS"
-            report.notes.append("value and derivative components both match")
-        else:
-            n = res.first_mismatch
-            _fail(report, n, str(res.lhs.coeffs[n]), str(res.rhs.coeffs[n]))
-        return
-    if kind == "xcheck":
-        _run_xcheck(spec, bound, config, report, _XCHECKS[arg])
-        return
-    raise QcertError(f"unknown special runner {spec.special!r}")
+def _run_thmain(family: Family, bound: int, report: CheckReport):
+    res = thmain_check(family, bound)
+    if res.ok:
+        report.status = "PASS"
+        report.notes.append("value and derivative components both match")
+    else:
+        n = res.first_mismatch
+        _fail(report, n, str(res.lhs.coeffs[n]), str(res.rhs.coeffs[n]))
 
 
 # ---------------------------------------------------------------------------
-# Oracle cross-checks: series engine vs exhaustive enumeration.
+# Oracle cross-checks: series engine vs the counting oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -364,10 +324,11 @@ def _poly_matches_counter(poly, counter) -> bool:
     return table == {m: c for m, c in counter.items() if c}
 
 
-def _run_xcheck(spec, bound, config, report, x: _XCheck):
+def _run_xcheck(spec, bound, config, report):
     """The family's rank series and count form against the oracle's
     distribution and object counts at each n <= bound, then its
     part-count differences; the pair series also at sampled weights."""
+    x = _XCHECKS[spec.xcheck]
     _require_enum_range(spec, [x.count_family, x.part_count_family], bound, config)
     if x.rank_family is None:
         g = genfun.genovpair_series(1, 1, 1, bound)
@@ -386,7 +347,7 @@ def _run_xcheck(spec, bound, config, report, x: _XCheck):
         series = genfun.nt_diff_gf(x.rank_family, b, k, bound)
         for n in range(bound + 1):
             tl = tally(x.part_count_family, n, k)
-            want = tl[b] - tl[(k - b) % k]
+            want = tl[b] - tl[k - b]
             if series.coeffs[n] != want:
                 _fail(report, n, str(series.coeffs[n]), want)
                 report.notes.append(f"part-count difference b={b} mod {k}")
@@ -462,8 +423,10 @@ def run_check(spec: CheckSpec, order: int | None = None, config: VerifyConfig | 
             )
     start = time.perf_counter()
     try:
-        if spec.special:
-            _run_special(spec, bound, config, report)
+        if spec.thmain is not None:
+            _run_thmain(spec.thmain, bound, report)
+        elif spec.xcheck:
+            _run_xcheck(spec, bound, config, report)
         elif spec.lhs or spec.lhs_form:
             _run_progression(spec, bound, config, report)
         else:
@@ -522,11 +485,7 @@ def _build_registry() -> list[CheckSpec]:
     specs: list[CheckSpec] = []
 
     def combo(fam, pairs, k):
-        out = []
-        for c, m in pairs:
-            out.append(StatTerm(c, fam, m, k))
-            out.append(StatTerm(-c, fam, k - m, k))
-        return out
+        return [StatTerm(c, fam, m, k) for c, m in pairs]
 
     # --- the three headline theorems -----------------------------------
     specs.append(
@@ -654,7 +613,7 @@ def _build_registry() -> list[CheckSpec]:
     ]:
         specs.append(
             _identity(id_, "identity", form, 60,
-                      terms=[StatTerm(1, fam, b, k), StatTerm(-1, fam, k - b, k)])
+                      terms=[StatTerm(1, fam, b, k)])
         )
     specs.append(
         _identity("ID-KERNEL5-OVM2", "identity", "ovm2-mod5-kernel", 150,
@@ -693,7 +652,7 @@ def _build_registry() -> list[CheckSpec]:
                     f"rank sum equals its product transformation [{fam.value}], "
                     "with exact x-derivative"
                 ),
-                special=f"thmain:{fam.value}",
+                thmain=fam,
                 bound=40,
             )
         )
@@ -705,7 +664,7 @@ def _build_registry() -> list[CheckSpec]:
                 id=x.id,
                 category="xcheck",
                 statement=f"series engine matches exhaustive enumeration ({x.desc})",
-                special=f"xcheck:{key}",
+                xcheck=key,
                 bound=x.bound,
             )
         )
@@ -825,18 +784,19 @@ def run_all(only: str | None = None, order: int | None = None, config: VerifyCon
             continue
         if r.status == "FAIL" and (not r.conjecture or config.strict_conjectures):
             exit_code = 1
-    if any(r.status == "ERROR" for r in reports):
+    # a SKIPPED check certified nothing, so it must not read as success
+    if any(r.status == "ERROR" or (r.status == "SKIPPED" and not r.informational) for r in reports):
         exit_code = 2
     return RunResult(reports=reports, exit_code=exit_code)
 
 
 def mutate_first_term(spec: CheckSpec, delta: int = 1) -> CheckSpec:
-    """A copy of `spec` with its first lhs coefficient perturbed; used to
-    prove each check can actually fail."""
+    """A copy of `spec` with its first pair's coefficient perturbed; used
+    to prove each check can actually fail."""
     if not spec.lhs:
         raise ValueError("spec has no statistic terms to mutate")
     first = spec.lhs[0]
-    mutated = StatTerm(first.coeff + delta, first.family, first.residue, first.modulus)
+    mutated = replace(first, coeff=first.coeff + delta)
     return replace(
         spec,
         id=spec.id + "~mutated",

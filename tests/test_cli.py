@@ -86,6 +86,10 @@ def test_stat_range_and_bounds():
     assert len(res.output.strip().splitlines()) == 1 + 7 * 3
     res = run("stat", "--family", "NTpair", "--k", "3", "--n", "70")
     assert res.exit_code != 0  # beyond the pair enumeration bound
+    res = run("stat", "--family", "NTpair", "--k", "3", "--n", "25")
+    assert res.exit_code == 2 and "--unsafe-bounds" in res.output
+    res = run("stat", "--family", "NTpair", "--k", "3", "--n", "25", "--unsafe-bounds")
+    assert res.exit_code == 0 and len(res.output.strip().splitlines()) == 1 + 3
     res = run("stat", "--family", "NT", "--k", "0", "--n", "3")
     assert res.exit_code == 2 and "x>=1" in res.output
 
@@ -163,6 +167,11 @@ def test_crosscheck_skip_is_error():
     res = run("crosscheck", "--family", "pair", "--max-n", "25")
     assert res.exit_code == 2 and "SKIPPED" in res.output
     assert "limit is 24" in res.output and "unsafe" not in res.output
+    # verify follows the same rule, and --unsafe-bounds lifts the limit
+    res = run("verify", "--only", "X-PAIR", "--order", "25")
+    assert res.exit_code == 2 and "SKIPPED" in res.output
+    res = run("verify", "--only", "X-PAIR", "--order", "25", "--unsafe-bounds")
+    assert res.exit_code == 0 and "PASS" in res.output
 
 
 XCHECK_IDS = {

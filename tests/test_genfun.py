@@ -407,7 +407,7 @@ def test_rank_sum_dual_vs_polynomial(family):
 
     from qcert.rings import LAURENT
 
-    cmp = derivative_check(build, LAURENT, 16)
+    cmp = derivative_check(build, LAURENT)
     assert cmp.ok
 
 
@@ -424,7 +424,7 @@ def test_inner_sum_dual_vs_polynomial_order_30():
                 acc = acc + common.shift(quad, cap=30)
             return acc
 
-        cmp = derivative_check(build, LAURENT, 30)
+        cmp = derivative_check(build, LAURENT)
         assert cmp.ok, family
 
 

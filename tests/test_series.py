@@ -513,7 +513,7 @@ def test_derivative_square():
     def build(ring):
         return QSeries.one(ring, 3).mul_scalar(ring.x_power(2))
 
-    cmp = derivative_check(build, RAT, 3)
+    cmp = derivative_check(build, RAT)
     assert cmp.ok
     assert cmp.dual_deriv.coeffs[0] == 2
 
@@ -529,7 +529,7 @@ def test_derivative_one_minus_x_factor():
         one = QSeries.one(ring, 5)
         return (one - one.mul_scalar(ring.x_power(1))) * g
 
-    cmp = derivative_check(build, RAT, 5)
+    cmp = derivative_check(build, RAT)
     assert cmp.ok
     assert cmp.dual_value.is_zero()
     # derivative must equal -g(1)
@@ -553,7 +553,7 @@ def test_derivative_random_x_polynomials(terms):
             s.coeffs[qe] = s.coeffs[qe] + ring.lift(c) * ring.x_power(xd)
         return s * s  # square it to exercise products
 
-    assert derivative_check(build, RAT, 6).ok
+    assert derivative_check(build, RAT).ok
 
 
 def test_derivative_check_on_pochhammer_expression():
@@ -562,7 +562,7 @@ def test_derivative_check_on_pochhammer_expression():
         t = pochhammer_finite(mono(-1, 2, xexp=1), 2, 2, order=8, ring=ring)
         return s * t.invert()
 
-    assert derivative_check(build, RAT, 8).ok
+    assert derivative_check(build, RAT).ok
 
 
 # -- serialization ----------------------------------------------------------

@@ -48,7 +48,7 @@ def test_registry_invariants():
     for spec in registry():
         for t in spec.lhs:
             assert t.coeff != 0
-            assert 0 <= t.residue < t.modulus
+            assert 0 < 2 * t.residue < t.modulus  # one antisymmetric pair
         if spec.kind == "CONGRUENCE" and spec.progression:
             assert spec.modulus and spec.modulus > 1
         if spec.engines == "ENUM":
@@ -57,12 +57,12 @@ def test_registry_invariants():
 
 def test_both_engine_specs_have_xcheck_companions():
     specs = registry()
-    xkeys = {s.special for s in specs if s.kind == "ORACLE_XCHECK"}
+    xkeys = {s.xcheck for s in specs if s.kind == "ORACLE_XCHECK"}
     fam_to_x = {
-        "NT": "xcheck:dyson",
-        "NTbar": "xcheck:ov-rank",
-        "NTbar2": "xcheck:ov-m2",
-        "NT2": "xcheck:do-m2",
+        "NT": "dyson",
+        "NTbar": "ov-rank",
+        "NTbar2": "ov-m2",
+        "NT2": "do-m2",
     }
     for spec in specs:
         if spec.engines == "BOTH" and spec.lhs:
@@ -107,8 +107,8 @@ def test_enum_bound_exceeded_is_skip():
 
 @pytest.mark.parametrize("cid", THEOREM_IDS + (
     "NT5-I1", "NT7-I5", "NT7-ALT1-I3", "NT7-ALT2-I0",
-    # identities: a mutated combination has no difference series and
-    # must fall back to enumeration, not skip
+    # identities: a mutated pair coefficient is still read from the
+    # difference series, and must fail there
     "CJ-NTMW5-ETA-5N4", "CJ-NT7-ETA-7N5",
     "ID-NTDIFF-OVM2-1-5", "ID-NTDIFF-OVM2-2-5", "ID-NTDIFF-DOM2-1-5",
     "ID-NTDIFF-DOM2-2-5", "ID-NTDIFF-OV-1-3", "ID-NTDIFF-OVM2-1-3",
@@ -380,3 +380,19 @@ def test_stat_term_validation():
         StatTerm(0, "NT", 1, 5)
     with pytest.raises(ValueError):
         StatTerm(1, "NT", 5, 5)
+    # a term is one antisymmetric pair b, k - b with 0 < 2b < k
+    with pytest.raises(ValueError):
+        StatTerm(1, "NT", 3, 5)
+    with pytest.raises(ValueError):
+        StatTerm(1, "NT", 2, 4)
+
+
+@pytest.mark.parametrize("cid,statement", [
+    ("T2A", "NTbar(1,3,n) - NTbar(2,3,n) - NTbar2(1,3,n) + NTbar2(2,3,n) "
+            "= 0 (mod 3) for n = 3m+0"),
+    ("CJ-MW7-B-I0", "Momega(2,7,n) - Momega(5,7,n) - 3*Momega(3,7,n) + 3*Momega(4,7,n) "
+                    "= 0 (mod 7) for n = 7m+0"),
+])
+def test_pair_statement_text(cid, statement):
+    # each pair prints as its two terms, negative coefficients included
+    assert get_spec(cid).statement == statement
