@@ -4,7 +4,9 @@ series-vs-counting-oracle cross-checking.
 Exit codes: 0 success, 1 check failure, 2 usage or infrastructure error,
 including a check that ended in ERROR and a stated check that was
 SKIPPED and so certified nothing; ``verify`` and ``crosscheck`` follow
-the same rule.
+the same rule.  Past the counting oracle's weight limits
+(``combinatorics.require_limit``) ``verify`` skips a check and ``stat``
+refuses the range; ``--unsafe-bounds`` is the one override.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import sys
 
 import click
 
-from .combinatorics import DEFAULT_BOUNDS, FAMILY_BOUND_KEY, TALLY_FAMILIES, tally
-from .errors import QcertError
+from .combinatorics import TALLY_FAMILIES, require_limit, tally
+from .errors import BoundExceeded, QcertError
 from .genfun import closed_form, form_ids
 from .series import series_to_json
 from .verify import _XCHECKS, VerifyConfig, run_all, select_specs
@@ -37,7 +39,7 @@ def main():
 
 
 @main.command()
-@click.option("--form", "form_id", required=True, help="Registered form id (see `qcert expand --form help`).")
+@click.option("--form", "form_id", required=True, type=click.Choice(form_ids()), help="Registered form id.")
 @click.option("--order", type=click.IntRange(min=0), required=True,
               help="Truncation order N (series known through q^N).")
 @click.option("--mod", "mod_p", type=click.IntRange(min=1), default=None,
@@ -46,13 +48,7 @@ def main():
 @click.option("--output", type=click.Path(), default=None, help="Write to file instead of stdout.")
 def expand(form_id, order, mod_p, fmt, output):
     """Expand a registered closed form to the requested order."""
-    if form_id == "help":
-        click.echo("\n".join(form_ids()))
-        return
-    try:
-        series = closed_form(form_id, order)
-    except QcertError as exc:
-        raise click.UsageError(str(exc))
+    series = closed_form(form_id, order)
     if mod_p is not None:
         try:
             rows = [(i, c) for i, c in enumerate(series.reduce_mod(mod_p))]
@@ -89,7 +85,7 @@ def expand(form_id, order, mod_p, fmt, output):
 @click.option("--n", "single_n", type=int, default=None, help="Single weight n.")
 @click.option("--n-range", "n_range", default=None, help="Weight range lo:hi (inclusive).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default="csv")
-@click.option("--unsafe-bounds", is_flag=True, help="Ignore the enumeration limits.")
+@click.option("--unsafe-bounds", is_flag=True, help="Count past the family's weight limit.")
 @click.option("--output", type=click.Path(), default=None)
 def stat(family, k, single_n, n_range, fmt, unsafe_bounds, output):
     """Tally a statistic family by residue class with the counting oracle."""
@@ -105,12 +101,10 @@ def stat(family, k, single_n, n_range, fmt, unsafe_bounds, output):
             raise click.UsageError("--n-range must look like 0:20")
     if lo < 0 or hi < lo:
         raise click.UsageError("invalid weight range")
-    limit = DEFAULT_BOUNDS[FAMILY_BOUND_KEY[family]]
-    if hi > limit and not unsafe_bounds:
-        raise click.UsageError(
-            f"weight {hi} exceeds the {family} enumeration bound {limit} "
-            "(pass --unsafe-bounds to force)"
-        )
+    try:
+        require_limit(family, (family,), hi, unsafe_bounds)
+    except BoundExceeded as exc:
+        raise click.UsageError(f"{exc} (pass --unsafe-bounds to force)")
     rows = []
     for n in range(lo, hi + 1):
         values = tally(family, n, k)
@@ -129,28 +123,6 @@ def stat(family, k, single_n, n_range, fmt, unsafe_bounds, output):
         _emit("\n".join(lines), output)
     else:
         _emit("n,residue,value\n" + "\n".join(f"{n},{m},{v}" for n, m, v in rows), output)
-
-
-def _config_from_flags(strict, unsafe_bounds, seed, explore, enum_bounds=()) -> VerifyConfig:
-    cfg = VerifyConfig(
-        strict_conjectures=strict,
-        unsafe_bounds=unsafe_bounds,
-        seed=seed,
-        include_informational=explore,
-    )
-    for item in enum_bounds:
-        try:
-            key, _, val = item.partition("=")
-            bound = int(val)
-            if key not in cfg.enum_bounds or bound < 0:
-                raise ValueError
-            cfg.enum_bounds[key] = bound
-        except ValueError:
-            raise click.UsageError(
-                f"--enum-bound must look like family=N with family in "
-                f"{sorted(cfg.enum_bounds)} and N >= 0; got {item!r}"
-            )
-    return cfg
 
 
 def _print_reports(result, fmt, output, report_path):
@@ -195,17 +167,17 @@ def _print_reports(result, fmt, output, report_path):
 @click.option("--order", type=click.IntRange(min=0), default=None, help="Override every check's bound.")
 @click.option("--strict-conjectures", is_flag=True, help="Conjecture failures also fail the run.")
 @click.option("--unsafe-bounds", is_flag=True,
-              help="Ignore the enumeration limits (a check past its limit is SKIPPED, exit 2).")
+              help="Count past the weight limits; without it a check whose --order "
+                   "passes its limit is SKIPPED (exit 2).")
 @click.option("--seed", type=int, default=0, help="Seed for extra sampled cross-check weights.")
-@click.option("--enum-bound", "enum_bounds", multiple=True,
-              help="Override an enumeration limit, e.g. --enum-bound overpartition=30.")
 @click.option("--explore/--no-explore", default=True, help="Include informational residue scans.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 @click.option("--report", "report_path", type=click.Path(), default=None, help="Write a JSON report file.")
 @click.option("--output", type=click.Path(), default=None)
-def verify(only, order, strict_conjectures, unsafe_bounds, seed, enum_bounds, explore, fmt, report_path, output):
+def verify(only, order, strict_conjectures, unsafe_bounds, seed, explore, fmt, report_path, output):
     """Run the registered checks (all of them by default)."""
-    cfg = _config_from_flags(strict_conjectures, unsafe_bounds, seed, explore, enum_bounds)
+    cfg = VerifyConfig(strict_conjectures=strict_conjectures, unsafe_bounds=unsafe_bounds,
+                       seed=seed, include_informational=explore)
     if only and not select_specs(only, explore):
         raise click.UsageError(
             f"--only {only!r} selects no check; give categories ({_CATEGORIES}) or id globs")

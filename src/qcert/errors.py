@@ -22,7 +22,7 @@ class RepeatedOddPart(QcertError):
 
 
 class BoundExceeded(QcertError):
-    """Requested weight exceeds the configured enumeration bound."""
+    """Counting a tally past its weight limit (see require_limit)."""
 
 
 class UnknownFormId(QcertError):
@@ -31,7 +31,3 @@ class UnknownFormId(QcertError):
 
 class InsufficientOrder(QcertError):
     """Truncation order too small to sample the check's progression."""
-
-
-class EnumBoundExceeded(QcertError):
-    """Check needs enumeration beyond the configured limits."""

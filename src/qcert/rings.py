@@ -51,9 +51,6 @@ class RatRing:
             return x.numerator if x.denominator == 1 else x
         raise TypeError(f"cannot lift {type(x).__name__} into {self.name}")
 
-    def is_unit(self, c) -> bool:
-        return bool(c)
-
     def invert(self, c):
         if not c:
             raise NonUnitConstantTerm("division by zero rational")
@@ -388,9 +385,6 @@ class LaurentRing:
             return LaurentPoly.const(x)
         raise TypeError(f"cannot lift {type(x).__name__} into {self.name}")
 
-    def is_unit(self, c) -> bool:
-        return isinstance(c, LaurentPoly) and len(c) == 1
-
     def invert(self, c) -> LaurentPoly:
         if not isinstance(c, LaurentPoly) or not c:
             raise NonUnitConstantTerm("division by zero Laurent polynomial")
@@ -416,9 +410,6 @@ class DualRing:
         if isinstance(x, DualScalar):
             return x
         return DualScalar(self.base.lift(x), self.base.zero)
-
-    def is_unit(self, c) -> bool:
-        return isinstance(c, DualScalar) and self.base.is_unit(c.value)
 
     def invert(self, c) -> DualScalar:
         # (a + b eps)^-1 = a^-1 - a^-1 b a^-1 eps
@@ -453,9 +444,6 @@ class XPolyRing:
         if isinstance(x, XPoly):
             return x
         return XPoly({0: self.base.lift(x)})
-
-    def is_unit(self, c) -> bool:
-        return isinstance(c, XPoly) and bool(c._c.get(0)) and len(c._c) == 1
 
     def invert(self, c) -> XPoly:
         # only constant-in-x units are needed (series constant terms)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivergentProduct, NonUnitConstantTerm, ZeroDenominator
+from .errors import DivergentProduct, ZeroDenominator
 from .rings import LAURENT, RAT, DualRing, LaurentPoly, XPolyRing
 
 
@@ -217,14 +217,10 @@ class QSeries:
         """Multiplicative inverse modulo q^(order+1).
 
         Requires an invertible constant term (nonzero rational; for
-        Laurent coefficients a single-term unit).
+        Laurent coefficients a single-term unit); the ring's `invert`
+        raises NonUnitConstantTerm otherwise.
         """
-        c0 = self.coeffs[0]
-        if not self.ring.is_unit(c0):
-            raise NonUnitConstantTerm(
-                f"constant term {c0!r} is not a unit of {self.ring!r}"
-            )
-        inv0 = self.ring.invert(c0)
+        inv0 = self.ring.invert(self.coeffs[0])
         out = [inv0] + [self.ring.zero] * self.order
         a = self.coeffs
         for n in range(1, self.order + 1):

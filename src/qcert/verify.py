@@ -19,10 +19,12 @@ family's part-count series and the ``crosscheck`` command's choices
 are all read from that table.  An engine defect inside a check (an
 exception that is not a package error) becomes an ERROR report carrying
 the exception's type and message, so one broken check never loses the
-whole run's report; a stated check that ends SKIPPED certified nothing,
-and fails the run like an ERROR.  Conjecture checks are flagged so that
-a failing conjecture is loudly reported without failing the suite
-unless strict mode is on.
+whole run's report.  A check that would count past the oracle's weight
+limits (``combinatorics.require_limit``; ``unsafe_bounds`` lifts them)
+ends SKIPPED; a stated check that ends SKIPPED certified nothing, and
+fails the run like an ERROR.  Conjecture checks are flagged so that a
+failing conjecture is loudly reported without failing the suite unless
+strict mode is on.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from fnmatch import fnmatch
 
 from . import combinatorics as comb
 from . import genfun
-from .combinatorics import DEFAULT_BOUNDS, FAMILY_BOUND_KEY, raw_tally, tally
-from .errors import EnumBoundExceeded, InsufficientOrder, QcertError
+from .combinatorics import raw_tally, require_limit, tally
+from .errors import BoundExceeded, InsufficientOrder, QcertError
 from .genfun import Family, closed_form, nt_diff_combo, thmain_check
 
 
@@ -187,7 +189,6 @@ class CheckReport:
 
 @dataclass
 class VerifyConfig:
-    enum_bounds: dict = field(default_factory=lambda: dict(DEFAULT_BOUNDS))
     strict_conjectures: bool = False
     unsafe_bounds: bool = False
     seed: int = 0
@@ -222,14 +223,6 @@ def _enum_value(terms, n: int) -> int:
     return acc
 
 
-def _require_enum_range(spec: CheckSpec, families, upto: int, config: VerifyConfig):
-    """Skip the check (EnumBoundExceeded) when enumerating `families` to
-    weight `upto` passes their tightest configured limit."""
-    limit = min(config.enum_bounds[FAMILY_BOUND_KEY[f]] for f in families)
-    if upto > limit and not config.unsafe_bounds:
-        raise EnumBoundExceeded(f"{spec.id} needs enumeration to n={upto}, limit is {limit}")
-
-
 def _fail(report: CheckReport, n: int, value, expected):
     report.status = "FAIL"
     report.witness = {"n": n, "value": value, "expected": expected}
@@ -245,7 +238,7 @@ def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig):
 
     An lhs form is read from its expansion.  Otherwise part-count pairs
     are read from their difference series, the other pairs from the
-    counting oracle, checked against the limits up to `upto`, the last
+    counting oracle, held to the counting limits up to `upto`, the last
     weight the caller reads.
     """
     if spec.lhs_form:
@@ -255,7 +248,7 @@ def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig):
     series_vals = nt_diff_combo(series_terms, bound).integer_coefficients() if series_terms else None
     enum_terms = [t for t in spec.lhs if t.family not in _SERIES_FAMILY]
     if enum_terms:
-        _require_enum_range(spec, [t.family for t in enum_terms], upto, config)
+        require_limit(spec.id, [t.family for t in enum_terms], upto, config.unsafe_bounds)
 
     def value(n: int) -> int:
         val = _enum_value(enum_terms, n)
@@ -287,11 +280,10 @@ def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: 
             _fail(report, n, val, "0" if rhs is None else want)
             return
 
-    # independent confirmation by full enumeration on the overlap
+    # independent confirmation by full enumeration on the overlap; the
+    # registry holds enum_bound within its families' counting limits
     if spec.enum_bound is not None:
         confirm_to = min(spec.enum_bound, bound)
-        last = confirm_to - (confirm_to - i) % step
-        _require_enum_range(spec, [t.family for t in spec.lhs], last, config)
         for n in range(i, confirm_to + 1, step):
             ev = _enum_value(spec.lhs, n)
             sv = value(n)
@@ -329,27 +321,27 @@ def _run_xcheck(spec, bound, config, report):
     distribution and object counts at each n <= bound, then its
     part-count differences; the pair series also at sampled weights."""
     x = _XCHECKS[spec.xcheck]
-    _require_enum_range(spec, [x.count_family, x.part_count_family], bound, config)
+    require_limit(spec.id, [x.count_family, x.part_count_family], bound, config.unsafe_bounds)
     if x.rank_family is None:
         g = genfun.genovpair_series(1, 1, 1, bound)
     else:
         g = genfun.rank_gf(x.rank_family, bound)
-    counts = closed_form(x.count_form, bound)
+    counts = closed_form(x.count_form, bound).integer_coefficients()
     for n in range(bound + 1):
         dist = raw_tally(x.count_family, n)
         if not _poly_matches_counter(g.coeffs[n], dist):
             _fail(report, n, str(g.coeffs[n]), str(dict(sorted(dist.items()))))
             return
-        if sum(dist.values()) != counts.coeffs[n]:
-            _fail(report, n, sum(dist.values()), str(counts.coeffs[n]))
+        if sum(dist.values()) != counts[n]:
+            _fail(report, n, sum(dist.values()), counts[n])
             return
     for b, k in x.pairs:
-        series = genfun.nt_diff_gf(x.rank_family, b, k, bound)
+        series = genfun.nt_diff_gf(x.rank_family, b, k, bound).integer_coefficients()
         for n in range(bound + 1):
             tl = tally(x.part_count_family, n, k)
             want = tl[b] - tl[k - b]
-            if series.coeffs[n] != want:
-                _fail(report, n, str(series.coeffs[n]), want)
+            if series[n] != want:
+                _fail(report, n, series[n], want)
                 report.notes.append(f"part-count difference b={b} mod {k}")
                 return
     if x.rank_family is not None:
@@ -431,7 +423,7 @@ def run_check(spec: CheckSpec, order: int | None = None, config: VerifyConfig | 
             _run_progression(spec, bound, config, report)
         else:
             raise QcertError(f"check {spec.id} has no lhs to read")
-    except EnumBoundExceeded as exc:
+    except BoundExceeded as exc:
         report.status = "SKIPPED"
         report.skip_reason = str(exc)
     report.ms = (time.perf_counter() - start) * 1000.0

@@ -1,11 +1,15 @@
 """Command-line surface: expansion, stats, verification, reports."""
 
 import json
+import shlex
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from qcert.cli import main
+from qcert.genfun import form_ids
 from qcert.series import series_from_json
 
 
@@ -27,7 +31,11 @@ def test_expand_crank_rank_product_constant():
 
 def test_expand_unknown_form_errors():
     res = run("expand", "--form", "nope", "--order", "3")
-    assert res.exit_code != 0
+    assert res.exit_code == 2 and "partition-gf" in res.output
+    res = run("expand", "--help")
+    assert res.exit_code == 0
+    for form_id in form_ids():
+        assert form_id in res.output, form_id
 
 
 def test_expand_json_round_trips():
@@ -88,6 +96,7 @@ def test_stat_range_and_bounds():
     assert res.exit_code != 0  # beyond the pair enumeration bound
     res = run("stat", "--family", "NTpair", "--k", "3", "--n", "25")
     assert res.exit_code == 2 and "--unsafe-bounds" in res.output
+    assert "limit is 24" in res.output
     res = run("stat", "--family", "NTpair", "--k", "3", "--n", "25", "--unsafe-bounds")
     assert res.exit_code == 0 and len(res.output.strip().splitlines()) == 1 + 3
     res = run("stat", "--family", "NT", "--k", "0", "--n", "3")
@@ -118,20 +127,6 @@ def test_verify_json_output():
     assert res.exit_code == 0
     payload = json.loads(res.output)
     assert payload["summary"]["pass"] == 1
-
-
-def test_verify_enum_bound_override():
-    res = run("verify", "--only", "CJ-MW5-EQ-5N4", "--order", "20",
-              "--enum-bound", "partition=20")
-    assert res.exit_code == 0
-    res = run("verify", "--only", "T1", "--enum-bound", "bogus=3")
-    assert res.exit_code == 2
-    # a negative limit used to be accepted and SKIP every check it governs,
-    # so a run that certified nothing exited 0
-    res = run("verify", "--only", "NT5-I1,CJ-MW5-EQ-5N4", "--order", "30",
-              "--enum-bound", "partition=-1")
-    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
-    assert "N >= 0" in res.output and "SKIPPED" not in res.output
 
 
 def test_verify_seed_changes_only_samples():
@@ -223,3 +218,24 @@ def test_verify_engine_error_shows_in_text_and_csv(monkeypatch):
     assert res.exit_code == 2
     assert "ERROR" in res.output and "AssertionError: boom" in res.output
     assert "1 error" in res.output
+
+
+def test_readme_command_lines_parse():
+    # every `qcert ...` line of README's "Command line" block must parse;
+    # nothing runs, and --help counts as a clean exit
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#")[0].strip() for line in block.splitlines()
+             if line.startswith("qcert ")]
+    assert len(lines) >= 5
+    for line in lines:
+        args = shlex.split(line)[1:]
+        try:
+            with main.make_context("qcert", list(args)) as ctx:
+                cmd = main.get_command(ctx, args[0])
+                assert cmd is not None, line
+                cmd.make_context(args[0], args[1:], parent=ctx)
+        except click.exceptions.Exit as exc:
+            assert exc.exit_code == 0, line
+        except click.UsageError as exc:
+            pytest.fail(f"{line}: {exc.format_message()}")

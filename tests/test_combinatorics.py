@@ -34,6 +34,7 @@ from qcert.combinatorics import (
     pair_sweep,
     partition_sweep,
     raw_tally,
+    require_limit,
     tally,
 )
 from qcert.errors import BoundExceeded, RepeatedOddPart
@@ -320,7 +321,7 @@ _COLD_CACHE_SCRIPT = """
 from qcert import combinatorics as C, verify
 
 verify.registry()
-CONSTANTS = {"DEFAULT_BOUNDS", "FAMILY_BOUND_KEY", "TALLY_FAMILIES", "_TALLY_TABLE"}
+CONSTANTS = {"DEFAULT_BOUNDS", "TALLY_FAMILIES", "_TALLY_TABLE"}
 
 
 def filled():
@@ -370,8 +371,15 @@ def test_pair_profile_weight_zero():
 
 
 def test_pair_profile_bound():
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="n=25, limit is 24"):
         pair_profile(DEFAULT_BOUNDS["pair"] + 1)
+
+
+def test_require_limit_is_inclusive_and_takes_the_tightest():
+    require_limit("t", ["NT", "Momega"], 80)  # a limit is itself allowed
+    with pytest.raises(BoundExceeded, match="^t needs enumeration to n=41, limit is 40$"):
+        require_limit("t", ["NT", "NTbar"], 41)
+    require_limit("t", ["NT", "NTbar"], 41, unsafe=True)
 
 
 def test_pair_weight_one_structure():

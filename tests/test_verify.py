@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qcert.combinatorics import DEFAULT_BOUNDS
+from qcert.combinatorics import require_limit
 from qcert.errors import InsufficientOrder
 from qcert.verify import (
     CheckSpec,
@@ -71,6 +71,14 @@ def test_both_engine_specs_have_xcheck_companions():
                     assert fam_to_x[t.family] in xkeys
 
 
+def test_enum_bound_within_counting_limits():
+    # the BOTH confirmation counts its lhs to enum_bound without a limit
+    # check of its own, so the registry must keep it inside the limits
+    for spec in registry():
+        if spec.enum_bound is not None:
+            require_limit(spec.id, [t.family for t in spec.lhs], spec.enum_bound)
+
+
 def test_mixed_checks_stay_within_enumeration_limits():
     for spec in registry():
         if spec.engines in ("ENUM", "MIXED"):
@@ -122,14 +130,13 @@ def test_mutation_sensitivity(cid):
     assert rep.witness is not None and rep.witness["n"] <= 30
 
 
-@pytest.mark.parametrize("cid,order,limit", [
-    ("CJ-MW5-EQ-5N4", 22, 20),  # last n read is 19
-    ("NT5-I4", 35, 29),  # last n confirmed by enumeration is 29
-])
-def test_enum_range_checked_against_last_n_read(cid, order, limit):
-    config = VerifyConfig(enum_bounds={**DEFAULT_BOUNDS, "partition": limit})
-    rep = run_check(get_spec(cid), order=order, config=config)
+def test_enum_range_checked_against_last_n_read():
+    # on 5n+4 the last n read at order 82 is 79, within the limit of 80
+    rep = run_check(get_spec("CJ-MW5-EQ-5N4"), order=82)
     assert rep.status == "PASS", rep.skip_reason
+    rep = run_check(get_spec("CJ-MW5-EQ-5N4"), order=84)
+    assert rep.status == "SKIPPED"
+    assert rep.skip_reason == "CJ-MW5-EQ-5N4 needs enumeration to n=84, limit is 80"
 
 
 def test_mutation_sensitivity_exact_relation():
@@ -142,6 +149,43 @@ def test_pair_xcheck_over_limit_is_skip():
     rep = run_check(get_spec("X-PAIR"), order=25)
     assert rep.status == "SKIPPED"
     assert "X-PAIR needs enumeration to n=25, limit is 24" in rep.skip_reason
+
+
+def _bumped(series, n):
+    from qcert.series import QSeries
+
+    coeffs = list(series.coeffs)
+    coeffs[n] += 1
+    return QSeries(series.ring, series.order, coeffs)
+
+
+def test_xcheck_count_witness_is_ints(monkeypatch):
+    from qcert import verify as V
+
+    real = V.closed_form
+    monkeypatch.setattr(
+        V, "closed_form",
+        lambda form_id, order: _bumped(real(form_id, order), 3)
+        if form_id == "partition-gf" else real(form_id, order),
+    )
+    rep = run_check(get_spec("X-RANK-PART"), order=8)
+    assert rep.status == "FAIL"
+    assert rep.witness == {"n": 3, "value": 3, "expected": 4}  # p(3) = 3
+
+
+def test_xcheck_part_count_witness_is_ints(monkeypatch):
+    from qcert import genfun
+
+    real = genfun.nt_diff_gf
+    monkeypatch.setattr(
+        genfun, "nt_diff_gf",
+        lambda family, b, k, order: _bumped(real(family, b, k, order), 3),
+    )
+    rep = run_check(get_spec("X-RANK-PART"), order=8)
+    assert rep.status == "FAIL"
+    # NT(1,5,3) - NT(4,5,3) = 0, read from the bumped series as 1
+    assert rep.witness == {"n": 3, "value": 1, "expected": 0}
+    assert rep.notes == ["part-count difference b=1 mod 5"]
 
 
 def test_exact_identity_with_progression_small():
