@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+import textwrap
 
 import click
 
@@ -38,8 +39,9 @@ def main():
     """Exact q-series expansion and congruence verification."""
 
 
-@main.command()
-@click.option("--form", "form_id", required=True, type=click.Choice(form_ids()), help="Registered form id.")
+@main.command(epilog="\b\nForms:\n" + "\n".join(
+    textwrap.wrap(", ".join(form_ids()), 72, break_on_hyphens=False)))
+@click.option("--form", "form_id", required=True, type=click.Choice(form_ids()), metavar="FORM", help="See Forms below.")
 @click.option("--order", type=click.IntRange(min=0), required=True,
               help="Truncation order N (series known through q^N).")
 @click.option("--mod", "mod_p", type=click.IntRange(min=1), default=None,

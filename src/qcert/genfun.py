@@ -20,7 +20,8 @@ sum vanishes at x = 1, so the derivative needs only the x = 1 inner
 terms, A'(1) = sum_n C_n(1) * g_n'(1), and the prefactor enters at
 x = 1 only: integer series throughout (see ``nt_diff_gf``).  Each
 family has one prefactor, shared by the part-count series and the main
-transformation.
+transformation; at x = 1 it is one over a sparse theta series with
+O(sqrt N) terms (Euler's pentagonal theorem, Gauss's phi and psi).
 
 The generic helpers take the coefficient ring, which carries x: x = 1
 over ``RAT`` or ``LAURENT``, 1 + eps over ``DualRing(LAURENT)`` for
@@ -73,6 +74,7 @@ class _FamilyData:
     # prefactor of the transformed sum, as a quotient of infinite products
     pref_num: tuple[tuple[Monomial, int], ...]
     pref_den: tuple[tuple[Monomial, int], ...]
+    theta: Callable[[int], int]  # at x = 1: 1 / sum_{n in Z} (-1)^n q^{theta(n)}
     # inner summand: nums(n) * (-x)^n * q^{inner_quad(n)}
     #                / ((q^s; q^s)_{n-1} * dens(n))
     inner_num: tuple[Monomial, ...]
@@ -90,6 +92,7 @@ _FAMILY_DATA = {
         lhs_quad=lambda n: n * n,
         pref_num=(),
         pref_den=((mono(1, 1, xexp=_X), 1),),
+        theta=lambda n: n * (3 * n - 1) // 2,  # (q;q)_inf, Euler
         inner_num=(mono(1, 1, xexp=_X),),
         inner_den=(),
         inner_quad=lambda n: (3 * n * n + n) // 2,
@@ -100,6 +103,7 @@ _FAMILY_DATA = {
         lhs_quad=lambda n: n * (n + 1) // 2,
         pref_num=((mono(-1, 1, xexp=_X), 1),),
         pref_den=((mono(1, 1, xexp=_X), 1),),
+        theta=lambda n: n * n,  # (q;q)_inf / (-q;q)_inf, Gauss
         inner_num=(mono(1, 1, xexp=_X), mono(-1, 0)),
         inner_den=(mono(-1, 1, xexp=_X),),
         inner_quad=lambda n: n * n + n,
@@ -112,6 +116,7 @@ _FAMILY_DATA = {
         lhs_quad=lambda n: n,
         pref_num=((mono(-1, 1, xexp=_X), 1),),
         pref_den=((mono(1, 1, xexp=_X), 1),),
+        theta=lambda n: n * n,
         inner_num=(mono(1, 2, xexp=_X), mono(-1, 0), mono(-1, 1)),
         inner_den=(mono(-1, 2, xexp=_X), mono(-1, 1, xexp=_X)),
         inner_quad=lambda n: n * n + 2 * n,
@@ -122,6 +127,7 @@ _FAMILY_DATA = {
         lhs_quad=lambda n: n * n,
         pref_num=((mono(-1, 1, xexp=_X), 2),),
         pref_den=((mono(1, 2, xexp=_X), 2),),
+        theta=lambda n: 2 * n * n + n,  # (q^2;q^2)_inf / (-q;q^2)_inf, Gauss
         inner_num=(mono(1, 2, xexp=_X), mono(-1, 1)),
         inner_den=(mono(-1, 1, xexp=_X),),
         inner_quad=lambda n: 2 * n * n + n,
@@ -163,11 +169,26 @@ def _inner_terms_rat(family: Family, order: int) -> tuple:
     return tuple(_inner_terms(family, RAT, order))
 
 
-@lru_cache(maxsize=None)
 def _prefactor_rat(family: Family, order: int) -> QSeries:
-    """The part-count prefactor at x = 1, shared across all (b, k)."""
-    d = _FAMILY_DATA[family]
-    return pochhammer_quotient(d.pref_num, d.pref_den, order=order)
+    """The part-count prefactor at x = 1, shared across all (b, k): one
+    over the family's theta series sum_{n in Z} (-1)^n q^{theta(n)}."""
+    t = _FAMILY_DATA[family].theta
+    theta = [0] * (order + 1)
+    for n in range(1, order + 1):  # theta(n), theta(-n) >= n
+        for e in (t(n), t(-n)):
+            if e <= order:
+                theta[e] += (-1) ** n
+    return _theta_reciprocal(tuple((e, c) for e, c in enumerate(theta) if c), order)
+
+
+@lru_cache(maxsize=None)
+def _theta_reciprocal(theta: tuple, order: int) -> QSeries:
+    """1 / (1 + sum c q^e) over the sparse (e, c) pairs of `theta`, all
+    with e >= 1, in O(order * len(theta)) integer steps."""
+    out = [1] + [0] * order
+    for m in range(1, order + 1):
+        out[m] = -sum(c * out[m - e] for e, c in theta if e <= m)
+    return QSeries(RAT, order, out)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +645,7 @@ def closed_form(form_id: str, order: int) -> QSeries:
 def clear_caches():
     """Drop every memoized series of this module (mainly for tests)."""
     _inner_terms_rat.cache_clear()
-    _prefactor_rat.cache_clear()
+    _theta_reciprocal.cache_clear()
     rank_gf.cache_clear()
     nt_diff_gf.cache_clear()
     closed_form.cache_clear()

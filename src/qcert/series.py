@@ -245,17 +245,9 @@ class QSeries:
         """Multiply by q^k (k >= 0).  Knowledge extends to order + k."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        order = self.order + k
-        if cap is not None:
-            order = min(order, cap)
-        zero = self.ring.zero
-        out = [zero] * (order + 1)
-        for i, c in enumerate(self.coeffs):
-            j = i + k
-            if j > order:
-                break
-            out[j] = c
-        return QSeries(self.ring, order, out)
+        order = self.order + k if cap is None else min(self.order + k, cap)
+        fill = min(k, order + 1)
+        return QSeries(self.ring, order, [self.ring.zero] * fill + self.coeffs[: order + 1 - fill])
 
     # -- comparisons and views ----------------------------------------------
 

@@ -170,11 +170,26 @@ def test_clear_caches_empties_every_lru_cache():
     tally("NTbar", 6, 5)
     raw_tally("N", 6)
     warm = {f"qcert.genfun.{name}" for name in (
-        "_inner_terms_rat", "_prefactor_rat", "nt_diff_gf", "rank_gf", "closed_form")}
+        "_inner_terms_rat", "_theta_reciprocal", "nt_diff_gf", "rank_gf", "closed_form")}
     warm |= {"qcert.combinatorics.overpartition_sweep", "qcert.combinatorics.partition_sweep"}
     assert warm <= set(filled()), filled()
     qcert.clear_caches()
     assert filled() == {}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_prefactor_is_sparse_theta_reciprocal(family):
+    # the x = 1 prefactor, one over a theta series (Euler's pentagonal
+    # theorem, Gauss's phi and psi), is the family's product quotient
+    from qcert.genfun import _FAMILY_DATA, _prefactor_rat
+    from qcert.series import pochhammer_quotient
+
+    d = _FAMILY_DATA[family]
+    orders = (0, 1, 2, 7, 60, 200) + ((1054,) if family is Family.DYSON else ())
+    for order in orders:
+        got = _prefactor_rat(family, order)
+        assert got == pochhammer_quotient(d.pref_num, d.pref_den, order=order), order
+        assert all(type(c) is int for c in got.coeffs), order
 
 
 @pytest.mark.parametrize("ring_name", ["xpoly-rat", "dual-laurent"])
