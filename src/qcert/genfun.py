@@ -19,6 +19,9 @@ differentiating with respect to x at x = 1.  Every term of the inner
 sum vanishes at x = 1, so the derivative needs only the x = 1 inner
 terms, A'(1) = sum_n C_n(1) * g_n'(1), and the prefactor enters at
 x = 1 only: integer series throughout (see ``nt_diff_gf``).  Each
+summand is built on its window [min(lo, hi), order] only.  A'(1) is
+cached per (family, b, k, order), and every miss first runs the A(1) = 0
+guard; a combination multiplies by the prefactor once per family.  Each
 family has one prefactor, shared by the part-count series and the main
 transformation; at x = 1 it is one over a sparse theta series with
 O(sqrt N) terms (Euler's pentagonal theorem, Gauss's phi and psi).
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, takewhile
 from typing import Callable
 
 from .errors import UnknownFormId
@@ -48,6 +52,7 @@ from .rings import LAURENT, RAT, DualRing, LaurentPoly
 from .series import (
     Monomial,
     QSeries,
+    add_shifted,
     lerch_sum,
     lift_zc,
     mon,
@@ -146,8 +151,7 @@ def _inner_terms(family: Family, ring, order: int, margin=None):
     s = d.qstep
     neg_x = -ring.x_power(1)
     cur = QSeries.one(ring, order)
-    n = 1
-    while True:
+    for n in count(1):
         quad = d.inner_quad(n)
         if quad - (margin(n) if margin else 0) > order:
             return
@@ -159,7 +163,6 @@ def _inner_terms(family: Family, ring, order: int, margin=None):
         for a in d.inner_den:
             cur = cur.div_binomial(-mon(ring, a), a.qexp + (n - 1) * s)
         yield n, cur, quad
-        n += 1
 
 
 @lru_cache(maxsize=None)
@@ -173,12 +176,12 @@ def _prefactor_rat(family: Family, order: int) -> QSeries:
     """The part-count prefactor at x = 1, shared across all (b, k): one
     over the family's theta series sum_{n in Z} (-1)^n q^{theta(n)}."""
     t = _FAMILY_DATA[family].theta
-    theta = [0] * (order + 1)
-    for n in range(1, order + 1):  # theta(n), theta(-n) >= n
+    theta = {}
+    for n in takewhile(lambda n: min(t(n), t(-n)) <= order, count(1)):  # both grow
         for e in (t(n), t(-n)):
             if e <= order:
-                theta[e] += (-1) ** n
-    return _theta_reciprocal(tuple((e, c) for e, c in enumerate(theta) if c), order)
+                theta[e] = theta.get(e, 0) + (-1) ** n
+    return _theta_reciprocal(tuple(sorted((e, c) for e, c in theta.items() if c)), order)
 
 
 @lru_cache(maxsize=None)
@@ -203,14 +206,12 @@ def _rank_sum(ring, extras, quad, qstep: int, scalar, x, order: int) -> QSeries:
     xz = lift_zc(ring, 1, -1) * x
     acc = QSeries.one(ring, order)
     cur = QSeries.one(ring, order)
-    n = 1
-    while quad(n) <= order:
+    for n in takewhile(lambda n: quad(n) <= order, count(1)):
         for a in extras:
             cur = cur.mul_binomial(-mon(ring, a), a.qexp + (n - 1) * qstep)
         cur = cur.mul_scalar(scalar)
         cur = cur.div_binomial(-z, qstep * n).div_binomial(-xz, qstep * n)
-        acc = acc + cur.shift(quad(n), cap=order)
-        n += 1
+        add_shifted(acc.coeffs, cur.coeffs, quad(n))
     return acc
 
 
@@ -247,25 +248,36 @@ def rank_count_diff(family: Family, b1: int, b2: int, k: int, order: int) -> QSe
     return out
 
 
+def _windows(family: Family, b: int, k: int, terms, order: int):
+    """(coefficients, lo, hi, kn, start) per inner term whose summand, zero below
+    q^start = q^min(lo, hi) >= q^quad(n), reaches the order (`_difference_deriv`)."""
+    s = _FAMILY_DATA[family].qstep
+    for n, common, quad in terms:
+        lo, hi = quad + s * (b - 1) * n, quad + s * (k - b - 1) * n
+        if min(lo, hi) <= order:
+            yield common.coeffs, lo, hi, s * k * n, min(lo, hi)
+
+
+def _window(ring, src: list, start: int, order: int, parts) -> QSeries:
+    """sum c * q^(e-start) * src over (e, c) in `parts`, to q^(order-start)."""
+    out = [ring.zero] * (order - start + 1)
+    for e, c in parts:
+        add_shifted(out, src, e - start, c)
+    return QSeries(ring, order - start, out)
+
+
 def _difference_sum(family: Family, b: int, k: int, ring, terms, order: int) -> QSeries:
     """The inner sum A of the transformed rank sum over `ring`, from the
-    inner `terms` over that ring (see `_inner_terms`)."""
-    s = _FAMILY_DATA[family].qstep
-    acc = QSeries.zeros(ring, order)
-    xk = ring.x_power(k)
-    for n, common, quad in terms:
-        e_lo = s * (b - 1) * n
-        e_hi = s * (k - b - 1) * n
-        e_kn = s * k * n
-        p1 = common.shift(quad + e_lo, cap=order) - common.shift(
-            quad + e_hi, cap=order
-        )
-        p1 = p1.div_binomial(ring.lift(-1), e_kn)
-        t_hi = common.mul_scalar(ring.x_power(k - b)).shift(quad + e_hi, cap=order)
-        t_lo = common.mul_scalar(ring.x_power(b)).shift(quad + e_lo, cap=order)
-        p2 = (t_hi - t_lo).div_binomial(-xk, e_kn)
-        acc = acc + p1 + p2
-    return acc
+    inner `terms` over that ring (see `_inner_terms`), each summand built
+    on its window and added into A from there."""
+    acc = [ring.zero] * (order + 1)
+    xb, xkb, xk = ring.x_power(b), ring.x_power(k - b), ring.x_power(k)
+    for c, lo, hi, kn, start in _windows(family, b, k, terms, order):
+        p1 = _window(ring, c, start, order, ((lo, 1), (hi, -1)))
+        p2 = _window(ring, c, start, order, ((hi, xkb), (lo, -xb)))
+        add_shifted(acc, p1.div_binomial(ring.lift(-1), kn).coeffs, start)
+        add_shifted(acc, p2.div_binomial(-xk, kn).coeffs, start)
+    return QSeries(ring, order, acc)
 
 
 def _difference_deriv(family: Family, b: int, k: int, terms, order: int) -> QSeries:
@@ -279,20 +291,24 @@ def _difference_deriv(family: Family, b: int, k: int, terms, order: int) -> QSer
         g_n'(1) = [(k-b) q^hi - b q^lo + b q^(hi+kn) - (k-b) q^(lo+kn)]
                   / (1 - q^kn)^2
     """
-    s = _FAMILY_DATA[family].qstep
-    acc = QSeries.zeros(RAT, order)
-    for n, common, quad in terms:
-        lo = quad + s * (b - 1) * n
-        hi = quad + s * (k - b - 1) * n
-        kn = s * k * n
-        num = (
-            common.shift(hi, cap=order).mul_scalar(k - b)
-            - common.shift(lo, cap=order).mul_scalar(b)
-            + common.shift(hi + kn, cap=order).mul_scalar(b)
-            - common.shift(lo + kn, cap=order).mul_scalar(k - b)
-        )
-        acc = acc + num.div_binomial(-1, kn).div_binomial(-1, kn)
-    return acc
+    acc = [0] * (order + 1)
+    for c, lo, hi, kn, start in _windows(family, b, k, terms, order):
+        parts = ((hi, k - b), (lo, -b), (hi + kn, b), (lo + kn, b - k))
+        num = _window(RAT, c, start, order, parts)
+        add_shifted(acc, num.div_binomial(-1, kn).div_binomial(-1, kn).coeffs, start)
+    return QSeries(RAT, order, acc)
+
+
+@lru_cache(maxsize=None)
+def _nt_deriv(family: Family, b: int, k: int, order: int) -> QSeries:
+    """A'(1) for one (family, b, k), cached; every miss first asserts
+    A(1) = 0 with the generic `_difference_sum`."""
+    if not 1 <= b <= k - 1:
+        raise ValueError("need 1 <= b <= k-1")
+    terms = _inner_terms_rat(family, order)
+    if not _difference_sum(family, b, k, RAT, terms, order).is_zero():
+        raise AssertionError("x = 1 evaluation of the inner difference sum must vanish")
+    return _difference_deriv(family, b, k, terms, order)
 
 
 @lru_cache(maxsize=None)
@@ -303,29 +319,27 @@ def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
 
     With x = 1 every power of x is 1, so the two halves of each inner
     term cancel and A(1) = 0 coefficient by coefficient; that is
-    asserted on every call.  Hence d/dx(P*A) at x = 1 is P(1)*A'(1), and
-    A'(1) = sum_n C_n(1) * g_n'(1) needs only the x = 1 inner terms
-    (see `_difference_deriv`).  Everything is integer arithmetic, and
-    P(1)*A'(1) is one integer convolution.  The generic
-    `_difference_sum` over honest x-polynomials is the tests' oracle for
-    this collapse.
+    asserted on every miss of the cache of A'(1) (`_nt_deriv`).  Hence
+    d/dx(P*A) at x = 1 is P(1)*A'(1), and A'(1) = sum_n C_n(1) * g_n'(1)
+    needs only the x = 1 inner terms (see `_difference_deriv`).
+    Everything is integer arithmetic, and P(1)*A'(1) is one integer
+    convolution.  The generic `_difference_sum` over honest
+    x-polynomials is the tests' oracle for this collapse.
     """
-    if not 1 <= b <= k - 1:
-        raise ValueError("need 1 <= b <= k-1")
-    terms = _inner_terms_rat(family, order)
-    value = _difference_sum(family, b, k, RAT, terms, order)
-    if not value.is_zero():
-        raise AssertionError("x = 1 evaluation of the inner difference sum must vanish")
-    deriv = _difference_deriv(family, b, k, terms, order)
-    return -(_prefactor_rat(family, order) * deriv)
+    return -(_prefactor_rat(family, order) * _nt_deriv(family, b, k, order))
 
 
 def nt_diff_combo(terms, order: int) -> QSeries:
     """Integer combination sum(c * nt_diff_gf(family, b, k)) of difference
-    series; `terms` is an iterable of (coeff, family, b, k)."""
-    acc = QSeries.zeros(RAT, order)
+    series; `terms` is an iterable of (coeff, family, b, k).  By linearity
+    it is -P(1) * sum c * A'(1) per family: one product per family."""
+    derivs = {}
     for c, family, b, k in terms:
-        acc = acc + nt_diff_gf(family, b, k, order).mul_scalar(c)
+        d = _nt_deriv(family, b, k, order).coeffs
+        add_shifted(derivs.setdefault(family, [0] * (order + 1)), d, 0, c)
+    acc = QSeries.zeros(RAT, order)
+    for family, d in derivs.items():
+        acc = acc - _prefactor_rat(family, order) * QSeries(RAT, order, d)
     return acc
 
 
@@ -352,13 +366,11 @@ def _thmain_rhs(family: Family, ring, order: int) -> QSeries:
     acc = QSeries.zeros(ring, order)
     for n, common, quad in _inner_terms(family, ring, order, margin=lambda n: s * n):
         # 1/(q^{sn} (1 - z q^{sn}))  +  x z^-1 / (1 - x q^{sn} / z)
-        p1 = common.shift(quad - s * n, cap=order).div_binomial(-z, s * n)
-        p2 = (
-            common.mul_scalar(xzinv)
-            .shift(quad, cap=order)
-            .div_binomial(-xzinv, s * n)
-        )
-        acc = acc + p1 + p2
+        p1 = common.truncate(order - quad + s * n).div_binomial(-z, s * n)
+        add_shifted(acc.coeffs, p1.coeffs, quad - s * n)
+        if quad <= order:
+            p2 = common.truncate(order - quad).mul_scalar(xzinv).div_binomial(-xzinv, s * n)
+            add_shifted(acc.coeffs, p2.coeffs, quad)
     pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ring=ring)
     return QSeries.one(ring, order) - pref * acc
 
@@ -436,21 +448,12 @@ def _kernel_sum(family: Family, ypoly, denoms, order: int) -> QSeries:
     is a dict or LaurentPoly, read through its items()."""
     _, _, quad, ystep = _KERNELS[family]
     acc = QSeries.zeros(RAT, order)
-    n = 1
-    while quad(n) <= order:
-        sign = -1 if n % 2 else 1
-        term = QSeries.zeros(RAT, order)
-        live = False
-        for j, c in ypoly.items():
-            e = quad(n) + ystep * n * j
-            if e <= order:
-                term.coeffs[e] = sign * c
-                live = True
-        if live:
-            for sgn, mult in denoms:
-                term = term.div_binomial(sgn, mult * n)
-            acc = acc + term
-        n += 1
+    for n in takewhile(lambda n: quad(n) <= order, count(1)):
+        ys = {ystep * n * j: (-1) ** n * c for j, c in ypoly.items()}  # from q^quad(n)
+        term = QSeries.from_terms(RAT, order - quad(n), ys)
+        for sgn, mult in denoms:
+            term = term.div_binomial(sgn, mult * n)
+        add_shifted(acc.coeffs, term.coeffs, quad(n))
     return acc
 
 
@@ -521,11 +524,9 @@ def _theta_overpartition_rhs(order: int) -> QSeries:
         order=order,
     )
     ratio = pochhammer_quotient(*_THETA_RATIO, order=order)
-    inner = (
-        QSeries.one(RAT, order)
-        + ratio.shift(1, cap=order).mul_scalar(2)
-        + (ratio * ratio).shift(2, cap=order).mul_scalar(4)
-    )
+    inner = QSeries.one(RAT, order)  # 1 + 2q ratio + 4q^2 ratio^2
+    add_shifted(inner.coeffs, ratio.coeffs, 1, 2)
+    add_shifted(inner.coeffs, (ratio * ratio).coeffs, 2, 4)
     return lead * inner
 
 
@@ -647,5 +648,6 @@ def clear_caches():
     _inner_terms_rat.cache_clear()
     _theta_reciprocal.cache_clear()
     rank_gf.cache_clear()
+    _nt_deriv.cache_clear()
     nt_diff_gf.cache_clear()
     closed_form.cache_clear()

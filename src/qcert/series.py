@@ -13,12 +13,19 @@ exact handling of the half-integer n = 0 terms.
 The coefficient ring carries x (see ``rings``): a builder takes
 ``ring=`` and lifts each argument with ``mon``; ``QSeries.at_one`` reads
 a dual or x-polynomial series back as (value, d/dx) at x = 1.
+
+Over ``RAT`` the binomial kernels with c = +-1 are C-level list passes;
+other rings and coefficients keep the per-element loop.  ``add_shifted``
+adds c*q^k*src into a coefficient list from offset k, so a sum of
+shifted terms never builds the zeros below each shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 from .errors import DivergentProduct, ZeroDenominator
 from .rings import LAURENT, RAT, DualRing, LaurentPoly, XPolyRing
@@ -132,23 +139,18 @@ class QSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def _termwise(self, other, op):
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_ring(other)
         n = min(self.order, other.order)
-        return QSeries(
-            self.ring, n, [a + b for a, b in zip(self.coeffs, other.coeffs)][: n + 1]
-        )
+        return QSeries(self.ring, n, map(op, self.coeffs[: n + 1], other.coeffs))
+
+    def __add__(self, other):
+        return self._termwise(other, add)
 
     def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._check_ring(other)
-        n = min(self.order, other.order)
-        return QSeries(
-            self.ring, n, [a - b for a, b in zip(self.coeffs, other.coeffs)][: n + 1]
-        )
+        return self._termwise(other, sub)
 
     def __neg__(self):
         return QSeries(self.ring, self.order, [-c for c in self.coeffs])
@@ -188,8 +190,11 @@ class QSeries:
             return self.copy()
         if m == 0:
             return self.mul_scalar(self.ring.one + c)
-        out = list(self.coeffs)
         a = self.coeffs
+        out = list(a)
+        if self.ring is RAT and c in (1, -1):
+            add_shifted(out, a, m, c)
+            return QSeries(RAT, self.order, out)
         for i in range(m, self.order + 1):
             lo = a[i - m]
             if lo:
@@ -206,6 +211,9 @@ class QSeries:
         if m == 0:
             unit = self.ring.one + c
             return self.mul_scalar(self.ring.invert(unit))
+        if self.ring is RAT and c in (1, -1):  # 1/(1 + q^m) = (1 - q^m)/(1 - q^2m)
+            a = self.coeffs if c == -1 else self.mul_binomial(-1, m).coeffs
+            return QSeries(RAT, self.order, _div_one_minus(a, m if c == -1 else 2 * m))
         out = list(self.coeffs)
         for i in range(m, self.order + 1):
             lo = out[i - m]
@@ -316,6 +324,29 @@ class QSeries:
                 bits.append(qs if cs == "1" else f"{cs}*{qs}")
         body = " + ".join(bits) if bits else "0"
         return f"{body} + O(q^{self.order + 1})".replace("+ -", "- ")
+
+
+def _div_one_minus(a: list, m: int) -> list:
+    """a / (1 - q^m), m >= 1, in C-level passes: prefix sums along each
+    residue class mod m while m*m <= len(a), else one per block of m."""
+    out = list(a)
+    if m * m <= len(out):
+        for r in range(m):
+            out[r::m] = accumulate(out[r::m])
+    else:
+        for i in range(m, len(out), m):
+            out[i : i + m] = map(add, out[i : i + m], out[i - m : i])
+    return out
+
+
+def add_shifted(dst: list, src, k: int, c=1) -> None:
+    """dst[i] += c * src[i - k] for k <= i < len(dst), k >= 0, in place:
+    adds c*q^k*src to dst from offset k on; c = +-1 is a plain add or sub."""
+    n = min(len(dst) - k, len(src))
+    if n > 0:
+        if not (c == 1 or c == -1):
+            src, c = map(mul, src, repeat(c, n)), 1
+        dst[k : k + n] = map(add if c == 1 else sub, dst[k : k + n], src)
 
 
 def _pack(coeffs, width: int, nbytes: int) -> int:
@@ -470,11 +501,8 @@ def lerch_sum(
             raise ValueError("negative net q-valuation in bilateral sum")
         if v0 > order:
             return
-        term = QSeries.zeros(RAT, order)
-        term.coeffs[v0] = sign
-        term = term.div_binomial(denom_sign, m)
-        for i in range(v0, order + 1):
-            acc.coeffs[i] = acc.coeffs[i] + term.coeffs[i]
+        term = QSeries.from_terms(RAT, order - v0, {0: sign})
+        add_shifted(acc.coeffs, term.div_binomial(denom_sign, m).coeffs, v0)
 
     # conservative index bound: beyond the vertex, quad*t^2 - |lin|*t +
     # num_shift underestimates every term's valuation

@@ -117,3 +117,58 @@ def overpartitions(n: int) -> set[tuple[tuple[int, bool], ...]]:
                 marked = [(v, i in chosen) for i, v in enumerate(parts)]
                 out.add(tuple(sorted(marked, key=lambda p: (-p[0], not p[1]))))
     return out
+
+
+# -- per-element references for the series kernels and the inner sums --------
+
+
+def mul_binomial_ref(a: list, c, m: int) -> list:
+    """a * (1 + c*q^m) for m >= 1, one coefficient at a time."""
+    out = list(a)
+    for i in range(m, len(a)):
+        out[i] = out[i] + c * a[i - m]
+    return out
+
+
+def div_binomial_ref(a: list, c, m: int) -> list:
+    """a / (1 + c*q^m) for m >= 1, one coefficient at a time."""
+    out = list(a)
+    for i in range(m, len(a)):
+        out[i] = out[i] - c * out[i - m]
+    return out
+
+
+def _shifted(a: list, e: int, order: int, zero=0) -> list:
+    """q^e * a as a full-length list through q^order."""
+    return ([zero] * e + list(a) + [zero] * (order + 1))[: order + 1]
+
+
+def difference_sum_ref(terms, s, b, k, order, xpow=lambda j: 1, zero=0) -> list:
+    """The inner difference sum A built from full-length shifted copies
+    of every inner term, combined coefficient by coefficient.
+
+    `terms` holds (n, coefficient list, quad), `s` is the family's
+    q-step and `xpow(j)` is x^j in the coefficient ring (1 at x = 1)."""
+    acc = [zero] * (order + 1)
+    for n, common, quad in terms:
+        lo, hi, kn = quad + s * (b - 1) * n, quad + s * (k - b - 1) * n, s * k * n
+        c_lo, c_hi = _shifted(common, lo, order, zero), _shifted(common, hi, order, zero)
+        p1 = div_binomial_ref([u - v for u, v in zip(c_lo, c_hi)], -xpow(0), kn)
+        p2 = [u * xpow(k - b) - v * xpow(b) for u, v in zip(c_hi, c_lo)]
+        p2 = div_binomial_ref(p2, -xpow(k), kn)
+        acc = [a + u + v for a, u, v in zip(acc, p1, p2)]
+    return acc
+
+
+def difference_deriv_ref(terms, s, b, k, order) -> list:
+    """A'(1) = sum_n C_n(1) * g_n'(1) from full-length shifted copies
+    (see difference_sum_ref), with g_n'(1) the quotient
+    [(k-b) q^hi - b q^lo + b q^(hi+kn) - (k-b) q^(lo+kn)] / (1 - q^kn)^2."""
+    acc = [0] * (order + 1)
+    for n, common, quad in terms:
+        lo, hi, kn = quad + s * (b - 1) * n, quad + s * (k - b - 1) * n, s * k * n
+        w, x, y, z = (_shifted(common, e, order) for e in (hi, lo, hi + kn, lo + kn))
+        num = [(k - b) * p - b * q + b * r - (k - b) * t for p, q, r, t in zip(w, x, y, z)]
+        quotient = div_binomial_ref(div_binomial_ref(num, -1, kn), -1, kn)
+        acc = [a + u for a, u in zip(acc, quotient)]
+    return acc

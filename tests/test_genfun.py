@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bruteforce as bf
 from qcert.combinatorics import raw_tally, tally
 from qcert.errors import UnknownFormId
 from qcert.genfun import (
@@ -135,6 +136,117 @@ def test_nt_diff_collapse_matches_uncollapsed_xpoly_product(family):
         assert -deriv == nt_diff_gf(family, b, k, order), (b, k)
 
 
+# (b, k) with b < k/2 and b > k/2 (lo > hi); for b, k - b >= 2 the last
+# inner terms of each order have windows that start past the order
+_WINDOW_PAIRS = ((1, 3), (2, 3), (2, 5), (4, 5), (3, 7), (5, 7), (6, 11), (10, 13))
+
+
+@pytest.mark.parametrize(
+    "family, order", [(f, 200) for f in ALL_FAMILIES] + [(Family.DYSON, 1054)]
+)
+def test_windowed_difference_sums_match_full_length_reference(family, order):
+    from qcert.genfun import (
+        _FAMILY_DATA, _difference_deriv, _difference_sum, _inner_terms_rat,
+    )
+
+    s = _FAMILY_DATA[family].qstep
+    terms = _inner_terms_rat(family, order)
+    plain = [(n, c.coeffs, quad) for n, c, quad in terms]
+    starts_past_order = False
+    for b, k in _WINDOW_PAIRS:
+        value = _difference_sum(family, b, k, RAT, terms, order)
+        assert value.is_zero(), (b, k)
+        assert value.coeffs == bf.difference_sum_ref(plain, s, b, k, order), (b, k)
+        deriv = _difference_deriv(family, b, k, terms, order)
+        assert deriv.coeffs == bf.difference_deriv_ref(plain, s, b, k, order), (b, k)
+        starts_past_order |= any(
+            quad + s * min(b - 1, k - b - 1) * n > order for n, _, quad in terms
+        )
+    assert starts_past_order
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_windowed_difference_sum_over_dual_numbers(family):
+    # at x = 1 + eps the inner sum does not vanish: its windows are
+    # pinned coefficient by coefficient, and its eps part is A'(1)
+    from qcert.genfun import (
+        _FAMILY_DATA, _difference_deriv, _difference_sum, _inner_terms, _inner_terms_rat,
+    )
+
+    order = 60
+    ring = DualRing(RAT)
+    s = _FAMILY_DATA[family].qstep
+    terms = tuple(_inner_terms(family, ring, order))
+    plain = [(n, c.coeffs, quad) for n, c, quad in terms]
+    for b, k in ((1, 5), (3, 5), (6, 11)):
+        got = _difference_sum(family, b, k, ring, terms, order)
+        want = bf.difference_sum_ref(plain, s, b, k, order, ring.x_power, ring.zero)
+        assert got.coeffs == want, (b, k)
+        value, deriv = got.at_one()
+        assert value.is_zero() and not deriv.is_zero(), (b, k)
+        assert deriv == _difference_deriv(family, b, k, _inner_terms_rat(family, order), order)
+
+
+def test_nt_diff_combo_is_the_sum_of_its_terms_for_every_registry_spec():
+    from qcert.verify import _SERIES_FAMILY, registry
+
+    checked = 0
+    for spec in registry():
+        terms = [(t.coeff, _SERIES_FAMILY[t.family], t.residue, t.modulus)
+                 for t in spec.lhs if t.family in _SERIES_FAMILY]
+        if not terms:
+            continue
+        want = QSeries.zeros(RAT, spec.bound)
+        for c, family, b, k in terms:
+            want = want + nt_diff_gf(family, b, k, spec.bound).mul_scalar(c)
+        assert nt_diff_combo(terms, spec.bound) == want, spec.id
+        checked += 1
+    assert checked >= 30
+
+
+def test_nt_diff_combo_multiplies_once_per_family(monkeypatch):
+    from qcert import genfun as G
+
+    calls = []
+    orig = G._prefactor_rat
+    monkeypatch.setattr(G, "_prefactor_rat", lambda *a: calls.append(a) or orig(*a))
+    terms = [(1, Family.DYSON, 1, 5), (-2, Family.DYSON, 2, 5), (3, Family.DYSON, 1, 7),
+             (1, Family.OV_M2, 1, 5), (4, Family.OV_M2, 2, 5)]
+    combo = nt_diff_combo(terms, 40)
+    assert sorted(calls) == [(Family.DYSON, 40), (Family.OV_M2, 40)]
+    want = QSeries.zeros(RAT, 40)
+    for c, family, b, k in terms:
+        want = want + nt_diff_gf(family, b, k, 40).mul_scalar(c)
+    assert combo == want
+
+
+@pytest.mark.parametrize("b", [-1, 0, 5, 6])
+def test_nt_diff_combo_validates_every_term(b):
+    with pytest.raises(ValueError):
+        nt_diff_combo([(1, Family.DYSON, 1, 5), (2, Family.DYSON, b, 5)], 10)
+
+
+def test_derivative_cache_miss_runs_the_vanishing_guard(monkeypatch):
+    # A(1) = 0 is asserted once per (family, b, k, order) computed, and a
+    # cached A'(1) serves nt_diff_gf and nt_diff_combo alike
+    import qcert
+    from qcert import genfun as G
+
+    guards = []
+    orig = G._difference_sum
+    monkeypatch.setattr(G, "_difference_sum", lambda *a: guards.append(a[:3]) or orig(*a))
+    qcert.clear_caches()
+    try:
+        nt_diff_combo([(1, Family.DYSON, 1, 5), (1, Family.DYSON, 2, 5)], 30)
+        nt_diff_gf(Family.DYSON, 2, 5, 30)
+        nt_diff_combo([(3, Family.DYSON, 1, 5)], 30)
+        assert guards == [(Family.DYSON, 1, 5), (Family.DYSON, 2, 5)]
+        nt_diff_gf(Family.DYSON, 1, 5, 31)
+        assert guards[2:] == [(Family.DYSON, 1, 5)]
+    finally:
+        qcert.clear_caches()
+
+
 def test_nt_diff_builds_no_dual_numbers(monkeypatch):
     # the derivative is read from the x = 1 inner terms, over integers
     import qcert
@@ -170,7 +282,8 @@ def test_clear_caches_empties_every_lru_cache():
     tally("NTbar", 6, 5)
     raw_tally("N", 6)
     warm = {f"qcert.genfun.{name}" for name in (
-        "_inner_terms_rat", "_theta_reciprocal", "nt_diff_gf", "rank_gf", "closed_form")}
+        "_inner_terms_rat", "_theta_reciprocal", "_nt_deriv", "nt_diff_gf", "rank_gf",
+        "closed_form")}
     warm |= {"qcert.combinatorics.overpartition_sweep", "qcert.combinatorics.partition_sweep"}
     assert warm <= set(filled()), filled()
     qcert.clear_caches()

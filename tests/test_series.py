@@ -2,7 +2,9 @@
 checked against the naive expanders in bruteforce.py."""
 
 import json
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,7 @@ from qcert.rings import LAURENT, RAT, DualRing, LaurentPoly, XPolyRing
 from qcert.series import (
     QSeries,
     _int_product,
+    add_shifted,
     bracket_infinite,
     derivative_check,
     lerch_sum,
@@ -457,6 +460,57 @@ def test_binomial_ops_match_general_mul(a, m, c):
         binomial = QSeries.from_terms(RAT, a.order, terms)
         assert a.mul_binomial(c, m) == a * binomial
     assert a.mul_binomial(c, m).div_binomial(c, m) == a
+
+
+# -- the +-1 kernels over RAT: C-level passes against per-element loops ---------
+
+
+def _unit_kernel_cases():
+    for order in (48, 63, 200):  # len(a) = 49, 64: m*m == len(a) at the crossover
+        root = isqrt(order + 1)
+        for m in sorted({1, 2, 7, root, root + 1, order, order + 1}):
+            yield order, m
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@pytest.mark.parametrize("c", [1, -1])
+@pytest.mark.parametrize("order, m", list(_unit_kernel_cases()))
+def test_unit_binomial_kernels_match_per_element_reference(order, m, c, kind):
+    # the residue-class prefix sums (m*m <= len) and the block passes
+    # (m*m > len) both give the per-element loop's coefficients
+    rng = random.Random(order * 1000 + m * 10 + c)
+    if kind == "int":
+        coeffs = [rng.randint(-50, 50) for _ in range(order + 1)]
+    else:
+        coeffs = [RAT.lift(Fraction(rng.randint(-50, 50), rng.randint(1, 6)))
+                  for _ in range(order + 1)]
+    a = QSeries(RAT, order, coeffs)
+    for got, want in ((a.div_binomial(c, m), bf.div_binomial_ref(coeffs, c, m)),
+                      (a.mul_binomial(c, m), bf.mul_binomial_ref(coeffs, c, m))):
+        assert got.order == order and got.coeffs == want
+        assert got.coeffs is not a.coeffs
+    assert a.coeffs == coeffs
+    assert a.div_binomial(c, m).mul_binomial(c, m) == a
+
+
+def test_add_shifted_adds_from_its_offset_in_place():
+    dst = [1, 2, 3]
+    add_shifted(dst, [5, 6, 7, 8], 0)
+    assert dst == [6, 8, 10]
+    add_shifted(dst, [4, 9], 1, -1)
+    assert dst == [6, 4, 1]
+    add_shifted(dst, [2, 3], 1, Fraction(1, 2))
+    assert dst == [6, 5, Fraction(5, 2)]
+    for k in (3, 4, 50):  # k >= len(dst): nothing to add
+        add_shifted(dst, [7, 7], k, 3)
+        assert dst == [6, 5, Fraction(5, 2)]
+    add_shifted(dst, [], 0)
+    assert dst == [6, 5, Fraction(5, 2)]
+    # a ring element as the scale: c * src[i - k] is src[i - k] * c
+    ring = DualRing(RAT)
+    duals = [ring.lift(2), ring.x_power(3)]
+    add_shifted(duals, [ring.one], 1, ring.x_power(1))
+    assert duals == [ring.lift(2), ring.x_power(3) + ring.x_power(1)]
 
 
 # -- the big-integer product of int series -----------------------------------
