@@ -1,12 +1,12 @@
-"""Command-line interface: expansion, statistics, verification, and
-series-vs-counting-oracle cross-checking.
+"""Command-line interface: expansion, statistics, verification and the
+check list.  ``verify`` is the one way to run a check; the
+series-vs-counting-oracle cross-checks are ``verify --only xchecks``.
 
 Exit codes: 0 success, 1 check failure, 2 usage or infrastructure error,
 including a check that ended in ERROR and a stated check that was
-SKIPPED and so certified nothing; ``verify`` and ``crosscheck`` follow
-the same rule.  Past the counting oracle's weight limits
-(``combinatorics.require_limit``) ``verify`` skips a check and ``stat``
-refuses the range; ``--unsafe-bounds`` is the one override.
+SKIPPED and so certified nothing.  Past the counting oracle's weight
+limits (``combinatorics.require_limit``) ``verify`` skips a check and
+``stat`` refuses the range; ``--unsafe-bounds`` is the one override.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .combinatorics import TALLY_FAMILIES, require_limit, tally
 from .errors import BoundExceeded, QcertError
 from .genfun import closed_form, form_ids
 from .series import series_to_json
-from .verify import _XCHECKS, VerifyConfig, run_all, select_specs
+from .verify import VerifyConfig, run_all, select_specs
 
 _CATEGORIES = "theorems, classic, new, conjectures, identities, xchecks"
 
@@ -185,25 +185,6 @@ def verify(only, order, strict_conjectures, unsafe_bounds, seed, explore, fmt, r
             f"--only {only!r} selects no check; give categories ({_CATEGORIES}) or id globs")
     try:
         result = run_all(only=only, order=order, config=cfg)
-    except QcertError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _print_reports(result, fmt, output, report_path)
-    sys.exit(result.exit_code)
-
-
-@main.command()
-@click.option("--family", required=True,
-              type=click.Choice(list(_XCHECKS)),
-              help="Which statistic family's counting oracle to compare against the series engine.")
-@click.option("--max-n", type=click.IntRange(min=0), default=None, help="Largest weight to compare.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-@click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--output", type=click.Path(), default=None)
-def crosscheck(family, max_n, fmt, report_path, output):
-    """Compare the series engine against the counting oracle."""
-    try:
-        result = run_all(only=_XCHECKS[family].id, order=max_n, config=VerifyConfig())
     except QcertError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

@@ -145,7 +145,9 @@ def _inner_terms(family: Family, ring, order: int, margin=None):
     n without its q^{quad} shift and without the residue bracket.
 
     `margin(n)` is how far below q^{quad(n)} the caller's bracket can
-    reach; iteration continues while quad(n) - margin(n) <= order.
+    reach; iteration continues while quad(n) - margin(n) <= order, and
+    level n's term is known to q^(order - quad(n) + margin(n)), the most
+    its summand reads.
     """
     d = _FAMILY_DATA[family]
     s = d.qstep
@@ -153,8 +155,10 @@ def _inner_terms(family: Family, ring, order: int, margin=None):
     cur = QSeries.one(ring, order)
     for n in count(1):
         quad = d.inner_quad(n)
-        if quad - (margin(n) if margin else 0) > order:
+        reach = order - quad + (margin(n) if margin else 0)
+        if reach < 0:
             return
+        cur = cur.truncate(reach)
         for a in d.inner_num:
             cur = cur.mul_binomial(-mon(ring, a), a.qexp + (n - 1) * s)
         cur = cur.mul_scalar(neg_x)
@@ -172,26 +176,18 @@ def _inner_terms_rat(family: Family, order: int) -> tuple:
     return tuple(_inner_terms(family, RAT, order))
 
 
+@lru_cache(maxsize=None)
 def _prefactor_rat(family: Family, order: int) -> QSeries:
     """The part-count prefactor at x = 1, shared across all (b, k): one
-    over the family's theta series sum_{n in Z} (-1)^n q^{theta(n)}."""
+    over the family's theta series sum_{n in Z} (-1)^n q^{theta(n)},
+    whose O(sqrt N) terms `QSeries.invert` walks sparsely."""
     t = _FAMILY_DATA[family].theta
-    theta = {}
+    theta = QSeries.one(RAT, order)
     for n in takewhile(lambda n: min(t(n), t(-n)) <= order, count(1)):  # both grow
         for e in (t(n), t(-n)):
             if e <= order:
-                theta[e] = theta.get(e, 0) + (-1) ** n
-    return _theta_reciprocal(tuple(sorted((e, c) for e, c in theta.items() if c)), order)
-
-
-@lru_cache(maxsize=None)
-def _theta_reciprocal(theta: tuple, order: int) -> QSeries:
-    """1 / (1 + sum c q^e) over the sparse (e, c) pairs of `theta`, all
-    with e >= 1, in O(order * len(theta)) integer steps."""
-    out = [1] + [0] * order
-    for m in range(1, order + 1):
-        out[m] = -sum(c * out[m - e] for e, c in theta if e <= m)
-    return QSeries(RAT, order, out)
+                theta.coeffs[e] += (-1) ** n
+    return theta.invert()
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +197,14 @@ def _theta_reciprocal(theta: tuple, order: int) -> QSeries:
 
 def _rank_sum(ring, extras, quad, qstep: int, scalar, x, order: int) -> QSeries:
     """sum_{n>=0} prod_{a in extras} (a; q^s)_n scalar^n q^{quad(n)}
-    / (z q^s, x q^s / z; q^s)_n, with x a value of the ring."""
+    / (z q^s, x q^s / z; q^s)_n, with x a value of the ring; the running
+    product is kept only to q^(order - quad(n)), the most level n reads."""
     z = lift_zc(ring, 1, 1)
     xz = lift_zc(ring, 1, -1) * x
     acc = QSeries.one(ring, order)
     cur = QSeries.one(ring, order)
     for n in takewhile(lambda n: quad(n) <= order, count(1)):
+        cur = cur.truncate(order - quad(n))
         for a in extras:
             cur = cur.mul_binomial(-mon(ring, a), a.qexp + (n - 1) * qstep)
         cur = cur.mul_scalar(scalar)
@@ -366,7 +364,7 @@ def _thmain_rhs(family: Family, ring, order: int) -> QSeries:
     acc = QSeries.zeros(ring, order)
     for n, common, quad in _inner_terms(family, ring, order, margin=lambda n: s * n):
         # 1/(q^{sn} (1 - z q^{sn}))  +  x z^-1 / (1 - x q^{sn} / z)
-        p1 = common.truncate(order - quad + s * n).div_binomial(-z, s * n)
+        p1 = common.div_binomial(-z, s * n)
         add_shifted(acc.coeffs, p1.coeffs, quad - s * n)
         if quad <= order:
             p2 = common.truncate(order - quad).mul_scalar(xzinv).div_binomial(-xzinv, s * n)
@@ -646,7 +644,7 @@ def closed_form(form_id: str, order: int) -> QSeries:
 def clear_caches():
     """Drop every memoized series of this module (mainly for tests)."""
     _inner_terms_rat.cache_clear()
-    _theta_reciprocal.cache_clear()
+    _prefactor_rat.cache_clear()
     rank_gf.cache_clear()
     _nt_deriv.cache_clear()
     nt_diff_gf.cache_clear()

@@ -14,17 +14,17 @@ closed form or a statistic combination) along the check's progression,
 every n when it has none, and compares each value with its target: the
 rhs form's coefficient, or 0, exactly or mod p.  A spec's kind and
 engines follow from its other fields.  Each statistic family's two
-routes are named once, in ``_XCHECKS``: its ``X-*`` check, the
-family's part-count series and the ``crosscheck`` command's choices
-are all read from that table.  An engine defect inside a check (an
-exception that is not a package error) becomes an ERROR report carrying
-the exception's type and message, so one broken check never loses the
-whole run's report.  A check that would count past the oracle's weight
-limits (``combinatorics.require_limit``; ``unsafe_bounds`` lifts them)
-ends SKIPPED; a stated check that ends SKIPPED certified nothing, and
-fails the run like an ERROR.  Conjecture checks are flagged so that a
-failing conjecture is loudly reported without failing the suite unless
-strict mode is on.
+routes are named once, in a row of ``_XCHECKS``: its ``X-*`` check
+holds that row, and the family's part-count series is read from it;
+``verify --only xchecks`` runs them all.  An engine defect inside a
+check (an exception that is not a package error) becomes an ERROR
+report carrying the exception's type and message, so one broken check
+never loses the whole run's report.  A check that would count past the
+oracle's weight limits (``combinatorics.require_limit``;
+``unsafe_bounds`` lifts them) ends SKIPPED; a stated check that ends
+SKIPPED certified nothing, and fails the run like an ERROR.  Conjecture
+checks are flagged so that a failing conjecture is loudly reported
+without failing the suite unless strict mode is on.
 """
 
 from __future__ import annotations
@@ -57,25 +57,21 @@ class _XCheck:
     count_form: str
 
 
-# crosscheck family name (the rank family's value, or "pair") -> X-check
-_XCHECKS = {
-    (x.rank_family.value if x.rank_family else "pair"): x
-    for x in (
-        _XCheck("X-RANK-PART", "partition rank", 30, Family.DYSON, "N", "NT",
-                ((1, 5), (2, 5), (1, 7), (2, 7), (3, 7)), "partition-gf"),
-        _XCheck("X-RANK-OV", "overpartition rank", 24, Family.OV_RANK, "Nbar", "NTbar",
-                ((1, 3),), "overpartition-gf"),
-        _XCheck("X-M2-OV", "overpartition M2-rank", 24, Family.OV_M2, "Nbar2", "NTbar2",
-                ((1, 5), (2, 5), (1, 3)), "overpartition-gf"),
-        _XCheck("X-M2-DO", "distinct-odd M2-rank", 40, Family.DO_M2, "N2", "NT2",
-                ((1, 5), (2, 5)), "distinct-odd-gf"),
-        _XCheck("X-PAIR", "overpartition pair rank", 14, None, "Npair", "NTpair",
-                (), "overpartition-pair-gf"),
-    )
-}
+_XCHECKS = (
+    _XCheck("X-RANK-PART", "partition rank", 30, Family.DYSON, "N", "NT",
+            ((1, 5), (2, 5), (1, 7), (2, 7), (3, 7)), "partition-gf"),
+    _XCheck("X-RANK-OV", "overpartition rank", 24, Family.OV_RANK, "Nbar", "NTbar",
+            ((1, 3),), "overpartition-gf"),
+    _XCheck("X-M2-OV", "overpartition M2-rank", 24, Family.OV_M2, "Nbar2", "NTbar2",
+            ((1, 5), (2, 5), (1, 3)), "overpartition-gf"),
+    _XCheck("X-M2-DO", "distinct-odd M2-rank", 40, Family.DO_M2, "N2", "NT2",
+            ((1, 5), (2, 5)), "distinct-odd-gf"),
+    _XCheck("X-PAIR", "overpartition pair rank", 14, None, "Npair", "NTpair",
+            (), "overpartition-pair-gf"),
+)
 
 # part-count statistic family -> generating-function family of its series
-_SERIES_FAMILY = {x.part_count_family: x.rank_family for x in _XCHECKS.values() if x.rank_family}
+_SERIES_FAMILY = {x.part_count_family: x.rank_family for x in _XCHECKS if x.rank_family}
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,7 @@ class CheckSpec:
     bound: int = 0  # largest weight n examined on the lhs scale
     enum_bound: int | None = None  # enum confirmation range for BOTH
     thmain: Family | None = None  # structural runner: the main transformation
-    xcheck: str | None = None  # structural runner: an _XCHECKS key
+    xcheck: _XCheck | None = None  # structural runner: an _XCHECKS row
 
     @property
     def conjecture(self) -> bool:
@@ -320,7 +316,7 @@ def _run_xcheck(spec, bound, config, report):
     """The family's rank series and count form against the oracle's
     distribution and object counts at each n <= bound, then its
     part-count differences; the pair series also at sampled weights."""
-    x = _XCHECKS[spec.xcheck]
+    x = spec.xcheck
     require_limit(spec.id, [x.count_family, x.part_count_family], bound, config.unsafe_bounds)
     if x.rank_family is None:
         g = genfun.genovpair_series(1, 1, 1, bound)
@@ -650,13 +646,13 @@ def _build_registry() -> list[CheckSpec]:
         )
 
     # --- oracle cross-checks --------------------------------------------
-    for key, x in _XCHECKS.items():
+    for x in _XCHECKS:
         specs.append(
             CheckSpec(
                 id=x.id,
                 category="xcheck",
                 statement=f"series engine matches exhaustive enumeration ({x.desc})",
-                xcheck=key,
+                xcheck=x,
                 bound=x.bound,
             )
         )
@@ -683,7 +679,6 @@ _FILTER_ALIASES = {
     "conjectures": "conjecture",
     "identities": "identity",
     "xchecks": "xcheck",
-    "crosschecks": "xcheck",
 }
 
 

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from qcert.cli import main
 from qcert.genfun import form_ids
 from qcert.series import series_from_json
+from qcert.verify import _XCHECKS
 
 
 def run(*args):
@@ -142,34 +143,39 @@ def test_verify_usage_errors_certify_nothing():
     assert res.exit_code == 2
     assert "selects no check" in res.output and "theorems, classic" in res.output
     for args in (("verify", "--only", "T1,NT5-I1", "--order", "-1"),
-                 ("crosscheck", "--family", "dyson", "--max-n", "-3")):
+                 ("verify", "--only", "X-RANK-PART", "--order", "-1")):
         res = run(*args)
         assert res.exit_code == 2 and "ERROR" not in res.output, args
         assert "x>=0" in res.output, args
-    res = run("crosscheck", "--family", "dyson", "--max-n", "0")
+    res = run("verify", "--only", "X-RANK-PART", "--order", "0")
     assert res.exit_code == 0 and "PASS" in res.output
 
 
 def test_crosscheck_dyson():
-    res = run("crosscheck", "--family", "dyson", "--max-n", "16")
+    # the cross-checks run through verify alone: the crosscheck command
+    # and the "crosschecks" alias are gone
+    res = run("crosscheck", "--family", "dyson")
+    assert res.exit_code == 2 and "No such command" in res.output
+    res = run("--help")
     assert res.exit_code == 0
-    assert "PASS" in res.output
+    listed = [line.split()[0] for line in res.output.split("Commands:")[1].splitlines() if line.strip()]
+    assert listed == ["expand", "list-checks", "stat", "verify"]
+    res = run("verify", "--only", "crosschecks")
+    assert res.exit_code == 2 and "selects no check" in res.output
 
 
 def test_crosscheck_skip_is_error():
     # past its enumeration limit the one check is SKIPPED and compares
-    # nothing, which must not read as success; the reason keeps the limit
-    # and names no option that crosscheck lacks
-    res = run("crosscheck", "--family", "pair", "--max-n", "25")
-    assert res.exit_code == 2 and "SKIPPED" in res.output
-    assert "limit is 24" in res.output and "unsafe" not in res.output
-    # verify follows the same rule, and --unsafe-bounds lifts the limit
+    # nothing, which must not read as success; the reason keeps the
+    # limit, and --unsafe-bounds lifts it
     res = run("verify", "--only", "X-PAIR", "--order", "25")
     assert res.exit_code == 2 and "SKIPPED" in res.output
+    assert "limit is 24" in res.output
     res = run("verify", "--only", "X-PAIR", "--order", "25", "--unsafe-bounds")
     assert res.exit_code == 0 and "PASS" in res.output
 
 
+# statistic family -> its X-check, one per _XCHECKS row
 XCHECK_IDS = {
     "dyson": "X-RANK-PART",
     "ov-rank": "X-RANK-OV",
@@ -179,21 +185,14 @@ XCHECK_IDS = {
 }
 
 
-def _without_ms(report: dict) -> dict:
-    return {**report, "checks": [{k: v for k, v in c.items() if k != "ms"}
-                                 for c in report["checks"]]}
-
-
 @pytest.mark.parametrize("family", list(XCHECK_IDS))
 def test_crosscheck_runs_its_xcheck(family):
-    choices = next(p for p in main.commands["crosscheck"].params if p.name == "family").type.choices
-    assert list(choices) == list(XCHECK_IDS)
-    res = run("crosscheck", "--family", family, "--format", "json")
+    assert [x.id for x in _XCHECKS] == list(XCHECK_IDS.values())
+    res = run("verify", "--only", XCHECK_IDS[family], "--format", "json")
     assert res.exit_code == 0
     got = json.loads(res.output)
-    assert [c["id"] for c in got["checks"]] == [XCHECK_IDS[family]]
-    want = json.loads(run("verify", "--only", XCHECK_IDS[family], "--format", "json").output)
-    assert _without_ms(got) == _without_ms(want)
+    assert [(c["id"], c["status"]) for c in got["checks"]] == [(XCHECK_IDS[family], "PASS")]
+    assert got["summary"]["checks"] == got["summary"]["pass"] == 1
 
 
 def test_list_checks():

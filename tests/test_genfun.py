@@ -20,8 +20,8 @@ from qcert.genfun import (
     rank_gf_over,
     thmain_check,
 )
-from qcert.rings import RAT, DualRing, DualScalar, LaurentPoly, XPolyRing
-from qcert.series import QSeries, derivative_check
+from qcert.rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly, XPolyRing
+from qcert.series import QSeries, add_shifted, derivative_check
 
 ALL_FAMILIES = (Family.DYSON, Family.OV_RANK, Family.OV_M2, Family.DO_M2)
 
@@ -282,7 +282,7 @@ def test_clear_caches_empties_every_lru_cache():
     tally("NTbar", 6, 5)
     raw_tally("N", 6)
     warm = {f"qcert.genfun.{name}" for name in (
-        "_inner_terms_rat", "_theta_reciprocal", "_nt_deriv", "nt_diff_gf", "rank_gf",
+        "_inner_terms_rat", "_prefactor_rat", "_nt_deriv", "nt_diff_gf", "rank_gf",
         "closed_form")}
     warm |= {"qcert.combinatorics.overpartition_sweep", "qcert.combinatorics.partition_sweep"}
     assert warm <= set(filled()), filled()
@@ -543,17 +543,36 @@ def test_inner_sum_dual_vs_polynomial_order_30():
     # the transformed inner sums themselves, evaluated with dual numbers
     # and with honest x-polynomials, must produce identical series
     from qcert.genfun import _inner_terms
-    from qcert.rings import LAURENT
 
     for family in (Family.OV_M2, Family.DYSON):
         def build(ring, fam=family):
-            acc = QSeries.zeros(ring, 30)
+            acc = [ring.zero] * 31
             for _, common, quad in _inner_terms(fam, ring, 30):
-                acc = acc + common.shift(quad, cap=30)
-            return acc
+                add_shifted(acc, common.coeffs, quad)
+            return QSeries(ring, 30, acc)
 
         cmp = derivative_check(build, LAURENT)
         assert cmp.ok, family
+
+
+@pytest.mark.parametrize("ring", [RAT, DualRing(LAURENT)], ids=["rat", "dual-laurent"])
+@pytest.mark.parametrize("thmain_margin", [False, True], ids=["no-margin", "thmain-margin"])
+def test_inner_terms_keep_only_their_window(ring, thmain_margin):
+    # level n's running product is known to q^(N - quad(n) + margin(n)),
+    # the most its summand reads, and no further
+    from qcert.genfun import _FAMILY_DATA, _inner_terms
+
+    N = 40
+    for family in ALL_FAMILIES:
+        d = _FAMILY_DATA[family]
+        margin = (lambda n, s=d.qstep: s * n) if thmain_margin else None
+        levels = 0
+        for n, common, quad in _inner_terms(family, ring, N, margin):
+            assert quad == d.inner_quad(n)
+            want = N - quad + (margin(n) if margin else 0)
+            assert common.order == want and len(common.coeffs) == want + 1, (family, n)
+            levels += 1
+        assert levels >= 2, family
 
 
 def test_operator_law_one_minus_x():

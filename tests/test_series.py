@@ -333,38 +333,6 @@ def test_lerch_against_naive_sum():
 # -- shaping and views ------------------------------------------------------
 
 
-def test_shift():
-    # (k, cap) -> order of the result
-    cases = {
-        (2, None): 5,  # plain shift: knowledge extends by k
-        (0, None): 3,  # k = 0 is a copy
-        (0, 1): 1,  # k = 0 with a cap truncates
-        (3, 2): 2,  # cap < k: nothing of the input survives
-        (4, 1): 1,
-        (3, 4): 4,  # order < cap < order + k
-        (2, 9): 5,  # a cap above order + k changes nothing
-        (6, None): 9,  # k > order, no cap
-    }
-    for ring in (RAT, LAURENT, DualRing(LAURENT)):
-        top = ring.lift(3) if ring is RAT else lift_zc(ring, 3, -1)
-        coeffs = [ring.lift(1), ring.lift(2), ring.zero, top]
-        s = QSeries(ring, 3, coeffs)
-        for (k, cap), order in cases.items():
-            t = s.shift(k, cap=cap)
-            case = (ring, k, cap)
-            assert t.ring is ring and t.order == order, case
-            assert len(t.coeffs) == order + 1, case
-            # coefficient j of q^k * s, with zeros below q^k
-            want = [coeffs[j - k] if 0 <= j - k <= 3 else ring.zero for j in range(order + 1)]
-            assert t.coeffs == want, case
-            assert t.coeffs is not s.coeffs, case
-            t.coeffs[-1] = ring.one
-            assert s.coeffs == coeffs, case
-        for k, cap in ((-1, None), (1, -1)):
-            with pytest.raises(ValueError):
-                s.shift(k, cap=cap)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(

@@ -56,19 +56,14 @@ def test_registry_invariants():
 
 
 def test_both_engine_specs_have_xcheck_companions():
+    # every part-count family a BOTH check reads is held to the counting
+    # oracle by an X-check of its own
     specs = registry()
-    xkeys = {s.xcheck for s in specs if s.kind == "ORACLE_XCHECK"}
-    fam_to_x = {
-        "NT": "dyson",
-        "NTbar": "ov-rank",
-        "NTbar2": "ov-m2",
-        "NT2": "do-m2",
-    }
+    companions = {s.xcheck.part_count_family for s in specs if s.xcheck}
     for spec in specs:
         if spec.engines == "BOTH" and spec.lhs:
             for t in spec.lhs:
-                if t.family in fam_to_x:
-                    assert fam_to_x[t.family] in xkeys
+                assert t.family in companions, (spec.id, t.family)
 
 
 def test_enum_bound_within_counting_limits():
