@@ -97,8 +97,7 @@ def stat(family, k, single_n, n_range, fmt, unsafe_bounds, output):
         lo = hi = single_n
     else:
         try:
-            lo_s, hi_s = n_range.split(":")
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = map(int, n_range.split(":"))
         except ValueError:
             raise click.UsageError("--n-range must look like 0:20")
     if lo < 0 or hi < lo:
@@ -107,22 +106,17 @@ def stat(family, k, single_n, n_range, fmt, unsafe_bounds, output):
         require_limit(family, (family,), hi, unsafe_bounds)
     except BoundExceeded as exc:
         raise click.UsageError(f"{exc} (pass --unsafe-bounds to force)")
-    rows = []
-    for n in range(lo, hi + 1):
-        values = tally(family, n, k)
-        for m, v in enumerate(values):
-            rows.append((n, m, v))
+    # one table, built at hi, serves every n of the range
+    tallies = {n: tally(family, n, k, hi) for n in range(lo, hi + 1)}
+    rows = [(n, m, v) for n, values in tallies.items() for m, v in enumerate(values)]
     if fmt == "json":
         _emit(json.dumps(
             {"family": family, "k": k,
              "rows": [{"n": n, "residue": m, "value": v} for n, m, v in rows]},
             indent=2), output)
     elif fmt == "text":
-        lines = [f"{family} mod {k}"]
-        for n in range(lo, hi + 1):
-            vals = [v for nn, _, v in rows if nn == n]
-            lines.append(f"n={n}: " + " ".join(str(v) for v in vals))
-        _emit("\n".join(lines), output)
+        _emit("\n".join([f"{family} mod {k}"] + [
+            f"n={n}: " + " ".join(map(str, values)) for n, values in tallies.items()]), output)
     else:
         _emit("n,residue,value\n" + "\n".join(f"{n},{m},{v}" for n, m, v in rows), output)
 

@@ -6,11 +6,11 @@ from the statistics' definitions, with no series code.
 
 One iterative generator, ``_non_increasing``, walks the partitions of n
 (optionally without repeated odd parts) in reverse lexicographic order;
-overpartitions are expanded from it.  The tests hold the sweeps to these
-enumerators.  The sweeps count without walking: a statistic's row writes
+overpartitions are expanded from it.  The tests hold the tallies to these
+enumerators.  The tallies count without walking: a statistic's row writes
 it as a head term of the largest part plus a term per part (the crank's,
-once its number of ones is fixed), and one dynamic program over part
-values, ``_tabulate``, counts a row's objects by statistic.
+once its number of ones is fixed), and one pass of a dynamic program over
+part values, ``_tabulate``, counts a row's objects of every weight.
 
 Conventions for objects a definition leaves open:
 
@@ -33,8 +33,8 @@ from typing import Iterator
 from .errors import BoundExceeded, RepeatedOddPart
 
 # Weight limits of the tallies, the one counting-limit rule (require_limit).
-# A cold sweep at each takes at most 0.12 s; they guard only --order
-# overrides, whose cost grows fast, and --unsafe-bounds lifts them.
+# A cold row table to each takes at most 0.23 s (the pair profile's, 0.41 s);
+# they guard only --order overrides, and --unsafe-bounds lifts them.
 DEFAULT_BOUNDS = {
     "partition": 80,
     "distinct_odd": 80,
@@ -286,107 +286,123 @@ def count_ones(parts: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cached per-n sweeps, counted from the rows, serve every statistic and
-# modulus.  Counters are keyed by the raw statistic value; weights are object
-# counts, part counts, or ones, and no counter holds a zero-valued entry.
+# One table per row: counters of every weight up to the last weight read, keyed
+# by statistic value, of objects, parts or ones, never holding a zero entry.
 # ---------------------------------------------------------------------------
 
 
-def _tabulate(kinds, n: int) -> tuple[Counter, Counter]:
-    """Objects and parts by statistic over the objects of weight n of a row.
-
-    Kinds are added in ascending order of (value, precedence); acc[w] maps
-    the term sum of the objects of weight w built so far to [objects,
-    parts].  An object that reaches weight n with a copy of the current
-    kind has that kind as its largest part, so its head is added there.
-    """
-    if n < 0:
-        raise ValueError("weight must be >= 0")
-    acc: list[dict] = [{} for _ in range(n + 1)]
-    acc[0][0] = [1, 0]
-    for v in range(1, n + 1):
+def _tabulate(kinds, N: int) -> list[tuple[Counter, Counter]]:
+    """Objects and parts by statistic over a row's objects of each weight
+    w <= N, in one pass.  Kinds are added in ascending order of (value,
+    precedence); acc[w] maps the head-free term sum of the objects of
+    weight w built so far to [objects, parts], while a part still fits.  An
+    object that lands on w with a copy of the current kind has that kind as
+    its largest part, so each landing also goes, head added, into out[w]."""
+    acc, out = [{} for _ in range(N + 1)], [{} for _ in range(N + 1)]
+    acc[0][0], out[0][0] = [1, 0], [1, 0]
+    for v in range(1, N + 1):
         for once, term, head in kinds(v):
             # one copy extends the objects without this kind (weights
             # descending), any number those with it (ascending)
-            for w in range(n, v - 1, -1) if once else range(v, n + 1):
-                dst, shift = acc[w], term + head if w == n else term
-                for s, (c, p) in acc[w - v].items():
-                    e = dst.setdefault(s + shift, [0, 0])
-                    e[0] += c
-                    e[1] += p + c
-    return (Counter({m: c for m, (c, _) in acc[n].items()}),
-            Counter({m: p for m, (_, p) in acc[n].items() if p}))
+            for w in range(N, v - 1, -1) if once else range(v, N + 1):
+                src = acc[w - v].items()
+                for dst, shift in ((out[w], term + head), (acc[w], term))[: 1 + (w + v <= N)]:
+                    for s, (c, p) in src:
+                        e = dst.setdefault(s + shift, [0, 0])
+                        e[0] += c
+                        e[1] += p + c
+    return [(Counter({m: c for m, (c, _) in o.items()}),
+             Counter({m: p for m, (_, p) in o.items() if p})) for o in out]
 
 
-def _counters(n: int, **rows) -> dict[str, Counter]:
-    """The `<name>_count` and `<name>_parts` counters of each row at n."""
-    sweep = {}
-    for name, kinds in rows.items():
-        sweep[f"{name}_count"], sweep[f"{name}_parts"] = _tabulate(kinds, n)
-    return sweep
+def _crank_table(N: int) -> list[tuple[Counter, Counter]]:
+    """Partitions and ones by crank at each weight <= N: o ones, the rest parts >= 2."""
+    table = [(Counter(), Counter()) for _ in range(N + 1)]
+    for o in range(N + 1):
+        for w, (counts, _) in enumerate(_tabulate(partial(_crank_kinds, o), N - o)):
+            for c, cnt in counts.items():
+                table[w + o][0][c - o] += cnt
+                if o:
+                    table[w + o][1][c - o] += cnt * o
+    return table
+
+
+def _pair_profiles(N: int) -> list[Counter]:
+    """The pair profile at each weight <= N, from one table whose terms
+    pack r, s and t as digits above the rank m (`_pair_kinds`)."""
+    base, profiles = 2 * N + 2, []  # every digit has |value| <= N
+    for counts, _ in _tabulate(partial(_pair_kinds, base=base), N):
+        profiles.append(profile := Counter())
+        for key, cnt in counts.items():
+            rst, m = divmod(key + N, base)
+            profile[(rst % base, rst // base % base, rst // base**2, m - N)] = cnt
+    return profiles
+
+
+@lru_cache(maxsize=None)
+def _table(row) -> list:
+    """The one table of `row` (a module-level function, so a stable key)."""
+    return []
+
+
+def _read(row, n: int, upto: int | None = None):
+    """Row `row`'s counters at n; a read past its table rebuilds it to `upto`."""
+    if n < 0:
+        raise ValueError("weight must be >= 0")
+    table = _table(row)
+    if n >= len(table):
+        N = max(n, upto or 0)
+        table[:] = row(N) if row in (_crank_table, _pair_profiles) else _tabulate(row, N)
+    return table[n]
+
+
+def _view(n: int, **families) -> dict[str, Counter]:
+    """The raw tallies of the families at n, each under its key."""
+    return {key: _raw(family, n, None) for key, family in families.items()}
 
 
 @lru_cache(maxsize=None)
 def partition_sweep(n: int) -> dict[str, Counter]:
-    sweep = _counters(n, rank=_dyson_kinds)
-    crank_count = sweep["crank_count"] = Counter()
-    crank_ones = sweep["crank_ones"] = Counter()
-    for ones in range(n + 1):
-        for c, cnt in _tabulate(partial(_crank_kinds, ones), n - ones)[0].items():
-            crank_count[c - ones] += cnt
-            if ones:
-                crank_ones[c - ones] += cnt * ones
-    return sweep
+    return _view(n, rank_count="N", rank_parts="NT", crank_count="M", crank_ones="Momega")
 
 
 @lru_cache(maxsize=None)
 def overpartition_sweep(n: int) -> dict[str, Counter]:
-    return _counters(n, rank=_ov_rank_kinds, m2=_ov_m2_kinds)
+    return _view(n, rank_count="Nbar", rank_parts="NTbar", m2_count="Nbar2", m2_parts="NTbar2")
 
 
 @lru_cache(maxsize=None)
 def distinct_odd_sweep(n: int) -> dict[str, Counter]:
-    return _counters(n, m2=_do_m2_kinds)
+    return _view(n, m2_count="N2", m2_parts="NT2")
 
 
 @lru_cache(maxsize=None)
 def pair_sweep(n: int) -> dict[str, Counter]:
-    return _counters(n, rank=_pair_kinds)
+    return _view(n, rank_count="Npair", rank_parts="NTpair")
 
 
 @lru_cache(maxsize=None)
-def pair_profile(n: int) -> Counter:
+def pair_profile(n: int, upto: int | None = None) -> Counter:
     """Joint distribution over pairs of weight n, keyed by (r, s, t, m):
     r = overlined-in-lam + plain-in-mu, s = #parts of mu, t = total
-    parts, m = pair rank."""
-    require_limit("pair_profile", ("NTpair",), n)
-    base = 2 * n + 2  # every digit has |value| <= n
-    profile: Counter = Counter()
-    for key, cnt in _tabulate(partial(_pair_kinds, base=base), n)[0].items():
-        m = (key + n) % base - n
-        rst = (key - m) // base
-        profile[(rst % base, rst // base % base, rst // base**2, m)] = cnt
-    return profile
+    parts, m = pair rank.  `upto` is the last weight the caller reads."""
+    require_limit("pair_profile", ("NTpair",), max(n, upto or 0))
+    return _read(_pair_profiles, n, upto)
 
 
 # ---------------------------------------------------------------------------
 # Tallies by residue class.
 # ---------------------------------------------------------------------------
 
-# family -> (sweep function, raw-counter key, DEFAULT_BOUNDS key)
+# family -> (row, index of its counter, DEFAULT_BOUNDS key): a count family
+# reads the objects, its part-count family (Momega: the ones) the weights
 _TALLY_TABLE = {
-    "NT": (partition_sweep, "rank_parts", "partition"),
-    "N": (partition_sweep, "rank_count", "partition"),
-    "NTbar": (overpartition_sweep, "rank_parts", "overpartition"),
-    "Nbar": (overpartition_sweep, "rank_count", "overpartition"),
-    "NTbar2": (overpartition_sweep, "m2_parts", "overpartition"),
-    "Nbar2": (overpartition_sweep, "m2_count", "overpartition"),
-    "NT2": (distinct_odd_sweep, "m2_parts", "distinct_odd"),
-    "N2": (distinct_odd_sweep, "m2_count", "distinct_odd"),
-    "Momega": (partition_sweep, "crank_ones", "partition"),
-    "M": (partition_sweep, "crank_count", "partition"),
-    "NTpair": (pair_sweep, "rank_parts", "pair"),
-    "Npair": (pair_sweep, "rank_count", "pair"),
+    "NT": (_dyson_kinds, 1, "partition"), "N": (_dyson_kinds, 0, "partition"),
+    "NTbar": (_ov_rank_kinds, 1, "overpartition"), "Nbar": (_ov_rank_kinds, 0, "overpartition"),
+    "NTbar2": (_ov_m2_kinds, 1, "overpartition"), "Nbar2": (_ov_m2_kinds, 0, "overpartition"),
+    "NT2": (_do_m2_kinds, 1, "distinct_odd"), "N2": (_do_m2_kinds, 0, "distinct_odd"),
+    "Momega": (_crank_table, 1, "partition"), "M": (_crank_table, 0, "partition"),
+    "NTpair": (_pair_kinds, 1, "pair"), "Npair": (_pair_kinds, 0, "pair"),
 }
 
 TALLY_FAMILIES = tuple(_TALLY_TABLE)
@@ -400,35 +416,35 @@ def require_limit(who: str, families, n: int, unsafe: bool = False):
         raise BoundExceeded(f"{who} needs enumeration to n={n}, limit is {limit}")
 
 
-def _raw(family: str, n: int) -> Counter:
+def _raw(family: str, n: int, upto: int | None) -> Counter:
     try:
-        sweep, key, _ = _TALLY_TABLE[family]
+        row, index, _ = _TALLY_TABLE[family]
     except KeyError:
-        raise ValueError(
-            f"unknown statistic family {family!r}; known: {sorted(_TALLY_TABLE)}"
-        ) from None
-    return sweep(n)[key]
+        raise ValueError(f"unknown statistic family {family!r}; "
+                         f"known: {sorted(_TALLY_TABLE)}") from None
+    return _read(row, n, upto)[index]
 
 
-def tally(family: str, n: int, k: int) -> list[int]:
-    """Exact counters by residue class mod k for the given family at
-    weight n.  Part-count families sum parts, count families count
-    objects, Momega sums ones."""
+def tally(family: str, n: int, k: int, upto: int | None = None) -> list[int]:
+    """Exact counters by residue class mod k for the family at weight n,
+    from its table built to `upto`, the last weight the caller reads.  Part
+    counts sum parts, count families count objects, Momega sums ones."""
     if k < 1:
         raise ValueError("modulus must be >= 1")
     out = [0] * k
-    for value, weight in _raw(family, n).items():
+    for value, weight in _raw(family, n, upto).items():
         out[value % k] += weight
     return out
 
 
-def raw_tally(family: str, n: int) -> Counter:
+def raw_tally(family: str, n: int, upto: int | None = None) -> Counter:
     """Counter keyed by the raw statistic value (no residue reduction)."""
-    return _raw(family, n)
+    return _raw(family, n, upto)
 
 
 def clear_caches():
-    """Drop all memoized sweeps (mainly for tests)."""
+    """Drop all memoized tables and sweeps (mainly for tests)."""
+    _table.cache_clear()
     partition_sweep.cache_clear()
     overpartition_sweep.cache_clear()
     distinct_odd_sweep.cache_clear()

@@ -211,10 +211,10 @@ def _combo_str(terms) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _enum_value(terms, n: int) -> int:
+def _enum_value(terms, n: int, upto: int) -> int:
     acc = 0
     for t in terms:
-        tl = tally(t.family, n, t.modulus)
+        tl = tally(t.family, n, t.modulus, upto)
         acc += t.coeff * (tl[t.residue] - tl[t.modulus - t.residue])
     return acc
 
@@ -235,7 +235,7 @@ def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig):
     An lhs form is read from its expansion.  Otherwise part-count pairs
     are read from their difference series, the other pairs from the
     counting oracle, held to the counting limits up to `upto`, the last
-    weight the caller reads.
+    weight the caller reads, where their tables are built.
     """
     if spec.lhs_form:
         return closed_form(spec.lhs_form, bound).integer_coefficients().__getitem__
@@ -247,7 +247,7 @@ def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig):
         require_limit(spec.id, [t.family for t in enum_terms], upto, config.unsafe_bounds)
 
     def value(n: int) -> int:
-        val = _enum_value(enum_terms, n)
+        val = _enum_value(enum_terms, n, upto)
         return val if series_vals is None else series_vals[n] + val
 
     return value
@@ -281,7 +281,7 @@ def _run_progression(spec: CheckSpec, bound: int, config: VerifyConfig, report: 
     if spec.enum_bound is not None:
         confirm_to = min(spec.enum_bound, bound)
         for n in range(i, confirm_to + 1, step):
-            ev = _enum_value(spec.lhs, n)
+            ev = _enum_value(spec.lhs, n, confirm_to)
             sv = value(n)
             if ev != sv:
                 _fail(report, n, sv, f"{ev} (enumeration)")
@@ -324,7 +324,7 @@ def _run_xcheck(spec, bound, config, report):
         g = genfun.rank_gf(x.rank_family, bound)
     counts = closed_form(x.count_form, bound).integer_coefficients()
     for n in range(bound + 1):
-        dist = raw_tally(x.count_family, n)
+        dist = raw_tally(x.count_family, n, bound)
         if not _poly_matches_counter(g.coeffs[n], dist):
             _fail(report, n, str(g.coeffs[n]), str(dict(sorted(dist.items()))))
             return
@@ -334,7 +334,7 @@ def _run_xcheck(spec, bound, config, report):
     for b, k in x.pairs:
         series = genfun.nt_diff_gf(x.rank_family, b, k, bound).integer_coefficients()
         for n in range(bound + 1):
-            tl = tally(x.part_count_family, n, k)
+            tl = tally(x.part_count_family, n, k, bound)
             want = tl[b] - tl[k - b]
             if series[n] != want:
                 _fail(report, n, series[n], want)
@@ -359,7 +359,7 @@ def _pair_profile_fails(bound, config, report) -> bool:
         series = genfun.genovpair_series(d, e, x, profile_to)
         for n in range(profile_to + 1):
             want: dict[int, int] = {}
-            for (r, s, t, m), cnt in comb.pair_profile(n).items():
+            for (r, s, t, m), cnt in comb.pair_profile(n, profile_to).items():
                 want[m] = want.get(m, 0) + cnt * d**r * e**s * x**t
             got = {exp: v for exp, v in series.coeffs[n].items()}
             if got != {m: v for m, v in want.items() if v}:

@@ -4,10 +4,14 @@ Everything here is deliberately dumb: dense dict-based polynomial
 arithmetic, product expansion factor by factor, and the classic
 recurrence for the partition numbers, and partition-like objects built
 from multisets and subsets of parts.  Nothing imports qcert series
-internals, so agreement is meaningful.
+internals, so agreement is meaningful.  The per-n counting dynamic
+program that the oracle's all-weight tables replaced is kept here too,
+taking the oracle's rows as arguments.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 
@@ -172,3 +176,47 @@ def difference_deriv_ref(terms, s, b, k, order) -> list:
         quotient = div_binomial_ref(div_binomial_ref(num, -1, kn), -1, kn)
         acc = [a + u for a, u in zip(acc, quotient)]
     return acc
+
+
+# -- the per-n counting dynamic program, one weight per call -----------------
+
+
+def tabulate_at(kinds, n: int) -> tuple[Counter, Counter]:
+    """(objects, parts) by statistic over a row's objects of weight n
+    alone: the head of the current kind is added only on landing at n."""
+    acc = [{} for _ in range(n + 1)]
+    acc[0][0] = [1, 0]
+    for v in range(1, n + 1):
+        for once, term, head in kinds(v):
+            for w in range(n, v - 1, -1) if once else range(v, n + 1):
+                dst, shift = acc[w], term + head if w == n else term
+                for s, (c, p) in acc[w - v].items():
+                    e = dst.setdefault(s + shift, [0, 0])
+                    e[0] += c
+                    e[1] += p + c
+    return (Counter({m: c for m, (c, _) in acc[n].items()}),
+            Counter({m: p for m, (_, p) in acc[n].items() if p}))
+
+
+def crank_at(crank_kinds, n: int) -> tuple[Counter, Counter]:
+    """(partitions, ones) by crank at weight n: one tabulate_at per ones
+    count, over the parts >= 2 of the rest (`crank_kinds(ones, v)`)."""
+    count, ones_sum = Counter(), Counter()
+    for ones in range(n + 1):
+        for c, cnt in tabulate_at(partial(crank_kinds, ones), n - ones)[0].items():
+            count[c - ones] += cnt
+            if ones:
+                ones_sum[c - ones] += cnt * ones
+    return count, ones_sum
+
+
+def pair_profile_at(pair_kinds, n: int) -> Counter:
+    """The joint pair profile at weight n from one tabulate_at whose terms
+    pack r, s and t as base-(2n + 2) digits above the rank m."""
+    base = 2 * n + 2
+    profile = Counter()
+    for key, cnt in tabulate_at(partial(pair_kinds, base=base), n)[0].items():
+        m = (key + n) % base - n
+        rst = (key - m) // base
+        profile[(rst % base, rst // base % base, rst // base**2, m)] = cnt
+    return profile

@@ -105,6 +105,39 @@ def test_stat_range_and_bounds():
     assert res.exit_code == 2 and "x>=1" in res.output
 
 
+@pytest.mark.parametrize("family,upto", [("NT", 16), ("Momega", 16), ("NTpair", 10)])
+def test_stat_range_reads_one_table_built_at_its_end(family, upto, monkeypatch):
+    # the CSV holds each weight's per-n counts by residue, as one sweep per
+    # n gave them, and the whole range is read from one table built at upto
+    import bruteforce as bf
+    from qcert import combinatorics as C
+
+    per_n = {"NT": lambda n: bf.tabulate_at(C._dyson_kinds, n)[1],
+             "Momega": lambda n: bf.crank_at(C._crank_kinds, n)[1],
+             "NTpair": lambda n: bf.tabulate_at(C._pair_kinds, n)[1]}[family]
+    builds = []
+    real = C._tabulate
+    monkeypatch.setattr(C, "_tabulate", lambda kinds, N: builds.append(N) or real(kinds, N))
+    C.clear_caches()
+    res = run("stat", "--family", family, "--k", "5", "--n-range", f"3:{upto}")
+    assert res.exit_code == 0, res.output
+    rows = []
+    for n in range(3, upto + 1):
+        residues = [0] * 5
+        for value, weight in per_n(n).items():
+            residues[value % 5] += weight
+        rows += [f"{n},{m},{v}" for m, v in enumerate(residues)]
+    assert res.output == "\n".join(["n,residue,value"] + rows) + "\n"
+    # one table: the crank's takes one pass per ones count, the others one
+    assert max(builds) == upto and C._table.cache_info().currsize == 1
+    assert len(builds) == (upto + 1 if family == "Momega" else 1)
+    text = run("stat", "--family", family, "--k", "5", "--n-range", f"3:{upto}", "--format", "text")
+    lines = text.output.splitlines()
+    assert lines[0] == f"{family} mod 5" and len(lines) == upto - 1
+    assert lines[1] == "n=3: " + " ".join(r.split(",")[2] for r in rows[:5])
+    C.clear_caches()
+
+
 def test_verify_single_check_and_report(tmp_path):
     report = tmp_path / "report.json"
     res = run(
