@@ -286,7 +286,7 @@ def count_ones(parts: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# One table per row: counters of every weight up to the last weight read, keyed
+# One table per row: counters of every weight up to the widest reach asked, keyed
 # by statistic value, of objects, parts or ones, never holding a zero entry.
 # ---------------------------------------------------------------------------
 
@@ -408,12 +408,13 @@ _TALLY_TABLE = {
 TALLY_FAMILIES = tuple(_TALLY_TABLE)
 
 
-def require_limit(who: str, families, n: int, unsafe: bool = False):
-    """Raise BoundExceeded when counting `families` to weight n passes the
-    tightest of their limits, unless `unsafe` lifts them."""
+def require_limit(who: str, families, n: int, unsafe: bool = False) -> int:
+    """The tightest weight limit of `families`; raise BoundExceeded when
+    counting them to weight n passes it, unless `unsafe` lifts it."""
     limit = min(DEFAULT_BOUNDS[_TALLY_TABLE[f][2]] for f in families)
     if n > limit and not unsafe:
         raise BoundExceeded(f"{who} needs enumeration to n={n}, limit is {limit}")
+    return limit
 
 
 def _raw(family: str, n: int, upto: int | None) -> Counter:
@@ -427,7 +428,7 @@ def _raw(family: str, n: int, upto: int | None) -> Counter:
 
 def tally(family: str, n: int, k: int, upto: int | None = None) -> list[int]:
     """Exact counters by residue class mod k for the family at weight n,
-    from its table built to `upto`, the last weight the caller reads.  Part
+    from its table built to `upto`, the caller's reach (at least n).  Part
     counts sum parts, count families count objects, Momega sums ones."""
     if k < 1:
         raise ValueError("modulus must be >= 1")

@@ -16,6 +16,12 @@ Four domains are supported:
 * ``XPoly`` -- honest polynomials in x, the independent second route for
   validating the dual-number derivative.
 
+``LaurentPoly`` and ``XPoly`` share one sparse core, ``_SparsePoly``: a
+table exponent -> nonzero coefficient with +, -, negation, * and ==, each
+taking an operand of exactly its own class.  ``LaurentPoly`` keeps its
+coefficient rule (``RAT.lift``), int/``Fraction`` scaling and its readers;
+``XPoly`` keeps base-ring coefficients and its value and d/dx at x = 1.
+
 Each ring descriptor carries the part-marking variable x: ``x_power(j)``
 is 1 over ``RAT`` and ``LAURENT``, 1 + j*eps over ``DualRing`` and x^j
 over ``XPolyRing``, whose ``at_one`` give (value, d/dx) at x = 1.
@@ -66,32 +72,30 @@ class RatRing:
 RAT = RatRing()
 
 
-class LaurentPoly:
-    """Laurent polynomial in z with rational coefficients.
+class _SparsePoly:
+    """One-variable polynomial stored as exponent -> nonzero coefficient.
 
-    Stored sparsely as exponent -> nonzero ``RAT`` value (an ``int``
-    unless truly non-integral).  Exponents may be negative; the zero
-    polynomial has an empty table.
+    Operands must be of exactly one class, so an ``XPoly`` over ``LAURENT``
+    tells its ``LaurentPoly`` coefficients from itself.  No table holds a
+    zero and no sum starts from the int 0; the coefficient rings have no
+    zero divisors, so a single-term product needs no zero filter.  A
+    subclass sets its coefficient rule (``_lift``) and its product with a
+    non-polynomial (``_scale_by``).
     """
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
-        table = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = RAT.lift(v)
-                if v:
-                    table[int(e)] = v
-        self._c = table
+        self._c = {int(e): w for e, v in (coeffs or {}).items() if (w := self._lift(v))}
 
-    @classmethod
-    def const(cls, c) -> "LaurentPoly":
-        return cls({0: c})
+    @staticmethod
+    def _lift(v):
+        return v
 
-    @classmethod
-    def term(cls, exponent: int, coeff=1) -> "LaurentPoly":
-        return cls({exponent: coeff})
+    def _new(self, table):
+        out = object.__new__(type(self))
+        out._c = table
+        return out
 
     def items(self):
         return self._c.items()
@@ -101,6 +105,83 @@ class LaurentPoly:
 
     def __len__(self):
         return len(self._c)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        c = dict(self._c)
+        for e, v in other._c.items():
+            s = c[e] + v if e in c else v
+            if s:
+                c[e] = s
+            else:
+                del c[e]
+        return self._new(c)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        c = dict(self._c)
+        for e, v in other._c.items():
+            s = c[e] - v if e in c else -v
+            if s:
+                c[e] = s
+            else:
+                del c[e]
+        return self._new(c)
+
+    def __neg__(self):
+        return self._new({e: -v for e, v in self._c.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._c == other._c
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return self._scale_by(other)
+        a, b = self._c, other._c
+        if len(a) == 1:
+            ((e, v),) = a.items()
+            return self._new({e + f: v * w for f, w in b.items()})
+        if len(b) == 1:
+            ((f, w),) = b.items()
+            return self._new({e + f: v * w for e, v in a.items()})
+        c = {}
+        for e, v in a.items():
+            for f, w in b.items():
+                g = e + f
+                s = c[g] + v * w if g in c else v * w
+                if s:
+                    c[g] = s
+                else:
+                    del c[g]
+        return self._new(c)
+
+    def _scale_by(self, k):
+        return NotImplemented
+
+
+class LaurentPoly(_SparsePoly):
+    """Laurent polynomial in z with rational coefficients.
+
+    Stored sparsely as exponent -> nonzero ``RAT`` value (an ``int``
+    unless truly non-integral).  Exponents may be negative; the zero
+    polynomial has an empty table.  An int or ``Fraction`` scales it
+    from either side.
+    """
+
+    __slots__ = ()
+    _lift = staticmethod(RAT.lift)
+
+    @classmethod
+    def const(cls, c) -> "LaurentPoly":
+        return cls({0: c})
+
+    @classmethod
+    def term(cls, exponent: int, coeff=1) -> "LaurentPoly":
+        return cls({exponent: coeff})
 
     def __getitem__(self, e: int):
         return self._c.get(e, 0)
@@ -117,78 +198,14 @@ class LaurentPoly:
     def constant(self):
         return self._c.get(0, 0)
 
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            s = c.get(e, 0) + v
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+    def _scale_by(self, k):
+        return self.scale(k) if isinstance(k, (int, Fraction)) else NotImplemented
 
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            s = c.get(e, 0) - v
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
-
-    def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        a, b = self._c, other._c
-        out = LaurentPoly.__new__(LaurentPoly)
-        if not a or not b:
-            out._c = {}
-            return out
-        # products of nonzero rationals are nonzero, so single-term
-        # operands need no zero-filtering
-        if len(a) == 1:
-            ((e, v),) = a.items()
-            out._c = {e + f: v * w for f, w in b.items()}
-            return out
-        if len(b) == 1:
-            ((f, w),) = b.items()
-            out._c = {e + f: v * w for e, v in a.items()}
-            return out
-        c = {}
-        for e, v in a.items():
-            for f, w in b.items():
-                g = e + f
-                s = c.get(g, 0) + v * w
-                if s:
-                    c[g] = s
-                else:
-                    c.pop(g, None)
-        out._c = c
-        return out
-
-    __rmul__ = __mul__
+    __rmul__ = _SparsePoly.__mul__
 
     def scale(self, k) -> "LaurentPoly":
         k = RAT.lift(k)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {} if not k else {e: v * k for e, v in self._c.items()}
-        return out
+        return self._new({} if not k else {e: v * k for e, v in self._c.items()})
 
     def invert_term(self) -> "LaurentPoly":
         """Inverse of a single-term unit c*z^e; raises otherwise."""
@@ -209,11 +226,6 @@ class LaurentPoly:
         for e, v in self._c.items():
             out[e % k] += v
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self._c == other._c
-        return NotImplemented
 
     def __repr__(self):
         if not self._c:
@@ -275,7 +287,7 @@ class DualScalar:
         return f"({self.value!r} + {self.deriv!r}*eps)"
 
 
-class XPoly:
+class XPoly(_SparsePoly):
     """Polynomial in x over a base domain, stored as degree -> coeff.
 
     This is the brute-force twin of DualScalar: evaluating the full
@@ -283,68 +295,7 @@ class XPoly:
     dual number's components.
     """
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs=None):
-        table = {}
-        if coeffs:
-            for d, v in coeffs.items():
-                if v:
-                    table[int(d)] = v
-        self._c = table
-
-    def items(self):
-        return self._c.items()
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __add__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        c = dict(self._c)
-        for d, v in other._c.items():
-            s = c.get(d)
-            s = v if s is None else s + v
-            if s:
-                c[d] = s
-            else:
-                c.pop(d, None)
-        out = XPoly.__new__(XPoly)
-        out._c = c
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        out = XPoly.__new__(XPoly)
-        out._c = {d: -v for d, v in self._c.items()}
-        return out
-
-    def __mul__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        c = {}
-        for d1, v1 in self._c.items():
-            for d2, v2 in other._c.items():
-                d = d1 + d2
-                s = c.get(d)
-                s = v1 * v2 if s is None else s + v1 * v2
-                if s:
-                    c[d] = s
-                else:
-                    c.pop(d, None)
-        out = XPoly.__new__(XPoly)
-        out._c = c
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, XPoly):
-            return self._c == other._c
-        return NotImplemented
+    __slots__ = ()
 
     def value_at_one(self, zero):
         """Sum of all coefficients: the polynomial evaluated at x = 1."""

@@ -592,14 +592,15 @@ def series_from_json(obj: dict) -> QSeries:
     ring_name = obj["ring"]
     order = int(obj["order"])
     if ring_name == "rational":
-        s = QSeries.zeros(RAT, order)
-        for t in obj["terms"]:
-            s.coeffs[int(t["q_exponent"])] = RAT.lift(Fraction(t["coefficient"]))
+        ring, coeff = RAT, lambda c: RAT.lift(Fraction(c))
     elif ring_name == "laurent":
-        s = QSeries.zeros(LAURENT, order)
-        for t in obj["terms"]:
-            cmap = {int(e): Fraction(v) for e, v in t["coefficient"].items()}
-            s.coeffs[int(t["q_exponent"])] = LaurentPoly(cmap)
+        ring, coeff = LAURENT, lambda c: LaurentPoly({e: Fraction(v) for e, v in c.items()})
     else:
         raise ValueError(f"unknown ring tag {ring_name!r}")
+    s = QSeries.zeros(ring, order)
+    for t in obj["terms"]:
+        n = int(t["q_exponent"])
+        if not 0 <= n <= order:
+            raise ValueError(f"q_exponent {n} is outside 0..{order}")
+        s.coeffs[n] = coeff(t["coefficient"])
     return s

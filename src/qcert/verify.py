@@ -235,7 +235,9 @@ def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig):
     An lhs form is read from its expansion.  Otherwise part-count pairs
     are read from their difference series, the other pairs from the
     counting oracle, held to the counting limits up to `upto`, the last
-    weight the caller reads, where their tables are built.
+    weight the caller reads.  Their tables are built to the bound, capped
+    at the limit (past it, with unsafe bounds, to `upto`), so a later
+    check that reads a few weights further rebuilds none.
     """
     if spec.lhs_form:
         return closed_form(spec.lhs_form, bound).integer_coefficients().__getitem__
@@ -244,7 +246,8 @@ def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig):
     series_vals = nt_diff_combo(series_terms, bound).integer_coefficients() if series_terms else None
     enum_terms = [t for t in spec.lhs if t.family not in _SERIES_FAMILY]
     if enum_terms:
-        require_limit(spec.id, [t.family for t in enum_terms], upto, config.unsafe_bounds)
+        limit = require_limit(spec.id, [t.family for t in enum_terms], upto, config.unsafe_bounds)
+        upto = max(upto, min(bound, limit))
 
     def value(n: int) -> int:
         val = _enum_value(enum_terms, n, upto)

@@ -13,6 +13,7 @@ from qcert.rings import (
     DualScalar,
     LaurentPoly,
     XPoly,
+    XPolyRing,
 )
 
 fracs = st.fractions(
@@ -141,3 +142,31 @@ def test_rat_ring_is_integer_first():
         RAT.invert(0)
     with pytest.raises(TypeError):
         RAT.lift(0.5)
+
+
+def test_laurent_and_xpoly_do_not_mix():
+    p, x = LaurentPoly({0: 1, 1: 2}), XPoly({0: 1, 1: 2})
+    for a, b in ((p, x), (x, p)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(a, b)
+        assert not a == b and a != b
+
+
+def test_laurent_scaling_from_either_side():
+    p = LaurentPoly({-1: 1, 2: Fraction(2, 3)})
+    doubled = LaurentPoly({-1: 2, 2: Fraction(4, 3)})
+    assert 2 * p == doubled and p * 2 == doubled
+    assert Fraction(1, 2) * p == LaurentPoly({-1: Fraction(1, 2), 2: Fraction(1, 3)})
+    assert not 0 * p and len(p * 0) == 0
+
+
+def test_xpoly_over_laurent_cancels_to_empty():
+    z = LaurentPoly.term(1)
+    f = XPoly({0: z, 2: LaurentPoly.const(3)})
+    g = XPoly({0: -z, 2: LaurentPoly.const(-3)})
+    for zero in (f + g, f - f, f * XPolyRing(LAURENT).zero):
+        assert not zero and len(zero) == 0 and zero == XPoly()
+    # sums seed from a coefficient, never the int 0
+    assert (f + f).value_at_one(LAURENT.zero) == 2 * z + LaurentPoly.const(6)
+    assert (f * f).deriv_at_one(LAURENT.zero) == LaurentPoly({1: 12, 0: 36})

@@ -632,6 +632,15 @@ def test_json_round_trip_laurent():
     assert back == s
 
 
+@pytest.mark.parametrize("exponent", [-1, 4])
+@pytest.mark.parametrize("ring, coefficient", [("rational", "5"), ("laurent", {"1": "5"})])
+def test_json_rejects_exponent_outside_order(ring, coefficient, exponent):
+    # -1 must not wrap into the top coefficient, 4 must not be an IndexError
+    obj = {"ring": ring, "order": 3, "terms": [{"q_exponent": exponent, "coefficient": coefficient}]}
+    with pytest.raises(ValueError, match=f"q_exponent {exponent} is outside 0..3"):
+        series_from_json(obj)
+
+
 @settings(max_examples=150, deadline=None)
 @given(any_series)
 def test_json_round_trip_random(s):

@@ -2,9 +2,11 @@
 report determinism."""
 
 import json
+import sys
 
 import pytest
 
+from qcert import combinatorics
 from qcert.combinatorics import require_limit
 from qcert.errors import InsufficientOrder
 from qcert.verify import (
@@ -132,6 +134,26 @@ def test_enum_range_checked_against_last_n_read():
     rep = run_check(get_spec("CJ-MW5-EQ-5N4"), order=84)
     assert rep.status == "SKIPPED"
     assert rep.skip_reason == "CJ-MW5-EQ-5N4 needs enumeration to n=84, limit is 80"
+
+
+def test_momega_checks_build_the_crank_table_once():
+    # CJ-MW5-EQ-5N4 reads to n = 59 and the next check to 60: both build
+    # at their bound, so the table is built once, at 60
+    built = []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code is combinatorics._crank_table.__code__:
+            built.append(frame.f_locals["N"])
+
+    combinatorics.clear_caches()
+    previous = sys.getprofile()
+    sys.setprofile(spy)
+    try:
+        res = run_all(only="CJ-MW*,CJ-NTMW*")
+    finally:
+        sys.setprofile(previous)
+    assert len(res.reports) == 16
+    assert built == [60]
 
 
 def test_mutation_sensitivity_exact_relation():
