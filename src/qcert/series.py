@@ -7,8 +7,8 @@ shrinks the order; no operation ever claims precision it does not hold.
 Builders cover the shapes this project needs: finite q-Pochhammer
 products and quotients of infinite ones with a dilation step (one
 builder, ``pochhammer_quotient``, under the infinite and theta-style
-two-sided "bracket" products), and bilateral Appell-Lerch-type sums with
-exact handling of the half-integer n = 0 terms.
+two-sided "bracket" products), and bilateral Appell-Lerch-type sums over
+an index range computed once, whose only special term is the n = 0 half.
 
 The coefficient ring carries x (see ``rings``): a builder takes
 ``ring=`` and lifts each argument with ``mon``; ``QSeries.at_one`` reads
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from operator import add, mul, sub
 
 from .errors import DivergentProduct, ZeroDenominator
@@ -123,9 +123,6 @@ class QSeries:
                 s.coeffs[e] = ring.lift(c)
         return s
 
-    def copy(self) -> "QSeries":
-        return QSeries(self.ring, self.order, list(self.coeffs))
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -186,8 +183,6 @@ class QSeries:
         c = self.ring.lift(c)
         if m < 0:
             raise ValueError("binomial exponent must be >= 0")
-        if not c:
-            return self.copy()
         if m == 0:
             return self.mul_scalar(self.ring.one + c)
         a = self.coeffs
@@ -206,8 +201,6 @@ class QSeries:
         c = self.ring.lift(c)
         if m < 0:
             raise ValueError("binomial exponent must be >= 0")
-        if not c:
-            return self.copy()
         if m == 0:
             unit = self.ring.one + c
             return self.mul_scalar(self.ring.invert(unit))
@@ -461,10 +454,14 @@ def lerch_sum(
         sum (-1)^n q^(quad*n^2 + lin*n + num_shift)
             / (1 + denom_sign * q^(denom_step*n + denom_shift))
 
-    Denominators with negative q-power are rewritten to positive
-    valuation via 1/(1 + d*q^-u) = d*q^u/(1 + d*q^u) before geometric
-    expansion; a denominator exponent of exactly 0 contributes the exact
-    scalar 1/2 when the sign is +1 and raises otherwise.
+    n runs over |n| < T in the order 0, 1, -1, 2, ..., so the invalid term
+    nearest 0 raises first; T, computed once, is the first t >= 1 past the
+    vertex at which quad*t^2 - |lin|*t + num_shift, a lower bound on the
+    valuation of every term from n = +-t on, exceeds `order`.  A negative
+    denominator exponent is rewritten via 1/(1 + d*q^-u) = d*q^u/(1 + d*q^u).
+    The only special term is the one whose denominator exponent is 0 (at
+    n = 0 when denom_shift = 0): it adds (-1)^n/2 at its q-power, or raises
+    ZeroDenominator when the sign is -1.
     """
     if quad < 1:
         raise ValueError("quadratic coefficient must be >= 1")
@@ -472,53 +469,31 @@ def lerch_sum(
         raise ValueError("denominator step must be >= 1")
     if denom_sign not in (1, -1):
         raise ValueError("denominator sign must be +1 or -1")
+    spread = abs(lin)
+    end = next(t for t in count(1) if 2 * quad * t > spread
+               and quad * t * t - spread * t + num_shift > order)
     acc = QSeries.zeros(RAT, order)
-
-    def add_term(n: int):
+    for n in sorted(range(1 - end, end), key=lambda n: (abs(n), n < 0)):
+        if n == 0 and not include_n0:
+            continue
         sign = -1 if n % 2 else 1
         v0 = quad * n * n + lin * n + num_shift
         m = denom_step * n + denom_shift
-        if m == 0:
-            if denom_sign == -1:
-                raise ZeroDenominator(
-                    f"denominator 1 - q^0 vanishes at summation index n={n}"
-                )
-            if 0 <= v0 <= order:
-                acc.coeffs[v0] = acc.coeffs[v0] + Fraction(sign, 2)
-            elif v0 < 0:
-                raise ValueError("negative net q-valuation in bilateral sum")
-            return
+        if m == 0 and denom_sign == -1:
+            raise ZeroDenominator(f"denominator 1 - q^0 vanishes at summation index n={n}")
         if m < 0:
-            u = -m
-            v0 += u
+            v0 -= m
             sign *= denom_sign
-            m = u
+            m = -m
         if v0 < 0:
             raise ValueError("negative net q-valuation in bilateral sum")
         if v0 > order:
-            return
+            continue
+        if m == 0:
+            acc.coeffs[v0] += Fraction(sign, 2)
+            continue
         term = QSeries.from_terms(RAT, order - v0, {0: sign})
         add_shifted(acc.coeffs, term.div_binomial(denom_sign, m).coeffs, v0)
-
-    # conservative index bound: beyond the vertex, quad*t^2 - |lin|*t +
-    # num_shift underestimates every term's valuation
-    spread = abs(lin)
-
-    def low(t: int) -> int:
-        return quad * t * t - spread * t + num_shift
-
-    if include_n0:
-        add_term(0)
-    t = 1
-    while True:
-        done = low(t) > order and 2 * quad * t - spread > 0
-        if done:
-            break
-        add_term(t)
-        add_term(-t)
-        t += 1
-        if t > 10_000_000:  # pragma: no cover
-            raise RuntimeError("bilateral sum failed to truncate")
     return acc
 
 

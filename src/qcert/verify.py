@@ -310,11 +310,6 @@ def _run_thmain(family: Family, bound: int, report: CheckReport):
 # ---------------------------------------------------------------------------
 
 
-def _poly_matches_counter(poly, counter) -> bool:
-    table = {e: v for e, v in poly.items()} if poly else {}
-    return table == {m: c for m, c in counter.items() if c}
-
-
 def _run_xcheck(spec, bound, config, report):
     """The family's rank series and count form against the oracle's
     distribution and object counts at each n <= bound, then its
@@ -328,7 +323,7 @@ def _run_xcheck(spec, bound, config, report):
     counts = closed_form(x.count_form, bound).integer_coefficients()
     for n in range(bound + 1):
         dist = raw_tally(x.count_family, n, bound)
-        if not _poly_matches_counter(g.coeffs[n], dist):
+        if dict(g.coeffs[n].items()) != dist:
             _fail(report, n, str(g.coeffs[n]), str(dict(sorted(dist.items()))))
             return
         if sum(dist.values()) != counts[n]:
@@ -364,8 +359,7 @@ def _pair_profile_fails(bound, config, report) -> bool:
             want: dict[int, int] = {}
             for (r, s, t, m), cnt in comb.pair_profile(n, profile_to).items():
                 want[m] = want.get(m, 0) + cnt * d**r * e**s * x**t
-            got = {exp: v for exp, v in series.coeffs[n].items()}
-            if got != {m: v for m, v in want.items() if v}:
+            if dict(series.coeffs[n].items()) != want:
                 _fail(report, n, str(series.coeffs[n]), str(dict(sorted(want.items()))))
                 report.notes.append(f"sampled weights (d,e,x)=({d},{e},{x})")
                 return True

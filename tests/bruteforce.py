@@ -123,6 +123,32 @@ def overpartitions(n: int) -> set[tuple[tuple[int, bool], ...]]:
     return out
 
 
+def lerch_ref(quad, lin, denom_step, denom_sign, order, denom_shift=0, num_shift=0,
+              include_n0=True) -> dict:
+    """sum (-1)^n q^(quad*n^2 + lin*n + num_shift) / (1 + d*q^(step*n + shift))
+    over the window |n| <= |lin| + |num_shift| + order + 1, which holds every
+    term below q^(order+1); each term is a geometric series, written at
+    positive valuation through 1/(1 + d*q^-u) = d*q^u/(1 + d*q^u)."""
+    d = denom_sign
+    width = abs(lin) + abs(num_shift) + order + 1
+    out: dict = {}
+    for n in range(-width, width + 1):
+        if n == 0 and not include_n0:
+            continue
+        c = Fraction(-1) ** n
+        v = quad * n * n + lin * n + num_shift
+        m = denom_step * n + denom_shift
+        if m < 0:
+            c, v, m = c * d, v - m, -m
+        if m == 0:
+            out[v] = out.get(v, Fraction(0)) + c / (1 + d)
+            continue
+        while v <= order:
+            out[v] = out.get(v, Fraction(0)) + c
+            c, v = -d * c, v + m
+    return {k: v for k, v in out.items() if v and k <= order}
+
+
 # -- per-element references for the series kernels and the inner sums --------
 
 

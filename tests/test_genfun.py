@@ -475,6 +475,12 @@ def test_closed_forms_hold_no_floats():
         assert not any(isinstance(c, float) for c in series.coeffs), form_id
 
 
+@pytest.mark.parametrize("form", form_ids())
+def test_closed_forms_are_truncation_stable(form):
+    # a form built at a higher order and truncated is the form built there
+    assert closed_form(form, 160).truncate(80) == closed_form(form, 80)
+
+
 def test_unknown_form():
     with pytest.raises(UnknownFormId):
         closed_form("no-such-form", 4)

@@ -304,30 +304,28 @@ def test_lerch_zero_denominator():
         lerch_sum(quad=1, lin=0, denom_step=10, denom_sign=-1, include_n0=True, order=4)
 
 
-def test_lerch_against_naive_sum():
-    # same sum expanded naively over a wide index window
-    order = 50
-    got = lerch_sum(
-        quad=1, lin=2, denom_step=10, denom_sign=-1, include_n0=False, order=order
-    )
-    want = {}
-    for n in range(-40, 41):
-        if n == 0:
-            continue
-        v0 = n * n + 2 * n
-        m = 10 * n
-        sgn = Fraction((-1) ** n)
-        if m < 0:
-            v0 += -m
-            sgn *= -1
-            m = -m
-        if v0 > order:
-            continue
-        j = 0
-        while v0 + j * m <= order:
-            want[v0 + j * m] = want.get(v0 + j * m, Fraction(0)) + sgn
-            j += 1
-    assert got.coeffs == [want.get(i, Fraction(0)) for i in range(order + 1)]
+# the nine parameter sets the closed forms pass, an n = 0 half, and a vertex
+# case whose terms near n = 9 have valuation 0 while n = +-1 lie past q^60
+_LERCH_CASES = [
+    dict(quad=1, lin=2, denom_step=10, denom_sign=-1, include_n0=False),
+    dict(quad=1, lin=6, denom_step=10, denom_sign=-1, include_n0=False),
+    dict(quad=2, lin=1, denom_step=10, denom_sign=-1, include_n0=False),
+    dict(quad=2, lin=3, denom_step=10, denom_sign=-1, include_n0=False),
+    dict(quad=1, lin=1, denom_step=3, denom_sign=1, include_n0=False),
+    dict(quad=9, lin=6, denom_step=9, denom_sign=1, include_n0=False),
+    dict(quad=9, lin=12, num_shift=3, denom_step=9, denom_sign=1, denom_shift=3),
+    dict(quad=9, lin=18, num_shift=8, denom_step=9, denom_sign=1, denom_shift=6),
+    dict(quad=9, lin=18, num_shift=9, denom_step=9, denom_sign=1, denom_shift=6),
+    dict(quad=9, lin=6, denom_step=9, denom_sign=1, include_n0=True),
+    dict(quad=1, lin=-18, denom_step=3, denom_sign=1, denom_shift=1, num_shift=81),
+]
+
+
+@pytest.mark.parametrize("order", [0, 1, 60])
+@pytest.mark.parametrize("kw", _LERCH_CASES, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_lerch_against_naive_sum(kw, order):
+    got = lerch_sum(order=order, **kw)
+    assert got.coeffs == bf.coeffs(bf.lerch_ref(order=order, **kw), order)
 
 
 # -- shaping and views ------------------------------------------------------
@@ -417,7 +415,7 @@ def test_series_inverse_laws(a):
 
 @settings(max_examples=200, deadline=None)
 @given(rat_series_any, st.integers(min_value=0, max_value=6),
-       st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 2)]))
+       st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(0)]))
 def test_binomial_ops_match_general_mul(a, m, c):
     if m == 0 and c == -1:
         return  # 1 + c*q^0 is not a unit
@@ -428,6 +426,8 @@ def test_binomial_ops_match_general_mul(a, m, c):
         binomial = QSeries.from_terms(RAT, a.order, terms)
         assert a.mul_binomial(c, m) == a * binomial
     assert a.mul_binomial(c, m).div_binomial(c, m) == a
+    if not c:
+        assert a.mul_binomial(c, m) == a == a.div_binomial(c, m)
 
 
 # -- the +-1 kernels over RAT: C-level passes against per-element loops ---------
