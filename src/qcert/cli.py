@@ -3,10 +3,12 @@ check list.  ``verify`` is the one way to run a check; the
 series-vs-counting-oracle cross-checks are ``verify --only xchecks``.
 
 Exit codes: 0 success, 1 check failure, 2 usage or infrastructure error,
-including a check that ended in ERROR and a stated check that was
-SKIPPED and so certified nothing.  Past the counting oracle's weight
-limits (``combinatorics.require_limit``) ``verify`` skips a check and
-``stat`` refuses the range; ``--unsafe-bounds`` is the one override.
+including a check that ended in ERROR, a stated check that was SKIPPED
+and so certified nothing, and an unwritable ``--output`` or ``--report``
+path (``verify`` tries both before it runs a check).  Past the counting
+oracle's weight limits (``combinatorics.require_limit``) ``verify``
+skips a check and ``stat`` refuses the range; ``--unsafe-bounds`` is
+the one override.
 """
 
 from __future__ import annotations
@@ -26,9 +28,17 @@ from .verify import VerifyConfig, run_all, select_specs
 _CATEGORIES = "theorems, classic, new, conjectures, identities, xchecks"
 
 
+def _open(path: str, mode: str = "w"):
+    """`path` opened for writing; an unwritable path is a usage error."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
+        with _open(output) as fh:
             fh.write(text)
     else:
         click.echo(text)
@@ -123,7 +133,7 @@ def stat(family, k, single_n, n_range, fmt, unsafe_bounds, output):
 
 def _print_reports(result, fmt, output, report_path):
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
+        with _open(report_path) as fh:
             json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     if fmt == "json":
@@ -177,6 +187,8 @@ def verify(only, order, strict_conjectures, unsafe_bounds, seed, explore, fmt, r
     if only and not select_specs(only, explore):
         raise click.UsageError(
             f"--only {only!r} selects no check; give categories ({_CATEGORIES}) or id globs")
+    for path in filter(None, (report_path, output)):
+        _open(path, "a").close()  # an unwritable path fails before any check runs
     try:
         result = run_all(only=only, order=order, config=cfg)
     except QcertError as exc:

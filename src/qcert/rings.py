@@ -205,7 +205,7 @@ class LaurentPoly(_SparsePoly):
 
     def scale(self, k) -> "LaurentPoly":
         k = RAT.lift(k)
-        return self._new({} if not k else {e: v * k for e, v in self._c.items()})
+        return self._new({} if not k else {e: RAT.lift(v * k) for e, v in self._c.items()})
 
     def invert_term(self) -> "LaurentPoly":
         """Inverse of a single-term unit c*z^e; raises otherwise."""

@@ -15,7 +15,9 @@ The coefficient ring carries x (see ``rings``): a builder takes
 a dual or x-polynomial series back as (value, d/dx) at x = 1.
 
 Over ``RAT`` the binomial kernels with c = +-1 are C-level list passes;
-other rings and coefficients keep the per-element loop.  ``add_shifted``
+other rings and coefficients keep the per-element loop, which over
+``RAT``, as in the general product, lifts each result (an integral value
+is an ``int``).  ``add_shifted``
 adds c*q^k*src into a coefficient list from offset k, so a sum of
 shifted terms never builds the zeros below each shift.
 """
@@ -170,7 +172,7 @@ class QSeries:
                 bj = b[j]
                 if bj:
                     out[i + j] = out[i + j] + ai * bj
-        return QSeries(self.ring, n, out)
+        return _lifted(self.ring, n, out)
 
     def mul_scalar(self, c) -> "QSeries":
         c = self.ring.lift(c)
@@ -194,7 +196,7 @@ class QSeries:
             lo = a[i - m]
             if lo:
                 out[i] = out[i] + c * lo
-        return QSeries(self.ring, self.order, out)
+        return _lifted(self.ring, self.order, out)
 
     def div_binomial(self, c, m: int) -> "QSeries":
         """Divide by (1 + c*q^m) in O(order) coefficient operations."""
@@ -212,7 +214,7 @@ class QSeries:
             lo = out[i - m]
             if lo:
                 out[i] = out[i] - c * lo
-        return QSeries(self.ring, self.order, out)
+        return _lifted(self.ring, self.order, out)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse modulo q^(order+1).
@@ -313,6 +315,12 @@ class QSeries:
                 bits.append(qs if cs == "1" else f"{cs}*{qs}")
         body = " + ".join(bits) if bits else "0"
         return f"{body} + O(q^{self.order + 1})".replace("+ -", "- ")
+
+
+def _lifted(ring, order: int, coeffs) -> QSeries:
+    """The series of `coeffs`, over RAT each lifted so that an integral
+    Fraction from a product of mixed int and Fraction is stored as an int."""
+    return QSeries(ring, order, map(RAT.lift, coeffs) if ring is RAT else coeffs)
 
 
 def _div_one_minus(a: list, m: int) -> list:

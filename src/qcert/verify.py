@@ -12,7 +12,11 @@ other.  One statement runner serves every check that names no
 structural runner (``thmain`` or ``xcheck``): it reads the lhs (a
 closed form or a statistic combination) along the check's progression,
 every n when it has none, and compares each value with its target: the
-rhs form's coefficient, or 0, exactly or mod p.  A spec's kind and
+rhs form's coefficient, or 0, exactly or mod k.  A check's modulus and
+progression step are its pairs' k, and each congruence family is one
+row of the registry builder (pairs, stated residues, bound, enumeration
+bound) that emits a check per stated residue and, for the scanned
+families, an exploratory check per other residue.  A spec's kind and
 engines follow from its other fields.  Each statistic family's two
 routes are named once, in a row of ``_XCHECKS``: its ``X-*`` check
 holds that row, and the family's part-count series is read from it;
@@ -428,31 +432,35 @@ def registry() -> list[CheckSpec]:
     return list(_REGISTRY)
 
 
-def _congruence(id, category, terms, p, prog, bound, enum_bound=None):
-    """A combination along a progression: = 0 (mod p), or exactly 0 (an
-    EXACT_RELATION) when p is None."""
-    i, step = prog
-    rel = "0" if p is None else f"0 (mod {p})"
+def _congruence(id, category, terms, i, bound, *, exact=False, enum_bound=None):
+    """A combination of pairs mod k along n = k*m + i: = 0 (mod k), or
+    exactly 0 (an EXACT_RELATION) when `exact`."""
+    k = terms[0].modulus
+    rel = "0" if exact else f"0 (mod {k})"
     return CheckSpec(
         id=id,
         category=category,
-        statement=f"{_combo_str(terms)} = {rel} for n = {step}m+{i}",
+        statement=f"{_combo_str(terms)} = {rel} for n = {k}m+{i}",
         lhs=tuple(terms),
-        modulus=p,
-        progression=prog,
+        modulus=None if exact else k,
+        progression=(i, k),
         bound=bound,
         enum_bound=enum_bound,
     )
 
 
-def _identity(id, category, rhs_form, bound, *, terms=(), lhs_form=None, prog=None, modulus=None):
+def _identity(id, category, rhs_form, bound, *, terms=(), lhs_form=None, residue=None, mod=False):
+    """lhs = rhs form, the lhs summed along n = k*m + residue when one is
+    given and the relation taken mod k when `mod` (k: the pairs' modulus)."""
+    k = terms[0].modulus if terms else None
+    prog = None if residue is None else (residue, k)
     if lhs_form:
         lhs_str = lhs_form
     else:
         lhs_str = _combo_str(terms)
         if prog:
-            lhs_str = f"sum over m of [{lhs_str}] at n = {prog[1]}m+{prog[0]}"
-    rel = f"= {rhs_form}" if modulus is None else f"= {rhs_form} (mod {modulus})"
+            lhs_str = f"sum over m of [{lhs_str}] at n = {k}m+{residue}"
+    rel = f"= {rhs_form} (mod {k})" if mod else f"= {rhs_form}"
     return CheckSpec(
         id=id,
         category=category,
@@ -460,7 +468,7 @@ def _identity(id, category, rhs_form, bound, *, terms=(), lhs_form=None, prog=No
         lhs=tuple(terms),
         lhs_form=lhs_form,
         rhs_form=rhs_form,
-        modulus=modulus,
+        modulus=k if mod else None,
         progression=prog,
         bound=bound,
     )
@@ -468,108 +476,67 @@ def _identity(id, category, rhs_form, bound, *, terms=(), lhs_form=None, prog=No
 
 def _build_registry() -> list[CheckSpec]:
     specs: list[CheckSpec] = []
+    scans: list[CheckSpec] = []  # exploratory, run after the cross-checks
 
     def combo(fam, pairs, k):
         return [StatTerm(c, fam, m, k) for c, m in pairs]
 
+    def family(prefix, category, terms, stated, bound, enum_bound=None, scan=False):
+        """{prefix}-I{i} for each stated residue i; with `scan`, also
+        {prefix}-SCAN-I{i} for every other residue mod k."""
+        specs.extend(_congruence(f"{prefix}-I{i}", category, terms, i, bound, enum_bound=enum_bound)
+                     for i in stated)
+        if scan:
+            scans.extend(_congruence(f"{prefix}-SCAN-I{i}", "exploratory", terms, i, 60)
+                         for i in range(terms[0].modulus) if i not in stated)
+
     # --- the three headline theorems -----------------------------------
-    specs.append(
-        _congruence(
-            "T1", "theorem", combo("NTbar2", [(1, 1), (2, 2)], 5), 5, (2, 5),
-            300, enum_bound=37,
-        )
-    )
     t2_terms = combo("NTbar", [(1, 1)], 3) + combo("NTbar2", [(-1, 1)], 3)
-    specs.append(
-        _congruence("T2A", "theorem", t2_terms, 3, (0, 3), 300, enum_bound=37)
-    )
-    specs.append(
-        _congruence("T2B", "theorem", t2_terms, 3, (1, 3), 300, enum_bound=37)
-    )
-    specs.append(
-        _congruence(
-            "T3", "theorem", combo("NT2", [(1, 1), (2, 2)], 5), 5, (1, 5),
-            300, enum_bound=76,
-        )
-    )
+    specs += [
+        _congruence("T1", "theorem", combo("NTbar2", [(1, 1), (2, 2)], 5), 2, 300, enum_bound=37),
+        _congruence("T2A", "theorem", t2_terms, 0, 300, enum_bound=37),
+        _congruence("T2B", "theorem", t2_terms, 1, 300, enum_bound=37),
+        _congruence("T3", "theorem", combo("NT2", [(1, 1), (2, 2)], 5), 1, 300, enum_bound=76),
+    ]
 
-    # --- previously known part-count congruences ------------------------
-    nt5 = combo("NT", [(1, 1), (2, 2)], 5)
-    for i in (1, 4):
-        specs.append(
-            _congruence(f"NT5-I{i}", "classic", nt5, 5, (i, 5), 300, enum_bound=30)
-        )
-    nt7 = combo("NT", [(1, 1), (1, 2), (-1, 3)], 7)
-    for i in (1, 5):
-        specs.append(
-            _congruence(f"NT7-I{i}", "classic", nt7, 7, (i, 7), 300, enum_bound=30)
-        )
-
-    # --- the two further mod-7 families --------------------------------
-    alt1 = combo("NT", [(1, 1), (2, 3)], 7)
-    for i in (1, 3, 4, 5):
-        specs.append(
-            _congruence(f"NT7-ALT1-I{i}", "new", alt1, 7, (i, 7), 300, enum_bound=30)
-        )
-    alt2 = combo("NT", [(1, 2), (4, 3)], 7)
-    for i in (0, 1, 5):
-        specs.append(
-            _congruence(f"NT7-ALT2-I{i}", "new", alt2, 7, (i, 7), 300, enum_bound=30)
-        )
+    # --- previously known part-count congruences, and the two further
+    # mod-7 families; every residue they leave out is scanned ------------
+    family("NT5", "classic", combo("NT", [(1, 1), (2, 2)], 5), (1, 4), 300, 30, scan=True)
+    family("NT7", "classic", combo("NT", [(1, 1), (1, 2), (-1, 3)], 7), (1, 5), 300, 30, scan=True)
+    family("NT7-ALT1", "new", combo("NT", [(1, 1), (2, 3)], 7), (1, 3, 4, 5), 300, 30, scan=True)
+    family("NT7-ALT2", "new", combo("NT", [(1, 2), (4, 3)], 7), (0, 1, 5), 300, 30, scan=True)
 
     # --- conjectured congruences, relations, and identities -------------
-    c11a = combo("NT", [(1, 1), (3, 2), (-4, 3), (3, 4), (3, 5)], 11)
-    specs.append(_congruence("CJ-NT11-I6", "conjecture", c11a, 11, (6, 11), 200))
-    c11b = combo("NT", [(1, 1), (-3, 2), (5, 3), (-2, 4), (4, 5)], 11)
-    specs.append(_congruence("CJ-NT11-I1", "conjecture", c11b, 11, (1, 11), 200))
-    c13a = combo("NT", [(1, 1), (1, 2), (6, 3), (3, 6)], 13)
-    specs.append(_congruence("CJ-NT13-I1", "conjecture", c13a, 13, (1, 13), 200))
-    c13b = combo("NT", [(1, 1), (3, 3), (-4, 4), (1, 5), (-2, 6)], 13)
-    specs.append(_congruence("CJ-NT13-I3", "conjecture", c13b, 13, (3, 13), 200))
-
-    specs.append(
-        _identity(
-            "CJ-NT7-ETA-7N5", "conjecture", "eta7-rank-7n5-rhs", 7 * 150 + 5,
-            terms=combo("NT", [(1, 1), (3, 2)], 7), prog=(5, 7),
-        )
-    )
-    specs.append(
-        _identity(
-            "CJ-NT7-ETA-7N4", "conjecture", "eta7-rank-7n4-rhs", 7 * 150 + 4,
-            terms=combo("NT", [(1, 1), (2, 3)], 7), prog=(4, 7),
-        )
-    )
-
-    mw5_eq = combo("Momega", [(1, 1), (2, 2)], 5)
-    specs.append(_congruence("CJ-MW5-EQ-5N4", "conjecture", mw5_eq, None, (4, 5), 60))
+    family("CJ-NT11", "conjecture",
+           combo("NT", [(1, 1), (3, 2), (-4, 3), (3, 4), (3, 5)], 11), (6,), 200)
+    family("CJ-NT11", "conjecture",
+           combo("NT", [(1, 1), (-3, 2), (5, 3), (-2, 4), (4, 5)], 11), (1,), 200)
+    family("CJ-NT13", "conjecture",
+           combo("NT", [(1, 1), (1, 2), (6, 3), (3, 6)], 13), (1,), 200)
+    family("CJ-NT13", "conjecture",
+           combo("NT", [(1, 1), (3, 3), (-4, 4), (1, 5), (-2, 6)], 13), (3,), 200)
+    specs += [
+        _identity("CJ-NT7-ETA-7N5", "conjecture", "eta7-rank-7n5-rhs", 7 * 150 + 5,
+                  terms=combo("NT", [(1, 1), (3, 2)], 7), residue=5),
+        _identity("CJ-NT7-ETA-7N4", "conjecture", "eta7-rank-7n4-rhs", 7 * 150 + 4,
+                  terms=combo("NT", [(1, 1), (2, 3)], 7), residue=4),
+        _congruence("CJ-MW5-EQ-5N4", "conjecture", combo("Momega", [(1, 1), (2, 2)], 5), 4, 60,
+                    exact=True),
+    ]
 
     mixed504 = combo("Momega", [(1, 1)], 5) + combo("NT", [(2, 2)], 5)
-    for i in (0, 4):
-        specs.append(
-            _congruence(f"CJ-MWNT5-I{i}", "conjecture", mixed504, 5, (i, 5), 60)
-        )
-    specs.append(_congruence("CJ-MWNT5-EQ-5N2", "conjecture", mixed504, None, (2, 5), 60))
-
+    family("CJ-MWNT5", "conjecture", mixed504, (0, 4), 60)
+    specs.append(_congruence("CJ-MWNT5-EQ-5N2", "conjecture", mixed504, 2, 60, exact=True))
     mixed512 = combo("NT", [(1, 1)], 5) + combo("Momega", [(2, 2)], 5)
-    for i in (1, 2):
-        specs.append(
-            _congruence(f"CJ-NTMW5-I{i}", "conjecture", mixed512, 5, (i, 5), 60)
-        )
-    specs.append(
-        _identity(
-            "CJ-NTMW5-ETA-5N4", "conjecture", "eta5-crank-rank-5n4-rhs", 59,
-            terms=mixed512, prog=(4, 5),
-        )
-    )
+    family("CJ-NTMW5", "conjecture", mixed512, (1, 2), 60)
     mixed_eq54 = combo("Momega", [(1, 1)], 5) + combo("NT", [(4, 1)], 5)
-    specs.append(_congruence("CJ-MWNT5-EQ-5N4", "conjecture", mixed_eq54, None, (4, 5), 60))
-
-    mw7a = combo("Momega", [(1, 1), (2, 3)], 7)
-    for i in (0, 2, 5, 6):
-        specs.append(_congruence(f"CJ-MW7-A-I{i}", "conjecture", mw7a, 7, (i, 7), 60))
-    mw7b = combo("Momega", [(1, 2), (-3, 3)], 7)
-    for i in (0, 1, 4, 5):
-        specs.append(_congruence(f"CJ-MW7-B-I{i}", "conjecture", mw7b, 7, (i, 7), 60))
+    specs += [
+        _identity("CJ-NTMW5-ETA-5N4", "conjecture", "eta5-crank-rank-5n4-rhs", 59,
+                  terms=mixed512, residue=4),
+        _congruence("CJ-MWNT5-EQ-5N4", "conjecture", mixed_eq54, 4, 60, exact=True),
+    ]
+    family("CJ-MW7-A", "conjecture", combo("Momega", [(1, 1), (2, 3)], 7), (0, 2, 5, 6), 60)
+    family("CJ-MW7-B", "conjecture", combo("Momega", [(1, 2), (-3, 3)], 7), (0, 1, 4, 5), 60)
 
     # --- exact identity suite -------------------------------------------
     specs.append(
@@ -618,15 +585,15 @@ def _build_registry() -> list[CheckSpec]:
     )
     specs.append(
         _identity("CG-CHAIN-OVM2-MOD5", "identity", "ovm2-mod5-kernel", 200,
-                  terms=combo("NTbar2", [(1, 1), (2, 2)], 5), modulus=5)
+                  terms=combo("NTbar2", [(1, 1), (2, 2)], 5), mod=True)
     )
     specs.append(
         _identity("CG-CHAIN-DOM2-MOD5", "identity", "dom2-mod5-kernel", 200,
-                  terms=combo("NT2", [(1, 1), (2, 2)], 5), modulus=5)
+                  terms=combo("NT2", [(1, 1), (2, 2)], 5), mod=True)
     )
     specs.append(
         _identity("CG-DIS-MOD3", "identity", "mod3-combined-rhs", 200,
-                  terms=t2_terms, modulus=3)
+                  terms=t2_terms, mod=True)
     )
     for fam in Family:
         specs.append(
@@ -654,18 +621,7 @@ def _build_registry() -> list[CheckSpec]:
             )
         )
 
-    # --- exploratory residues outside the stated lists ------------------
-    for base_id, terms, p, stated in [
-        ("NT5", nt5, 5, (1, 4)),
-        ("NT7", nt7, 7, (1, 5)),
-        ("NT7-ALT1", alt1, 7, (1, 3, 4, 5)),
-        ("NT7-ALT2", alt2, 7, (0, 1, 5)),
-    ]:
-        for i in range(p):
-            if i not in stated:
-                specs.append(_congruence(
-                    f"{base_id}-SCAN-I{i}", "exploratory", terms, p, (i, p), 60))
-    return specs
+    return specs + scans
 
 
 _REGISTRY = _build_registry()

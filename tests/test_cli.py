@@ -151,6 +151,26 @@ def test_verify_single_check_and_report(tmp_path):
     assert payload["checks"][0]["status"] == "PASS"
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("args", [
+    ("verify", "--only", "ID-KERNEL3-BILAT", "--report"),
+    ("verify", "--only", "ID-KERNEL3-BILAT", "--output"),
+    ("expand", "--form", "partition-gf", "--order", "5", "--output"),
+    ("stat", "--family", "NT", "--k", "5", "--n", "3", "--output"),
+])
+def test_unwritable_path_is_usage_error(tmp_path, monkeypatch, args, where):
+    # exit 2 with one line naming the path, no traceback, and verify
+    # finds the path before it runs any check
+    from qcert import verify as V
+
+    path = str(tmp_path if where == "directory" else tmp_path / "missing" / "out.txt")
+    monkeypatch.setattr(V, "run_check", lambda *a, **k: pytest.fail("a check ran"))
+    res = run(*args, path)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert f"Error: cannot write {path}: " in res.output
+    assert "Traceback" not in res.output
+
+
 def test_verify_insufficient_order_is_error():
     res = run("verify", "--only", "T1", "--order", "3")
     assert res.exit_code == 2

@@ -218,6 +218,23 @@ def test_monomial_coefficients_follow_rat_lift():
         mono(1.5, 1)
 
 
+def test_mixed_rat_kernels_store_integral_values_as_int():
+    # a product of an int and a Fraction that lands on an integer is
+    # lifted to an int by the per-element binomial kernels, the general
+    # product and the Laurent scaling
+    h = Fraction(1, 2)
+    s = QSeries(RAT, 3, [1, h, 3, 4])
+    for got, want in [
+        (s.mul_binomial(2, 1), [1, Fraction(5, 2), 4, 10]),
+        (s.div_binomial(2, 1), [1, Fraction(-3, 2), 6, -8]),
+        (QSeries(RAT, 2, [h, 1, 2]) * QSeries(RAT, 2, [2, 0, 0]), [1, 2, 4]),
+    ]:
+        assert got.coeffs == want
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want]
+    scaled = Fraction(3, 2) * LaurentPoly({2: Fraction(2, 3)})
+    assert scaled[2] == 1 and type(scaled[2]) is int
+
+
 def test_pochhammer_zero_argument():
     assert pochhammer_infinite(mono(0, 0), 1, order=5) == QSeries.one(RAT, 5)
 

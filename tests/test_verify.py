@@ -2,6 +2,7 @@
 report determinism."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -55,6 +56,30 @@ def test_registry_invariants():
             assert spec.modulus and spec.modulus > 1
         if spec.engines == "ENUM":
             assert spec.bound <= 80
+
+
+def test_pairs_fix_modulus_and_step():
+    # every check with pairs takes its modulus (or none) and its
+    # progression step from their one k
+    for spec in registry():
+        if not spec.lhs:
+            continue
+        (k,) = {t.modulus for t in spec.lhs}
+        assert spec.modulus in (k, None), spec.id
+        assert spec.progression is None or spec.progression[1] == k, spec.id
+
+
+SCANNED = {"NT5": (1, 4), "NT7": (1, 5), "NT7-ALT1": (1, 3, 4, 5), "NT7-ALT2": (0, 1, 5)}
+
+
+@pytest.mark.parametrize("prefix", SCANNED)
+def test_scanned_family_covers_each_residue_once(prefix):
+    specs = [s for s in registry() if re.fullmatch(rf"{prefix}-(SCAN-)?I\d", s.id)]
+    (lhs,) = {s.lhs for s in specs}
+    residues = sorted(s.progression[0] for s in specs)
+    assert residues == list(range(lhs[0].modulus))
+    assert tuple(s.progression[0] for s in specs if "-SCAN-" not in s.id) == SCANNED[prefix]
+    assert all(s.informational == ("-SCAN-" in s.id) for s in specs)
 
 
 def test_both_engine_specs_have_xcheck_companions():
