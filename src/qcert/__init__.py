@@ -12,9 +12,8 @@ The package has five layers:
   crank statistic, and residue tallies counted from those definitions;
 * ``qcert.genfun`` -- the rank generating functions, part-count
   difference series (exact d/dx at 1 from the x = 1 inner terms, over
-  integers), the main transformation check (dual numbers, which also
-  serve ``derivative_check``), and the table of closed forms they are
-  compared against;
+  integers), the main transformation check (dual numbers), and the table
+  of closed forms they are compared against;
 * ``qcert.verify`` -- the declarative check registry and runner;
 * ``qcert.cli`` -- the ``qcert`` command-line tool.
 """
@@ -50,7 +49,6 @@ from .series import (
     Monomial,
     QSeries,
     bracket_infinite,
-    derivative_check,
     lerch_sum,
     mono,
     pochhammer_finite,

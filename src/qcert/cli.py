@@ -4,8 +4,9 @@ series-vs-counting-oracle cross-checks are ``verify --only xchecks``.
 
 Exit codes: 0 success, 1 check failure, 2 usage or infrastructure error,
 including a check that ended in ERROR, a stated check that was SKIPPED
-and so certified nothing, and an unwritable ``--output`` or ``--report``
-path (``verify`` tries both before it runs a check).  Past the counting
+and so certified nothing, an ``--order`` too small to sample a selected
+check's progression twice, and an unwritable ``--output`` or ``--report``
+path (``verify`` finds both before it runs a check).  Past the counting
 oracle's weight limits (``combinatorics.require_limit``) ``verify``
 skips a check and ``stat`` refuses the range; ``--unsafe-bounds`` is
 the one override.
@@ -22,8 +23,9 @@ import click
 from .combinatorics import TALLY_FAMILIES, require_limit, tally
 from .errors import BoundExceeded, QcertError
 from .genfun import closed_form, form_ids
-from .series import series_to_json
-from .verify import VerifyConfig, run_all, select_specs
+from .rings import RAT
+from .series import QSeries, series_to_json
+from .verify import VerifyConfig, require_order, run_all, select_specs
 
 _CATEGORIES = "theorems, classic, new, conjectures, identities, xchecks"
 
@@ -63,20 +65,17 @@ def expand(form_id, order, mod_p, fmt, output):
     series = closed_form(form_id, order)
     if mod_p is not None:
         try:
-            rows = [(i, c) for i, c in enumerate(series.reduce_mod(mod_p))]
+            residues = series.reduce_mod(mod_p)
         except (TypeError, ValueError) as exc:
             raise click.UsageError(f"--mod view unavailable: {exc}")
         if fmt == "json":
             _emit(json.dumps({"form": form_id, "order": order, "mod": mod_p,
-                              "coefficients": [c for _, c in rows]}, indent=2), output)
+                              "coefficients": residues}, indent=2), output)
         elif fmt == "csv":
-            _emit("q_exponent,coefficient\n" + "\n".join(f"{i},{c}" for i, c in rows), output)
+            _emit("q_exponent,coefficient\n" + "\n".join(
+                f"{i},{c}" for i, c in enumerate(residues)), output)
         else:
-            body = " + ".join(
-                (f"{c}" if i == 0 else (f"{c}*q" if i == 1 else f"{c}*q^{i}"))
-                for i, c in rows if c
-            ) or "0"
-            _emit(f"{body} + O(q^{order + 1})  (mod {mod_p})", output)
+            _emit(f"{QSeries(RAT, order, residues)}  (mod {mod_p})", output)
         return
     if fmt == "json":
         _emit(json.dumps(series_to_json(series), indent=2), output)
@@ -184,12 +183,14 @@ def verify(only, order, strict_conjectures, unsafe_bounds, seed, explore, fmt, r
     """Run the registered checks (all of them by default)."""
     cfg = VerifyConfig(strict_conjectures=strict_conjectures, unsafe_bounds=unsafe_bounds,
                        seed=seed, include_informational=explore)
-    if only and not select_specs(only, explore):
+    specs = select_specs(only, explore)
+    if only and not specs:
         raise click.UsageError(
             f"--only {only!r} selects no check; give categories ({_CATEGORIES}) or id globs")
-    for path in filter(None, (report_path, output)):
-        _open(path, "a").close()  # an unwritable path fails before any check runs
     try:
+        require_order(specs, order)  # before the path probe leaves a file
+        for path in filter(None, (report_path, output)):
+            _open(path, "a").close()  # an unwritable path fails before any check runs
         result = run_all(only=only, order=order, config=cfg)
     except QcertError as exc:
         click.echo(f"error: {exc}", err=True)

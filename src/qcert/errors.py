@@ -13,10 +13,6 @@ class DivergentProduct(QcertError):
     """Infinite product whose factors do not eventually truncate."""
 
 
-class ZeroDenominator(QcertError):
-    """A summed denominator evaluates to zero (e.g. 1 - q^0)."""
-
-
 class RepeatedOddPart(QcertError):
     """Partition violates the distinct-odd-parts restriction."""
 

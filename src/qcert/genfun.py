@@ -474,25 +474,19 @@ _QUARTIC = _CUBE * _Y_MINUS_1  # (y - 1)^4
 
 def _sbar2(b: int, order: int) -> QSeries:
     """Bilateral sum with quadratic exponent n^2 + 2bn over 1 - q^{10n}."""
-    return lerch_sum(
-        quad=1, lin=2 * b, denom_step=10, denom_sign=-1,
-        include_n0=False, order=order,
-    )
+    return lerch_sum(quad=1, lin=2 * b, denom_step=10, denom_sign=-1, order=order)
 
 
 def _s2(b: int, order: int) -> QSeries:
     """Bilateral sum with quadratic exponent 2n^2 + bn over 1 - q^{10n}."""
-    return lerch_sum(
-        quad=2, lin=b, denom_step=10, denom_sign=-1,
-        include_n0=False, order=order,
-    )
+    return lerch_sum(quad=2, lin=b, denom_step=10, denom_sign=-1, order=order)
 
 
 def _base9_sums(c_shift: int, order: int) -> tuple[QSeries, QSeries, QSeries]:
     """The three base-9 bilateral sums of the theta and mod-3 forms.  The
     first leaves out its n = 0 term, exactly 1/2, which each caller adds
     back or cancels in integers."""
-    a = lerch_sum(quad=9, lin=6, denom_step=9, denom_sign=1, include_n0=False, order=order)
+    a = lerch_sum(quad=9, lin=6, denom_step=9, denom_sign=1, order=order)
     b = lerch_sum(
         quad=9, lin=12, num_shift=3, denom_step=9, denom_sign=1,
         denom_shift=3, order=order,
@@ -566,9 +560,9 @@ _FORM_BUILDERS: dict[str, Callable[[int], QSeries]] = {
     "mod3-kernel-onesided": lambda order: _kernel_sum(
         Family.OV_RANK, {0: 1, 1: 1}, ((1, 3),), order
     ),
-    # -1/2 plus the bilateral sum, whose n = 0 term is exactly +1/2
+    # -1/2 plus the bilateral sum, whose left-out n = 0 term is exactly +1/2
     "mod3-kernel-bilateral": lambda order: lerch_sum(
-        quad=1, lin=1, denom_step=3, denom_sign=1, include_n0=False, order=order
+        quad=1, lin=1, denom_step=3, denom_sign=1, order=order
     ),
     "mod3-kernel-base9": _mod3_kernel_base9,
     "mod3-combined-rhs": lambda order: _kernel_product(

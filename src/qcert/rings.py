@@ -4,15 +4,15 @@ Four domains are supported:
 
 * ``RAT`` -- exact rationals, integer-first: coefficients are Python
   ``int``s by default, and a ``fractions.Fraction`` appears only where a
-  true non-integer does (the halves of bilateral sums, a sampled
-  rational weight); a ``Fraction`` with denominator 1 is demoted to
-  ``int`` when lifted.  ``RAT.lift`` is the one coefficient rule: every
-  other domain lifts its rational coefficients through it,
+  true non-integer does (a sampled rational weight); a ``Fraction`` with
+  denominator 1 is demoted to ``int`` when lifted.  ``RAT.lift`` is the
+  one coefficient rule: every other domain lifts its rational
+  coefficients through it,
 * ``LaurentPoly`` -- Laurent polynomials in the rank variable z,
 * ``DualScalar`` -- first-order jets a + b*eps with eps^2 = 0, used to
   evaluate d/dx at x = 1 exactly alongside the value in the main
-  transformation check and ``derivative_check`` (the part-count series
-  need no jets: they read the derivative from x = 1 integer terms),
+  transformation check (the part-count series need no jets: they read
+  the derivative from x = 1 integer terms),
 * ``XPoly`` -- honest polynomials in x, the independent second route for
   validating the dual-number derivative.
 
@@ -36,6 +36,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NonUnitConstantTerm
+
+
+def term_text(coeff: str, var: str, e: int) -> str:
+    """coeff * var^e as text, the power left out at e = 0 and a
+    coefficient of +-1 next to a power written as a bare sign."""
+    if e == 0:
+        return coeff
+    power = var if e == 1 else f"{var}^{e}"
+    return {"1": power, "-1": f"-{power}"}.get(coeff, f"{coeff}*{power}")
 
 
 class RatRing:
@@ -230,23 +239,15 @@ class LaurentPoly(_SparsePoly):
     def __repr__(self):
         if not self._c:
             return "0"
-        bits = []
-        for e in sorted(self._c):
-            v = self._c[e]
-            if e == 0:
-                bits.append(f"{v}")
-            elif e == 1:
-                bits.append(f"{v}*z" if v != 1 else "z")
-            else:
-                bits.append(f"{v}*z^{e}" if v != 1 else f"z^{e}")
+        bits = [term_text(str(v), "z", e) for e, v in sorted(self._c.items())]
         return " + ".join(bits).replace("+ -", "- ")
 
 
 class DualScalar:
     """First-order jet value + deriv*eps over a base domain (eps^2 = 0).
 
-    Serves ``thmain_check`` and ``derivative_check``; ``nt_diff_gf``
-    reads its derivative from the x = 1 inner terms over integers."""
+    Serves ``thmain_check``; ``nt_diff_gf`` reads its derivative from
+    the x = 1 inner terms over integers."""
 
     __slots__ = ("value", "deriv")
 

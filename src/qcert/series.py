@@ -8,7 +8,8 @@ Builders cover the shapes this project needs: finite q-Pochhammer
 products and quotients of infinite ones with a dilation step (one
 builder, ``pochhammer_quotient``, under the infinite and theta-style
 two-sided "bracket" products), and bilateral Appell-Lerch-type sums over
-an index range computed once, whose only special term is the n = 0 half.
+an index range computed once, which leave out the term whose denominator
+exponent is 0, so that every sum has integer coefficients.
 
 The coefficient ring carries x (see ``rings``): a builder takes
 ``ring=`` and lifts each argument with ``mon``; ``QSeries.at_one`` reads
@@ -29,8 +30,8 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import add, mul, sub
 
-from .errors import DivergentProduct, ZeroDenominator
-from .rings import LAURENT, RAT, DualRing, LaurentPoly, XPolyRing
+from .errors import DivergentProduct
+from .rings import LAURENT, RAT, LaurentPoly, term_text
 
 
 @dataclass(frozen=True)
@@ -300,19 +301,11 @@ class QSeries:
     def __str__(self):
         bits = []
         for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if isinstance(c, LaurentPoly):
-                cs = repr(c)
-                if len(c) > 1 or (len(c) == 1 and not c.is_constant()):
-                    cs = f"({cs})"
-            else:
+            if c:
                 cs = str(c)
-            if i == 0:
-                bits.append(cs)
-            else:
-                qs = "q" if i == 1 else f"q^{i}"
-                bits.append(qs if cs == "1" else f"{cs}*{qs}")
+                if isinstance(c, LaurentPoly) and not c.is_constant():
+                    cs = f"({cs})"
+                bits.append(term_text(cs, "q", i))
         body = " + ".join(bits) if bits else "0"
         return f"{body} + O(q^{self.order + 1})".replace("+ -", "- ")
 
@@ -454,22 +447,20 @@ def lerch_sum(
     denom_sign: int,
     denom_shift: int = 0,
     num_shift: int = 0,
-    include_n0: bool = True,
     order: int,
 ) -> QSeries:
-    """Bilateral Appell-Lerch-type sum over n in Z (optionally without 0):
+    """Bilateral Appell-Lerch-type sum over n in Z:
 
         sum (-1)^n q^(quad*n^2 + lin*n + num_shift)
             / (1 + denom_sign * q^(denom_step*n + denom_shift))
 
-    n runs over |n| < T in the order 0, 1, -1, 2, ..., so the invalid term
-    nearest 0 raises first; T, computed once, is the first t >= 1 past the
-    vertex at which quad*t^2 - |lin|*t + num_shift, a lower bound on the
-    valuation of every term from n = +-t on, exceeds `order`.  A negative
-    denominator exponent is rewritten via 1/(1 + d*q^-u) = d*q^u/(1 + d*q^u).
-    The only special term is the one whose denominator exponent is 0 (at
-    n = 0 when denom_shift = 0): it adds (-1)^n/2 at its q-power, or raises
-    ZeroDenominator when the sign is -1.
+    without the term whose denominator exponent is 0, if there is one; a
+    caller whose identity needs that term, (-1)^n/2 for sign +1, adds it.
+    n runs over |n| < T, where T, computed once, is the first t >= 1 past
+    the vertex at which quad*t^2 - |lin|*t + num_shift, a lower bound on
+    the valuation of every term from n = +-t on, exceeds `order`.  A
+    negative denominator exponent is rewritten via
+    1/(1 + d*q^-u) = d*q^u/(1 + d*q^u).
     """
     if quad < 1:
         raise ValueError("quadratic coefficient must be >= 1")
@@ -481,14 +472,12 @@ def lerch_sum(
     end = next(t for t in count(1) if 2 * quad * t > spread
                and quad * t * t - spread * t + num_shift > order)
     acc = QSeries.zeros(RAT, order)
-    for n in sorted(range(1 - end, end), key=lambda n: (abs(n), n < 0)):
-        if n == 0 and not include_n0:
+    for n in range(1 - end, end):
+        m = denom_step * n + denom_shift
+        if m == 0:
             continue
         sign = -1 if n % 2 else 1
         v0 = quad * n * n + lin * n + num_shift
-        m = denom_step * n + denom_shift
-        if m == 0 and denom_sign == -1:
-            raise ZeroDenominator(f"denominator 1 - q^0 vanishes at summation index n={n}")
         if m < 0:
             v0 -= m
             sign *= denom_sign
@@ -497,50 +486,9 @@ def lerch_sum(
             raise ValueError("negative net q-valuation in bilateral sum")
         if v0 > order:
             continue
-        if m == 0:
-            acc.coeffs[v0] += Fraction(sign, 2)
-            continue
         term = QSeries.from_terms(RAT, order - v0, {0: sign})
         add_shifted(acc.coeffs, term.div_binomial(denom_sign, m).coeffs, v0)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Dual-number validation against the polynomial-in-x oracle.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DerivativeComparison:
-    value_ok: bool
-    deriv_ok: bool
-    dual_value: QSeries
-    dual_deriv: QSeries
-    poly_value: QSeries
-    poly_deriv: QSeries
-
-    @property
-    def ok(self) -> bool:
-        return self.value_ok and self.deriv_ok
-
-
-def derivative_check(build, base_ring) -> DerivativeComparison:
-    """Evaluate `build(ring)` via dual numbers and via honest polynomials
-    in x, and compare value and derivative at x = 1 coefficientwise.
-
-    `build` must accept a coefficient ring that carries x and return a
-    QSeries over that ring.
-    """
-    dv, dd = build(DualRing(base_ring)).at_one()
-    pv, pd = build(XPolyRing(base_ring)).at_one()
-    return DerivativeComparison(
-        value_ok=dv.first_difference(pv) is None,
-        deriv_ok=dd.first_difference(pd) is None,
-        dual_value=dv,
-        dual_deriv=dd,
-        poly_value=pv,
-        poly_deriv=pd,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -393,23 +393,30 @@ def _blank_report(spec: CheckSpec, bound: int) -> CheckReport:
     )
 
 
+def require_order(specs, order: int | None) -> None:
+    """Raise InsufficientOrder unless `order` (None: each spec's bound)
+    samples every spec's progression at least twice."""
+    for spec in specs:
+        bound = spec.bound if order is None else order
+        if spec.progression is not None:
+            i, step = spec.progression
+            if bound < i + step:
+                raise InsufficientOrder(
+                    f"{spec.id}: order {bound} cannot sample the progression "
+                    f"{step}n+{i} at least twice"
+                )
+
+
 def run_check(spec: CheckSpec, order: int | None = None, config: VerifyConfig | None = None) -> CheckReport:
     """Execute one check and return its report.
 
     `order` overrides the spec's bound (largest lhs weight examined).
-    Raises InsufficientOrder when a progression cannot be sampled at
-    least twice at the requested order.
+    Raises InsufficientOrder as ``require_order`` does.
     """
     config = config or VerifyConfig()
     bound = spec.bound if order is None else order
+    require_order((spec,), bound)
     report = _blank_report(spec, bound)
-    if spec.progression is not None:
-        i, step = spec.progression
-        if bound < i + step:
-            raise InsufficientOrder(
-                f"{spec.id}: order {bound} cannot sample the progression "
-                f"{step}n+{i} at least twice"
-            )
     start = time.perf_counter()
     try:
         if spec.thmain is not None:
@@ -695,15 +702,15 @@ class RunResult:
 
 
 def run_all(only: str | None = None, order: int | None = None, config: VerifyConfig | None = None) -> RunResult:
-    """Run the (filtered) registry; never aborts on a single check's error."""
+    """Run the (filtered) registry; never aborts on a single check's error.
+    A too-small `order` is a usage problem, raised before any check runs."""
     config = config or VerifyConfig()
     specs = select_specs(only, config.include_informational)
+    require_order(specs, order)
 
     def run_one(spec: CheckSpec) -> CheckReport:
         try:
             return run_check(spec, order=order, config=config)
-        except InsufficientOrder:
-            raise  # a usage problem, not a check outcome
         except Exception as exc:
             # a package error skips the check; anything else is an engine
             # defect, reported against this check while the run goes on

@@ -4,15 +4,18 @@ Everything here is deliberately dumb: dense dict-based polynomial
 arithmetic, product expansion factor by factor, and the classic
 recurrence for the partition numbers, and partition-like objects built
 from multisets and subsets of parts.  Nothing imports qcert series
-internals, so agreement is meaningful.  The per-n counting dynamic
-program that the oracle's all-weight tables replaced is kept here too,
-taking the oracle's rows as arguments.
+internals, so agreement is meaningful; ``at_one_both`` only runs a
+caller's builder over qcert's two rings that carry x.  The per-n
+counting dynamic program that the oracle's all-weight tables replaced
+is kept here too, taking the oracle's rows as arguments.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement
+
+from qcert.rings import DualRing, XPolyRing
 
 
 def poly_mul(a: dict, b: dict, order: int) -> dict:
@@ -123,30 +126,32 @@ def overpartitions(n: int) -> set[tuple[tuple[int, bool], ...]]:
     return out
 
 
-def lerch_ref(quad, lin, denom_step, denom_sign, order, denom_shift=0, num_shift=0,
-              include_n0=True) -> dict:
+def lerch_ref(quad, lin, denom_step, denom_sign, order, denom_shift=0, num_shift=0) -> dict:
     """sum (-1)^n q^(quad*n^2 + lin*n + num_shift) / (1 + d*q^(step*n + shift))
     over the window |n| <= |lin| + |num_shift| + order + 1, which holds every
-    term below q^(order+1); each term is a geometric series, written at
-    positive valuation through 1/(1 + d*q^-u) = d*q^u/(1 + d*q^u)."""
+    term below q^(order+1), without the term whose denominator exponent is 0;
+    each term is a geometric series, written at positive valuation through
+    1/(1 + d*q^-u) = d*q^u/(1 + d*q^u)."""
     d = denom_sign
     width = abs(lin) + abs(num_shift) + order + 1
     out: dict = {}
     for n in range(-width, width + 1):
-        if n == 0 and not include_n0:
-            continue
         c = Fraction(-1) ** n
         v = quad * n * n + lin * n + num_shift
         m = denom_step * n + denom_shift
+        if m == 0:
+            continue
         if m < 0:
             c, v, m = c * d, v - m, -m
-        if m == 0:
-            out[v] = out.get(v, Fraction(0)) + c / (1 + d)
-            continue
         while v <= order:
             out[v] = out.get(v, Fraction(0)) + c
             c, v = -d * c, v + m
     return {k: v for k, v in out.items() if v and k <= order}
+
+
+def at_one_both(build, base):
+    """(value, d/dx) at x = 1 of `build(ring)` over dual numbers, then over XPoly."""
+    return build(DualRing(base)).at_one(), build(XPolyRing(base)).at_one()
 
 
 # -- per-element references for the series kernels and the inner sums --------

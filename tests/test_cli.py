@@ -60,6 +60,15 @@ def test_expand_mod_view_matches_exact():
         assert int(mod_rows[str(i)]) == want
 
 
+def test_expand_unit_coefficients_print_as_signs():
+    # +-1 next to a power prints as a bare sign, in the exact and the --mod view
+    args = ("expand", "--form", "mod3-kernel-bilateral", "--order", "10")
+    assert run(*args).output.strip() == "-q^2 - q^3 + q^5 + 2*q^6 - q^9 + O(q^11)"
+    assert run(*args, "--mod", "3").output.strip() == (
+        "2*q^2 + 2*q^3 + q^5 + 2*q^6 + 2*q^9 + O(q^11)  (mod 3)"
+    )
+
+
 def test_expand_rejects_nonpositive_modulus():
     # --mod 0 used to crash with ZeroDivisionError and exit 1, the code of
     # a failed check; --mod -3 printed "residues" in (-3, 0]
@@ -175,6 +184,20 @@ def test_verify_insufficient_order_is_error():
     res = run("verify", "--only", "T1", "--order", "3")
     assert res.exit_code == 2
     assert "InsufficientOrder" in res.output or "progression" in res.output
+
+
+def test_verify_too_small_order_stops_before_any_check(tmp_path, monkeypatch):
+    # every selected check is held to the order before the first one runs
+    # and before the report path is probed
+    from qcert import verify as V
+
+    ran, real = [], V.run_check
+    monkeypatch.setattr(V, "run_check", lambda spec, *a, **k: ran.append(spec.id) or real(spec, *a, **k))
+    report = tmp_path / "R"
+    res = run("verify", "--order", "11", "--report", str(report))
+    assert res.exit_code == 2
+    assert "NT7-I5: order 11 cannot sample the progression 7n+5 at least twice" in res.output
+    assert ran == [] and not report.exists()
 
 
 def test_verify_json_output():

@@ -21,7 +21,7 @@ from qcert.genfun import (
     thmain_check,
 )
 from qcert.rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly, XPolyRing
-from qcert.series import QSeries, add_shifted, derivative_check
+from qcert.series import QSeries, add_shifted
 
 ALL_FAMILIES = (Family.DYSON, Family.OV_RANK, Family.OV_M2, Family.DO_M2)
 
@@ -357,7 +357,7 @@ def test_genovpair_series_is_integer_first():
 
 @pytest.mark.parametrize("form", form_ids())
 def test_closed_forms_are_integer_first(form):
-    assert _integer_first(closed_form(form, 40))
+    assert all(type(c) is int for c in closed_form(form, 60).coeffs)
 
 
 def test_nt_diff_coefficients_are_ints():
@@ -396,7 +396,7 @@ def test_mod5_kernels_onesided_equals_bilateral():
 
 
 def test_mod5_kernel_integrality():
-    # bilateral sums have half-integer terms; the combination is integral
+    # every kernel sum and product is an integer series
     closed_form("ovm2-mod5-kernel", 80).assert_integral()
     closed_form("dom2-mod5-kernel", 80).assert_integral()
 
@@ -418,7 +418,7 @@ def test_lemma_base9_small():
     lhs = closed_form("theta-base9-lhs", 80)
     rhs = closed_form("theta-base9-rhs", 80).assert_integral()
     assert lhs == rhs, lhs.first_difference(rhs)
-    # constant terms: quotient starts at 1; the half-terms cancel to 1
+    # constant terms: quotient starts at 1; the right side adds its 1
     assert lhs.coeffs[0] == 1 and rhs.coeffs[0] == 1
 
 
@@ -539,10 +539,8 @@ def test_rank_sum_dual_vs_polynomial(family):
     def build(ring):
         return rank_gf_over(family, 16, ring)
 
-    from qcert.rings import LAURENT
-
-    cmp = derivative_check(build, LAURENT)
-    assert cmp.ok
+    dual, poly = bf.at_one_both(build, LAURENT)
+    assert dual == poly
 
 
 def test_inner_sum_dual_vs_polynomial_order_30():
@@ -557,8 +555,8 @@ def test_inner_sum_dual_vs_polynomial_order_30():
                 add_shifted(acc, common.coeffs, quad)
             return QSeries(ring, 30, acc)
 
-        cmp = derivative_check(build, LAURENT)
-        assert cmp.ok, family
+        dual, poly = bf.at_one_both(build, LAURENT)
+        assert dual == poly, family
 
 
 @pytest.mark.parametrize("ring", [RAT, DualRing(LAURENT)], ids=["rat", "dual-laurent"])

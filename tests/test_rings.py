@@ -55,6 +55,11 @@ def test_laurent_residue_sums():
     assert p.subs_one() == 11
 
 
+def test_laurent_unit_coefficients_print_as_signs():
+    assert repr(LaurentPoly({-1: -1, 0: -1, 1: -1, 2: 2})) == "-z^-1 - 1 - z + 2*z^2"
+    assert repr(LaurentPoly({0: 1, 1: 1, 3: Fraction(-1, 2)})) == "1 + z - 1/2*z^3"
+
+
 def test_laurent_nonunit():
     with pytest.raises(NonUnitConstantTerm):
         LaurentPoly({0: 1, 1: 1}).invert_term()

@@ -11,14 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import bruteforce as bf
 from qcert import series as series_module
-from qcert.errors import DivergentProduct, NonUnitConstantTerm, ZeroDenominator
+from qcert.errors import DivergentProduct, NonUnitConstantTerm
 from qcert.rings import LAURENT, RAT, DualRing, LaurentPoly, XPolyRing
 from qcert.series import (
     QSeries,
     _int_product,
     add_shifted,
     bracket_infinite,
-    derivative_check,
     lerch_sum,
     lift_zc,
     mon,
@@ -305,41 +304,48 @@ def test_bracket_rejects_bad_valuation():
 
 
 def test_lerch_truncated_at_zero():
-    s = lerch_sum(
-        quad=1, lin=2, denom_step=10, denom_sign=-1, include_n0=False, order=0
-    )
+    s = lerch_sum(quad=1, lin=2, denom_step=10, denom_sign=-1, order=0)
     assert s.is_zero()
 
 
-def test_lerch_zero_index_half():
-    s = lerch_sum(quad=9, lin=6, denom_step=9, denom_sign=1, order=0)
-    assert s.coeffs[0] == Fraction(1, 2)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lerch_leaves_out_the_zero_exponent_term(sign):
+    # the term over 1 + sign*q^0, a half or a pole, is left out: at n = 0,
+    # which leaves n = 1 (-q^15) and n = -1 (-sign*q^12) below q^21 ...
+    s = lerch_sum(quad=9, lin=6, denom_step=9, denom_sign=sign, order=20)
+    assert s.coeffs == bf.coeffs({12: -sign, 15: -1}, 20)
+    # ... and at n = -1 when the shift cancels the step, leaving n = 0, 1
+    s = lerch_sum(quad=1, denom_step=3, denom_shift=3, denom_sign=sign, order=1)
+    assert s.coeffs == [1, -1]
+    assert all(type(c) is int for c in s.coeffs)
 
 
-def test_lerch_zero_denominator():
-    with pytest.raises(ZeroDenominator):
-        lerch_sum(quad=1, lin=0, denom_step=10, denom_sign=-1, include_n0=True, order=4)
-
-
-# the nine parameter sets the closed forms pass, an n = 0 half, and a vertex
-# case whose terms near n = 9 have valuation 0 while n = +-1 lie past q^60
+# the nine parameter sets the closed forms pass and a vertex case whose
+# terms near n = 9 have valuation 0 while n = +-1 lie past q^60; every sum
+# has integer coefficients
 _LERCH_CASES = [
-    dict(quad=1, lin=2, denom_step=10, denom_sign=-1, include_n0=False),
-    dict(quad=1, lin=6, denom_step=10, denom_sign=-1, include_n0=False),
-    dict(quad=2, lin=1, denom_step=10, denom_sign=-1, include_n0=False),
-    dict(quad=2, lin=3, denom_step=10, denom_sign=-1, include_n0=False),
-    dict(quad=1, lin=1, denom_step=3, denom_sign=1, include_n0=False),
-    dict(quad=9, lin=6, denom_step=9, denom_sign=1, include_n0=False),
+    dict(quad=1, lin=2, denom_step=10, denom_sign=-1),
+    dict(quad=1, lin=6, denom_step=10, denom_sign=-1),
+    dict(quad=2, lin=1, denom_step=10, denom_sign=-1),
+    dict(quad=2, lin=3, denom_step=10, denom_sign=-1),
+    dict(quad=1, lin=1, denom_step=3, denom_sign=1),
+    dict(quad=9, lin=6, denom_step=9, denom_sign=1),
     dict(quad=9, lin=12, num_shift=3, denom_step=9, denom_sign=1, denom_shift=3),
     dict(quad=9, lin=18, num_shift=8, denom_step=9, denom_sign=1, denom_shift=6),
     dict(quad=9, lin=18, num_shift=9, denom_step=9, denom_sign=1, denom_shift=6),
-    dict(quad=9, lin=6, denom_step=9, denom_sign=1, include_n0=True),
     dict(quad=1, lin=-18, denom_step=3, denom_sign=1, denom_shift=1, num_shift=81),
 ]
 
 
+def _lerch_id(kw):
+    """The parameter values, and "False" (the zero-exponent term is not
+    summed) on a row whose denominator exponent reaches 0."""
+    left_out = kw.get("denom_shift", 0) % kw["denom_step"] == 0
+    return "-".join(map(str, (*kw.values(), *["False"] * left_out)))
+
+
 @pytest.mark.parametrize("order", [0, 1, 60])
-@pytest.mark.parametrize("kw", _LERCH_CASES, ids=lambda kw: "-".join(map(str, kw.values())))
+@pytest.mark.parametrize("kw", _LERCH_CASES, ids=_lerch_id)
 def test_lerch_against_naive_sum(kw, order):
     got = lerch_sum(order=order, **kw)
     assert got.coeffs == bf.coeffs(bf.lerch_ref(order=order, **kw), order)
@@ -382,11 +388,7 @@ def test_lerch_truncation_monotonicity(quad, lin, denom, big, small):
     step, sign, shift = denom
     small = min(small, big)
     lin = max(-quad, min(quad, lin))  # keep every term's valuation >= 0
-    include = not (sign == -1 and shift == 0)
-    kw = dict(
-        quad=quad, lin=lin, denom_step=step, denom_sign=sign,
-        denom_shift=shift, include_n0=include,
-    )
+    kw = dict(quad=quad, lin=lin, denom_step=step, denom_sign=sign, denom_shift=shift)
     hi = lerch_sum(order=big, **kw)
     lo = lerch_sum(order=small, **kw)
     assert hi.truncate(small) == lo
@@ -557,9 +559,7 @@ def test_int_series_product_takes_the_big_int_path(monkeypatch):
 
 
 def test_fraction_series_product_stays_on_generic_loop(monkeypatch):
-    # a bilateral sum's n = 0 term is exactly 1/2
-    half = lerch_sum(quad=1, lin=1, denom_step=3, denom_sign=1, order=30)
-    assert any(isinstance(c, Fraction) for c in half.coeffs)
+    half = QSeries.from_terms(RAT, 30, {0: Fraction(1, 2), 1: -1, 5: 2})
     ints = pochhammer_infinite(mono(1, 1), 1, order=30)
     want = bf.coeffs(bf.poly_mul(dict(enumerate(half.coeffs)), dict(enumerate(ints.coeffs)), 30), 30)
 
@@ -578,9 +578,9 @@ def test_derivative_square():
     def build(ring):
         return QSeries.one(ring, 3).mul_scalar(ring.x_power(2))
 
-    cmp = derivative_check(build, RAT)
-    assert cmp.ok
-    assert cmp.dual_deriv.coeffs[0] == 2
+    dual, poly = bf.at_one_both(build, RAT)
+    assert dual == poly
+    assert dual[1].coeffs[0] == 2
 
 
 def test_derivative_one_minus_x_factor():
@@ -594,12 +594,12 @@ def test_derivative_one_minus_x_factor():
         one = QSeries.one(ring, 5)
         return (one - one.mul_scalar(ring.x_power(1))) * g
 
-    cmp = derivative_check(build, RAT)
-    assert cmp.ok
-    assert cmp.dual_value.is_zero()
+    (value, deriv), poly = bf.at_one_both(build, RAT)
+    assert (value, deriv) == poly
+    assert value.is_zero()
     # derivative must equal -g(1)
     g_at_1 = QSeries.from_terms(RAT, 5, g_terms)
-    assert cmp.dual_deriv == -g_at_1
+    assert deriv == -g_at_1
 
 
 @settings(max_examples=120, deadline=None)
@@ -618,7 +618,8 @@ def test_derivative_random_x_polynomials(terms):
             s.coeffs[qe] = s.coeffs[qe] + ring.lift(c) * ring.x_power(xd)
         return s * s  # square it to exercise products
 
-    assert derivative_check(build, RAT).ok
+    dual, poly = bf.at_one_both(build, RAT)
+    assert dual == poly
 
 
 def test_derivative_check_on_pochhammer_expression():
@@ -627,7 +628,8 @@ def test_derivative_check_on_pochhammer_expression():
         t = pochhammer_finite(mono(-1, 2, xexp=1), 2, 2, order=8, ring=ring)
         return s * t.invert()
 
-    assert derivative_check(build, RAT).ok
+    dual, poly = bf.at_one_both(build, RAT)
+    assert dual == poly
 
 
 # -- serialization ----------------------------------------------------------
