@@ -10,7 +10,7 @@ obtained at (d, e) = (0, 0), (1, 0), (1, 1/q with q -> q^2) and
 (0, 1/q with q -> q^2).  The two q^2 families absorb the base change
 into every Pochhammer argument, which is what makes their coefficient
 distributions match the enumeration oracle.  ``Family`` names exactly
-these four; the generic pair series, at sampled numeric weights, is
+these four; the generic pair series, at sampled int weights, is
 ``genovpair_series``.
 
 Part-count difference series (total parts in objects with statistic
@@ -27,8 +27,17 @@ transformation; at x = 1 it is one over a sparse theta series with
 O(sqrt N) terms (Euler's pentagonal theorem, Gauss's phi and psi).
 
 The generic helpers take the coefficient ring, which carries x: x = 1
-over ``RAT`` or ``LAURENT``, 1 + eps over ``DualRing(LAURENT)`` for
-``thmain_check``, and x itself over ``XPolyRing``, the tests' oracle.
+over ``RAT`` or ``LAURENT``, 1 + eps over ``DualRing``, and x itself
+over ``XPolyRing``, the tests' oracle.  The z-refined builders (the rank
+sums, the inner terms, the transformed side and its prefactor) take a
+``_ZMap``, which says where a term c z^e q^m goes: with z formal they
+are the generic route, the tests' reference; packed, z = 2^W after the
+twist q -> zq (Kronecker substitution).  ``rank_gf`` and
+``genovpair_series`` are built packed over ``RAT`` and read back to
+``LaurentPoly`` (``unpack``); ``thmain_check`` compares its sides packed
+over ``DualRing(RAT)``.  Each W comes from a bound on the digits (the
+count form for ``rank_gf``, else a majorant), asserted by
+``_packing_width``.
 
 The closed forms live in one table, ``_FORM_BUILDERS``.  Every infinite
 product in a closed form is one ``pochhammer_quotient`` call, its powers
@@ -42,20 +51,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count, takewhile
 from typing import Callable
 
 from .errors import UnknownFormId
-from .rings import LAURENT, RAT, DualRing, LaurentPoly
+from .rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly
 from .series import (
     Monomial,
     QSeries,
     add_shifted,
+    balanced_digits,
     lerch_sum,
     lift_zc,
-    mon,
     mono,
     pochhammer_quotient,
 )
@@ -73,6 +81,7 @@ class Family(str, Enum):
 @dataclass(frozen=True)
 class _FamilyData:
     qstep: int
+    count_form: str  # the closed form of the object counts, the rank gf at z = 1
     # rank gf summand: extras(n) * x^n * q^{lhs_quad(n)} / (z-product)
     lhs_extra: tuple[Monomial, ...]
     lhs_quad: Callable[[int], int]
@@ -93,6 +102,7 @@ _X = 1  # marker for readability: monomials with xexp=1 carry one power of x
 _FAMILY_DATA = {
     Family.DYSON: _FamilyData(
         qstep=1,
+        count_form="partition-gf",
         lhs_extra=(),
         lhs_quad=lambda n: n * n,
         pref_num=(),
@@ -104,6 +114,7 @@ _FAMILY_DATA = {
     ),
     Family.OV_RANK: _FamilyData(
         qstep=1,
+        count_form="overpartition-gf",
         lhs_extra=(mono(-1, 0),),
         lhs_quad=lambda n: n * (n + 1) // 2,
         pref_num=((mono(-1, 1, xexp=_X), 1),),
@@ -117,6 +128,7 @@ _FAMILY_DATA = {
     # the specialized prefactor, merged into base q
     Family.OV_M2: _FamilyData(
         qstep=2,
+        count_form="overpartition-gf",
         lhs_extra=(mono(-1, 0), mono(-1, 1)),
         lhs_quad=lambda n: n,
         pref_num=((mono(-1, 1, xexp=_X), 1),),
@@ -128,6 +140,7 @@ _FAMILY_DATA = {
     ),
     Family.DO_M2: _FamilyData(
         qstep=2,
+        count_form="distinct-odd-gf",
         lhs_extra=(mono(-1, 1),),
         lhs_quad=lambda n: n * n,
         pref_num=((mono(-1, 1, xexp=_X), 2),),
@@ -140,7 +153,75 @@ _FAMILY_DATA = {
 }
 
 
-def _inner_terms(family: Family, ring, order: int, margin=None):
+class _ZMap:
+    """Where the z-refined builders send a term c * z^e * q^m, over `ring`.
+
+    With `width` None, z stays formal (a ring over LAURENT).  With a
+    width, z is packed: after the twist q -> zq every z-exponent is >= 0,
+    and z = 2^width, so c z^e q^m carries c * 2^(width*(e+m)) and the
+    coefficient of q^j is an int whose base-2^width digits are the
+    coefficients of z^-j..z^j (`unpack`).  The `majorant` (z = 1) sends
+    every factor (1 + c q^m) to (1 + |c| q^m) and every divisor to
+    (1 - |c| q^m), so each of its coefficients bounds the absolute sum of
+    the z-coefficients of the same build, and with it every digit.
+    """
+
+    __slots__ = ("ring", "width", "majorant")
+
+    def __init__(self, ring, width: int | None = None, majorant: bool = False):
+        self.ring, self.width, self.majorant = ring, width, majorant
+
+    def mul(self, c, e: int = 0, m: int = 0):
+        """c z^e q^m as a scalar, a summand or a factor (1 + c z^e q^m)."""
+        if self.majorant:
+            return self.ring.lift(abs(c))
+        if self.width is None:
+            return lift_zc(self.ring, c, e)
+        return self.ring.lift(c << self.width * (e + m))
+
+    def div(self, c, e: int = 0, m: int = 0):
+        """c z^e q^m as a divisor (1 + c z^e q^m)."""
+        return self.ring.lift(-abs(c)) if self.majorant else self.mul(c, e, m)
+
+    def factor(self, a: Monomial, m: int, div: bool = False):
+        """The c of (1 + c q^m) = (1 - a) with a's q-power at q^m, a divisor
+        when `div` (as ``pochhammer_quotient`` reads its factors)."""
+        c = (self.div if div else self.mul)(-a.coeff, a.zexp, m)
+        return c * self.ring.x_power(a.xexp) if a.xexp else c
+
+
+def _width(bound: int) -> int:
+    """The least digit width whose balanced digits hold |d| <= bound."""
+    return bound.bit_length() + 1
+
+
+def _packing_width(bounds) -> int:
+    """The width of z = 2^width for a build whose digits at q^n are at most
+    bounds[n] in absolute value; each bound is asserted below half a digit,
+    so that a width short of its bound is an error, never aliased digits."""
+    width = _width(max(bounds))
+    for n, b in enumerate(bounds):
+        if b >> (width - 1):
+            raise AssertionError(f"packed width {width} cannot hold the digit bound {b} at q^{n}")
+    return width
+
+
+def _unpack_coeff(c, width: int, j: int):
+    """A packed coefficient of q^j read back to z: digit i is z^(i-j)."""
+    if isinstance(c, DualScalar):
+        return DualScalar(_unpack_coeff(c.value, width, j), _unpack_coeff(c.deriv, width, j))
+    ds = balanced_digits(c, width, abs(c).bit_length() // width + 2)
+    return LaurentPoly({i - j: d for i, d in enumerate(ds) if d})
+
+
+def unpack(s: QSeries, width: int) -> QSeries:
+    """A packed series (over RAT or DualRing(RAT)) read back to LaurentPoly
+    coefficients (over LAURENT or DualRing(LAURENT))."""
+    ring = DualRing(LAURENT) if isinstance(s.ring, DualRing) else LAURENT
+    return QSeries(ring, s.order, [_unpack_coeff(c, width, j) for j, c in enumerate(s.coeffs)])
+
+
+def _inner_terms(family: Family, z: _ZMap, order: int, margin=None):
     """Yield (n, common, quad) where common is the inner summand at level
     n without its q^{quad} shift and without the residue bracket.
 
@@ -151,8 +232,8 @@ def _inner_terms(family: Family, ring, order: int, margin=None):
     """
     d = _FAMILY_DATA[family]
     s = d.qstep
-    neg_x = -ring.x_power(1)
-    cur = QSeries.one(ring, order)
+    neg_x = z.mul(-1) * z.ring.x_power(1)
+    cur = QSeries.one(z.ring, order)
     for n in count(1):
         quad = d.inner_quad(n)
         reach = order - quad + (margin(n) if margin else 0)
@@ -160,12 +241,14 @@ def _inner_terms(family: Family, ring, order: int, margin=None):
             return
         cur = cur.truncate(reach)
         for a in d.inner_num:
-            cur = cur.mul_binomial(-mon(ring, a), a.qexp + (n - 1) * s)
+            m = a.qexp + (n - 1) * s
+            cur = cur.mul_binomial(z.factor(a, m), m)
         cur = cur.mul_scalar(neg_x)
         if n >= 2:
-            cur = cur.div_binomial(ring.lift(-1), s * (n - 1))
+            cur = cur.div_binomial(z.div(-1, 0, s * (n - 1)), s * (n - 1))
         for a in d.inner_den:
-            cur = cur.div_binomial(-mon(ring, a), a.qexp + (n - 1) * s)
+            m = a.qexp + (n - 1) * s
+            cur = cur.div_binomial(z.factor(a, m, div=True), m)
         yield n, cur, quad
 
 
@@ -173,7 +256,7 @@ def _inner_terms(family: Family, ring, order: int, margin=None):
 def _inner_terms_rat(family: Family, order: int) -> tuple:
     """Cached inner terms C_n(1) at x = 1, over integers, shared across
     all (b, k)."""
-    return tuple(_inner_terms(family, RAT, order))
+    return tuple(_inner_terms(family, _ZMap(RAT), order))
 
 
 @lru_cache(maxsize=None)
@@ -195,36 +278,56 @@ def _prefactor_rat(family: Family, order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _rank_sum(ring, extras, quad, qstep: int, scalar, x, order: int) -> QSeries:
-    """sum_{n>=0} prod_{a in extras} (a; q^s)_n scalar^n q^{quad(n)}
-    / (z q^s, x q^s / z; q^s)_n, with x a value of the ring; the running
-    product is kept only to q^(order - quad(n)), the most level n reads."""
-    z = lift_zc(ring, 1, 1)
-    xz = lift_zc(ring, 1, -1) * x
+def _rank_sum(z: _ZMap, extras, quad, qstep: int, scalar, x, order: int) -> QSeries:
+    """sum_{n>=0} prod_{(lead, a) in extras} prod_{k<n} (lead - a q^(ks))
+    scalar^n q^{quad(n)} / (z q^s, x q^s / z; q^s)_n, with x a value of
+    the ring (quad(0) = 0); the running product is kept only to
+    q^(order - quad(n)), the most level n reads, and carries the twist of
+    q^quad(n) from one level to the next."""
+    ring = z.ring
     acc = QSeries.one(ring, order)
     cur = QSeries.one(ring, order)
     for n in takewhile(lambda n: quad(n) <= order, count(1)):
         cur = cur.truncate(order - quad(n))
-        for a in extras:
-            cur = cur.mul_binomial(-mon(ring, a), a.qexp + (n - 1) * qstep)
-        cur = cur.mul_scalar(scalar)
-        cur = cur.div_binomial(-z, qstep * n).div_binomial(-xz, qstep * n)
+        for lead, a in extras:
+            m = a.qexp + (n - 1) * qstep
+            if lead == 1:
+                cur = cur.mul_binomial(z.factor(a, m), m)
+            else:
+                nxt = cur.mul_scalar(lead)
+                add_shifted(nxt.coeffs, cur.coeffs, m, z.factor(a, m))
+                cur = nxt
+        cur = cur.mul_scalar(scalar * z.mul(1, 0, quad(n) - quad(n - 1)))
+        m = qstep * n
+        cur = cur.div_binomial(z.div(-1, 1, m), m).div_binomial(z.div(-1, -1, m) * x, m)
         add_shifted(acc.coeffs, cur.coeffs, quad(n))
     return acc
 
 
-def rank_gf_over(family: Family, order: int, ring) -> QSeries:
-    """Rank generating function over `ring`, which carries x."""
+def _rank_sum_of(family: Family, z: _ZMap, order: int) -> QSeries:
     d = _FAMILY_DATA[family]
-    x = ring.x_power(1)
-    return _rank_sum(ring, d.lhs_extra, d.lhs_quad, d.qstep, x, x, order)
+    x = z.ring.x_power(1)
+    return _rank_sum(z, [(1, a) for a in d.lhs_extra], d.lhs_quad, d.qstep, x, x, order)
+
+
+def rank_gf_over(family: Family, order: int, ring) -> QSeries:
+    """Rank generating function over `ring`, which carries x, with z formal."""
+    return _rank_sum_of(family, _ZMap(ring), order)
 
 
 @lru_cache(maxsize=None)
 def rank_gf(family: Family, order: int) -> QSeries:
     """z-refined rank generating function at x = 1, over LaurentPoly:
-    coefficient of z^m q^n counts objects of weight n with statistic m."""
-    g = rank_gf_over(family, order, LAURENT)
+    coefficient of z^m q^n counts objects of weight n with statistic m.
+
+    Built packed over RAT and read back by `unpack`.  Its digits are
+    counts, all >= 0 and summing to the family's object count, so the
+    count form bounds each one; the read-back coefficients are asserted to
+    sum to it (a digit that aliased would move the sum by a multiple of
+    2^width - 1) and to lie in the rank range."""
+    counts = closed_form(_FAMILY_DATA[family].count_form, order).coeffs
+    width = _packing_width(counts)
+    g = unpack(_rank_sum_of(family, _ZMap(RAT, width), order), width)
     for n, c in enumerate(g.coeffs):
         if c:
             lo, hi = c.min_exp(), c.max_exp()
@@ -232,6 +335,10 @@ def rank_gf(family: Family, order: int) -> QSeries:
                 raise AssertionError(
                     f"rank exponent out of range at q^{n}: [{lo}, {hi}]"
                 )
+        if c.subs_one() != counts[n]:
+            raise AssertionError(
+                f"rank counts at q^{n} sum to {c.subs_one()}, not to the count {counts[n]}"
+            )
     return g
 
 
@@ -352,34 +459,50 @@ class IdentityReport:
     ok: bool
     first_mismatch: int | None
     order: int
-    lhs: QSeries
+    lhs: QSeries  # packed over DualRing(RAT): read through `unpack(lhs, width)`
     rhs: QSeries
+    width: int
 
 
-def _thmain_rhs(family: Family, ring, order: int) -> QSeries:
+def _thmain_rhs(family: Family, z: _ZMap, order: int) -> QSeries:
     d = _FAMILY_DATA[family]
     s = d.qstep
-    z = lift_zc(ring, 1, 1)
-    xzinv = lift_zc(ring, 1, -1) * ring.x_power(1)
-    acc = QSeries.zeros(ring, order)
-    for n, common, quad in _inner_terms(family, ring, order, margin=lambda n: s * n):
+    x = z.ring.x_power(1)
+    acc = QSeries.zeros(z.ring, order)
+    for n, common, quad in _inner_terms(family, z, order, margin=lambda n: s * n):
         # 1/(q^{sn} (1 - z q^{sn}))  +  x z^-1 / (1 - x q^{sn} / z)
-        p1 = common.div_binomial(-z, s * n)
+        p1 = common.mul_scalar(z.mul(1, 0, quad - s * n)).div_binomial(z.div(-1, 1, s * n), s * n)
         add_shifted(acc.coeffs, p1.coeffs, quad - s * n)
         if quad <= order:
-            p2 = common.truncate(order - quad).mul_scalar(xzinv).div_binomial(-xzinv, s * n)
-            add_shifted(acc.coeffs, p2.coeffs, quad)
-    pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ring=ring)
-    return QSeries.one(ring, order) - pref * acc
+            p2 = common.truncate(order - quad).mul_scalar(z.mul(1, -1, quad) * x)
+            add_shifted(acc.coeffs, p2.div_binomial(z.div(-1, -1, s * n) * x, s * n).coeffs, quad)
+    # the prefactor is z-free: built untwisted, then q^j takes its twist
+    pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ring=z.ring,
+                               factor=lambda a, pos, div: z.factor(a, 0, div))
+    pref = QSeries(z.ring, order, [c * z.mul(1, 0, j) for j, c in enumerate(pref.coeffs)])
+    return QSeries.one(z.ring, order) + (pref * acc).mul_scalar(z.mul(-1))
 
 
 def thmain_check(family: Family, order: int) -> IdentityReport:
     """Compare the rank sum with its transformed product form over z, with
     the exact first x-derivative carried along; the value component is
-    the comparison at x = 1."""
-    ring = DualRing(LAURENT)
-    lhs = rank_gf_over(family, order, ring)
-    rhs = _thmain_rhs(family, ring, order)
+    the comparison at x = 1.
+
+    Both sides are built over DualRing(RAT) with z packed (`_ZMap`) and
+    compared as ints.  The width comes from the majorants of both sides:
+    the digits of each side, and of their difference, are at most
+    M_lhs + M_rhs in absolute value, which `_packing_width` asserts below
+    half a digit, so equal ints mean equal sides."""
+    ring = DualRing(RAT)
+    maj = _ZMap(ring, 0, majorant=True)
+    bounds = [
+        max(a.value + b.value, a.deriv + b.deriv)
+        for a, b in zip(_rank_sum_of(family, maj, order).coeffs, _thmain_rhs(family, maj, order).coeffs)
+    ]
+    width = _packing_width(bounds)
+    z = _ZMap(ring, width)
+    lhs = _rank_sum_of(family, z, order)
+    rhs = _thmain_rhs(family, z, order)
     first = lhs.first_difference(rhs)
     return IdentityReport(
         name=f"main-transformation[{family.value}]",
@@ -388,6 +511,7 @@ def thmain_check(family: Family, order: int) -> IdentityReport:
         order=order,
         lhs=lhs,
         rhs=rhs,
+        width=width,
     )
 
 
@@ -396,19 +520,22 @@ def thmain_check(family: Family, order: int) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def genovpair_series(d, e, x, order: int) -> QSeries:
-    """The joint pair generating function with numeric weights d, e, x
-    (all nonzero rationals) and z left formal:
+def genovpair_series(d: int, e: int, x: int, order: int) -> QSeries:
+    """The joint pair generating function with int weights d, e, x (all
+    nonzero) and z left formal:
 
-        sum_n (-1/d, -1/e)_n (x d e q)^n / (z q, x q / z)_n
-    """
-    d = Fraction(d)
-    e = Fraction(e)
-    x = Fraction(x)
-    if not d or not e:
-        raise ValueError("sampled weights d, e must be nonzero (limits are hardcoded per family)")
-    extras = (mono(-1 / d, 0), mono(-1 / e, 0))
-    return _rank_sum(LAURENT, extras, lambda n: n, 1, LAURENT.lift(x * d * e), LAURENT.lift(x), order)
+        sum_n (-1/d, -1/e)_n (x d e q)^n / (z q, x q / z)_n,
+
+    built over ints as sum_n prod_{k<n} (d + q^k)(e + q^k) (x q)^n / ...,
+    packed, with its width from the majorant at |d|, |e|, |x|."""
+    if any(type(w) is not int or not w for w in (d, e, x)):
+        raise ValueError("sampled weights d, e, x must be nonzero ints (limits are hardcoded per family)")
+
+    def build(z, d, e, x):
+        return _rank_sum(z, ((d, mono(-1, 0)), (e, mono(-1, 0))), lambda n: n, 1, x, x, order)
+
+    width = _packing_width(build(_ZMap(RAT, 0, majorant=True), abs(d), abs(e), abs(x)).coeffs)
+    return unpack(build(_ZMap(RAT, width), d, e, x), width)
 
 
 # ---------------------------------------------------------------------------

@@ -4,23 +4,27 @@ Four domains are supported:
 
 * ``RAT`` -- exact rationals, integer-first: coefficients are Python
   ``int``s by default, and a ``fractions.Fraction`` appears only where a
-  true non-integer does (a sampled rational weight); a ``Fraction`` with
-  denominator 1 is demoted to ``int`` when lifted.  ``RAT.lift`` is the
-  one coefficient rule: every other domain lifts its rational
-  coefficients through it,
-* ``LaurentPoly`` -- Laurent polynomials in the rank variable z,
+  true non-integer does; a ``Fraction`` with denominator 1 is demoted to
+  ``int`` when lifted.  ``RAT.lift`` is the one coefficient rule: every
+  other domain lifts its rational coefficients through it.  The z-refined
+  builders also run over ``RAT`` with z packed into the ints (z = 2^W
+  after q -> zq; see ``genfun._ZMap``),
+* ``LaurentPoly`` -- Laurent polynomials in the rank variable z: the
+  builders' generic route, and the view a packed series is read back to,
 * ``DualScalar`` -- first-order jets a + b*eps with eps^2 = 0, used to
   evaluate d/dx at x = 1 exactly alongside the value in the main
-  transformation check (the part-count series need no jets: they read
-  the derivative from x = 1 integer terms),
+  transformation check, over ``DualRing(RAT)`` with z packed (the
+  part-count series need no jets: they read the derivative from x = 1
+  integer terms),
 * ``XPoly`` -- honest polynomials in x, the independent second route for
   validating the dual-number derivative.
 
 ``LaurentPoly`` and ``XPoly`` share one sparse core, ``_SparsePoly``: a
 table exponent -> nonzero coefficient with +, -, negation, * and ==, each
-taking an operand of exactly its own class.  ``LaurentPoly`` keeps its
-coefficient rule (``RAT.lift``), int/``Fraction`` scaling and its readers;
-``XPoly`` keeps base-ring coefficients and its value and d/dx at x = 1.
+taking an operand of exactly its own class; every product coefficient
+passes the class's coefficient rule.  ``LaurentPoly`` keeps its rule
+(``RAT.lift``), int/``Fraction`` scaling and its readers; ``XPoly`` keeps
+base-ring coefficients and its value and d/dx at x = 1.
 
 Each ring descriptor carries the part-marking variable x: ``x_power(j)``
 is 1 over ``RAT`` and ``LAURENT``, 1 + j*eps over ``DualRing`` and x^j
@@ -88,8 +92,9 @@ class _SparsePoly:
     tells its ``LaurentPoly`` coefficients from itself.  No table holds a
     zero and no sum starts from the int 0; the coefficient rings have no
     zero divisors, so a single-term product needs no zero filter.  A
-    subclass sets its coefficient rule (``_lift``) and its product with a
-    non-polynomial (``_scale_by``).
+    subclass sets its coefficient rule (``_lift``), which every product
+    coefficient passes, and its product with a non-polynomial
+    (``_scale_by``).
     """
 
     __slots__ = ("_c",)
@@ -150,13 +155,13 @@ class _SparsePoly:
     def __mul__(self, other):
         if type(other) is not type(self):
             return self._scale_by(other)
-        a, b = self._c, other._c
+        a, b, lift = self._c, other._c, self._lift
         if len(a) == 1:
             ((e, v),) = a.items()
-            return self._new({e + f: v * w for f, w in b.items()})
+            return self._new({e + f: lift(v * w) for f, w in b.items()})
         if len(b) == 1:
             ((f, w),) = b.items()
-            return self._new({e + f: v * w for e, v in a.items()})
+            return self._new({e + f: lift(v * w) for e, v in a.items()})
         c = {}
         for e, v in a.items():
             for f, w in b.items():
@@ -166,7 +171,7 @@ class _SparsePoly:
                     c[g] = s
                 else:
                     del c[g]
-        return self._new(c)
+        return self._new({e: lift(v) for e, v in c.items()})
 
     def _scale_by(self, k):
         return NotImplemented
@@ -246,8 +251,8 @@ class LaurentPoly(_SparsePoly):
 class DualScalar:
     """First-order jet value + deriv*eps over a base domain (eps^2 = 0).
 
-    Serves ``thmain_check``; ``nt_diff_gf`` reads its derivative from
-    the x = 1 inner terms over integers."""
+    Serves ``thmain_check`` over packed ints; ``nt_diff_gf`` reads its
+    derivative from the x = 1 inner terms over integers."""
 
     __slots__ = ("value", "deriv")
 

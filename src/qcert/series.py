@@ -15,12 +15,18 @@ The coefficient ring carries x (see ``rings``): a builder takes
 ``ring=`` and lifts each argument with ``mon``; ``QSeries.at_one`` reads
 a dual or x-polynomial series back as (value, d/dx) at x = 1.
 
-Over ``RAT`` the binomial kernels with c = +-1 are C-level list passes;
-other rings and coefficients keep the per-element loop, which over
+Over ``RAT`` the binomial kernels with c = +-1 are C-level list passes,
+and an int c with 30 or more trailing zero bits on int coefficients is a
+product with its odd part and a shift past those bits, so that a packed
+power of z (see ``genfun``) costs a shift, not a big-integer product;
+``mul_scalar`` and ``add_shifted`` scale the same way.  Over ``DualRing``
+the binomial kernels run on the value and derivative series of the base
+ring.  Other rings and coefficients keep the per-element loop, which over
 ``RAT``, as in the general product, lifts each result (an integral value
-is an ``int``).  ``add_shifted``
-adds c*q^k*src into a coefficient list from offset k, so a sum of
-shifted terms never builds the zeros below each shift.
+is an ``int``).  ``add_shifted`` adds c*q^k*src into a coefficient list
+from offset k, so a sum of shifted terms never builds the zeros below
+each shift.  ``balanced_digits`` reads an int back into signed digits,
+for the q-products of ``_int_product`` and for packed z.
 """
 
 from __future__ import annotations
@@ -28,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, repeat
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
 
 from .errors import DivergentProduct
-from .rings import LAURENT, RAT, LaurentPoly, term_text
+from .rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly, term_text
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,7 @@ class QSeries:
         c = self.ring.lift(c)
         if not c:
             return QSeries.zeros(self.ring, self.order)
-        return QSeries(self.ring, self.order, [a * c for a in self.coeffs])
+        return QSeries(self.ring, self.order, _scaled(self.coeffs, c))
 
     def mul_binomial(self, c, m: int) -> "QSeries":
         """Multiply by (1 + c*q^m) in O(order) coefficient operations."""
@@ -190,9 +196,14 @@ class QSeries:
             return self.mul_scalar(self.ring.one + c)
         a = self.coeffs
         out = list(a)
-        if self.ring is RAT and c in (1, -1):
+        if self.ring is RAT and (c in (1, -1) or _shift(c, a)):
             add_shifted(out, a, m, c)
             return QSeries(RAT, self.order, out)
+        if isinstance(self.ring, DualRing):  # (v + d eps)(1 + (c0 + c1 eps) q^m)
+            v, d = self.at_one()
+            d = d.mul_binomial(c.value, m)
+            add_shifted(d.coeffs, v.coeffs, m, c.deriv)
+            return _dual(self.ring, v.mul_binomial(c.value, m), d)
         for i in range(m, self.order + 1):
             lo = a[i - m]
             if lo:
@@ -210,7 +221,17 @@ class QSeries:
         if self.ring is RAT and c in (1, -1):  # 1/(1 + q^m) = (1 - q^m)/(1 - q^2m)
             a = self.coeffs if c == -1 else self.mul_binomial(-1, m).coeffs
             return QSeries(RAT, self.order, _div_one_minus(a, m if c == -1 else 2 * m))
+        if isinstance(self.ring, DualRing):  # value v/B, derivative (d - c1 q^m v/B)/B
+            v, d = self.at_one()
+            v = v.div_binomial(c.value, m)
+            add_shifted(d.coeffs, v.coeffs, m, -c.deriv)
+            return _dual(self.ring, v, d.div_binomial(c.value, m))
         out = list(self.coeffs)
+        if self.ring is RAT and (sh := _shift(c, out)):
+            odd, k = sh
+            for i in range(m, self.order + 1):
+                out[i] -= out[i - m] * odd << k
+            return QSeries(RAT, self.order, out)
         for i in range(m, self.order + 1):
             lo = out[i - m]
             if lo:
@@ -316,6 +337,33 @@ def _lifted(ring, order: int, coeffs) -> QSeries:
     return QSeries(ring, order, map(RAT.lift, coeffs) if ring is RAT else coeffs)
 
 
+def _dual(ring, value: QSeries, deriv: QSeries) -> QSeries:
+    """The dual series value + deriv*eps over `ring`."""
+    return QSeries(ring, value.order, map(DualScalar, value.coeffs, deriv.coeffs))
+
+
+def _shift(c, src) -> tuple | None:
+    """(c >> k, k) for an int c with k >= 30 trailing zero bits, when
+    `src` holds ints only; else None.  A product with c is then one with
+    its odd part and a shift, so a packed power 2^(width*j) costs no big
+    product; a c of fewer zero bits (one digit of CPython's ints) costs
+    no more to multiply by than to shift by."""
+    if type(c) is int and c:
+        k = (c & -c).bit_length() - 1
+        if k >= 30 and set(map(type, src)) <= {int}:
+            return c >> k, k
+    return None
+
+
+def _scaled(src: list, c):
+    """c * v for each v of src, by a shift where `_shift` allows one."""
+    sh = _shift(c, src)
+    if sh is None:
+        return map(mul, src, repeat(c))
+    odd, k = sh
+    return map(lshift, src if odd == 1 else map(mul, src, repeat(odd)), repeat(k))
+
+
 def _div_one_minus(a: list, m: int) -> list:
     """a / (1 - q^m), m >= 1, in C-level passes: prefix sums along each
     residue class mod m while m*m <= len(a), else one per block of m."""
@@ -333,9 +381,9 @@ def add_shifted(dst: list, src, k: int, c=1) -> None:
     """dst[i] += c * src[i - k] for k <= i < len(dst), k >= 0, in place:
     adds c*q^k*src to dst from offset k on; c = +-1 is a plain add or sub."""
     n = min(len(dst) - k, len(src))
-    if n > 0:
+    if n > 0 and c:
         if not (c == 1 or c == -1):
-            src, c = map(mul, src, repeat(c, n)), 1
+            src, c = _scaled(src[:n], c), 1
         dst[k : k + n] = map(add if c == 1 else sub, dst[k : k + n], src)
 
 
@@ -351,6 +399,32 @@ def _pack(coeffs, width: int, nbytes: int) -> int:
     return int.from_bytes(digits, "little") - (int.from_bytes(borrows, "little") << width)
 
 
+def balanced_digits(value: int, width: int, count: int) -> list:
+    """Digits 0..count-1 of `value` in base 2^width, each balanced into
+    [-2^(width-1), 2^(width-1)).
+
+    An offset of half a digit in every place makes each digit
+    non-negative, so that no digit borrows from the next, and the digits
+    are then read from the offset value's bytes, each shifted out of its
+    bytes when the width is not a whole number of bytes.  Only value mod
+    2^(width*count) is read, so a longer value gives its lowest digits."""
+    half = 1 << (width - 1)
+    bits = width * count
+    if width % 8:
+        offset = int(("1" + "0" * (width - 1)) * count, 2)
+    else:
+        offset = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
+    raw = ((value + offset) & ((1 << bits) - 1)).to_bytes(bits // 8 + 1, "little")
+    if width % 8:
+        mask = (1 << width) - 1
+        return [
+            (int.from_bytes(raw[p >> 3 : (p + width + 7) >> 3], "little") >> (p & 7) & mask) - half
+            for p in range(0, bits, width)
+        ]
+    step = width // 8
+    return [int.from_bytes(raw[i : i + step], "little") - half for i in range(0, bits // 8, step)]
+
+
 def _int_product(a: list, b: list, n: int) -> list:
     """Coefficients 0..n of the product of two int coefficient lists,
     by one big-integer product (Kronecker substitution).
@@ -358,8 +432,7 @@ def _int_product(a: list, b: list, n: int) -> list:
     Each list is packed into one integer with a digit width that no
     product coefficient can overflow: |c_m| <= max|a| * max|b| *
     min(len a, len b), plus a sign bit.  The product's digits are then
-    read back with an offset of half a digit, which makes every digit
-    non-negative so that no digit borrows from the next.
+    read back balanced (`balanced_digits`).
     """
     a, b = a[: n + 1], b[: n + 1]
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
@@ -367,15 +440,8 @@ def _int_product(a: list, b: list, n: int) -> list:
         return [0] * (n + 1)
     nbytes = bound.bit_length() // 8 + 1  # leaves the sign bit free
     width = 8 * nbytes
-    half = 1 << (width - 1)
     size = len(a) + len(b) - 1
-    offset = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
-    prod = _pack(a, width, nbytes) * _pack(b, width, nbytes) + offset
-    raw = prod.to_bytes(nbytes * size, "little")
-    out = [
-        int.from_bytes(raw[i : i + nbytes], "little") - half
-        for i in range(0, nbytes * min(size, n + 1), nbytes)
-    ]
+    out = balanced_digits(_pack(a, width, nbytes) * _pack(b, width, nbytes), width, min(size, n + 1))
     out.extend([0] * (n + 1 - len(out)))
     return out
 
@@ -401,14 +467,15 @@ def pochhammer_finite(a: Monomial, n: int, qstep: int = 1, *, order: int, ring=R
     return s
 
 
-def pochhammer_quotient(num, den=(), *, order: int, ring=RAT) -> QSeries:
+def pochhammer_quotient(num, den=(), *, order: int, ring=RAT, factor=None) -> QSeries:
     """prod (a; q^step)_inf over (a, step) in `num`, divided by the same
     product over `den`, truncated at `order`.
 
     Built from binomial factors only: a factor whose q-valuation exceeds
     the order contributes 1.  Every argument must carry a positive
     q-power (or be 0, giving the empty product); otherwise the constant
-    term never settles.
+    term never settles.  `factor(a, pos, div)` gives the c of each factor
+    (1 + c q^pos), a divisor when `div`; by default -a lifted into the ring.
     """
     for a, step in (*num, *den):
         if step < 1:
@@ -418,13 +485,13 @@ def pochhammer_quotient(num, den=(), *, order: int, ring=RAT) -> QSeries:
                 "infinite product needs a positive q-power in its argument"
             )
     s = QSeries.one(ring, order)
-    for side, apply in ((num, QSeries.mul_binomial), (den, QSeries.div_binomial)):
+    for side, div in ((num, False), (den, True)):
+        apply = QSeries.div_binomial if div else QSeries.mul_binomial
         for a, step in side:
-            if not a.coeff:
-                continue
-            coeff = -mon(ring, a)
-            for pos in range(a.qexp, order + 1, step):
-                s = apply(s, coeff, pos)
+            if a.coeff:
+                coeff = None if factor else -mon(ring, a)
+                for pos in range(a.qexp, order + 1, step):
+                    s = apply(s, factor(a, pos, div) if factor else coeff, pos)
     return s
 
 

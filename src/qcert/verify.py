@@ -306,7 +306,8 @@ def _run_thmain(family: Family, bound: int, report: CheckReport):
         report.notes.append("value and derivative components both match")
     else:
         n = res.first_mismatch
-        _fail(report, n, str(res.lhs.coeffs[n]), str(res.rhs.coeffs[n]))
+        lhs, rhs = (genfun.unpack(side, res.width).coeffs[n] for side in (res.lhs, res.rhs))
+        _fail(report, n, str(lhs), str(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +412,9 @@ def run_check(spec: CheckSpec, order: int | None = None, config: VerifyConfig | 
     """Execute one check and return its report.
 
     `order` overrides the spec's bound (largest lhs weight examined).
-    Raises InsufficientOrder as ``require_order`` does.
+    Raises InsufficientOrder as ``require_order`` does, and any other
+    package error; an engine defect (any other exception) is an ERROR
+    report carrying the exception's type and message.
     """
     config = config or VerifyConfig()
     bound = spec.bound if order is None else order
@@ -430,6 +433,12 @@ def run_check(spec: CheckSpec, order: int | None = None, config: VerifyConfig | 
     except BoundExceeded as exc:
         report.status = "SKIPPED"
         report.skip_reason = str(exc)
+    except QcertError:
+        raise
+    except Exception as exc:
+        report = _blank_report(spec, bound)
+        report.status = "ERROR"
+        report.error = f"{type(exc).__name__}: {exc}"
     report.ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -711,16 +720,9 @@ def run_all(only: str | None = None, order: int | None = None, config: VerifyCon
     def run_one(spec: CheckSpec) -> CheckReport:
         try:
             return run_check(spec, order=order, config=config)
-        except Exception as exc:
-            # a package error skips the check; anything else is an engine
-            # defect, reported against this check while the run goes on
-            reason = f"{type(exc).__name__}: {exc}"
+        except QcertError as exc:  # a package error skips the check
             report = _blank_report(spec, spec.bound if order is None else order)
-            if isinstance(exc, QcertError):
-                report.skip_reason = reason
-            else:
-                report.status = "ERROR"
-                report.error = reason
+            report.skip_reason = f"{type(exc).__name__}: {exc}"
             return report
 
     reports = [run_one(s) for s in specs]

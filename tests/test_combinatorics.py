@@ -418,7 +418,8 @@ def test_pair_profile_generating_polynomial_sampled_points():
     # joint profile vs the generic series at integer weights
     from qcert.genfun import genovpair_series
 
-    for d, e, x in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 3, 1), (1, 1, 2)]:
+    # negative weights give negative digits in the packed series
+    for d, e, x in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 3, 1), (1, 1, 2), (-2, 3, 1), (2, -1, -3)]:
         series = genovpair_series(d, e, x, 6)
         for n in range(7):
             want: dict[int, Fraction] = {}

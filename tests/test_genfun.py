@@ -11,6 +11,8 @@ from qcert.combinatorics import raw_tally, tally
 from qcert.errors import UnknownFormId
 from qcert.genfun import (
     Family,
+    _rank_sum_of,
+    _ZMap,
     closed_form,
     form_ids,
     genovpair_series,
@@ -19,6 +21,7 @@ from qcert.genfun import (
     rank_gf,
     rank_gf_over,
     thmain_check,
+    unpack,
 )
 from qcert.rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly, XPolyRing
 from qcert.series import QSeries, add_shifted
@@ -127,7 +130,7 @@ def test_nt_diff_collapse_matches_uncollapsed_xpoly_product(family):
     ring = XPolyRing(RAT)
     d = _FAMILY_DATA[family]
     pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ring=ring)
-    terms = tuple(_inner_terms(family, ring, order))
+    terms = tuple(_inner_terms(family, _ZMap(ring), order))
     pairs = [(1, 3), (1, 5), (2, 5), (1, 7), (3, 7), (1, 11), (6, 11), (1, 13), (3, 13)]
     for b, k in pairs:
         inner = _difference_sum(family, b, k, ring, terms, order)
@@ -176,7 +179,7 @@ def test_windowed_difference_sum_over_dual_numbers(family):
     order = 60
     ring = DualRing(RAT)
     s = _FAMILY_DATA[family].qstep
-    terms = tuple(_inner_terms(family, ring, order))
+    terms = tuple(_inner_terms(family, _ZMap(ring), order))
     plain = [(n, c.coeffs, quad) for n, c, quad in terms]
     for b, k in ((1, 5), (3, 5), (6, 11)):
         got = _difference_sum(family, b, k, ring, terms, order)
@@ -348,7 +351,8 @@ def _integer_first(series) -> bool:
 def test_laurent_series_are_integer_first(family):
     assert _integer_first(rank_gf(family, 30))
     report = thmain_check(family, 20)
-    assert _integer_first(report.lhs) and _integer_first(report.rhs)
+    assert _integer_first(unpack(report.lhs, report.width))
+    assert _integer_first(unpack(report.rhs, report.width))
 
 
 def test_genovpair_series_is_integer_first():
@@ -500,9 +504,66 @@ def test_thmain_constant_terms():
     # the value component is the x = 1 comparison; the constant term
     # carries no power of x, so its derivative component vanishes
     rep = thmain_check(Family.OV_RANK, 6)
-    for c in (rep.lhs.coeffs[0], rep.rhs.coeffs[0]):
+    for side in (rep.lhs, rep.rhs):
+        c = unpack(side, rep.width).coeffs[0]
         assert c.value.constant() == 1
         assert not c.deriv
+
+
+# orders 0..12, one between, and the registry's reaches (ID-MAIN-* at 40,
+# ID-COUNTDIFF-* at 60)
+_PACKED_ORDERS = (*range(13), 18, 40, 60)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_packed_rank_gf_equals_laurent_builder(family):
+    for order in _PACKED_ORDERS:
+        assert rank_gf(family, order) == rank_gf_over(family, order, LAURENT), order
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_packed_thmain_sides_equal_dual_laurent_builders(family):
+    from qcert.genfun import _thmain_rhs
+
+    ring = DualRing(LAURENT)
+    for order in _PACKED_ORDERS:
+        rep = thmain_check(family, order)
+        assert rep.ok, (order, rep.first_mismatch)
+        assert unpack(rep.lhs, rep.width) == rank_gf_over(family, order, ring), order
+        assert unpack(rep.rhs, rep.width) == _thmain_rhs(family, _ZMap(ring), order), order
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_majorant_bounds_every_z_coefficient(family):
+    # the width rule rests on this: at each q^n and in each component,
+    # the z = 1 majorant of a side is at least the absolute sum of that
+    # side's z-coefficients, built over DualRing(LAURENT)
+    from qcert.genfun import _thmain_rhs
+
+    order = 40
+    maj = _ZMap(DualRing(RAT), 0, majorant=True)
+    ring = DualRing(LAURENT)
+    sides = (
+        (_rank_sum_of(family, maj, order), rank_gf_over(family, order, ring)),
+        (_thmain_rhs(family, maj, order), _thmain_rhs(family, _ZMap(ring), order)),
+    )
+    for bound, side in sides:
+        for n in range(order + 1):
+            for part in ("value", "deriv"):
+                c = getattr(side.coeffs[n], part)
+                assert sum(abs(v) for _, v in c.items()) <= getattr(bound.coeffs[n], part), (n, part)
+
+
+def test_unpack_reads_balanced_digits_back_to_z():
+    # after q -> zq, z = 2^width: q^2 (3z^-2 - z + 5z^2) packs to
+    # 3 - 2^(2w) + 5 * 2^(4w), and a negative top digit borrows nothing
+    w = 5
+    packed = QSeries(RAT, 2, [0, 0, 3 - (1 << 2 * w) + (5 << 4 * w)])
+    got = unpack(packed, w)
+    assert got.ring is LAURENT
+    assert got.coeffs == [LaurentPoly(), LaurentPoly(), LaurentPoly({-2: 3, 0: -1, 2: 5})]
+    neg = QSeries(RAT, 1, [-(1 << w) + 15, 0])
+    assert unpack(neg, w).coeffs[0] == LaurentPoly({0: 15, 1: -1})
 
 
 # -- generic pair series -----------------------------------------------------------
@@ -525,8 +586,9 @@ def test_genovpair_weight_one_coefficient():
 
 
 def test_genovpair_rejects_zero_weights():
-    with pytest.raises(ValueError):
-        genovpair_series(0, 1, 1, 4)
+    for weights in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (Fraction(1, 2), 1, 1), (1, 2.0, 1), (1, 1, True)):
+        with pytest.raises(ValueError):
+            genovpair_series(*weights, 4)
 
 
 # -- dual-number evaluation against the x-polynomial oracle ------------------------
@@ -541,6 +603,15 @@ def test_rank_sum_dual_vs_polynomial(family):
 
     dual, poly = bf.at_one_both(build, LAURENT)
     assert dual == poly
+    # and with z packed at the width the main transformation uses
+    width = thmain_check(family, 16).width
+
+    def build_packed(ring):
+        return _rank_sum_of(family, _ZMap(ring, width), 16)
+
+    dual, poly = bf.at_one_both(build_packed, RAT)
+    assert dual == poly
+    assert [unpack(s, width) for s in dual] == list(bf.at_one_both(build, LAURENT)[0])
 
 
 def test_inner_sum_dual_vs_polynomial_order_30():
@@ -551,7 +622,7 @@ def test_inner_sum_dual_vs_polynomial_order_30():
     for family in (Family.OV_M2, Family.DYSON):
         def build(ring, fam=family):
             acc = [ring.zero] * 31
-            for _, common, quad in _inner_terms(fam, ring, 30):
+            for _, common, quad in _inner_terms(fam, _ZMap(ring), 30):
                 add_shifted(acc, common.coeffs, quad)
             return QSeries(ring, 30, acc)
 
@@ -571,7 +642,7 @@ def test_inner_terms_keep_only_their_window(ring, thmain_margin):
         d = _FAMILY_DATA[family]
         margin = (lambda n, s=d.qstep: s * n) if thmain_margin else None
         levels = 0
-        for n, common, quad in _inner_terms(family, ring, N, margin):
+        for n, common, quad in _inner_terms(family, _ZMap(ring), N, margin):
             assert quad == d.inner_quad(n)
             want = N - quad + (margin(n) if margin else 0)
             assert common.order == want and len(common.coeffs) == want + 1, (family, n)

@@ -175,3 +175,13 @@ def test_xpoly_over_laurent_cancels_to_empty():
     # sums seed from a coefficient, never the int 0
     assert (f + f).value_at_one(LAURENT.zero) == 2 * z + LaurentPoly.const(6)
     assert (f * f).deriv_at_one(LAURENT.zero) == LaurentPoly({1: 12, 0: 36})
+
+
+def test_laurent_products_store_integral_values_as_int():
+    # each product coefficient passes RAT.lift, single-term or not
+    for p in (
+        LaurentPoly({0: Fraction(1, 2)}) * LaurentPoly({0: 2}),
+        LaurentPoly({0: 2}) * LaurentPoly({0: Fraction(1, 2)}),
+        LaurentPoly({0: Fraction(1, 2), 1: 1}) * LaurentPoly({0: 2, 1: Fraction(1, 2)}),
+    ):
+        assert type(p[0]) is int and p[0] == 1

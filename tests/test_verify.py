@@ -482,3 +482,48 @@ def test_stat_term_validation():
 def test_pair_statement_text(cid, statement):
     # each pair prints as its two terms, negative coefficients included
     assert get_spec(cid).statement == statement
+
+
+def test_packed_width_one_bit_short_is_an_error_never_a_pass(monkeypatch):
+    # the width rule is asserted: a z = 2^width one bit narrower than the
+    # bound must stop both packed routes, the rank series of an X-check
+    # and the main transformation, as per-check ERRORs
+    import qcert
+    from qcert import genfun as G
+
+    real = G._width
+    monkeypatch.setattr(G, "_width", lambda bound: real(bound) - 1)
+    qcert.clear_caches()
+    try:
+        reports = [run_check(get_spec(cid)) for cid in ("ID-MAIN-OVM2", "X-RANK-OV", "X-M2-DO")]
+        result = run_all(only="ID-MAIN-DYSON,X-RANK-PART")
+    finally:
+        qcert.clear_caches()
+    for rep in reports + result.reports:
+        assert rep.status == "ERROR", rep.id
+        assert rep.error.startswith("AssertionError: packed width"), rep.error
+        assert rep.witness is None and not rep.notes
+    assert result.exit_code == 2
+
+
+def test_thmain_witness_reads_like_the_laurent_route(monkeypatch):
+    # a transformation with its prefactor's numerator sign flipped fails;
+    # the witness, read back from the packed sides, is the text the
+    # generic route over DualRing(LAURENT) gives at the same n
+    from dataclasses import replace
+
+    from qcert import genfun as G
+    from qcert.rings import LAURENT, DualRing
+    from qcert.series import mono
+
+    family, order = G.Family.OV_RANK, 12
+    data = G._FAMILY_DATA[family]
+    monkeypatch.setitem(G._FAMILY_DATA, family, replace(data, pref_num=((mono(1, 1, xexp=1), 1),)))
+    rep = run_check(get_spec("ID-MAIN-OVRANK"), order=order)
+    assert rep.status == "FAIL"
+    ring = DualRing(LAURENT)
+    lhs = G.rank_gf_over(family, order, ring)
+    rhs = G._thmain_rhs(family, G._ZMap(ring), order)
+    n = lhs.first_difference(rhs)
+    assert rep.witness == {"n": n, "value": str(lhs.coeffs[n]), "expected": str(rhs.coeffs[n])}
+    assert "z" in rep.witness["expected"]
