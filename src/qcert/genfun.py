@@ -35,9 +35,8 @@ are the generic route, the tests' reference; packed, z = 2^W after the
 twist q -> zq (Kronecker substitution).  ``rank_gf`` and
 ``genovpair_series`` are built packed over ``RAT`` and read back to
 ``LaurentPoly`` (``unpack``); ``thmain_check`` compares its sides packed
-over ``DualRing(RAT)``.  Each W comes from a bound on the digits (the
-count form for ``rank_gf``, else a majorant), asserted by
-``_packing_width``.
+over ``DualRing(RAT)``.  Each W comes from a bound on the digits, the
+majorant of the same build, asserted by ``_packing_width``.
 
 The closed forms live in one table, ``_FORM_BUILDERS``.  Every infinite
 product in a closed form is one ``pochhammer_quotient`` call, its powers
@@ -310,24 +309,18 @@ def _rank_sum_of(family: Family, z: _ZMap, order: int) -> QSeries:
     return _rank_sum(z, [(1, a) for a in d.lhs_extra], d.lhs_quad, d.qstep, x, x, order)
 
 
-def rank_gf_over(family: Family, order: int, ring) -> QSeries:
-    """Rank generating function over `ring`, which carries x, with z formal."""
-    return _rank_sum_of(family, _ZMap(ring), order)
-
-
 @lru_cache(maxsize=None)
 def rank_gf(family: Family, order: int) -> QSeries:
     """z-refined rank generating function at x = 1, over LaurentPoly:
     coefficient of z^m q^n counts objects of weight n with statistic m.
 
-    Built packed over RAT and read back by `unpack`.  Its digits are
-    counts, all >= 0 and summing to the family's object count, so the
-    count form bounds each one; the read-back coefficients are asserted to
-    sum to it (a digit that aliased would move the sum by a multiple of
-    2^width - 1) and to lie in the rank range."""
-    counts = closed_form(_FAMILY_DATA[family].count_form, order).coeffs
-    width = _packing_width(counts)
+    Built packed over RAT, its width from the majorant of the same build,
+    and read back by `unpack`.  The read-back coefficients are asserted to
+    lie in the rank range and to sum to the count form (a digit that
+    aliased would move the sum by a multiple of 2^width - 1)."""
+    width = _packing_width(_rank_sum_of(family, _ZMap(RAT, 0, majorant=True), order).coeffs)
     g = unpack(_rank_sum_of(family, _ZMap(RAT, width), order), width)
+    counts = closed_form(_FAMILY_DATA[family].count_form, order).coeffs
     for n, c in enumerate(g.coeffs):
         if c:
             lo, hi = c.min_exp(), c.max_exp()
@@ -455,13 +448,23 @@ def nt_diff_combo(terms, order: int) -> QSeries:
 
 @dataclass
 class IdentityReport:
+    """The two sides are kept packed (`_ZMap`); `lhs` and `rhs` read them
+    back over DualRing(LAURENT)."""
+
     name: str
     ok: bool
     first_mismatch: int | None
     order: int
-    lhs: QSeries  # packed over DualRing(RAT): read through `unpack(lhs, width)`
-    rhs: QSeries
+    packed: tuple[QSeries, QSeries]
     width: int
+
+    @property
+    def lhs(self) -> QSeries:
+        return unpack(self.packed[0], self.width)
+
+    @property
+    def rhs(self) -> QSeries:
+        return unpack(self.packed[1], self.width)
 
 
 def _thmain_rhs(family: Family, z: _ZMap, order: int) -> QSeries:
@@ -476,11 +479,25 @@ def _thmain_rhs(family: Family, z: _ZMap, order: int) -> QSeries:
         if quad <= order:
             p2 = common.truncate(order - quad).mul_scalar(z.mul(1, -1, quad) * x)
             add_shifted(acc.coeffs, p2.div_binomial(z.div(-1, -1, s * n) * x, s * n).coeffs, quad)
-    # the prefactor is z-free: built untwisted, then q^j takes its twist
-    pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ring=z.ring,
-                               factor=lambda a, pos, div: z.factor(a, 0, div))
+    # the prefactor is z-free: built untwisted, then q^j takes its twist.
+    # Its factors are (1 + x q^m) and its divisors (1 - x q^m), so it is
+    # its own majorant.
+    if any(a.coeff > 0 for a, _ in d.pref_num) or any(a.coeff < 0 for a, _ in d.pref_den):
+        raise AssertionError(f"the prefactor of {family.value} is not its own majorant")
+    pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ring=z.ring)
     pref = QSeries(z.ring, order, [c * z.mul(1, 0, j) for j, c in enumerate(pref.coeffs)])
     return QSeries.one(z.ring, order) + (pref * acc).mul_scalar(z.mul(-1))
+
+
+def _thmain_width(family: Family, order: int) -> int:
+    """The width of both packed sides: the digits of each side, and of
+    their difference, are at most M_lhs + M_rhs in absolute value, from
+    the majorants of both sides, in each component."""
+    maj = _ZMap(DualRing(RAT), 0, majorant=True)
+    lhs, rhs = _rank_sum_of(family, maj, order), _thmain_rhs(family, maj, order)
+    return _packing_width([
+        max(a.value + b.value, a.deriv + b.deriv) for a, b in zip(lhs.coeffs, rhs.coeffs)
+    ])
 
 
 def thmain_check(family: Family, order: int) -> IdentityReport:
@@ -489,18 +506,11 @@ def thmain_check(family: Family, order: int) -> IdentityReport:
     the comparison at x = 1.
 
     Both sides are built over DualRing(RAT) with z packed (`_ZMap`) and
-    compared as ints.  The width comes from the majorants of both sides:
-    the digits of each side, and of their difference, are at most
-    M_lhs + M_rhs in absolute value, which `_packing_width` asserts below
-    half a digit, so equal ints mean equal sides."""
-    ring = DualRing(RAT)
-    maj = _ZMap(ring, 0, majorant=True)
-    bounds = [
-        max(a.value + b.value, a.deriv + b.deriv)
-        for a, b in zip(_rank_sum_of(family, maj, order).coeffs, _thmain_rhs(family, maj, order).coeffs)
-    ]
-    width = _packing_width(bounds)
-    z = _ZMap(ring, width)
+    compared as ints.  `_packing_width` asserts every digit bound of the
+    difference (`_thmain_width`) below half a digit, so equal ints mean
+    equal sides."""
+    width = _thmain_width(family, order)
+    z = _ZMap(DualRing(RAT), width)
     lhs = _rank_sum_of(family, z, order)
     rhs = _thmain_rhs(family, z, order)
     first = lhs.first_difference(rhs)
@@ -509,8 +519,7 @@ def thmain_check(family: Family, order: int) -> IdentityReport:
         ok=first is None,
         first_mismatch=first,
         order=order,
-        lhs=lhs,
-        rhs=rhs,
+        packed=(lhs, rhs),
         width=width,
     )
 

@@ -467,15 +467,14 @@ def pochhammer_finite(a: Monomial, n: int, qstep: int = 1, *, order: int, ring=R
     return s
 
 
-def pochhammer_quotient(num, den=(), *, order: int, ring=RAT, factor=None) -> QSeries:
+def pochhammer_quotient(num, den=(), *, order: int, ring=RAT) -> QSeries:
     """prod (a; q^step)_inf over (a, step) in `num`, divided by the same
     product over `den`, truncated at `order`.
 
     Built from binomial factors only: a factor whose q-valuation exceeds
     the order contributes 1.  Every argument must carry a positive
     q-power (or be 0, giving the empty product); otherwise the constant
-    term never settles.  `factor(a, pos, div)` gives the c of each factor
-    (1 + c q^pos), a divisor when `div`; by default -a lifted into the ring.
+    term never settles.
     """
     for a, step in (*num, *den):
         if step < 1:
@@ -485,13 +484,13 @@ def pochhammer_quotient(num, den=(), *, order: int, ring=RAT, factor=None) -> QS
                 "infinite product needs a positive q-power in its argument"
             )
     s = QSeries.one(ring, order)
-    for side, div in ((num, False), (den, True)):
-        apply = QSeries.div_binomial if div else QSeries.mul_binomial
+    for side, apply in ((num, QSeries.mul_binomial), (den, QSeries.div_binomial)):
         for a, step in side:
-            if a.coeff:
-                coeff = None if factor else -mon(ring, a)
-                for pos in range(a.qexp, order + 1, step):
-                    s = apply(s, factor(a, pos, div) if factor else coeff, pos)
+            if not a.coeff:
+                continue
+            coeff = -mon(ring, a)
+            for pos in range(a.qexp, order + 1, step):
+                s = apply(s, coeff, pos)
     return s
 
 

@@ -306,8 +306,7 @@ def _run_thmain(family: Family, bound: int, report: CheckReport):
         report.notes.append("value and derivative components both match")
     else:
         n = res.first_mismatch
-        lhs, rhs = (genfun.unpack(side, res.width).coeffs[n] for side in (res.lhs, res.rhs))
-        _fail(report, n, str(lhs), str(rhs))
+        _fail(report, n, str(res.lhs.coeffs[n]), str(res.rhs.coeffs[n]))
 
 
 # ---------------------------------------------------------------------------

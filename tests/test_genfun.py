@@ -12,6 +12,7 @@ from qcert.errors import UnknownFormId
 from qcert.genfun import (
     Family,
     _rank_sum_of,
+    _thmain_width,
     _ZMap,
     closed_form,
     form_ids,
@@ -19,7 +20,6 @@ from qcert.genfun import (
     nt_diff_combo,
     nt_diff_gf,
     rank_gf,
-    rank_gf_over,
     thmain_check,
     unpack,
 )
@@ -351,8 +351,7 @@ def _integer_first(series) -> bool:
 def test_laurent_series_are_integer_first(family):
     assert _integer_first(rank_gf(family, 30))
     report = thmain_check(family, 20)
-    assert _integer_first(unpack(report.lhs, report.width))
-    assert _integer_first(unpack(report.rhs, report.width))
+    assert _integer_first(report.lhs) and _integer_first(report.rhs)
 
 
 def test_genovpair_series_is_integer_first():
@@ -504,8 +503,7 @@ def test_thmain_constant_terms():
     # the value component is the x = 1 comparison; the constant term
     # carries no power of x, so its derivative component vanishes
     rep = thmain_check(Family.OV_RANK, 6)
-    for side in (rep.lhs, rep.rhs):
-        c = unpack(side, rep.width).coeffs[0]
+    for c in (rep.lhs.coeffs[0], rep.rhs.coeffs[0]):
         assert c.value.constant() == 1
         assert not c.deriv
 
@@ -518,7 +516,7 @@ _PACKED_ORDERS = (*range(13), 18, 40, 60)
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_packed_rank_gf_equals_laurent_builder(family):
     for order in _PACKED_ORDERS:
-        assert rank_gf(family, order) == rank_gf_over(family, order, LAURENT), order
+        assert rank_gf(family, order) == _rank_sum_of(family, _ZMap(LAURENT), order), order
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -529,8 +527,8 @@ def test_packed_thmain_sides_equal_dual_laurent_builders(family):
     for order in _PACKED_ORDERS:
         rep = thmain_check(family, order)
         assert rep.ok, (order, rep.first_mismatch)
-        assert unpack(rep.lhs, rep.width) == rank_gf_over(family, order, ring), order
-        assert unpack(rep.rhs, rep.width) == _thmain_rhs(family, _ZMap(ring), order), order
+        assert rep.lhs == _rank_sum_of(family, _ZMap(ring), order), order
+        assert rep.rhs == _thmain_rhs(family, _ZMap(ring), order), order
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -544,7 +542,7 @@ def test_majorant_bounds_every_z_coefficient(family):
     maj = _ZMap(DualRing(RAT), 0, majorant=True)
     ring = DualRing(LAURENT)
     sides = (
-        (_rank_sum_of(family, maj, order), rank_gf_over(family, order, ring)),
+        (_rank_sum_of(family, maj, order), _rank_sum_of(family, _ZMap(ring), order)),
         (_thmain_rhs(family, maj, order), _thmain_rhs(family, _ZMap(ring), order)),
     )
     for bound, side in sides:
@@ -599,12 +597,12 @@ def test_rank_sum_dual_vs_polynomial(family):
     # the full rank sum evaluated by dual numbers and by honest
     # x-polynomials; both value and derivative must agree
     def build(ring):
-        return rank_gf_over(family, 16, ring)
+        return _rank_sum_of(family, _ZMap(ring), 16)
 
     dual, poly = bf.at_one_both(build, LAURENT)
     assert dual == poly
     # and with z packed at the width the main transformation uses
-    width = thmain_check(family, 16).width
+    width = _thmain_width(family, 16)
 
     def build_packed(ring):
         return _rank_sum_of(family, _ZMap(ring, width), 16)

@@ -507,7 +507,7 @@ def test_packed_width_one_bit_short_is_an_error_never_a_pass(monkeypatch):
 
 
 def test_thmain_witness_reads_like_the_laurent_route(monkeypatch):
-    # a transformation with its prefactor's numerator sign flipped fails;
+    # a transformation with its prefactor's numerator moved to q^2 fails;
     # the witness, read back from the packed sides, is the text the
     # generic route over DualRing(LAURENT) gives at the same n
     from dataclasses import replace
@@ -518,12 +518,29 @@ def test_thmain_witness_reads_like_the_laurent_route(monkeypatch):
 
     family, order = G.Family.OV_RANK, 12
     data = G._FAMILY_DATA[family]
-    monkeypatch.setitem(G._FAMILY_DATA, family, replace(data, pref_num=((mono(1, 1, xexp=1), 1),)))
+    monkeypatch.setitem(G._FAMILY_DATA, family, replace(data, pref_num=((mono(-1, 2, xexp=1), 1),)))
     rep = run_check(get_spec("ID-MAIN-OVRANK"), order=order)
     assert rep.status == "FAIL"
     ring = DualRing(LAURENT)
-    lhs = G.rank_gf_over(family, order, ring)
+    lhs = G._rank_sum_of(family, G._ZMap(ring), order)
     rhs = G._thmain_rhs(family, G._ZMap(ring), order)
     n = lhs.first_difference(rhs)
     assert rep.witness == {"n": n, "value": str(lhs.coeffs[n]), "expected": str(rhs.coeffs[n])}
     assert "z" in rep.witness["expected"]
+
+
+def test_prefactor_sign_flip_is_an_error_never_a_pass(monkeypatch):
+    # the packed width counts on the prefactor being its own majorant
+    # (factors 1 + x q^m, divisors 1 - x q^m); a flipped sign breaks that
+    # and must stop ID-MAIN-* as an ERROR
+    from dataclasses import replace
+
+    from qcert import genfun as G
+    from qcert.series import mono
+
+    family = G.Family.OV_RANK
+    data = G._FAMILY_DATA[family]
+    monkeypatch.setitem(G._FAMILY_DATA, family, replace(data, pref_num=((mono(1, 1, xexp=1), 1),)))
+    rep = run_check(get_spec("ID-MAIN-OVRANK"), order=12)
+    assert rep.status == "ERROR"
+    assert rep.error == "AssertionError: the prefactor of ov-rank is not its own majorant"
