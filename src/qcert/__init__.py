@@ -53,7 +53,6 @@ from .series import (
     mono,
     pochhammer_finite,
     pochhammer_infinite,
-    series_from_json,
     series_to_json,
 )
 from .verify import CheckReport, CheckSpec, VerifyConfig, registry, run_all, run_check

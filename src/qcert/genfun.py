@@ -28,14 +28,17 @@ O(sqrt N) terms (Euler's pentagonal theorem, Gauss's phi and psi).
 
 The generic helpers take the coefficient ring, which carries x: x = 1
 over ``RAT`` or ``LAURENT``, 1 + eps over ``DualRing``, and x itself
-over ``XPolyRing``, the tests' oracle.  The z-refined builders (the rank
-sums, the inner terms, the transformed side and its prefactor) take a
+over the tests' oracle ring.  The z-refined builders (the rank sums,
+the inner terms, the transformed side and its prefactor) take a
 ``_ZMap``, which says where a term c z^e q^m goes: with z formal they
 are the generic route, the tests' reference; packed, z = 2^W after the
-twist q -> zq (Kronecker substitution).  ``rank_gf`` and
-``genovpair_series`` are built packed over ``RAT`` and read back to
-``LaurentPoly`` (``unpack``); ``thmain_check`` compares its sides packed
-over ``DualRing(RAT)``.  Each W comes from a bound on the digits, the
+twist q -> zq (Kronecker substitution); over a ``DualRing`` they build
+a ``DualSeries``.  ``rank_gf`` and ``genovpair_series`` are built packed
+over ``RAT`` and read back to ``LaurentPoly`` (``unpack``).
+``thmain_check`` compares its sides packed over ``DualRing(RAT)``, each
+two int series (value and derivative); it builds the prefactor once,
+untwisted, for the majorant and the packed side, and twists it in the
+product as shifts.  Each W comes from a bound on the digits, the
 majorant of the same build, asserted by ``_packing_width``.
 
 The closed forms live in one table, ``_FORM_BUILDERS``.  Every infinite
@@ -57,6 +60,7 @@ from typing import Callable
 from .errors import UnknownFormId
 from .rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly
 from .series import (
+    DualSeries,
     Monomial,
     QSeries,
     add_shifted,
@@ -65,6 +69,7 @@ from .series import (
     lift_zc,
     mono,
     pochhammer_quotient,
+    series_type,
 )
 
 
@@ -163,12 +168,14 @@ class _ZMap:
     every factor (1 + c q^m) to (1 + |c| q^m) and every divisor to
     (1 - |c| q^m), so each of its coefficients bounds the absolute sum of
     the z-coefficients of the same build, and with it every digit.
+    The builders make `series` over the ring: a DualSeries over a DualRing.
     """
 
-    __slots__ = ("ring", "width", "majorant")
+    __slots__ = ("ring", "width", "majorant", "series")
 
     def __init__(self, ring, width: int | None = None, majorant: bool = False):
         self.ring, self.width, self.majorant = ring, width, majorant
+        self.series = series_type(ring)
 
     def mul(self, c, e: int = 0, m: int = 0):
         """c z^e q^m as a scalar, a summand or a factor (1 + c z^e q^m)."""
@@ -205,19 +212,19 @@ def _packing_width(bounds) -> int:
     return width
 
 
-def _unpack_coeff(c, width: int, j: int):
+def _unpack_coeff(c: int, width: int, j: int) -> LaurentPoly:
     """A packed coefficient of q^j read back to z: digit i is z^(i-j)."""
-    if isinstance(c, DualScalar):
-        return DualScalar(_unpack_coeff(c.value, width, j), _unpack_coeff(c.deriv, width, j))
     ds = balanced_digits(c, width, abs(c).bit_length() // width + 2)
     return LaurentPoly({i - j: d for i, d in enumerate(ds) if d})
 
 
-def unpack(s: QSeries, width: int) -> QSeries:
-    """A packed series (over RAT or DualRing(RAT)) read back to LaurentPoly
-    coefficients (over LAURENT or DualRing(LAURENT))."""
-    ring = DualRing(LAURENT) if isinstance(s.ring, DualRing) else LAURENT
-    return QSeries(ring, s.order, [_unpack_coeff(c, width, j) for j, c in enumerate(s.coeffs)])
+def unpack(s, width: int) -> QSeries:
+    """A packed series read back to LaurentPoly coefficients: over LAURENT
+    from RAT, and over DualRing(LAURENT) from a DualSeries over RAT."""
+    if isinstance(s, DualSeries):
+        value, deriv = (unpack(h, width).coeffs for h in s.at_one())
+        return QSeries(DualRing(LAURENT), s.order, map(DualScalar, value, deriv))
+    return QSeries(LAURENT, s.order, [_unpack_coeff(c, width, j) for j, c in enumerate(s.coeffs)])
 
 
 def _inner_terms(family: Family, z: _ZMap, order: int, margin=None):
@@ -232,7 +239,7 @@ def _inner_terms(family: Family, z: _ZMap, order: int, margin=None):
     d = _FAMILY_DATA[family]
     s = d.qstep
     neg_x = z.mul(-1) * z.ring.x_power(1)
-    cur = QSeries.one(z.ring, order)
+    cur = z.series.one(z.ring, order)
     for n in count(1):
         quad = d.inner_quad(n)
         reach = order - quad + (margin(n) if margin else 0)
@@ -283,9 +290,8 @@ def _rank_sum(z: _ZMap, extras, quad, qstep: int, scalar, x, order: int) -> QSer
     the ring (quad(0) = 0); the running product is kept only to
     q^(order - quad(n)), the most level n reads, and carries the twist of
     q^quad(n) from one level to the next."""
-    ring = z.ring
-    acc = QSeries.one(ring, order)
-    cur = QSeries.one(ring, order)
+    acc = z.series.one(z.ring, order)
+    cur = z.series.one(z.ring, order)
     for n in takewhile(lambda n: quad(n) <= order, count(1)):
         cur = cur.truncate(order - quad(n))
         for lead, a in extras:
@@ -294,12 +300,12 @@ def _rank_sum(z: _ZMap, extras, quad, qstep: int, scalar, x, order: int) -> QSer
                 cur = cur.mul_binomial(z.factor(a, m), m)
             else:
                 nxt = cur.mul_scalar(lead)
-                add_shifted(nxt.coeffs, cur.coeffs, m, z.factor(a, m))
+                nxt.add_shifted(cur, m, z.factor(a, m))
                 cur = nxt
         cur = cur.mul_scalar(scalar * z.mul(1, 0, quad(n) - quad(n - 1)))
         m = qstep * n
         cur = cur.div_binomial(z.div(-1, 1, m), m).div_binomial(z.div(-1, -1, m) * x, m)
-        add_shifted(acc.coeffs, cur.coeffs, quad(n))
+        acc.add_shifted(cur, quad(n))
     return acc
 
 
@@ -448,14 +454,14 @@ def nt_diff_combo(terms, order: int) -> QSeries:
 
 @dataclass
 class IdentityReport:
-    """The two sides are kept packed (`_ZMap`); `lhs` and `rhs` read them
-    back over DualRing(LAURENT)."""
+    """The two sides are kept packed (`_ZMap`), each a DualSeries over RAT;
+    `lhs` and `rhs` read them back over DualRing(LAURENT)."""
 
     name: str
     ok: bool
     first_mismatch: int | None
     order: int
-    packed: tuple[QSeries, QSeries]
+    packed: tuple[DualSeries, DualSeries]
     width: int
 
     @property
@@ -467,37 +473,42 @@ class IdentityReport:
         return unpack(self.packed[1], self.width)
 
 
-def _thmain_rhs(family: Family, z: _ZMap, order: int) -> QSeries:
+def _thmain_prefactor(family: Family, ring, order: int) -> DualSeries:
+    """The z-free prefactor of the transformed side over a DualRing,
+    untwisted.  Its factors are (1 + x q^m) and its divisors (1 - x q^m),
+    so it is its own majorant and one build serves both packed builds."""
+    d = _FAMILY_DATA[family]
+    if any(a.coeff > 0 for a, _ in d.pref_num) or any(a.coeff < 0 for a, _ in d.pref_den):
+        raise AssertionError(f"the prefactor of {family.value} is not its own majorant")
+    return pochhammer_quotient(d.pref_num, d.pref_den, order=order, ring=ring)
+
+
+def _thmain_rhs(family: Family, z: _ZMap, order: int, pref: DualSeries) -> DualSeries:
+    """The transformed side over a DualRing, from its untwisted prefactor."""
     d = _FAMILY_DATA[family]
     s = d.qstep
     x = z.ring.x_power(1)
-    acc = QSeries.zeros(z.ring, order)
+    acc = z.series.zeros(z.ring, order)
     for n, common, quad in _inner_terms(family, z, order, margin=lambda n: s * n):
         # 1/(q^{sn} (1 - z q^{sn}))  +  x z^-1 / (1 - x q^{sn} / z)
         p1 = common.mul_scalar(z.mul(1, 0, quad - s * n)).div_binomial(z.div(-1, 1, s * n), s * n)
-        add_shifted(acc.coeffs, p1.coeffs, quad - s * n)
+        acc.add_shifted(p1, quad - s * n)
         if quad <= order:
             p2 = common.truncate(order - quad).mul_scalar(z.mul(1, -1, quad) * x)
-            add_shifted(acc.coeffs, p2.div_binomial(z.div(-1, -1, s * n) * x, s * n).coeffs, quad)
-    # the prefactor is z-free: built untwisted, then q^j takes its twist.
-    # Its factors are (1 + x q^m) and its divisors (1 - x q^m), so it is
-    # its own majorant.
-    if any(a.coeff > 0 for a, _ in d.pref_num) or any(a.coeff < 0 for a, _ in d.pref_den):
-        raise AssertionError(f"the prefactor of {family.value} is not its own majorant")
-    pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ring=z.ring)
-    pref = QSeries(z.ring, order, [c * z.mul(1, 0, j) for j, c in enumerate(pref.coeffs)])
-    return QSeries.one(z.ring, order) + (pref * acc).mul_scalar(z.mul(-1))
+            acc.add_shifted(p2.div_binomial(z.div(-1, -1, s * n) * x, s * n), quad)
+    out = z.series.one(z.ring, order)  # 1 - P A, the z-free P twisted inside the product
+    out.add_shifted(pref.mul(acc, z.width), 0, z.mul(-1))
+    return out
 
 
-def _thmain_width(family: Family, order: int) -> int:
+def _thmain_width(family: Family, order: int, pref: DualSeries) -> int:
     """The width of both packed sides: the digits of each side, and of
     their difference, are at most M_lhs + M_rhs in absolute value, from
     the majorants of both sides, in each component."""
     maj = _ZMap(DualRing(RAT), 0, majorant=True)
-    lhs, rhs = _rank_sum_of(family, maj, order), _thmain_rhs(family, maj, order)
-    return _packing_width([
-        max(a.value + b.value, a.deriv + b.deriv) for a, b in zip(lhs.coeffs, rhs.coeffs)
-    ])
+    bound = _rank_sum_of(family, maj, order)
+    bound.add_shifted(_thmain_rhs(family, maj, order, pref), 0)
+    return _packing_width(list(map(max, *(half.coeffs for half in bound.at_one()))))
 
 
 def thmain_check(family: Family, order: int) -> IdentityReport:
@@ -505,14 +516,17 @@ def thmain_check(family: Family, order: int) -> IdentityReport:
     the exact first x-derivative carried along; the value component is
     the comparison at x = 1.
 
-    Both sides are built over DualRing(RAT) with z packed (`_ZMap`) and
-    compared as ints.  `_packing_width` asserts every digit bound of the
+    Both sides are built over DualRing(RAT) with z packed (`_ZMap`), each
+    a DualSeries of two int series, and compared as ints, value and
+    derivative.  The prefactor is built once, untwisted, for the majorant
+    and the packed side.  `_packing_width` asserts every digit bound of the
     difference (`_thmain_width`) below half a digit, so equal ints mean
     equal sides."""
-    width = _thmain_width(family, order)
+    pref = _thmain_prefactor(family, DualRing(RAT), order)
+    width = _thmain_width(family, order, pref)
     z = _ZMap(DualRing(RAT), width)
     lhs = _rank_sum_of(family, z, order)
-    rhs = _thmain_rhs(family, z, order)
+    rhs = _thmain_rhs(family, z, order, pref)
     first = lhs.first_difference(rhs)
     return IdentityReport(
         name=f"main-transformation[{family.value}]",

@@ -1,6 +1,6 @@
 """Exact coefficient domains for truncated q-series.
 
-Four domains are supported:
+Three domains are supported:
 
 * ``RAT`` -- exact rationals, integer-first: coefficients are Python
   ``int``s by default, and a ``fractions.Fraction`` appears only where a
@@ -11,24 +11,24 @@ Four domains are supported:
   after q -> zq; see ``genfun._ZMap``),
 * ``LaurentPoly`` -- Laurent polynomials in the rank variable z: the
   builders' generic route, and the view a packed series is read back to,
-* ``DualScalar`` -- first-order jets a + b*eps with eps^2 = 0, used to
-  evaluate d/dx at x = 1 exactly alongside the value in the main
-  transformation check, over ``DualRing(RAT)`` with z packed (the
-  part-count series need no jets: they read the derivative from x = 1
-  integer terms),
-* ``XPoly`` -- honest polynomials in x, the independent second route for
-  validating the dual-number derivative.
+* ``DualScalar`` -- first-order jets a + b*eps with eps^2 = 0, which
+  give d/dx at x = 1 exactly alongside the value.  ``thmain_check``
+  carries them as two packed int series (``series.DualSeries`` over
+  ``DualRing(RAT)``), with jets only as the scalars of its kernels, its
+  prefactor built once and its product applied as shifts; the
+  part-count series need no jets (they read the derivative from x = 1
+  integer terms).
 
-``LaurentPoly`` and ``XPoly`` share one sparse core, ``_SparsePoly``: a
-table exponent -> nonzero coefficient with +, -, negation, * and ==, each
+``LaurentPoly`` is built on a sparse core, ``_SparsePoly``: a table
+exponent -> nonzero coefficient with +, -, negation, * and ==, each
 taking an operand of exactly its own class; every product coefficient
-passes the class's coefficient rule.  ``LaurentPoly`` keeps its rule
-(``RAT.lift``), int/``Fraction`` scaling and its readers; ``XPoly`` keeps
-base-ring coefficients and its value and d/dx at x = 1.
+passes the class's coefficient rule (``RAT.lift`` for ``LaurentPoly``).
+The tests' x-derivative oracle, honest polynomials in x (``XPoly`` over
+``XPolyRing``), shares that core and lives in ``tests/bruteforce.py``.
 
 Each ring descriptor carries the part-marking variable x: ``x_power(j)``
-is 1 over ``RAT`` and ``LAURENT``, 1 + j*eps over ``DualRing`` and x^j
-over ``XPolyRing``, whose ``at_one`` give (value, d/dx) at x = 1.
+is 1 over ``RAT`` and ``LAURENT`` and 1 + j*eps over ``DualRing``, whose
+``at_one`` gives (value, d/dx) at x = 1.
 
 Every value is immutable after construction and all operations return
 fresh objects.  Ring descriptors compare equal when their base rings
@@ -88,8 +88,8 @@ RAT = RatRing()
 class _SparsePoly:
     """One-variable polynomial stored as exponent -> nonzero coefficient.
 
-    Operands must be of exactly one class, so an ``XPoly`` over ``LAURENT``
-    tells its ``LaurentPoly`` coefficients from itself.  No table holds a
+    Operands must be of exactly one class, so a polynomial in x over
+    ``LAURENT`` tells its ``LaurentPoly`` coefficients from itself.  No table holds a
     zero and no sum starts from the int 0; the coefficient rings have no
     zero divisors, so a single-term product needs no zero filter.  A
     subclass sets its coefficient rule (``_lift``), which every product
@@ -251,8 +251,10 @@ class LaurentPoly(_SparsePoly):
 class DualScalar:
     """First-order jet value + deriv*eps over a base domain (eps^2 = 0).
 
-    Serves ``thmain_check`` over packed ints; ``nt_diff_gf`` reads its
-    derivative from the x = 1 inner terms over integers."""
+    In ``thmain_check`` a jet is only a kernel's scalar: each side is two
+    packed int series (``series.DualSeries``), the prefactor is built
+    once, and the product with it is applied as shifts.  ``nt_diff_gf``
+    reads its derivative from the x = 1 inner terms over integers."""
 
     __slots__ = ("value", "deriv")
 
@@ -291,35 +293,6 @@ class DualScalar:
 
     def __repr__(self):
         return f"({self.value!r} + {self.deriv!r}*eps)"
-
-
-class XPoly(_SparsePoly):
-    """Polynomial in x over a base domain, stored as degree -> coeff.
-
-    This is the brute-force twin of DualScalar: evaluating the full
-    polynomial and its formal derivative at x = 1 must reproduce the
-    dual number's components.
-    """
-
-    __slots__ = ()
-
-    def value_at_one(self, zero):
-        """Sum of all coefficients: the polynomial evaluated at x = 1."""
-        acc = zero
-        for v in self._c.values():
-            acc = acc + v
-        return acc
-
-    def deriv_at_one(self, zero):
-        """Formal d/dx evaluated at x = 1: sum of degree * coeff."""
-        acc = zero
-        for d, v in self._c.items():
-            if d:
-                acc = acc + v * d
-        return acc
-
-    def __repr__(self):
-        return f"XPoly({self._c!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -386,41 +359,6 @@ class DualRing:
 
     def __repr__(self):
         return f"DUAL({self.base!r})"
-
-
-class XPolyRing:
-    """Descriptor for XPoly coefficients over a base ring."""
-
-    def __init__(self, base):
-        self.base = base
-        self.name = f"xpoly[{base.name}]"
-        self.zero = XPoly()
-        self.one = XPoly({0: base.one})
-
-    def lift(self, x):
-        if isinstance(x, XPoly):
-            return x
-        return XPoly({0: self.base.lift(x)})
-
-    def invert(self, c) -> XPoly:
-        # only constant-in-x units are needed (series constant terms)
-        if not isinstance(c, XPoly) or len(c._c) != 1 or 0 not in c._c:
-            raise NonUnitConstantTerm("XPoly inverse requires a constant unit")
-        return XPoly({0: self.base.invert(c._c[0])})
-
-    def x_power(self, j: int) -> XPoly:
-        """x^j as an honest monomial."""
-        return XPoly({j: self.base.one})
-
-    def at_one(self, c) -> tuple:
-        """(value, d/dx) of a coefficient at x = 1."""
-        return c.value_at_one(self.base.zero), c.deriv_at_one(self.base.zero)
-
-    def __eq__(self, other):
-        return isinstance(other, XPolyRing) and other.base == self.base
-
-    def __repr__(self):
-        return f"XPOLY({self.base!r})"
 
 
 LAURENT = LaurentRing()

@@ -13,20 +13,25 @@ exponent is 0, so that every sum has integer coefficients.
 
 The coefficient ring carries x (see ``rings``): a builder takes
 ``ring=`` and lifts each argument with ``mon``; ``QSeries.at_one`` reads
-a dual or x-polynomial series back as (value, d/dx) at x = 1.
+a series over a ring that carries x back as (value, d/dx) at x = 1.
+Over a ``DualRing``, ``pochhammer_quotient`` and the z-refined builders
+of ``genfun`` make a ``DualSeries`` instead: value and derivative as two
+series over the base ring, each kernel two or three base-ring passes.
+So ``thmain_check`` carries each side as two packed int series, builds
+its prefactor once, untwisted, and ``DualSeries.mul`` twists it in the
+product, one small product and a shift per prefactor coefficient.
 
 Over ``RAT`` the binomial kernels with c = +-1 are C-level list passes,
 and an int c with 30 or more trailing zero bits on int coefficients is a
 product with its odd part and a shift past those bits, so that a packed
 power of z (see ``genfun``) costs a shift, not a big-integer product;
-``mul_scalar`` and ``add_shifted`` scale the same way.  Over ``DualRing``
-the binomial kernels run on the value and derivative series of the base
-ring.  Other rings and coefficients keep the per-element loop, which over
-``RAT``, as in the general product, lifts each result (an integral value
-is an ``int``).  ``add_shifted`` adds c*q^k*src into a coefficient list
-from offset k, so a sum of shifted terms never builds the zeros below
-each shift.  ``balanced_digits`` reads an int back into signed digits,
-for the q-products of ``_int_product`` and for packed z.
+``mul_scalar`` and ``add_shifted`` scale the same way.  Other rings and
+coefficients keep the per-element loop, which over ``RAT``, as in the
+general product, lifts each result (an integral value is an ``int``).
+``add_shifted`` adds c*q^k*src into a coefficient list from offset k,
+so a sum of shifted terms never builds the zeros below each shift.
+``balanced_digits`` reads an int back into signed digits, for the
+q-products of ``_int_product`` and for packed z.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from itertools import accumulate, count, repeat
 from operator import add, lshift, mul, sub
 
 from .errors import DivergentProduct
-from .rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly, term_text
+from .rings import LAURENT, RAT, DualRing, LaurentPoly, term_text
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,10 @@ class QSeries:
             return QSeries.zeros(self.ring, self.order)
         return QSeries(self.ring, self.order, _scaled(self.coeffs, c))
 
+    def add_shifted(self, src: "QSeries", k: int, c=1) -> None:
+        """self += c * q^k * src, in place (see the function ``add_shifted``)."""
+        add_shifted(self.coeffs, src.coeffs, k, c)
+
     def mul_binomial(self, c, m: int) -> "QSeries":
         """Multiply by (1 + c*q^m) in O(order) coefficient operations."""
         c = self.ring.lift(c)
@@ -199,11 +208,6 @@ class QSeries:
         if self.ring is RAT and (c in (1, -1) or _shift(c, a)):
             add_shifted(out, a, m, c)
             return QSeries(RAT, self.order, out)
-        if isinstance(self.ring, DualRing):  # (v + d eps)(1 + (c0 + c1 eps) q^m)
-            v, d = self.at_one()
-            d = d.mul_binomial(c.value, m)
-            add_shifted(d.coeffs, v.coeffs, m, c.deriv)
-            return _dual(self.ring, v.mul_binomial(c.value, m), d)
         for i in range(m, self.order + 1):
             lo = a[i - m]
             if lo:
@@ -221,11 +225,6 @@ class QSeries:
         if self.ring is RAT and c in (1, -1):  # 1/(1 + q^m) = (1 - q^m)/(1 - q^2m)
             a = self.coeffs if c == -1 else self.mul_binomial(-1, m).coeffs
             return QSeries(RAT, self.order, _div_one_minus(a, m if c == -1 else 2 * m))
-        if isinstance(self.ring, DualRing):  # value v/B, derivative (d - c1 q^m v/B)/B
-            v, d = self.at_one()
-            v = v.div_binomial(c.value, m)
-            add_shifted(d.coeffs, v.coeffs, m, -c.deriv)
-            return _dual(self.ring, v, d.div_binomial(c.value, m))
         out = list(self.coeffs)
         if self.ring is RAT and (sh := _shift(c, out)):
             odd, k = sh
@@ -331,15 +330,97 @@ class QSeries:
         return f"{body} + O(q^{self.order + 1})".replace("+ -", "- ")
 
 
+class DualSeries:
+    """A series over ``DualRing(base)`` kept as two series over the base
+    ring, value + deriv*eps: its value and d/dx at x = 1 (``at_one``).
+    Each kernel takes one ``DualScalar`` and makes two or three passes of
+    the base ring's kernels; no coefficient is ever a ``DualScalar``."""
+
+    __slots__ = ("ring", "value", "deriv")
+
+    def __init__(self, ring, value: QSeries, deriv: QSeries):
+        self.ring, self.value, self.deriv = ring, value, deriv
+
+    @classmethod
+    def zeros(cls, ring, order: int) -> "DualSeries":
+        return cls(ring, QSeries.zeros(ring.base, order), QSeries.zeros(ring.base, order))
+
+    @classmethod
+    def one(cls, ring, order: int) -> "DualSeries":
+        return cls(ring, QSeries.one(ring.base, order), QSeries.zeros(ring.base, order))
+
+    @property
+    def order(self) -> int:
+        return self.value.order
+
+    def truncate(self, order: int) -> "DualSeries":
+        return DualSeries(self.ring, self.value.truncate(order), self.deriv.truncate(order))
+
+    def mul_scalar(self, c) -> "DualSeries":
+        """(v + d eps)(c0 + c1 eps) = c0 v + (c0 d + c1 v) eps."""
+        c = self.ring.lift(c)
+        d = self.deriv.mul_scalar(c.value)
+        d.add_shifted(self.value, 0, c.deriv)
+        return DualSeries(self.ring, self.value.mul_scalar(c.value), d)
+
+    def mul_binomial(self, c, m: int) -> "DualSeries":
+        """Multiply by 1 + (c0 + c1 eps) q^m, m = 0 included: the value
+        times B = 1 + c0 q^m, the derivative d B + c1 q^m v."""
+        c = self.ring.lift(c)
+        d = self.deriv.mul_binomial(c.value, m)
+        d.add_shifted(self.value, m, c.deriv)
+        return DualSeries(self.ring, self.value.mul_binomial(c.value, m), d)
+
+    def div_binomial(self, c, m: int) -> "DualSeries":
+        """Divide by 1 + (c0 + c1 eps) q^m: the value v/B and the
+        derivative (d - c1 q^m v/B)/B, with B = 1 + c0 q^m."""
+        c = self.ring.lift(c)
+        v = self.value.div_binomial(c.value, m)
+        d = QSeries(v.ring, self.order, self.deriv.coeffs)
+        d.add_shifted(v, m, -c.deriv)
+        return DualSeries(self.ring, v, d.div_binomial(c.value, m))
+
+    def add_shifted(self, src: "DualSeries", k: int, c=1) -> None:
+        """self += c * q^k * src, in place."""
+        c = self.ring.lift(c)
+        self.value.add_shifted(src.value, k, c.value)
+        self.deriv.add_shifted(src.deriv, k, c.value)
+        self.deriv.add_shifted(src.value, k, c.deriv)
+
+    def mul(self, other: "DualSeries", width: int | None = None) -> "DualSeries":
+        """self * other, coefficient j of self times 2^(width*j) (none for a
+        width of None or 0): a z-free series built untwisted times one packed
+        at z = 2^width, each coefficient of self a small product and a shift."""
+        n = min(self.order, other.order)
+        out = DualSeries.zeros(self.ring, n)
+        for j, (v, d) in enumerate(zip(self.value.coeffs[: n + 1], self.deriv.coeffs)):
+            v, d = (v << width * j, d << width * j) if width else (v, d)
+            out.value.add_shifted(other.value, j, v)
+            out.deriv.add_shifted(other.deriv, j, v)
+            out.deriv.add_shifted(other.value, j, d)
+        return out
+
+    def first_difference(self, other: "DualSeries") -> int | None:
+        """Smallest exponent where the value or the derivative differs."""
+        found = {self.value.first_difference(other.value), self.deriv.first_difference(other.deriv)}
+        return min(found - {None}, default=None)
+
+    def at_one(self) -> tuple[QSeries, QSeries]:
+        return self.value, self.deriv
+
+    def __eq__(self, other):
+        return isinstance(other, DualSeries) and self.at_one() == other.at_one()
+
+
+def series_type(ring) -> type:
+    """What a builder over `ring` makes: a DualSeries over a DualRing, else a QSeries."""
+    return DualSeries if isinstance(ring, DualRing) else QSeries
+
+
 def _lifted(ring, order: int, coeffs) -> QSeries:
     """The series of `coeffs`, over RAT each lifted so that an integral
     Fraction from a product of mixed int and Fraction is stored as an int."""
     return QSeries(ring, order, map(RAT.lift, coeffs) if ring is RAT else coeffs)
-
-
-def _dual(ring, value: QSeries, deriv: QSeries) -> QSeries:
-    """The dual series value + deriv*eps over `ring`."""
-    return QSeries(ring, value.order, map(DualScalar, value.coeffs, deriv.coeffs))
 
 
 def _shift(c, src) -> tuple | None:
@@ -467,7 +548,7 @@ def pochhammer_finite(a: Monomial, n: int, qstep: int = 1, *, order: int, ring=R
     return s
 
 
-def pochhammer_quotient(num, den=(), *, order: int, ring=RAT) -> QSeries:
+def pochhammer_quotient(num, den=(), *, order: int, ring=RAT) -> QSeries | DualSeries:
     """prod (a; q^step)_inf over (a, step) in `num`, divided by the same
     product over `den`, truncated at `order`.
 
@@ -483,14 +564,14 @@ def pochhammer_quotient(num, den=(), *, order: int, ring=RAT) -> QSeries:
             raise DivergentProduct(
                 "infinite product needs a positive q-power in its argument"
             )
-    s = QSeries.one(ring, order)
-    for side, apply in ((num, QSeries.mul_binomial), (den, QSeries.div_binomial)):
+    s = series_type(ring).one(ring, order)
+    for side, divide in ((num, False), (den, True)):
         for a, step in side:
             if not a.coeff:
                 continue
             coeff = -mon(ring, a)
             for pos in range(a.qexp, order + 1, step):
-                s = apply(s, coeff, pos)
+                s = s.div_binomial(coeff, pos) if divide else s.mul_binomial(coeff, pos)
     return s
 
 
@@ -583,21 +664,3 @@ def series_to_json(s: QSeries) -> dict:
     else:
         raise TypeError(f"serialization is defined for RAT and LAURENT, not {s.ring!r}")
     return {"ring": ring_name, "order": s.order, "terms": terms}
-
-
-def series_from_json(obj: dict) -> QSeries:
-    ring_name = obj["ring"]
-    order = int(obj["order"])
-    if ring_name == "rational":
-        ring, coeff = RAT, lambda c: RAT.lift(Fraction(c))
-    elif ring_name == "laurent":
-        ring, coeff = LAURENT, lambda c: LaurentPoly({e: Fraction(v) for e, v in c.items()})
-    else:
-        raise ValueError(f"unknown ring tag {ring_name!r}")
-    s = QSeries.zeros(ring, order)
-    for t in obj["terms"]:
-        n = int(t["q_exponent"])
-        if not 0 <= n <= order:
-            raise ValueError(f"q_exponent {n} is outside 0..{order}")
-        s.coeffs[n] = coeff(t["coefficient"])
-    return s

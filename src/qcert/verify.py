@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fnmatch import fnmatch
 
 from . import combinatorics as comb
@@ -736,18 +736,3 @@ def run_all(only: str | None = None, order: int | None = None, config: VerifyCon
     if any(r.status == "ERROR" or (r.status == "SKIPPED" and not r.informational) for r in reports):
         exit_code = 2
     return RunResult(reports=reports, exit_code=exit_code)
-
-
-def mutate_first_term(spec: CheckSpec, delta: int = 1) -> CheckSpec:
-    """A copy of `spec` with its first pair's coefficient perturbed; used
-    to prove each check can actually fail."""
-    if not spec.lhs:
-        raise ValueError("spec has no statistic terms to mutate")
-    first = spec.lhs[0]
-    mutated = replace(first, coeff=first.coeff + delta)
-    return replace(
-        spec,
-        id=spec.id + "~mutated",
-        lhs=(mutated,) + spec.lhs[1:],
-        statement=spec.statement + " [mutated]",
-    )

@@ -4,18 +4,25 @@ Everything here is deliberately dumb: dense dict-based polynomial
 arithmetic, product expansion factor by factor, and the classic
 recurrence for the partition numbers, and partition-like objects built
 from multisets and subsets of parts.  Nothing imports qcert series
-internals, so agreement is meaningful; ``at_one_both`` only runs a
-caller's builder over qcert's two rings that carry x.  The per-n
-counting dynamic program that the oracle's all-weight tables replaced
-is kept here too, taking the oracle's rows as arguments.
+internals, so agreement is meaningful.  The x-derivative oracle lives
+here too: ``XPoly``, honest polynomials in x on qcert's sparse core,
+and its ring ``XPolyRing``; ``at_one_both`` runs a caller's builder over
+qcert's dual numbers and over it.  So does the per-n counting dynamic
+program that the oracle's all-weight tables replaced, taking the
+oracle's rows as arguments.  Two helpers that no part of qcert calls
+close the file: the reader of ``series_to_json``'s output, and the
+claim mutation behind the tests that every check can fail.
 """
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement
 
-from qcert.rings import DualRing, XPolyRing
+from qcert.errors import NonUnitConstantTerm
+from qcert.rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly, _SparsePoly
+from qcert.series import QSeries
 
 
 def poly_mul(a: dict, b: dict, order: int) -> dict:
@@ -149,9 +156,83 @@ def lerch_ref(quad, lin, denom_step, denom_sign, order, denom_shift=0, num_shift
     return {k: v for k, v in out.items() if v and k <= order}
 
 
+# -- the x-derivative oracle: honest polynomials in x --------------------------
+
+
+class XPoly(_SparsePoly):
+    """Polynomial in x over a base domain, stored as degree -> coeff.
+
+    This is the brute-force twin of DualScalar: evaluating the full
+    polynomial and its formal derivative at x = 1 must reproduce the
+    dual number's components.
+    """
+
+    __slots__ = ()
+
+    def value_at_one(self, zero):
+        """Sum of all coefficients: the polynomial evaluated at x = 1."""
+        acc = zero
+        for v in self._c.values():
+            acc = acc + v
+        return acc
+
+    def deriv_at_one(self, zero):
+        """Formal d/dx evaluated at x = 1: sum of degree * coeff."""
+        acc = zero
+        for d, v in self._c.items():
+            if d:
+                acc = acc + v * d
+        return acc
+
+    def __repr__(self):
+        return f"XPoly({self._c!r})"
+
+
+class XPolyRing:
+    """Descriptor for XPoly coefficients over a base ring."""
+
+    def __init__(self, base):
+        self.base = base
+        self.name = f"xpoly[{base.name}]"
+        self.zero = XPoly()
+        self.one = XPoly({0: base.one})
+
+    def lift(self, x):
+        if isinstance(x, XPoly):
+            return x
+        return XPoly({0: self.base.lift(x)})
+
+    def invert(self, c) -> XPoly:
+        # only constant-in-x units are needed (series constant terms)
+        if not isinstance(c, XPoly) or len(c._c) != 1 or 0 not in c._c:
+            raise NonUnitConstantTerm("XPoly inverse requires a constant unit")
+        return XPoly({0: self.base.invert(c._c[0])})
+
+    def x_power(self, j: int) -> XPoly:
+        """x^j as an honest monomial."""
+        return XPoly({j: self.base.one})
+
+    def at_one(self, c) -> tuple:
+        """(value, d/dx) of a coefficient at x = 1."""
+        return c.value_at_one(self.base.zero), c.deriv_at_one(self.base.zero)
+
+    def __eq__(self, other):
+        return isinstance(other, XPolyRing) and other.base == self.base
+
+    def __repr__(self):
+        return f"XPOLY({self.base!r})"
+
+
 def at_one_both(build, base):
     """(value, d/dx) at x = 1 of `build(ring)` over dual numbers, then over XPoly."""
     return build(DualRing(base)).at_one(), build(XPolyRing(base)).at_one()
+
+
+def joined(s) -> QSeries:
+    """A DualSeries as a QSeries over its DualRing, one DualScalar per
+    coefficient, for the generic per-coefficient code and comparisons."""
+    value, deriv = s.at_one()
+    return QSeries(s.ring, s.order, map(DualScalar, value.coeffs, deriv.coeffs))
 
 
 # -- per-element references for the series kernels and the inner sums --------
@@ -251,3 +332,40 @@ def pair_profile_at(pair_kinds, n: int) -> Counter:
         rst = (key - m) // base
         profile[(rst % base, rst // base % base, rst // base**2, m)] = cnt
     return profile
+
+
+# -- helpers no part of qcert calls: the JSON reader, the claim mutation -----
+
+
+def series_from_json(obj: dict) -> QSeries:
+    """The series written by ``qcert.series.series_to_json``."""
+    ring_name = obj["ring"]
+    order = int(obj["order"])
+    if ring_name == "rational":
+        ring, coeff = RAT, lambda c: RAT.lift(Fraction(c))
+    elif ring_name == "laurent":
+        ring, coeff = LAURENT, lambda c: LaurentPoly({e: Fraction(v) for e, v in c.items()})
+    else:
+        raise ValueError(f"unknown ring tag {ring_name!r}")
+    s = QSeries.zeros(ring, order)
+    for t in obj["terms"]:
+        n = int(t["q_exponent"])
+        if not 0 <= n <= order:
+            raise ValueError(f"q_exponent {n} is outside 0..{order}")
+        s.coeffs[n] = coeff(t["coefficient"])
+    return s
+
+
+def mutate_first_term(spec, delta: int = 1):
+    """A copy of the CheckSpec `spec` with its first pair's coefficient
+    perturbed; used to prove each check can actually fail."""
+    if not spec.lhs:
+        raise ValueError("spec has no statistic terms to mutate")
+    first = spec.lhs[0]
+    mutated = replace(first, coeff=first.coeff + delta)
+    return replace(
+        spec,
+        id=spec.id + "~mutated",
+        lhs=(mutated,) + spec.lhs[1:],
+        statement=spec.statement + " [mutated]",
+    )

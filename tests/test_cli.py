@@ -8,9 +8,9 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from bruteforce import series_from_json
 from qcert.cli import main
 from qcert.genfun import form_ids
-from qcert.series import series_from_json
 from qcert.verify import _XCHECKS
 
 

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
+from bruteforce import XPolyRing
 from qcert.combinatorics import raw_tally, tally
 from qcert.errors import UnknownFormId
 from qcert.genfun import (
     Family,
     _rank_sum_of,
+    _thmain_prefactor,
+    _thmain_rhs,
     _thmain_width,
     _ZMap,
     closed_form,
@@ -23,8 +26,8 @@ from qcert.genfun import (
     thmain_check,
     unpack,
 )
-from qcert.rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly, XPolyRing
-from qcert.series import QSeries, add_shifted
+from qcert.rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly
+from qcert.series import QSeries
 
 ALL_FAMILIES = (Family.DYSON, Family.OV_RANK, Family.OV_M2, Family.DO_M2)
 
@@ -179,7 +182,7 @@ def test_windowed_difference_sum_over_dual_numbers(family):
     order = 60
     ring = DualRing(RAT)
     s = _FAMILY_DATA[family].qstep
-    terms = tuple(_inner_terms(family, _ZMap(ring), order))
+    terms = [(n, bf.joined(c), quad) for n, c, quad in _inner_terms(family, _ZMap(ring), order)]
     plain = [(n, c.coeffs, quad) for n, c, quad in terms]
     for b, k in ((1, 5), (3, 5), (6, 11)):
         got = _difference_sum(family, b, k, ring, terms, order)
@@ -263,6 +266,44 @@ def test_nt_diff_builds_no_dual_numbers(monkeypatch):
     for family in ALL_FAMILIES:
         series = nt_diff_gf(family, 2, 5, 60)
         assert all(type(c) is int for c in series.coeffs), family
+
+
+def test_packed_thmain_keeps_value_and_derivative_apart(monkeypatch):
+    # each packed side is two int series: no series of DualScalars is
+    # built or split (QSeries.at_one), and a jet is a kernel's scalar only,
+    # so the jets stay within a small multiple of the dual kernel calls
+    from qcert import rings, series
+
+    def refuse_split(self):
+        raise AssertionError("thmain_check split a series of DualScalars")
+
+    def no_dual_coeffs(self, ring, order, coeffs=None):
+        if isinstance(ring, DualRing):
+            raise AssertionError("thmain_check built a series of DualScalars")
+        real_init(self, ring, order, coeffs)
+
+    def counted_jet(self, value, deriv):
+        counts["jets"] += 1
+        real_jet(self, value, deriv)
+
+    def counted(kernel):
+        def call(self, *args):
+            counts["kernels"] += 1
+            return kernel(self, *args)
+        return call
+
+    real_init, real_jet = series.QSeries.__init__, rings.DualScalar.__init__
+    monkeypatch.setattr(series.QSeries, "at_one", refuse_split)
+    monkeypatch.setattr(series.QSeries, "__init__", no_dual_coeffs)
+    monkeypatch.setattr(rings.DualScalar, "__init__", counted_jet)
+    for name in ("mul_scalar", "mul_binomial", "div_binomial", "add_shifted", "mul"):
+        monkeypatch.setattr(series.DualSeries, name, counted(getattr(series.DualSeries, name)))
+    for family in ALL_FAMILIES:
+        counts = {"jets": 0, "kernels": 0}
+        rep = thmain_check(family, 40)
+        assert rep.ok, family
+        assert all(isinstance(side, series.DualSeries) for side in rep.packed)
+        assert counts["jets"] <= 2 * counts["kernels"], (family, counts)
 
 
 def test_clear_caches_empties_every_lru_cache():
@@ -508,6 +549,11 @@ def test_thmain_constant_terms():
         assert not c.deriv
 
 
+def _thmain_rhs_over(family, z, order):
+    """The transformed side with its prefactor built over z's ring."""
+    return _thmain_rhs(family, z, order, _thmain_prefactor(family, z.ring, order))
+
+
 # orders 0..12, one between, and the registry's reaches (ID-MAIN-* at 40,
 # ID-COUNTDIFF-* at 60)
 _PACKED_ORDERS = (*range(13), 18, 40, 60)
@@ -521,14 +567,12 @@ def test_packed_rank_gf_equals_laurent_builder(family):
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_packed_thmain_sides_equal_dual_laurent_builders(family):
-    from qcert.genfun import _thmain_rhs
-
     ring = DualRing(LAURENT)
     for order in _PACKED_ORDERS:
         rep = thmain_check(family, order)
         assert rep.ok, (order, rep.first_mismatch)
-        assert rep.lhs == _rank_sum_of(family, _ZMap(ring), order), order
-        assert rep.rhs == _thmain_rhs(family, _ZMap(ring), order), order
+        assert rep.lhs.at_one() == _rank_sum_of(family, _ZMap(ring), order).at_one(), order
+        assert rep.rhs.at_one() == _thmain_rhs_over(family, _ZMap(ring), order).at_one(), order
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -536,20 +580,17 @@ def test_majorant_bounds_every_z_coefficient(family):
     # the width rule rests on this: at each q^n and in each component,
     # the z = 1 majorant of a side is at least the absolute sum of that
     # side's z-coefficients, built over DualRing(LAURENT)
-    from qcert.genfun import _thmain_rhs
-
     order = 40
     maj = _ZMap(DualRing(RAT), 0, majorant=True)
     ring = DualRing(LAURENT)
     sides = (
         (_rank_sum_of(family, maj, order), _rank_sum_of(family, _ZMap(ring), order)),
-        (_thmain_rhs(family, maj, order), _thmain_rhs(family, _ZMap(ring), order)),
+        (_thmain_rhs_over(family, maj, order), _thmain_rhs_over(family, _ZMap(ring), order)),
     )
     for bound, side in sides:
-        for n in range(order + 1):
-            for part in ("value", "deriv"):
-                c = getattr(side.coeffs[n], part)
-                assert sum(abs(v) for _, v in c.items()) <= getattr(bound.coeffs[n], part), (n, part)
+        for part, b, c in zip(("value", "deriv"), bound.at_one(), side.at_one()):
+            for n in range(order + 1):
+                assert sum(abs(v) for _, v in c.coeffs[n].items()) <= b.coeffs[n], (n, part)
 
 
 def test_unpack_reads_balanced_digits_back_to_z():
@@ -602,7 +643,7 @@ def test_rank_sum_dual_vs_polynomial(family):
     dual, poly = bf.at_one_both(build, LAURENT)
     assert dual == poly
     # and with z packed at the width the main transformation uses
-    width = _thmain_width(family, 16)
+    width = _thmain_width(family, 16, _thmain_prefactor(family, DualRing(RAT), 16))
 
     def build_packed(ring):
         return _rank_sum_of(family, _ZMap(ring, width), 16)
@@ -619,10 +660,11 @@ def test_inner_sum_dual_vs_polynomial_order_30():
 
     for family in (Family.OV_M2, Family.DYSON):
         def build(ring, fam=family):
-            acc = [ring.zero] * 31
-            for _, common, quad in _inner_terms(fam, _ZMap(ring), 30):
-                add_shifted(acc, common.coeffs, quad)
-            return QSeries(ring, 30, acc)
+            z = _ZMap(ring)
+            acc = z.series.zeros(ring, 30)
+            for _, common, quad in _inner_terms(fam, z, 30):
+                acc.add_shifted(common, quad)
+            return acc
 
         dual, poly = bf.at_one_both(build, LAURENT)
         assert dual == poly, family
@@ -643,7 +685,8 @@ def test_inner_terms_keep_only_their_window(ring, thmain_margin):
         for n, common, quad in _inner_terms(family, _ZMap(ring), N, margin):
             assert quad == d.inner_quad(n)
             want = N - quad + (margin(n) if margin else 0)
-            assert common.order == want and len(common.coeffs) == want + 1, (family, n)
+            for half in common.at_one() if ring is not RAT else (common,):
+                assert half.order == want and len(half.coeffs) == want + 1, (family, n)
             levels += 1
         assert levels >= 2, family
 

@@ -5,15 +5,18 @@ import json
 import random
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bruteforce as bf
+from bruteforce import XPolyRing, series_from_json
 from qcert import series as series_module
 from qcert.errors import DivergentProduct, NonUnitConstantTerm
-from qcert.rings import LAURENT, RAT, DualRing, LaurentPoly, XPolyRing
+from qcert.rings import LAURENT, RAT, DualRing, LaurentPoly
 from qcert.series import (
+    DualSeries,
     QSeries,
     _int_product,
     add_shifted,
@@ -25,7 +28,6 @@ from qcert.series import (
     pochhammer_finite,
     pochhammer_infinite,
     pochhammer_quotient,
-    series_from_json,
     series_to_json,
 )
 
@@ -151,10 +153,11 @@ def test_overpartition_count_from_products():
 
 
 def _quotient_by_hand(num, den, order, ring):
+    # each infinite factor as the finite product of its binomials up to the order
     def prod(side):
         acc = QSeries.one(ring, order)
         for a, step in side:
-            acc = acc * pochhammer_infinite(a, step, order=order, ring=ring)
+            acc = acc * pochhammer_finite(a, order + 1, step, order=order, ring=ring)
         return acc
 
     return prod(num) * prod(den).invert()
@@ -172,7 +175,7 @@ def test_pochhammer_quotient_over_dual_laurent():
     num = ((mono(1, 1, zexp=1), 1), (mono(-1, 1, xexp=1), 2))
     den = ((mono(1, 1, zexp=-1, xexp=1), 1), (mono(2, 2, zexp=1), 3))
     got = pochhammer_quotient(num, den, order=20, ring=ring)
-    assert got == _quotient_by_hand(num, den, 20, ring)
+    assert bf.joined(got) == _quotient_by_hand(num, den, 20, ring)
 
 
 def test_pochhammer_quotient_validates_every_factor():
@@ -630,6 +633,113 @@ def test_derivative_check_on_pochhammer_expression():
 
     dual, poly = bf.at_one_both(build, RAT)
     assert dual == poly
+
+
+# -- DualSeries kernels vs the polynomial oracle ------------------------------
+
+# scalars a*x^k + b: zero, x-free, value 0 with a nonzero derivative
+# (x - 1, 3x^2 - 3), and nonzero in both components
+_SCALARS = ((0, 0, 0), (2, 0, 0), (1, 1, -1), (3, 2, -3), (-3, 2, 1), (Fraction(1, 2), 1, 2))
+
+
+def _coeff(base, c, e):
+    """c, times z^e over LAURENT."""
+    return LaurentPoly.term(e, c) if base is LAURENT else c
+
+
+def _x_series(ring, order, terms):
+    """sum c z^ze q^e x^d over (e, c, ze, d) in `terms`: a DualSeries over
+    a DualRing (its halves read off a series of DualScalars), else a QSeries."""
+    s = QSeries.zeros(ring, order)
+    for e, c, ze, d in terms:
+        s.coeffs[e] = s.coeffs[e] + ring.lift(_coeff(ring.base, c, ze)) * ring.x_power(d)
+    return DualSeries(ring, *s.at_one()) if isinstance(ring, DualRing) else s
+
+
+def _x_scalar(ring, a, k, b, ze=0):
+    return ring.lift(_coeff(ring.base, a, ze)) * ring.x_power(k) + ring.lift(b)
+
+
+def _random_terms(rng, order):
+    return [(rng.randint(0, order), rng.randint(-4, 4), rng.randint(-2, 2), rng.randint(0, 3))
+            for _ in range(rng.randint(1, 6))]
+
+
+@pytest.mark.parametrize("base", [RAT, LAURENT], ids=repr)
+def test_dual_series_kernels_match_the_xpoly_oracle(base):
+    # each kernel of the two-half series equals, at x = 1, the same kernel
+    # over honest x-polynomials, and leaves its operand as it was
+    rng = random.Random(24)
+    kernels = [("mul_scalar", ())] + [("mul_binomial", (m,)) for m in (0, 1, 3, 9)]
+    kernels += [("div_binomial", (m,)) for m in (1, 2, 5)]
+    for _ in range(6):
+        order = rng.randint(0, 9)
+        terms = _random_terms(rng, order)
+        for a, k, b in _SCALARS:
+            ze = rng.randint(-1, 1)
+            for name, args in kernels:
+                def build(ring):
+                    s = _x_series(ring, order, terms)
+                    before = s.at_one()
+                    out = getattr(s, name)(_x_scalar(ring, a, k, b, ze), *args)
+                    assert s.at_one() == before, name
+                    return out
+
+                dual, poly = bf.at_one_both(build, base)
+                assert dual == poly, (name, args, (a, k, b), order)
+
+
+@pytest.mark.parametrize("base", [RAT, LAURENT], ids=repr)
+def test_dual_series_shifted_add_matches_the_xpoly_oracle(base):
+    rng = random.Random(7)
+    for _ in range(8):
+        order, src_order = rng.randint(0, 9), rng.randint(0, 9)
+        dst, src = _random_terms(rng, order), _random_terms(rng, src_order)
+        for a, k, b in _SCALARS:
+            for shift in (0, 1, 4, order + 1):
+                def build(ring):
+                    out = _x_series(ring, order, dst)
+                    c = _x_scalar(ring, a, k, b)
+                    out.add_shifted(_x_series(ring, src_order, src), shift, c)
+                    return out
+
+                dual, poly = bf.at_one_both(build, base)
+                assert dual == poly, (shift, (a, k, b))
+
+
+@pytest.mark.parametrize(
+    "base, width", [(RAT, None), (RAT, 0), (RAT, 5), (RAT, 40), (LAURENT, None)],
+    ids=["rat", "rat-0", "rat-w5", "rat-w40", "laurent"],
+)
+def test_dual_series_twisted_product_matches_the_xpoly_oracle(base, width):
+    # p.mul(a, width) is p with coefficient j taken times 2^(width*j), times a
+    rng = random.Random(11)
+    for _ in range(10):
+        po, ao = rng.randint(0, 9), rng.randint(0, 9)
+        p_terms = [(e, c, 0, d) for e, c, _, d in _random_terms(rng, po)]  # z-free
+        a_terms = _random_terms(rng, ao)
+
+        def build(ring):
+            p, a = _x_series(ring, po, p_terms), _x_series(ring, ao, a_terms)
+            if isinstance(p, DualSeries):
+                return p.mul(a, width)
+            twist = [ring.lift(1 << (width or 0) * j) for j in range(po + 1)]
+            return QSeries(ring, po, map(mul, p.coeffs, twist)) * a
+
+        dual, poly = bf.at_one_both(build, base)
+        assert dual == poly and dual[0].order == min(po, ao)
+
+
+def test_dual_series_first_difference_reads_both_halves():
+    ring = DualRing(RAT)
+    a = _x_series(ring, 6, [(2, 1, 0, 1), (5, 3, 0, 0)])
+    assert a.first_difference(a) is None
+    # q^2 x versus q^2 x^2: the values agree, the derivatives differ at 2
+    assert a.first_difference(_x_series(ring, 6, [(2, 1, 0, 2), (5, 3, 0, 0)])) == 2
+    # a value that differs at 5 after a derivative that differs at 2
+    assert a.first_difference(_x_series(ring, 6, [(2, 1, 0, 2), (5, 4, 0, 0)])) == 2
+    assert a.first_difference(_x_series(ring, 6, [(2, 1, 0, 1), (5, 4, 0, 0)])) == 5
+    assert a.first_difference(_x_series(ring, 4, [(2, 1, 0, 1)])) is None  # to the common order
 
 
 # -- serialization ----------------------------------------------------------

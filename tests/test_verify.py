@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from bruteforce import mutate_first_term
 from qcert import combinatorics
 from qcert.combinatorics import require_limit
 from qcert.errors import InsufficientOrder
@@ -15,7 +16,6 @@ from qcert.verify import (
     StatTerm,
     VerifyConfig,
     get_spec,
-    mutate_first_term,
     registry,
     run_all,
     run_check,
@@ -512,6 +512,7 @@ def test_thmain_witness_reads_like_the_laurent_route(monkeypatch):
     # generic route over DualRing(LAURENT) gives at the same n
     from dataclasses import replace
 
+    from bruteforce import joined
     from qcert import genfun as G
     from qcert.rings import LAURENT, DualRing
     from qcert.series import mono
@@ -522,11 +523,42 @@ def test_thmain_witness_reads_like_the_laurent_route(monkeypatch):
     rep = run_check(get_spec("ID-MAIN-OVRANK"), order=order)
     assert rep.status == "FAIL"
     ring = DualRing(LAURENT)
-    lhs = G._rank_sum_of(family, G._ZMap(ring), order)
-    rhs = G._thmain_rhs(family, G._ZMap(ring), order)
+    pref = G._thmain_prefactor(family, ring, order)
+    lhs = joined(G._rank_sum_of(family, G._ZMap(ring), order))
+    rhs = joined(G._thmain_rhs(family, G._ZMap(ring), order, pref))
     n = lhs.first_difference(rhs)
     assert rep.witness == {"n": n, "value": str(lhs.coeffs[n]), "expected": str(rhs.coeffs[n])}
     assert "z" in rep.witness["expected"]
+
+
+def test_thmain_fails_where_only_the_derivative_differs(monkeypatch):
+    # the prefactor's divisors 1 - x q^m turned into 1 - x^2 q^m: equal at
+    # x = 1, so every value agrees and only the derivative tells the sides
+    # apart; the check must FAIL at the first n where the derivative
+    # differs, with the witness text of the generic route
+    from dataclasses import replace
+
+    from bruteforce import joined
+    from qcert import genfun as G
+    from qcert.rings import LAURENT, DualRing
+    from qcert.series import mono
+
+    family, order = G.Family.DYSON, 12
+    data = G._FAMILY_DATA[family]
+    monkeypatch.setitem(G._FAMILY_DATA, family, replace(data, pref_den=((mono(1, 1, xexp=2), 1),)))
+    ring = DualRing(LAURENT)
+    lhs = G._rank_sum_of(family, G._ZMap(ring), order)
+    rhs = G._thmain_rhs(family, G._ZMap(ring), order, G._thmain_prefactor(family, ring, order))
+    assert lhs.value == rhs.value
+    n = lhs.deriv.first_difference(rhs.deriv)
+    assert n is not None and n == joined(lhs).first_difference(joined(rhs))
+    packed = G.thmain_check(family, order)
+    assert packed.packed[0].value == packed.packed[1].value
+    assert not packed.ok and packed.first_mismatch == n
+    rep = run_check(get_spec("ID-MAIN-DYSON"), order=order)
+    assert rep.status == "FAIL"
+    lhs, rhs = joined(lhs), joined(rhs)
+    assert rep.witness == {"n": n, "value": str(lhs.coeffs[n]), "expected": str(rhs.coeffs[n])}
 
 
 def test_prefactor_sign_flip_is_an_error_never_a_pass(monkeypatch):
