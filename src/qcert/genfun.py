@@ -18,8 +18,8 @@ congruent to b, minus those congruent to k - b) are produced by
 differentiating with respect to x at x = 1.  Every term of the inner
 sum vanishes at x = 1, so the derivative needs only the x = 1 inner
 terms, A'(1) = sum_n C_n(1) * g_n'(1), and the prefactor enters at
-x = 1 only: integer series throughout (see ``nt_diff_gf``).  Each
-summand is built on its window [min(lo, hi), order] only.  A'(1) is
+x = 1 only: integers throughout (see ``nt_diff_gf``), packed along q,
+one int per summand on its window (``_packed_difference``).  A'(1) is
 cached per (family, b, k, order), and every miss first runs the A(1) = 0
 guard; a combination multiplies by the prefactor once per family.  Each
 family has one prefactor, shared by the part-count series and the main
@@ -64,6 +64,7 @@ from .series import (
     Monomial,
     QSeries,
     add_shifted,
+    _pack,
     balanced_digits,
     lerch_sum,
     lift_zc,
@@ -352,67 +353,68 @@ def rank_count_diff(family: Family, b1: int, b2: int, k: int, order: int) -> QSe
     return out
 
 
-def _windows(family: Family, b: int, k: int, terms, order: int):
-    """(coefficients, lo, hi, kn, start) per inner term whose summand, zero below
-    q^start = q^min(lo, hi) >= q^quad(n), reaches the order (`_difference_deriv`)."""
-    s = _FAMILY_DATA[family].qstep
-    for n, common, quad in terms:
-        lo, hi = quad + s * (b - 1) * n, quad + s * (k - b - 1) * n
-        if min(lo, hi) <= order:
-            yield common.coeffs, lo, hi, s * k * n, min(lo, hi)
+@lru_cache(maxsize=None)
+def _packed_terms(family: Family, order: int, nbytes: int) -> tuple:
+    """The x = 1 inner terms C_n(1), each one int at q = 2^(8 nbytes)
+    (`_pack`), shared by every (b, k) whose bound needs that width."""
+    return tuple(_pack(c.coeffs, 8 * nbytes, nbytes) for _, c, _ in _inner_terms_rat(family, order))
 
 
-def _window(ring, src: list, start: int, order: int, parts) -> QSeries:
-    """sum c * q^(e-start) * src over (e, c) in `parts`, to q^(order-start)."""
-    out = [ring.zero] * (order - start + 1)
-    for e, c in parts:
-        add_shifted(out, src, e - start, c)
-    return QSeries(ring, order - start, out)
+def _div_packed(x: int, width: int, m: int, span: int) -> int:
+    """x / (1 - q^m) at q = 2^width, mod 2^span: times each factor
+    (1 + q^(m 2^j)) below q^(span/width), one masked shift-add each."""
+    mask, sh = (1 << span) - 1, width * m
+    x &= mask
+    while sh < span:
+        x = (x + (x << sh)) & mask
+        sh <<= 1
+    return x
 
 
-def _difference_sum(family: Family, b: int, k: int, ring, terms, order: int) -> QSeries:
-    """The inner sum A of the transformed rank sum over `ring`, from the
-    inner `terms` over that ring (see `_inner_terms`), each summand built
-    on its window and added into A from there."""
-    acc = [ring.zero] * (order + 1)
-    xb, xkb, xk = ring.x_power(b), ring.x_power(k - b), ring.x_power(k)
-    for c, lo, hi, kn, start in _windows(family, b, k, terms, order):
-        p1 = _window(ring, c, start, order, ((lo, 1), (hi, -1)))
-        p2 = _window(ring, c, start, order, ((hi, xkb), (lo, -xb)))
-        add_shifted(acc, p1.div_binomial(ring.lift(-1), kn).coeffs, start)
-        add_shifted(acc, p2.div_binomial(-xk, kn).coeffs, start)
-    return QSeries(ring, order, acc)
-
-
-def _difference_deriv(family: Family, b: int, k: int, terms, order: int) -> QSeries:
-    """A'(1), the x-derivative of the inner sum A at x = 1, from the
-    x = 1 inner terms C_n(1) (see `_inner_terms_rat`).
+def _packed_difference(family: Family, b: int, k: int, order: int) -> tuple[int, int, int]:
+    """(A(1), A'(1), width): the inner sum A at x = 1 and its x-derivative
+    there, each one int at q = 2^width, from the x = 1 inner terms C_n(1).
 
     Each summand of A is C_n(x) * g_n(x) with g_n(1) = 0, so C_n'(1)
     drops out and A'(1) = sum_n C_n(1) * g_n'(1), where, with
     lo = quad + s(b-1)n, hi = quad + s(k-b-1)n and kn = s*k*n,
 
-        g_n'(1) = [(k-b) q^hi - b q^lo + b q^(hi+kn) - (k-b) q^(lo+kn)]
-                  / (1 - q^kn)^2
-    """
-    acc = [0] * (order + 1)
-    for c, lo, hi, kn, start in _windows(family, b, k, terms, order):
-        parts = ((hi, k - b), (lo, -b), (hi + kn, b), (lo + kn, b - k))
-        num = _window(RAT, c, start, order, parts)
-        add_shifted(acc, num.div_binomial(-1, kn).div_binomial(-1, kn).coeffs, start)
-    return QSeries(RAT, order, acc)
+        g_n'(1) = [(k-b) q^hi - b q^lo + b q^(hi+kn) - (k-b) q^(lo+kn)] / (1 - q^kn)^2,
+
+    and A(1) sums both halves C_n(1) (q^lo - q^hi) and C_n(1) (q^hi - q^lo),
+    each over (1 - q^kn).  Each summand is built mod q^(order + 1 - start)
+    and added at q^start = q^min(lo, hi).  The width holds the bound
+    sum_n max|C_n| * 2k * (order//kn + 1)^2 on every coefficient of both,
+    and on every C_n (a numerator's absolute coefficient sum is at most 2k,
+    and that of 1/(1 - q^kn)^2 to q^order at most (order//kn + 1)^2)."""
+    s, terms = _FAMILY_DATA[family].qstep, _inner_terms_rat(family, order)
+    bound = sum(max(map(abs, c.coeffs)) * 2 * k * (order // (s * k * n) + 1) ** 2 for n, c, _ in terms)
+    nbytes = -(-_packing_width([bound]) // 8)  # whole bytes, for `_pack`
+    width, value, deriv = 8 * nbytes, 0, 0
+    for (n, _, quad), packed in zip(terms, _packed_terms(family, order, nbytes)):
+        lo, hi, kn = quad + s * (b - 1) * n, quad + s * (k - b - 1) * n, s * k * n
+        start = min(lo, hi)
+        if start > order:
+            continue
+        span = width * (order - start + 1)
+        at_lo, at_hi = packed << width * (lo - start), packed << width * (hi - start)
+        value += (_div_packed(at_lo - at_hi, width, kn, span)
+                  + _div_packed(at_hi - at_lo, width, kn, span)) << width * start
+        num = (k - b) * at_hi - b * at_lo + ((b * at_hi - (k - b) * at_lo) << width * kn)
+        deriv += _div_packed(_div_packed(num, width, kn, span), width, kn, span) << width * start
+    return value, deriv, width
 
 
 @lru_cache(maxsize=None)
 def _nt_deriv(family: Family, b: int, k: int, order: int) -> QSeries:
     """A'(1) for one (family, b, k), cached; every miss first asserts
-    A(1) = 0 with the generic `_difference_sum`."""
+    A(1) = 0 mod 2^(width * (order + 1)) of the same `_packed_difference`."""
     if not 1 <= b <= k - 1:
         raise ValueError("need 1 <= b <= k-1")
-    terms = _inner_terms_rat(family, order)
-    if not _difference_sum(family, b, k, RAT, terms, order).is_zero():
+    value, deriv, width = _packed_difference(family, b, k, order)
+    if value & ((1 << width * (order + 1)) - 1):
         raise AssertionError("x = 1 evaluation of the inner difference sum must vanish")
-    return _difference_deriv(family, b, k, terms, order)
+    return QSeries(RAT, order, balanced_digits(deriv, width, order + 1))
 
 
 @lru_cache(maxsize=None)
@@ -425,10 +427,10 @@ def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
     term cancel and A(1) = 0 coefficient by coefficient; that is
     asserted on every miss of the cache of A'(1) (`_nt_deriv`).  Hence
     d/dx(P*A) at x = 1 is P(1)*A'(1), and A'(1) = sum_n C_n(1) * g_n'(1)
-    needs only the x = 1 inner terms (see `_difference_deriv`).
-    Everything is integer arithmetic, and P(1)*A'(1) is one integer
-    convolution.  The generic `_difference_sum` over honest
-    x-polynomials is the tests' oracle for this collapse.
+    needs only the x = 1 inner terms (see `_packed_difference`): A(1)
+    and A'(1) are shift-adds on one packed int per summand, and
+    P(1)*A'(1) is one integer convolution.  The inner sum over honest
+    x-polynomials, in the tests, is the oracle for this collapse.
     """
     return -(_prefactor_rat(family, order) * _nt_deriv(family, b, k, order))
 
@@ -439,8 +441,7 @@ def nt_diff_combo(terms, order: int) -> QSeries:
     it is -P(1) * sum c * A'(1) per family: one product per family."""
     derivs = {}
     for c, family, b, k in terms:
-        d = _nt_deriv(family, b, k, order).coeffs
-        add_shifted(derivs.setdefault(family, [0] * (order + 1)), d, 0, c)
+        add_shifted(derivs.setdefault(family, [0] * (order + 1)), _nt_deriv(family, b, k, order).coeffs, 0, c)
     acc = QSeries.zeros(RAT, order)
     for family, d in derivs.items():
         acc = acc - _prefactor_rat(family, order) * QSeries(RAT, order, d)
@@ -788,6 +789,7 @@ def closed_form(form_id: str, order: int) -> QSeries:
 def clear_caches():
     """Drop every memoized series of this module (mainly for tests)."""
     _inner_terms_rat.cache_clear()
+    _packed_terms.cache_clear()
     _prefactor_rat.cache_clear()
     rank_gf.cache_clear()
     _nt_deriv.cache_clear()

@@ -469,15 +469,13 @@ def add_shifted(dst: list, src, k: int, c=1) -> None:
 
 
 def _pack(coeffs, width: int, nbytes: int) -> int:
-    """sum_i coeffs[i] * 2^(width*i), for |coeffs[i]| < 2^(width-1).
-
-    Each coefficient is written as a two's-complement digit; a negative
-    digit c is read back as c + 2^width, so one unit is borrowed from the
-    digit above it."""
-    digits = b"".join(c.to_bytes(nbytes, "little", signed=True) for c in coeffs)
-    one, nil = b"\x01" + bytes(nbytes - 1), bytes(nbytes)
-    borrows = b"".join(one if c < 0 else nil for c in coeffs)
-    return int.from_bytes(digits, "little") - (int.from_bytes(borrows, "little") << width)
+    """sum_i coeffs[i] * 2^(width*i), for |coeffs[i]| < 2^(width-1) and
+    width = 8 * nbytes: each coefficient is offset by half a digit, so its
+    bytes are non-negative, and the offsets come off in one subtraction."""
+    half = 1 << (width - 1)
+    digits = b"".join(map(int.to_bytes, map(add, coeffs, repeat(half)), repeat(nbytes), repeat("little")))
+    offset = int.from_bytes((bytes(nbytes - 1) + b"\x80") * len(coeffs), "little")
+    return int.from_bytes(digits, "little") - offset
 
 
 def balanced_digits(value: int, width: int, count: int) -> list:

@@ -27,7 +27,7 @@ from qcert.genfun import (
     unpack,
 )
 from qcert.rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly
-from qcert.series import QSeries
+from qcert.series import QSeries, balanced_digits
 
 ALL_FAMILIES = (Family.DYSON, Family.OV_RANK, Family.OV_M2, Family.DO_M2)
 
@@ -125,19 +125,19 @@ def test_nt_diff_spec_validation():
 def test_nt_diff_collapse_matches_uncollapsed_xpoly_product(family):
     # the uncollapsed product P*A built over honest x-polynomials: its
     # x = 1 value vanishes and minus its x-derivative is nt_diff_gf,
-    # which multiplies P(1) by A'(1) only
-    from qcert.genfun import _FAMILY_DATA, _difference_sum, _inner_terms
+    # which multiplies P(1) by the packed A'(1) only
+    from qcert.genfun import _FAMILY_DATA, _inner_terms
     from qcert.series import pochhammer_quotient
 
     order = 40
     ring = XPolyRing(RAT)
     d = _FAMILY_DATA[family]
     pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order, ring=ring)
-    terms = tuple(_inner_terms(family, _ZMap(ring), order))
+    terms = [(n, c.coeffs, quad) for n, c, quad in _inner_terms(family, _ZMap(ring), order)]
     pairs = [(1, 3), (1, 5), (2, 5), (1, 7), (3, 7), (1, 11), (6, 11), (1, 13), (3, 13)]
     for b, k in pairs:
-        inner = _difference_sum(family, b, k, ring, terms, order)
-        value, deriv = (pref * inner).at_one()
+        inner = bf.difference_sum_ref(terms, d.qstep, b, k, order, ring.x_power, ring.zero)
+        value, deriv = (pref * QSeries(ring, order, inner)).at_one()
         assert value.is_zero(), (b, k)
         assert -deriv == nt_diff_gf(family, b, k, order), (b, k)
 
@@ -147,50 +147,69 @@ def test_nt_diff_collapse_matches_uncollapsed_xpoly_product(family):
 _WINDOW_PAIRS = ((1, 3), (2, 3), (2, 5), (4, 5), (3, 7), (5, 7), (6, 11), (10, 13))
 
 
+def _assert_packed_difference_matches_reference(family, b, k, order):
+    """The packed A(1) and A'(1) read back digit by digit equal the
+    full-length references, and A'(1) is what `_nt_deriv` caches."""
+    from qcert.genfun import _FAMILY_DATA, _inner_terms_rat, _nt_deriv, _packed_difference
+
+    s = _FAMILY_DATA[family].qstep
+    plain = [(n, c.coeffs, quad) for n, c, quad in _inner_terms_rat(family, order)]
+    value, deriv, width = _packed_difference(family, b, k, order)
+    want_value = bf.difference_sum_ref(plain, s, b, k, order)
+    assert balanced_digits(value, width, order + 1) == want_value == [0] * (order + 1)
+    want_deriv = bf.difference_deriv_ref(plain, s, b, k, order)
+    assert balanced_digits(deriv, width, order + 1) == want_deriv
+    assert _nt_deriv(family, b, k, order).coeffs == want_deriv
+
+
 @pytest.mark.parametrize(
     "family, order", [(f, 200) for f in ALL_FAMILIES] + [(Family.DYSON, 1054)]
 )
 def test_windowed_difference_sums_match_full_length_reference(family, order):
-    from qcert.genfun import (
-        _FAMILY_DATA, _difference_deriv, _difference_sum, _inner_terms_rat,
-    )
+    from qcert.genfun import _FAMILY_DATA, _inner_terms_rat
 
     s = _FAMILY_DATA[family].qstep
     terms = _inner_terms_rat(family, order)
-    plain = [(n, c.coeffs, quad) for n, c, quad in terms]
     starts_past_order = False
     for b, k in _WINDOW_PAIRS:
-        value = _difference_sum(family, b, k, RAT, terms, order)
-        assert value.is_zero(), (b, k)
-        assert value.coeffs == bf.difference_sum_ref(plain, s, b, k, order), (b, k)
-        deriv = _difference_deriv(family, b, k, terms, order)
-        assert deriv.coeffs == bf.difference_deriv_ref(plain, s, b, k, order), (b, k)
+        _assert_packed_difference_matches_reference(family, b, k, order)
         starts_past_order |= any(
             quad + s * min(b - 1, k - b - 1) * n > order for n, _, quad in terms
         )
     assert starts_past_order
 
 
+def test_packed_difference_matches_reference_for_every_registry_key():
+    # every (family, b, k, bound) the registry asks nt_diff_gf or
+    # nt_diff_combo for, the order-1054 DYSON keys included
+    from qcert.verify import _SERIES_FAMILY, registry
+
+    keys = set()
+    for spec in registry():
+        keys |= {(_SERIES_FAMILY[t.family], t.residue, t.modulus, spec.bound)
+                 for t in spec.lhs if t.family in _SERIES_FAMILY}
+        if spec.xcheck and spec.xcheck.rank_family:
+            keys |= {(spec.xcheck.rank_family, b, k, spec.bound) for b, k in spec.xcheck.pairs}
+    assert len(keys) >= 25 and max(order for *_, order in keys) >= 1054
+    for key in sorted(keys, key=lambda key: (key[0].value,) + key[1:]):
+        _assert_packed_difference_matches_reference(*key)
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_windowed_difference_sum_over_dual_numbers(family):
-    # at x = 1 + eps the inner sum does not vanish: its windows are
-    # pinned coefficient by coefficient, and its eps part is A'(1)
-    from qcert.genfun import (
-        _FAMILY_DATA, _difference_deriv, _difference_sum, _inner_terms, _inner_terms_rat,
-    )
+    # at x = 1 + eps the inner sum does not vanish: its eps part is the
+    # packed A'(1)
+    from qcert.genfun import _FAMILY_DATA, _inner_terms, _nt_deriv
 
     order = 60
     ring = DualRing(RAT)
     s = _FAMILY_DATA[family].qstep
-    terms = [(n, bf.joined(c), quad) for n, c, quad in _inner_terms(family, _ZMap(ring), order)]
-    plain = [(n, c.coeffs, quad) for n, c, quad in terms]
+    terms = [(n, bf.joined(c).coeffs, quad) for n, c, quad in _inner_terms(family, _ZMap(ring), order)]
     for b, k in ((1, 5), (3, 5), (6, 11)):
-        got = _difference_sum(family, b, k, ring, terms, order)
-        want = bf.difference_sum_ref(plain, s, b, k, order, ring.x_power, ring.zero)
-        assert got.coeffs == want, (b, k)
-        value, deriv = got.at_one()
+        got = bf.difference_sum_ref(terms, s, b, k, order, ring.x_power, ring.zero)
+        value, deriv = QSeries(ring, order, got).at_one()
         assert value.is_zero() and not deriv.is_zero(), (b, k)
-        assert deriv == _difference_deriv(family, b, k, _inner_terms_rat(family, order), order)
+        assert deriv == _nt_deriv(family, b, k, order), (b, k)
 
 
 def test_nt_diff_combo_is_the_sum_of_its_terms_for_every_registry_spec():
@@ -239,8 +258,8 @@ def test_derivative_cache_miss_runs_the_vanishing_guard(monkeypatch):
     from qcert import genfun as G
 
     guards = []
-    orig = G._difference_sum
-    monkeypatch.setattr(G, "_difference_sum", lambda *a: guards.append(a[:3]) or orig(*a))
+    orig = G._packed_difference
+    monkeypatch.setattr(G, "_packed_difference", lambda *a: guards.append(a[:3]) or orig(*a))
     qcert.clear_caches()
     try:
         nt_diff_combo([(1, Family.DYSON, 1, 5), (1, Family.DYSON, 2, 5)], 30)
@@ -251,6 +270,27 @@ def test_derivative_cache_miss_runs_the_vanishing_guard(monkeypatch):
         assert guards[2:] == [(Family.DYSON, 1, 5)]
     finally:
         qcert.clear_caches()
+
+
+def test_packed_difference_width_one_bit_short_is_refused(monkeypatch):
+    # the width of the packed A(1) and A'(1) comes from their stated
+    # digit bound; a width one bit short of it is refused, never used,
+    # and the runner reports the refusal as a per-check ERROR
+    import qcert
+    from qcert import genfun as G
+    from qcert.verify import run_all
+
+    monkeypatch.setattr(G, "_width", lambda bound: bound.bit_length())
+    qcert.clear_caches()
+    try:
+        with pytest.raises(AssertionError, match="packed width .* cannot hold the digit bound"):
+            nt_diff_gf(Family.DYSON, 1, 5, 30)
+        result = run_all(only="ID-NTDIFF-OV-1-3", order=23)
+    finally:
+        qcert.clear_caches()
+    (rep,) = result.reports
+    assert rep.status == "ERROR" and rep.error.startswith("AssertionError: packed width")
+    assert result.exit_code == 2
 
 
 def test_nt_diff_builds_no_dual_numbers(monkeypatch):
@@ -326,8 +366,8 @@ def test_clear_caches_empties_every_lru_cache():
     tally("NTbar", 6, 5)
     raw_tally("N", 6)
     warm = {f"qcert.genfun.{name}" for name in (
-        "_inner_terms_rat", "_prefactor_rat", "_nt_deriv", "nt_diff_gf", "rank_gf",
-        "closed_form")}
+        "_inner_terms_rat", "_packed_terms", "_prefactor_rat", "_nt_deriv", "nt_diff_gf",
+        "rank_gf", "closed_form")}
     warm |= {"qcert.combinatorics._table"}  # the tallies read the row tables
     assert warm <= set(filled()), filled()
     qcert.clear_caches()

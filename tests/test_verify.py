@@ -365,14 +365,13 @@ def test_nonvanishing_inner_sum_is_a_check_error(monkeypatch):
     import qcert
     from qcert import genfun as G
 
-    orig = G._difference_sum
+    orig = G._packed_difference
 
-    def broken(*args, **kwargs):
-        acc = orig(*args, **kwargs)
-        acc.coeffs[3] = 1
-        return acc
+    def broken(*args):
+        value, deriv, width = orig(*args)
+        return value + (1 << width * 3), deriv, width  # one nonzero digit at q^3
 
-    monkeypatch.setattr(G, "_difference_sum", broken)
+    monkeypatch.setattr(G, "_packed_difference", broken)
     qcert.clear_caches()
     try:
         with pytest.raises(AssertionError):
