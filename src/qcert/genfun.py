@@ -34,7 +34,11 @@ the inner terms, the transformed side and its prefactor) take a
 are the generic route, the tests' reference; packed, z = 2^W after the
 twist q -> zq (Kronecker substitution); over a ``DualRing`` they build
 a ``DualSeries``.  ``rank_gf`` and ``genovpair_series`` are built packed
-over ``RAT`` and read back to ``LaurentPoly`` (``unpack``).
+over ``RAT`` and read in place (``PackedZ``): a distribution is compared
+as one packed int, residue sums mod k are the digits of the int folded
+mod 2^(Wk) - 1, and only a witness or a test decodes to ``LaurentPoly``.
+``rank_gf`` keeps one build per family, at the widest order read, and
+the samples of the pair series share one width (``genovpair_samples``).
 ``thmain_check`` compares its sides packed over ``DualRing(RAT)``, each
 two int series (value and derivative); it builds the prefactor once,
 untwisted, for the majorant and the packed side, and twists it in the
@@ -55,6 +59,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import count, takewhile
+from operator import lshift
 from typing import Callable
 
 from .errors import UnknownFormId
@@ -66,6 +71,7 @@ from .series import (
     add_shifted,
     _pack,
     balanced_digits,
+    folded_digits,
     lerch_sum,
     lift_zc,
     mono,
@@ -228,6 +234,50 @@ def unpack(s, width: int) -> QSeries:
     return QSeries(LAURENT, s.order, [_unpack_coeff(c, width, j) for j, c in enumerate(s.coeffs)])
 
 
+class PackedZ:
+    """A z-refined series over RAT at z = 2^width after the twist q -> zq,
+    read in place: coefficient j is an int whose balanced base-2^width
+    digits are the coefficients of z^-j..z^j, and the majorant that chose
+    the width bounds their absolute sum below half a digit.  `matches` and
+    `residue_sums` read it as ints; `coeff` and `decode` read it back to
+    LaurentPoly, for witnesses and tests."""
+
+    __slots__ = ("coeffs", "width")
+
+    def __init__(self, coeffs: list, width: int):
+        self.coeffs, self.width = coeffs, width
+
+    def matches(self, j: int, dist) -> bool:
+        """Whether coefficient j is sum_m dist[m] z^m: dist packed the same
+        way, compared as one int.  A value of half a digit or more, or an
+        exponent below -j, which the packing cannot hold, is a mismatch;
+        values below half a digit make the packed int's balanced digits
+        dist itself, so an exponent above j is a digit that coefficient j
+        does not have."""
+        width = self.width
+        if max(map(abs, dist.values()), default=0) >> (width - 1):
+            return False
+        try:
+            packed = sum(map(lshift, dist.values(), [width * (m + j) for m in dist]))
+        except ValueError:  # a negative shift: an exponent below -j
+            return False
+        return packed == self.coeffs[j]
+
+    def residue_sums(self, j: int, k: int) -> list:
+        """Coefficient j's z-coefficients summed by exponent mod k: the int
+        folded mod 2^(width k) - 1 (`folded_digits`), its digit r the sum at
+        the exponents = r - j, rotated by j.  Each folded digit is bounded
+        by the same majorant as the digits."""
+        d, s = folded_digits(self.coeffs[j], self.width, k), j % k
+        return d[s:] + d[:s]
+
+    def coeff(self, j: int) -> LaurentPoly:
+        return _unpack_coeff(self.coeffs[j], self.width, j)
+
+    def decode(self) -> QSeries:
+        return unpack(QSeries(RAT, len(self.coeffs) - 1, self.coeffs), self.width)
+
+
 def _inner_terms(family: Family, z: _ZMap, order: int, margin=None):
     """Yield (n, common, quad) where common is the inner summand at level
     n without its q^{quad} shift and without the residue bracket.
@@ -264,6 +314,12 @@ def _inner_terms_rat(family: Family, order: int) -> tuple:
     """Cached inner terms C_n(1) at x = 1, over integers, shared across
     all (b, k)."""
     return tuple(_inner_terms(family, _ZMap(RAT), order))
+
+
+@lru_cache(maxsize=None)
+def _inner_maxima(family: Family, order: int) -> tuple:
+    """max |C_n(1)| of each inner term, shared by the widths of all (b, k)."""
+    return tuple(max(map(abs, c.coeffs)) for _, c, _ in _inner_terms_rat(family, order))
 
 
 @lru_cache(maxsize=None)
@@ -317,40 +373,52 @@ def _rank_sum_of(family: Family, z: _ZMap, order: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def rank_gf(family: Family, order: int) -> QSeries:
-    """z-refined rank generating function at x = 1, over LaurentPoly:
+def _rank_build(family: Family) -> list:
+    """The one packed rank sum of `family`, built at the widest order read
+    (the pattern of ``combinatorics._table``)."""
+    return []
+
+
+@lru_cache(maxsize=None)
+def rank_gf(family: Family, order: int) -> PackedZ:
+    """z-refined rank generating function at x = 1, packed (`PackedZ`):
     coefficient of z^m q^n counts objects of weight n with statistic m.
 
-    Built packed over RAT, its width from the majorant of the same build,
-    and read back by `unpack`.  The read-back coefficients are asserted to
-    lie in the rank range and to sum to the count form (a digit that
-    aliased would move the sum by a multiple of 2^width - 1)."""
+    A read truncates the family's one build; a wider read rebuilds it,
+    its width from the majorant of the same build.  Each coefficient c is
+    asserted as an int: its digits lie in the rank range, -H_n <= c <
+    2^(width(2n+1)) - H_n with H_n half a digit in each of the 2n + 1
+    places, and their sum, the balanced residue of c mod 2^width - 1, is
+    the count form's coefficient."""
+    build = _rank_build(family)
+    if build and len(build[0].coeffs) > order:
+        return PackedZ(build[0].coeffs[: order + 1], build[0].width)
     width = _packing_width(_rank_sum_of(family, _ZMap(RAT, 0, majorant=True), order).coeffs)
-    g = unpack(_rank_sum_of(family, _ZMap(RAT, width), order), width)
+    g = PackedZ(_rank_sum_of(family, _ZMap(RAT, width), order).coeffs, width)
     counts = closed_form(_FAMILY_DATA[family].count_form, order).coeffs
+    half = 1 << (width - 1)
+    offset, step = half, half + (half << width)
     for n, c in enumerate(g.coeffs):
-        if c:
-            lo, hi = c.min_exp(), c.max_exp()
-            if lo < -n or hi > n:
-                raise AssertionError(
-                    f"rank exponent out of range at q^{n}: [{lo}, {hi}]"
-                )
-        if c.subs_one() != counts[n]:
-            raise AssertionError(
-                f"rank counts at q^{n} sum to {c.subs_one()}, not to the count {counts[n]}"
-            )
+        if n:
+            offset += step << width * (2 * n - 1)
+        if (c + offset) >> width * (2 * n + 1):
+            p = g.coeff(n)
+            raise AssertionError(f"rank exponent out of range at q^{n}: [{p.min_exp()}, {p.max_exp()}]")
+        (total,) = folded_digits(c, width, 1)
+        if total != counts[n]:
+            raise AssertionError(f"rank counts at q^{n} sum to {total}, not to the count {counts[n]}")
+    build[:] = [g]
     return g
 
 
 def rank_count_diff(family: Family, b1: int, b2: int, k: int, order: int) -> QSeries:
     """Series of (#objects with statistic = b1 mod k) - (= b2 mod k)."""
     g = rank_gf(family, order)
-    out = QSeries.zeros(RAT, order)
-    for n, c in enumerate(g.coeffs):
-        if c:
-            sums = c.residue_sums(k)
-            out.coeffs[n] = RAT.lift(sums[b1 % k] - sums[b2 % k])
-    return out
+    out = []
+    for n in range(order + 1):
+        sums = g.residue_sums(n, k)
+        out.append(sums[b1 % k] - sums[b2 % k])
+    return QSeries(RAT, order, out)
 
 
 @lru_cache(maxsize=None)
@@ -388,7 +456,8 @@ def _packed_difference(family: Family, b: int, k: int, order: int) -> tuple[int,
     and on every C_n (a numerator's absolute coefficient sum is at most 2k,
     and that of 1/(1 - q^kn)^2 to q^order at most (order//kn + 1)^2)."""
     s, terms = _FAMILY_DATA[family].qstep, _inner_terms_rat(family, order)
-    bound = sum(max(map(abs, c.coeffs)) * 2 * k * (order // (s * k * n) + 1) ** 2 for n, c, _ in terms)
+    bound = sum(mx * 2 * k * (order // (s * k * n) + 1) ** 2
+                for (n, _, _), mx in zip(terms, _inner_maxima(family, order)))
     nbytes = -(-_packing_width([bound]) // 8)  # whole bytes, for `_pack`
     width, value, deriv = 8 * nbytes, 0, 0
     for (n, _, quad), packed in zip(terms, _packed_terms(family, order, nbytes)):
@@ -544,22 +613,31 @@ def thmain_check(family: Family, order: int) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def genovpair_series(d: int, e: int, x: int, order: int) -> QSeries:
+def genovpair_series(d: int, e: int, x: int, order: int) -> PackedZ:
     """The joint pair generating function with int weights d, e, x (all
     nonzero) and z left formal:
 
         sum_n (-1/d, -1/e)_n (x d e q)^n / (z q, x q / z)_n,
 
     built over ints as sum_n prod_{k<n} (d + q^k)(e + q^k) (x q)^n / ...,
-    packed, with its width from the majorant at |d|, |e|, |x|."""
-    if any(type(w) is not int or not w for w in (d, e, x)):
+    packed (`PackedZ`), with its width from the majorant at |d|, |e|, |x|."""
+    return genovpair_samples([(d, e, x)], order)[0]
+
+
+def genovpair_samples(samples, order: int) -> list[PackedZ]:
+    """`genovpair_series` at each (d, e, x) of `samples`, all at one width,
+    from the majorant at the largest |d|, |e| and |x|: its coefficients are
+    polynomials in those weights with non-negative coefficients, so they
+    bound the digits of every sample."""
+    if any(type(w) is not int or not w for ws in samples for w in ws):
         raise ValueError("sampled weights d, e, x must be nonzero ints (limits are hardcoded per family)")
+    top = (max(abs(w) for w in ws) for ws in zip(*samples))
+    width = _packing_width(_pair_sum(_ZMap(RAT, 0, majorant=True), *top, order).coeffs)
+    return [PackedZ(_pair_sum(_ZMap(RAT, width), *ws, order).coeffs, width) for ws in samples]
 
-    def build(z, d, e, x):
-        return _rank_sum(z, ((d, mono(-1, 0)), (e, mono(-1, 0))), lambda n: n, 1, x, x, order)
 
-    width = _packing_width(build(_ZMap(RAT, 0, majorant=True), abs(d), abs(e), abs(x)).coeffs)
-    return unpack(build(_ZMap(RAT, width), d, e, x), width)
+def _pair_sum(z: _ZMap, d: int, e: int, x: int, order: int) -> QSeries:
+    return _rank_sum(z, ((d, mono(-1, 0)), (e, mono(-1, 0))), lambda n: n, 1, x, x, order)
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +867,10 @@ def closed_form(form_id: str, order: int) -> QSeries:
 def clear_caches():
     """Drop every memoized series of this module (mainly for tests)."""
     _inner_terms_rat.cache_clear()
+    _inner_maxima.cache_clear()
     _packed_terms.cache_clear()
     _prefactor_rat.cache_clear()
+    _rank_build.cache_clear()
     rank_gf.cache_clear()
     _nt_deriv.cache_clear()
     nt_diff_gf.cache_clear()

@@ -10,7 +10,8 @@ Three domains are supported:
   builders also run over ``RAT`` with z packed into the ints (z = 2^W
   after q -> zq; see ``genfun._ZMap``),
 * ``LaurentPoly`` -- Laurent polynomials in the rank variable z: the
-  builders' generic route, and the view a packed series is read back to,
+  builders' generic route, and the decoded view of a packed series, for
+  witnesses and tests (``genfun.PackedZ`` is read in place),
 * ``DualScalar`` -- first-order jets a + b*eps with eps^2 = 0, which
   give d/dx at x = 1 exactly alongside the value.  ``thmain_check``
   carries them as two packed int series (``series.DualSeries`` over
@@ -209,9 +210,6 @@ class LaurentPoly(_SparsePoly):
     def is_constant(self) -> bool:
         return not self._c or (len(self._c) == 1 and 0 in self._c)
 
-    def constant(self):
-        return self._c.get(0, 0)
-
     def _scale_by(self, k):
         return self.scale(k) if isinstance(k, (int, Fraction)) else NotImplemented
 
@@ -229,17 +227,6 @@ class LaurentPoly(_SparsePoly):
             )
         ((e, v),) = self._c.items()
         return LaurentPoly({-e: RAT.invert(v)})
-
-    def subs_one(self):
-        """Value at z = 1 (sum of all coefficients)."""
-        return sum(self._c.values())
-
-    def residue_sums(self, k: int) -> list:
-        """Sum coefficients by exponent residue class mod k."""
-        out = [0] * k
-        for e, v in self._c.items():
-            out[e % k] += v
-        return out
 
     def __repr__(self):
         if not self._c:

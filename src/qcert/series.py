@@ -31,7 +31,10 @@ general product, lifts each result (an integral value is an ``int``).
 ``add_shifted`` adds c*q^k*src into a coefficient list from offset k,
 so a sum of shifted terms never builds the zeros below each shift.
 ``balanced_digits`` reads an int back into signed digits, for the
-q-products of ``_int_product`` and for packed z.
+q-products of ``_int_product`` and for packed z, and ``folded_digits``
+reads its digit sums by place mod k, from the int mod 2^(width*k) - 1.
+A kernel's fresh coefficient list becomes its result as it is
+(``QSeries._of``), without the copy and check of the constructor.
 """
 
 from __future__ import annotations
@@ -118,6 +121,14 @@ class QSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, ring, order: int, coeffs: list) -> "QSeries":
+        """The series of `coeffs`, a fresh list of order + 1 coefficients
+        that a kernel has just built, taken as it is: no copy, no check."""
+        s = object.__new__(cls)
+        s.ring, s.order, s.coeffs = ring, order, coeffs
+        return s
+
+    @classmethod
     def zeros(cls, ring, order: int) -> "QSeries":
         return cls(ring, order)
 
@@ -155,7 +166,7 @@ class QSeries:
             return NotImplemented
         self._check_ring(other)
         n = min(self.order, other.order)
-        return QSeries(self.ring, n, map(op, self.coeffs[: n + 1], other.coeffs))
+        return QSeries._of(self.ring, n, list(map(op, self.coeffs[: n + 1], other.coeffs)))
 
     def __add__(self, other):
         return self._termwise(other, add)
@@ -164,7 +175,7 @@ class QSeries:
         return self._termwise(other, sub)
 
     def __neg__(self):
-        return QSeries(self.ring, self.order, [-c for c in self.coeffs])
+        return QSeries._of(self.ring, self.order, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
@@ -172,8 +183,8 @@ class QSeries:
         self._check_ring(other)
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        if all(type(c) is int for c in a) and all(type(c) is int for c in b):
-            return QSeries(self.ring, n, _int_product(a, b, n))
+        if set(map(type, a)) <= {int} and set(map(type, b)) <= {int}:
+            return QSeries._of(self.ring, n, _int_product(a, b, n))
         zero = self.ring.zero
         out = [zero] * (n + 1)
         for i in range(min(len(a) - 1, n) + 1):
@@ -190,7 +201,7 @@ class QSeries:
         c = self.ring.lift(c)
         if not c:
             return QSeries.zeros(self.ring, self.order)
-        return QSeries(self.ring, self.order, _scaled(self.coeffs, c))
+        return QSeries._of(self.ring, self.order, list(_scaled(self.coeffs, c)))
 
     def add_shifted(self, src: "QSeries", k: int, c=1) -> None:
         """self += c * q^k * src, in place (see the function ``add_shifted``)."""
@@ -207,7 +218,7 @@ class QSeries:
         out = list(a)
         if self.ring is RAT and (c in (1, -1) or _shift(c, a)):
             add_shifted(out, a, m, c)
-            return QSeries(RAT, self.order, out)
+            return QSeries._of(RAT, self.order, out)
         for i in range(m, self.order + 1):
             lo = a[i - m]
             if lo:
@@ -224,13 +235,13 @@ class QSeries:
             return self.mul_scalar(self.ring.invert(unit))
         if self.ring is RAT and c in (1, -1):  # 1/(1 + q^m) = (1 - q^m)/(1 - q^2m)
             a = self.coeffs if c == -1 else self.mul_binomial(-1, m).coeffs
-            return QSeries(RAT, self.order, _div_one_minus(a, m if c == -1 else 2 * m))
+            return QSeries._of(RAT, self.order, _div_one_minus(a, m if c == -1 else 2 * m))
         out = list(self.coeffs)
         if self.ring is RAT and (sh := _shift(c, out)):
             odd, k = sh
             for i in range(m, self.order + 1):
                 out[i] -= out[i - m] * odd << k
-            return QSeries(RAT, self.order, out)
+            return QSeries._of(RAT, self.order, out)
         for i in range(m, self.order + 1):
             lo = out[i - m]
             if lo:
@@ -260,14 +271,14 @@ class QSeries:
                     acc = acc + aj * bj
             if acc:
                 out[n] = -(inv0 * acc)
-        return QSeries(self.ring, self.order, out)
+        return QSeries._of(self.ring, self.order, out)
 
     # -- reshaping ---------------------------------------------------------
 
     def truncate(self, order: int) -> "QSeries":
         if order >= self.order:
             return self
-        return QSeries(self.ring, order, self.coeffs[: order + 1])
+        return QSeries._of(self.ring, order, self.coeffs[: order + 1])
 
     # -- comparisons and views ----------------------------------------------
 
@@ -417,10 +428,11 @@ def series_type(ring) -> type:
     return DualSeries if isinstance(ring, DualRing) else QSeries
 
 
-def _lifted(ring, order: int, coeffs) -> QSeries:
-    """The series of `coeffs`, over RAT each lifted so that an integral
-    Fraction from a product of mixed int and Fraction is stored as an int."""
-    return QSeries(ring, order, map(RAT.lift, coeffs) if ring is RAT else coeffs)
+def _lifted(ring, order: int, coeffs: list) -> QSeries:
+    """The series of a kernel's fresh `coeffs`, over RAT each lifted so
+    that an integral Fraction from a product of mixed int and Fraction is
+    stored as an int."""
+    return QSeries._of(ring, order, list(map(RAT.lift, coeffs)) if ring is RAT else coeffs)
 
 
 def _shift(c, src) -> tuple | None:
@@ -502,6 +514,17 @@ def balanced_digits(value: int, width: int, count: int) -> list:
         ]
     step = width // 8
     return [int.from_bytes(raw[i : i + step], "little") - half for i in range(0, bits // 8, step)]
+
+
+def folded_digits(value: int, width: int, k: int) -> list:
+    """The k balanced digits of `value` mod 2^(width*k) - 1: digit r sums
+    the base-2^width digits of `value` at the places = r mod k, because
+    2^(width*k) = 1 there.  The residue is taken balanced, in
+    (-2^(width*k-1), 2^(width*k-1)), so each digit is read exactly while
+    every such sum is below 2^(width-1) in absolute value."""
+    m = (1 << width * k) - 1
+    r = value % m
+    return balanced_digits(r - m if r > m >> 1 else r, width, k)
 
 
 def _int_product(a: list, b: list, n: int) -> list:

@@ -1,6 +1,8 @@
 """Generating functions against the enumeration oracle, closed-form
 identities at working orders, and the dual-derivative operator law."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from qcert.combinatorics import raw_tally, tally
 from qcert.errors import UnknownFormId
 from qcert.genfun import (
     Family,
+    PackedZ,
+    _pair_sum,
     _rank_sum_of,
     _thmain_prefactor,
     _thmain_rhs,
@@ -19,6 +23,7 @@ from qcert.genfun import (
     _ZMap,
     closed_form,
     form_ids,
+    genovpair_samples,
     genovpair_series,
     nt_diff_combo,
     nt_diff_gf,
@@ -48,23 +53,28 @@ _COUNT_OF = {
 # -- rank generating functions ------------------------------------------------
 
 
+def _at_z_one(c: LaurentPoly):
+    """A decoded coefficient at z = 1: the sum of its z-coefficients."""
+    return sum(v for _, v in c.items())
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_rank_gf_constant_term(family):
-    g = rank_gf(family, 6)
-    assert g.coeffs[0].is_constant() and g.coeffs[0].constant() == 1
+    g = rank_gf(family, 6).decode()
+    assert g.coeffs[0].is_constant() and g.coeffs[0][0] == 1
 
 
 def test_rank_gf_ovm2_marginal_is_overpartition_count():
-    g = rank_gf(Family.OV_M2, 8)
+    g = rank_gf(Family.OV_M2, 8).decode()
     ovgf = closed_form("overpartition-gf", 8)
     for n in range(9):
-        assert g.coeffs[n].subs_one() == ovgf.coeffs[n]
-    assert g.coeffs[4].subs_one() == 14
+        assert _at_z_one(g.coeffs[n]) == ovgf.coeffs[n]
+    assert _at_z_one(g.coeffs[4]) == 14
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_rank_gf_distribution_matches_enumeration(family):
-    g = rank_gf(family, 12)
+    g = rank_gf(family, 12).decode()
     for n in range(13):
         want = {m: Fraction(c) for m, c in raw_tally(_COUNT_OF[family], n).items()}
         got = dict(g.coeffs[n].items())
@@ -73,7 +83,7 @@ def test_rank_gf_distribution_matches_enumeration(family):
 
 def test_rank_gf_dyson_z_symmetry():
     # classical rank symmetry: z^m and z^-m coefficients agree
-    g = rank_gf(Family.DYSON, 16)
+    g = rank_gf(Family.DYSON, 16).decode()
     for n in range(17):
         c = g.coeffs[n]
         for m, v in c.items():
@@ -366,8 +376,8 @@ def test_clear_caches_empties_every_lru_cache():
     tally("NTbar", 6, 5)
     raw_tally("N", 6)
     warm = {f"qcert.genfun.{name}" for name in (
-        "_inner_terms_rat", "_packed_terms", "_prefactor_rat", "_nt_deriv", "nt_diff_gf",
-        "rank_gf", "closed_form")}
+        "_inner_terms_rat", "_inner_maxima", "_packed_terms", "_prefactor_rat", "_nt_deriv",
+        "nt_diff_gf", "_rank_build", "rank_gf", "closed_form")}
     warm |= {"qcert.combinatorics._table"}  # the tallies read the row tables
     assert warm <= set(filled()), filled()
     qcert.clear_caches()
@@ -430,13 +440,13 @@ def _integer_first(series) -> bool:
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_laurent_series_are_integer_first(family):
-    assert _integer_first(rank_gf(family, 30))
+    assert _integer_first(rank_gf(family, 30).decode())
     report = thmain_check(family, 20)
     assert _integer_first(report.lhs) and _integer_first(report.rhs)
 
 
 def test_genovpair_series_is_integer_first():
-    assert _integer_first(genovpair_series(1, 1, 1, 10))
+    assert _integer_first(genovpair_series(1, 1, 1, 10).decode())
 
 
 @pytest.mark.parametrize("form", form_ids())
@@ -585,7 +595,7 @@ def test_thmain_constant_terms():
     # carries no power of x, so its derivative component vanishes
     rep = thmain_check(Family.OV_RANK, 6)
     for c in (rep.lhs.coeffs[0], rep.rhs.coeffs[0]):
-        assert c.value.constant() == 1
+        assert c.value[0] == 1
         assert not c.deriv
 
 
@@ -602,7 +612,35 @@ _PACKED_ORDERS = (*range(13), 18, 40, 60)
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_packed_rank_gf_equals_laurent_builder(family):
     for order in _PACKED_ORDERS:
-        assert rank_gf(family, order) == _rank_sum_of(family, _ZMap(LAURENT), order), order
+        assert rank_gf(family, order).decode() == _rank_sum_of(family, _ZMap(LAURENT), order), order
+
+
+def test_rank_gf_reads_truncate_one_build_per_family(monkeypatch):
+    # ID-COUNTDIFF-* read OV_M2 and DO_M2 at 60, and X-M2-* at 24 and 40:
+    # one packed build (and its majorant) per family, at 60, serves all;
+    # a truncated read equals the Laurent builder at its own order
+    import qcert
+    from qcert import genfun as G
+    from qcert.verify import run_all
+
+    real, built = G._rank_sum_of, []
+
+    def spy(family, z, order):
+        built.append((family, order, z.majorant))
+        return real(family, z, order)
+
+    monkeypatch.setattr(G, "_rank_sum_of", spy)
+    qcert.clear_caches()
+    try:
+        result = run_all(only="ID-COUNTDIFF-*,X-M2-*")
+        assert [r.status for r in result.reports] == ["PASS"] * 4
+        assert sorted(built, key=str) == sorted(
+            [(f, 60, m) for f in (Family.OV_M2, Family.DO_M2) for m in (True, False)], key=str)
+        for family, order in ((Family.OV_M2, 24), (Family.DO_M2, 40)):
+            assert rank_gf(family, order).decode() == real(family, _ZMap(LAURENT), order)
+        assert len(built) == 4
+    finally:
+        qcert.clear_caches()
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -645,23 +683,142 @@ def test_unpack_reads_balanced_digits_back_to_z():
     assert unpack(neg, w).coeffs[0] == LaurentPoly({0: 15, 1: -1})
 
 
+# -- packed z read in place -------------------------------------------------------
+
+
+def _random_packed(rng, width: int, j: int):
+    """A random coefficient of q^j packed at z = 2^width, with negative
+    digits, whose digits' absolute sum stays below half a digit, as the
+    majorant guarantees; and its digits as a dict."""
+    budget, digits = rng.randrange(1 << (width - 1)), {}
+    for e in rng.sample(range(-j, j + 1), rng.randint(0, 2 * j + 1)):
+        v = rng.randint(-budget, budget)
+        budget -= abs(v)
+        if v:
+            digits[e] = v
+    return sum(v << width * (e + j) for e, v in digits.items()), digits
+
+
+def test_packed_reads_equal_the_decoded_laurent_reads():
+    # the fold mod 2^(width k) - 1 and the packed compare read what the
+    # decoded LaurentPoly holds, at widths that are not whole bytes too
+    rng = random.Random(26)
+    for _ in range(300):
+        width, j = rng.choice((3, 5, 7, 8, 12, 13, 17, 31, 45, 64)), rng.randint(0, 60)
+        c, digits = _random_packed(rng, width, j)
+        g = PackedZ([0] * j + [c], width)
+        decoded = g.coeff(j)
+        assert dict(decoded.items()) == digits
+        for k in range(1, 14):
+            want = [0] * k
+            for e, v in decoded.items():
+                want[e % k] += v
+            assert g.residue_sums(j, k) == want, (width, j, k)
+        assert g.matches(j, Counter(digits))
+        e = rng.randint(-j, j)
+        assert not g.matches(j, {**digits, e: digits.get(e, 0) + rng.choice((-1, 1))})
+        # an exponent past z^(+-j) is a mismatch, never an exception
+        assert not g.matches(j, {**digits, j + 1: 1}) and not g.matches(j, {**digits, -j - 1: -1})
+        if j:  # the same int with a digit of half a digit or more is no match
+            e = rng.randint(-j, j - 1)
+            alias = {**digits, e: digits.get(e, 0) + (1 << width), e + 1: digits.get(e + 1, 0) - 1}
+            assert sum(v << width * (m + j) for m, v in alias.items()) == c
+            assert not g.matches(j, alias)
+
+
+def test_packed_residue_sums_read_the_fold():
+    # z^-1 + 2 + 3z + 5z^4 as the coefficient of q^4, packed at a width
+    # that is not a whole byte: summed by exponent mod 5, and mod 1 (its
+    # value at z = 1)
+    w = 6
+    c = sum(v << w * (e + 4) for e, v in {-1: 1, 0: 2, 1: 3, 4: 5}.items())
+    g = PackedZ([0, 0, 0, 0, c], w)
+    assert g.residue_sums(4, 5) == [2, 3, 0, 0, 6]
+    assert g.residue_sums(4, 1) == [11]
+
+
+def _moved_rank_build(monkeypatch, n: int, moves):
+    """rank_gf's packed builds with their q^n coefficient changed by c at
+    z^e for each (e, c) of `moves`, after the majorant set the width."""
+    from qcert import genfun as G
+
+    real = G._rank_sum_of
+
+    def moved(family, z, order):
+        s = real(family, z, order)
+        if z.width and not z.majorant and order >= n:
+            s.coeffs[n] += sum(c << z.width * (e + n) for e, c in moves)
+        return s
+
+    monkeypatch.setattr(G, "_rank_sum_of", moved)
+    G.clear_caches()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_rank_digit_past_the_rank_range_is_refused(monkeypatch, sign):
+    # a digit at z^6 of q^5 fails the int range check, and the message
+    # decodes the exponent range found
+    _moved_rank_build(monkeypatch, 5, [(6, sign)])
+    try:
+        with pytest.raises(AssertionError, match=r"rank exponent out of range at q\^5: \[-4, 6\]"):
+            rank_gf(Family.DYSON, 8)
+    finally:
+        from qcert import genfun
+
+        genfun.clear_caches()
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_rank_digit_changed_by_one_is_refused_by_the_sum_check(monkeypatch, delta):
+    # the digit sum, the balanced residue mod 2^width - 1, moves by the
+    # change, so the count check refuses the build: p(6) = 11
+    _moved_rank_build(monkeypatch, 6, [(0, delta)])
+    try:
+        with pytest.raises(AssertionError, match=rf"rank counts at q\^6 sum to {11 + delta}, not to the count 11"):
+            rank_gf(Family.DYSON, 8)
+    finally:
+        from qcert import genfun
+
+        genfun.clear_caches()
+
+
+def test_pair_sample_majorants_are_bounded_by_the_shared_one():
+    # the majorant's coefficients are polynomials in |d|, |e|, |x| with
+    # non-negative coefficients: each sample's own majorant is at most
+    # the one at the largest weights, which sets the shared width
+    rng = random.Random(14)
+    order = 10
+    for _ in range(6):
+        samples = [(2, 1, 1), (1, 2, 1), (2, 3, 1), (1, 1, 2), (3, 2, 2)]
+        samples += [tuple(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) for _ in range(3)) for _ in range(2)]
+        top = [max(abs(w) for w in ws) for ws in zip(*samples)]
+        shared = _pair_sum(_ZMap(RAT, 0, majorant=True), *top, order).coeffs
+        for d, e, x in samples:
+            own = _pair_sum(_ZMap(RAT, 0, majorant=True), abs(d), abs(e), abs(x), order).coeffs
+            assert all(a <= b for a, b in zip(own, shared)), (d, e, x)
+        series = genovpair_samples(samples, order)
+        assert len({g.width for g in series}) == 1
+        for (d, e, x), g in zip(samples, series):
+            assert g.decode() == genovpair_series(d, e, x, order).decode(), (d, e, x)
+
+
 # -- generic pair series -----------------------------------------------------------
 
 
 def test_genovpair_at_unit_weights_counts_pairs():
-    g = genovpair_series(1, 1, 1, 8)
+    g = genovpair_series(1, 1, 1, 8).decode()
     pgf = closed_form("overpartition-pair-gf", 8)
     for n in range(9):
-        assert g.coeffs[n].subs_one() == pgf.coeffs[n]
+        assert _at_z_one(g.coeffs[n]) == pgf.coeffs[n]
 
 
 def test_genovpair_weight_one_coefficient():
     # objects of weight 1: (1,.), (1bar,.), (.,1), (.,1bar) with weights
     # x, dx, dex, ex and rank 0 throughout
-    g = genovpair_series(2, 3, 1, 4)
+    g = genovpair_series(2, 3, 1, 4).decode()
     c = g.coeffs[1]
     assert c.is_constant()
-    assert c.constant() == 1 + 2 + 2 * 3 + 3
+    assert c[0] == 1 + 2 + 2 * 3 + 3
 
 
 def test_genovpair_rejects_zero_weights():

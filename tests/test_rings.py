@@ -42,12 +42,6 @@ def test_laurent_coefficients_follow_rat_lift():
         LaurentPoly({0: 0.5})
 
 
-def test_laurent_residue_sums():
-    p = LaurentPoly({-1: 1, 0: 2, 1: 3, 4: 5})
-    assert p.residue_sums(5) == [2, 3, 0, 0, 6]
-    assert p.subs_one() == 11
-
-
 def test_laurent_unit_coefficients_print_as_signs():
     assert repr(LaurentPoly({-1: -1, 0: -1, 1: -1, 2: 2})) == "-z^-1 - 1 - z + 2*z^2"
     assert repr(LaurentPoly({0: 1, 1: 1, 3: Fraction(-1, 2)})) == "1 + z - 1/2*z^3"

@@ -483,6 +483,150 @@ def test_pair_statement_text(cid, statement):
     assert get_spec(cid).statement == statement
 
 
+def test_xcheck_oracle_count_off_by_one_fails_with_the_decoded_witness(monkeypatch):
+    # one object too many at rank 2 of weight 7: the packed compare fails
+    # at n = 7, and the witness decodes the series as the Laurent route did
+    from collections import Counter
+
+    from qcert import verify as V
+
+    real = V.raw_tally
+
+    def bumped(family, n, upto=None):
+        dist = real(family, n, upto)
+        return dist + Counter({2: 1}) if family == "N" and n == 7 else dist
+
+    monkeypatch.setattr(V, "raw_tally", bumped)
+    rep = run_check(get_spec("X-RANK-PART"))
+    assert rep.status == "FAIL"
+    assert rep.witness == {
+        "n": 7,
+        "value": "z^-6 + z^-4 + z^-3 + 2*z^-2 + z^-1 + 3 + z + 2*z^2 + z^3 + z^4 + z^6",
+        "expected": "{-6: 1, -4: 1, -3: 1, -2: 2, -1: 1, 0: 3, 1: 1, 2: 3, 3: 1, 4: 1, 6: 1}",
+    }
+    assert not rep.notes
+
+
+def test_xcheck_oracle_rank_past_the_range_fails(monkeypatch):
+    # an oracle rank of 6 at weight 5 cannot be packed at q^5: a FAIL
+    from collections import Counter
+
+    from qcert import verify as V
+
+    real = V.raw_tally
+
+    def bumped(family, n, upto=None):
+        dist = real(family, n, upto)
+        return dist + Counter({6: 1}) if family == "Nbar2" and n == 5 else dist
+
+    monkeypatch.setattr(V, "raw_tally", bumped)
+    rep = run_check(get_spec("X-M2-OV"))
+    assert rep.status == "FAIL"
+    assert rep.witness == {
+        "n": 5,
+        "value": "2*z^-2 + 4*z^-1 + 12 + 4*z + 2*z^2",
+        "expected": "{-2: 2, -1: 4, 0: 12, 1: 4, 2: 2, 6: 1}",
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_pair_profile_count_off_by_one_fails_with_its_sample(monkeypatch, seed):
+    # one pair too many in one (r, s, t, m) group of weight 5: the first
+    # sample's weighted sum misses at n = 5, and the witness and note are
+    # the decoded series and the sampled weights
+    from collections import Counter
+
+    from qcert import combinatorics as C
+
+    real = C.pair_profile
+
+    def bumped(n, upto=None):
+        profile = real(n, upto)
+        return profile + Counter({(0, 0, 3, -1): 1}) if n == 5 else profile
+
+    monkeypatch.setattr(C, "pair_profile", bumped)
+    rep = run_check(get_spec("X-PAIR"), config=VerifyConfig(seed=seed))
+    assert rep.status == "FAIL"
+    assert rep.witness == {
+        "n": 5,
+        "value": "6*z^-4 + 12*z^-3 + 60*z^-2 + 144*z^-1 + 288 + 144*z + 60*z^2 + 12*z^3 + 6*z^4",
+        "expected": "{-4: 6, -3: 12, -2: 60, -1: 145, 0: 288, 1: 144, 2: 60, 3: 12, 4: 6}",
+    }
+    assert rep.notes == ["sampled weights (d,e,x)=(2,1,1)"]
+
+
+@pytest.mark.parametrize("key", [(0, 0, 3, -6), (11, 0, 3, 0)], ids=["rank-below-n", "r-past-upto"])
+def test_pair_profile_the_packing_cannot_hold_fails_decoded(monkeypatch, key):
+    # a profile entry that no packed group can hold (a rank below -5 at
+    # weight 5, an r past the profile's reach) is compared decoded, and
+    # fails there
+    from collections import Counter
+
+    from qcert import combinatorics as C
+
+    real = C.pair_profile
+
+    def bumped(n, upto=None):
+        profile = real(n, upto)
+        return profile + Counter({key: 1}) if n == 5 else profile
+
+    monkeypatch.setattr(C, "pair_profile", bumped)
+    rep = run_check(get_spec("X-PAIR"))
+    assert rep.status == "FAIL" and rep.witness["n"] == 5
+    assert f"{key[3]}: " in rep.witness["expected"]
+    assert rep.notes == ["sampled weights (d,e,x)=(2,1,1)"]
+
+
+def test_rank_count_moved_between_digits_fails_the_count_difference_and_xcheck(monkeypatch):
+    # one overpartition moved from M2-rank 0 to 1 at weight 4 keeps the
+    # digit sum, so the build passes its own checks; the fold then reads
+    # one more object at residue 1 mod 5, and both routes see it
+    import qcert
+    from qcert import genfun as G
+    from qcert.genfun import Family, closed_form
+
+    qcert.clear_caches()
+    want = closed_form("ovm2-count-diff-1-2-5-rhs", 60).coeffs[4]
+    real = G._rank_sum_of
+
+    def moved(family, z, order):
+        s = real(family, z, order)
+        if family is Family.OV_M2 and z.width and not z.majorant:
+            s.coeffs[4] += (1 << z.width * 5) - (1 << z.width * 4)
+        return s
+
+    monkeypatch.setattr(G, "_rank_sum_of", moved)
+    qcert.clear_caches()
+    try:
+        countdiff = run_check(get_spec("ID-COUNTDIFF-OVM2"))
+        xcheck = run_check(get_spec("X-M2-OV"))
+    finally:
+        qcert.clear_caches()
+    assert countdiff.status == "FAIL"
+    assert countdiff.witness == {"n": 4, "value": want + 1, "expected": want}
+    assert xcheck.status == "FAIL" and xcheck.witness["n"] == 4
+
+
+def test_passing_cross_checks_decode_no_packed_series(monkeypatch):
+    # the forms-xcheck selection reads every packed series in place: with
+    # the decoder made to raise, all 17 checks still pass
+    import qcert
+    from qcert import genfun as G
+
+    def refuse(c, width, j):
+        raise AssertionError("a passing check decoded a packed series")
+
+    monkeypatch.setattr(G, "_unpack_coeff", refuse)
+    qcert.clear_caches()
+    try:
+        result = run_all(only="ID-THETA-*,ID-KERNEL*,ID-COUNTDIFF-*,ID-MAIN-*,X-*",
+                         config=VerifyConfig(seed=3))
+    finally:
+        qcert.clear_caches()
+    assert len(result.reports) == 17
+    assert [r.id for r in result.reports if r.status != "PASS"] == []
+
+
 def test_packed_width_one_bit_short_is_an_error_never_a_pass(monkeypatch):
     # the width rule is asserted: a z = 2^width one bit narrower than the
     # bound must stop both packed routes, the rank series of an X-check
@@ -494,7 +638,8 @@ def test_packed_width_one_bit_short_is_an_error_never_a_pass(monkeypatch):
     monkeypatch.setattr(G, "_width", lambda bound: real(bound) - 1)
     qcert.clear_caches()
     try:
-        reports = [run_check(get_spec(cid)) for cid in ("ID-MAIN-OVM2", "X-RANK-OV", "X-M2-DO")]
+        reports = [run_check(get_spec(cid))
+                   for cid in ("ID-MAIN-OVM2", "X-RANK-OV", "X-M2-DO", "X-PAIR", "ID-COUNTDIFF-OVM2")]
         result = run_all(only="ID-MAIN-DYSON,X-RANK-PART")
     finally:
         qcert.clear_caches()
