@@ -1,21 +1,27 @@
 """qcert: exact q-series arithmetic and a combinatorial counting oracle
 for verifying partition-statistic congruences and identities.
 
-The package has five layers:
+Every coefficient the package computes is an integer.  It has five
+layers:
 
 * ``qcert.rings`` / ``qcert.series`` -- truncated power series in q over
-  exact coefficient rings, each of which carries the part-marking
-  variable x (1, a dual number 1 + eps, or an honest polynomial), with
+  the integers (``RAT``) and over integer dual numbers, with the
+  part-marking variable x carried by the ring (1, or 1 + eps), and
   Pochhammer, theta-bracket, and bilateral Appell-Lerch builders;
 * ``qcert.combinatorics`` -- partitions, overpartitions, overpartition
   pairs and distinct-odd partitions: streaming enumerators, every rank /
   crank statistic, and residue tallies counted from those definitions;
-* ``qcert.genfun`` -- the rank generating functions, part-count
-  difference series (exact d/dx at 1 from the x = 1 inner terms, over
-  integers), the main transformation check (dual numbers), and the table
-  of closed forms they are compared against;
+* ``qcert.genfun`` -- the rank generating functions, with the rank
+  variable z packed into the ints, part-count difference series (exact
+  d/dx at 1 from the x = 1 inner terms), the main transformation check
+  (dual numbers), and the table of closed forms they are compared
+  against;
 * ``qcert.verify`` -- the declarative check registry and runner;
 * ``qcert.cli`` -- the ``qcert`` command-line tool.
+
+The reference route of the tests (``tests/bruteforce.py``) adds the
+rings that the package does not hold: Laurent polynomials in a formal
+z, exact rationals, and honest polynomials in x.
 """
 
 from . import combinatorics, genfun
@@ -44,7 +50,7 @@ from .genfun import (
     rank_gf,
     thmain_check,
 )
-from .rings import LAURENT, RAT, DualScalar, LaurentPoly
+from .rings import RAT, DualScalar
 from .series import (
     Monomial,
     QSeries,

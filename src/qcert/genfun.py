@@ -26,17 +26,19 @@ family has one prefactor, shared by the part-count series and the main
 transformation; at x = 1 it is one over a sparse theta series with
 O(sqrt N) terms (Euler's pentagonal theorem, Gauss's phi and psi).
 
-The generic helpers take the coefficient ring, which carries x: x = 1
-over ``RAT`` or ``LAURENT``, 1 + eps over ``DualRing``, and x itself
-over the tests' oracle ring.  The z-refined builders (the rank sums,
-the inner terms, the transformed side and its prefactor) take a
-``_ZMap``, which says where a term c z^e q^m goes: with z formal they
-are the generic route, the tests' reference; packed, z = 2^W after the
-twist q -> zq (Kronecker substitution); over a ``DualRing`` they build
-a ``DualSeries``.  ``rank_gf`` and ``genovpair_series`` are built packed
-over ``RAT`` and read in place (``PackedZ``): a distribution is compared
-as one packed int, residue sums mod k are the digits of the int folded
-mod 2^(Wk) - 1, and only a witness or a test decodes to ``LaurentPoly``.
+Everything here is computed over the integers.  The generic helpers
+take the coefficient ring, which carries x: x = 1 over ``RAT``, 1 + eps
+over ``DualRing``, and x itself over the tests' oracle ring.  The
+z-refined builders (the rank sums, the inner terms, the transformed
+side and its prefactor) take a ``_ZMap``, which says where a term
+c z^e q^m goes: packed, z = 2^W after the twist q -> zq (Kronecker
+substitution); over a ``DualRing`` they build a ``DualSeries``.  The
+tests pass a map with z formal, over their Laurent ring: that generic
+route is the reference for every packed build.  ``rank_gf`` and
+``genovpair_series`` are built packed over ``RAT`` and read in place
+(``PackedZ``): a distribution is compared as one packed int, residue
+sums mod k are the digits of the int folded mod 2^(Wk) - 1, and only a
+witness reads the digits back, as text (``z_text``).
 ``rank_gf`` keeps one build per family, at the widest order read, and
 the samples of the pair series share one width (``genovpair_samples``).
 ``thmain_check`` compares its sides packed over ``DualRing(RAT)``, each
@@ -63,7 +65,7 @@ from operator import lshift
 from typing import Callable
 
 from .errors import UnknownFormId
-from .rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly
+from .rings import RAT, DualRing, term_text
 from .series import (
     DualSeries,
     Monomial,
@@ -73,7 +75,6 @@ from .series import (
     balanced_digits,
     folded_digits,
     lerch_sum,
-    lift_zc,
     mono,
     pochhammer_quotient,
     series_type,
@@ -167,20 +168,22 @@ _FAMILY_DATA = {
 class _ZMap:
     """Where the z-refined builders send a term c * z^e * q^m, over `ring`.
 
-    With `width` None, z stays formal (a ring over LAURENT).  With a
-    width, z is packed: after the twist q -> zq every z-exponent is >= 0,
-    and z = 2^width, so c z^e q^m carries c * 2^(width*(e+m)) and the
+    z is packed: after the twist q -> zq every z-exponent is >= 0, and
+    z = 2^width, so c z^e q^m carries c * 2^(width*(e+m)) and the
     coefficient of q^j is an int whose base-2^width digits are the
-    coefficients of z^-j..z^j (`unpack`).  The `majorant` (z = 1) sends
-    every factor (1 + c q^m) to (1 + |c| q^m) and every divisor to
-    (1 - |c| q^m), so each of its coefficients bounds the absolute sum of
-    the z-coefficients of the same build, and with it every digit.
+    coefficients of z^-j..z^j (`z_digits`); a z-free build takes width
+    0.  The tests' formal z is a subclass whose `mul` keeps z^e as a
+    Laurent monomial, at width 0, so that no twist is applied.  The
+    `majorant` (z = 1) sends every factor (1 + c q^m) to (1 + |c| q^m)
+    and every divisor to (1 - |c| q^m), so each of its coefficients
+    bounds the absolute sum of the z-coefficients of the same build, and
+    with it every digit.
     The builders make `series` over the ring: a DualSeries over a DualRing.
     """
 
     __slots__ = ("ring", "width", "majorant", "series")
 
-    def __init__(self, ring, width: int | None = None, majorant: bool = False):
+    def __init__(self, ring, width: int = 0, majorant: bool = False):
         self.ring, self.width, self.majorant = ring, width, majorant
         self.series = series_type(ring)
 
@@ -188,8 +191,6 @@ class _ZMap:
         """c z^e q^m as a scalar, a summand or a factor (1 + c z^e q^m)."""
         if self.majorant:
             return self.ring.lift(abs(c))
-        if self.width is None:
-            return lift_zc(self.ring, c, e)
         return self.ring.lift(c << self.width * (e + m))
 
     def div(self, c, e: int = 0, m: int = 0):
@@ -219,19 +220,19 @@ def _packing_width(bounds) -> int:
     return width
 
 
-def _unpack_coeff(c: int, width: int, j: int) -> LaurentPoly:
-    """A packed coefficient of q^j read back to z: digit i is z^(i-j)."""
+def z_digits(c: int, width: int, j: int) -> dict:
+    """A packed coefficient of q^j read back to z, for witnesses: its
+    nonzero balanced digits as {m: digit}, lowest m first, digit i being
+    the coefficient of z^(i-j)."""
     ds = balanced_digits(c, width, abs(c).bit_length() // width + 2)
-    return LaurentPoly({i - j: d for i, d in enumerate(ds) if d})
+    return {i - j: d for i, d in enumerate(ds) if d}
 
 
-def unpack(s, width: int) -> QSeries:
-    """A packed series read back to LaurentPoly coefficients: over LAURENT
-    from RAT, and over DualRing(LAURENT) from a DualSeries over RAT."""
-    if isinstance(s, DualSeries):
-        value, deriv = (unpack(h, width).coeffs for h in s.at_one())
-        return QSeries(DualRing(LAURENT), s.order, map(DualScalar, value, deriv))
-    return QSeries(LAURENT, s.order, [_unpack_coeff(c, width, j) for j, c in enumerate(s.coeffs)])
+def z_text(c: int, width: int, j: int) -> str:
+    """`z_digits` as the text of a Laurent polynomial in z, lowest power
+    first: "z^-1 + 3 - 2*z^2", "0" when every digit is 0."""
+    bits = [term_text(str(d), "z", m) for m, d in z_digits(c, width, j).items()]
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
 
 
 class PackedZ:
@@ -239,8 +240,8 @@ class PackedZ:
     read in place: coefficient j is an int whose balanced base-2^width
     digits are the coefficients of z^-j..z^j, and the majorant that chose
     the width bounds their absolute sum below half a digit.  `matches` and
-    `residue_sums` read it as ints; `coeff` and `decode` read it back to
-    LaurentPoly, for witnesses and tests."""
+    `residue_sums` read it as ints; only a witness reads its digits back
+    (`z_text`)."""
 
     __slots__ = ("coeffs", "width")
 
@@ -271,11 +272,8 @@ class PackedZ:
         d, s = folded_digits(self.coeffs[j], self.width, k), j % k
         return d[s:] + d[:s]
 
-    def coeff(self, j: int) -> LaurentPoly:
-        return _unpack_coeff(self.coeffs[j], self.width, j)
-
-    def decode(self) -> QSeries:
-        return unpack(QSeries(RAT, len(self.coeffs) - 1, self.coeffs), self.width)
+    def text(self, j: int) -> str:
+        return z_text(self.coeffs[j], self.width, j)
 
 
 def _inner_terms(family: Family, z: _ZMap, order: int, margin=None):
@@ -402,8 +400,8 @@ def rank_gf(family: Family, order: int) -> PackedZ:
         if n:
             offset += step << width * (2 * n - 1)
         if (c + offset) >> width * (2 * n + 1):
-            p = g.coeff(n)
-            raise AssertionError(f"rank exponent out of range at q^{n}: [{p.min_exp()}, {p.max_exp()}]")
+            found = list(z_digits(c, width, n))
+            raise AssertionError(f"rank exponent out of range at q^{n}: [{found[0]}, {found[-1]}]")
         (total,) = folded_digits(c, width, 1)
         if total != counts[n]:
             raise AssertionError(f"rank counts at q^{n} sum to {total}, not to the count {counts[n]}")
@@ -525,7 +523,7 @@ def nt_diff_combo(terms, order: int) -> QSeries:
 @dataclass
 class IdentityReport:
     """The two sides are kept packed (`_ZMap`), each a DualSeries over RAT;
-    `lhs` and `rhs` read them back over DualRing(LAURENT)."""
+    `text` reads one side's coefficient back, for a witness."""
 
     name: str
     ok: bool
@@ -534,13 +532,11 @@ class IdentityReport:
     packed: tuple[DualSeries, DualSeries]
     width: int
 
-    @property
-    def lhs(self) -> QSeries:
-        return unpack(self.packed[0], self.width)
-
-    @property
-    def rhs(self) -> QSeries:
-        return unpack(self.packed[1], self.width)
+    def text(self, side: int, n: int) -> str:
+        """Coefficient n of side 0 (lhs) or 1 (rhs) as a jet of Laurent
+        polynomials in z, "(value + deriv*eps)"."""
+        value, deriv = (z_text(h.coeffs[n], self.width, n) for h in self.packed[side].at_one())
+        return f"({value} + {deriv}*eps)"
 
 
 def _thmain_prefactor(family: Family, ring, order: int) -> DualSeries:
@@ -615,7 +611,7 @@ def thmain_check(family: Family, order: int) -> IdentityReport:
 
 def genovpair_series(d: int, e: int, x: int, order: int) -> PackedZ:
     """The joint pair generating function with int weights d, e, x (all
-    nonzero) and z left formal:
+    nonzero), refined by the pair rank in z:
 
         sum_n (-1/d, -1/e)_n (x d e q)^n / (z q, x q / z)_n,
 
@@ -672,11 +668,11 @@ def _kernel_sum(family: Family, ypoly, denoms, order: int) -> QSeries:
     """sum_{n>=1} (-1)^n q^{quad(n)} (sum_j ypoly[j] q^{step*n*j})
     / prod_{(sgn, mult) in denoms} (1 + sgn * q^{mult*n}), truncated at
     `order`, with quad and step from the kernel family's row; `ypoly`
-    is a dict or LaurentPoly, read through its items()."""
+    is the coefficient tuple of a polynomial in y, constant term first."""
     _, _, quad, ystep = _KERNELS[family]
     acc = QSeries.zeros(RAT, order)
     for n in takewhile(lambda n: quad(n) <= order, count(1)):
-        ys = {ystep * n * j: (-1) ** n * c for j, c in ypoly.items()}  # from q^quad(n)
+        ys = {ystep * n * j: (-1) ** n * c for j, c in enumerate(ypoly)}  # from q^quad(n)
         term = QSeries.from_terms(RAT, order - quad(n), ys)
         for sgn, mult in denoms:
             term = term.div_binomial(sgn, mult * n)
@@ -692,13 +688,12 @@ def _kernel_product(family: Family, ypoly, denoms, order: int) -> QSeries:
     return closed_form(gf, order).mul_scalar(mult) * inner
 
 
-# (y - 1)^3 (y^2 - 1) times the brace polynomial of each mod-5 form
-_Y_MINUS_1 = LaurentPoly({0: -1, 1: 1})
-_CUBE = _Y_MINUS_1 * _Y_MINUS_1 * _Y_MINUS_1
-_CUBE_DIFF = _CUBE * LaurentPoly({0: -1, 2: 1})
-_QUINTIC_FULL = _CUBE_DIFF * LaurentPoly({0: 1, 1: 2, 2: 4, 3: 2, 4: 1})
-_QUINTIC_MID = _CUBE_DIFF * LaurentPoly({1: 2, 2: 1, 3: 2})
-_QUARTIC = _CUBE * _Y_MINUS_1  # (y - 1)^4
+# coefficient tuples in y, constant term first: (y - 1)^3 (y^2 - 1) times
+# the brace polynomial of each mod-5 form, 1 + 2y + 4y^2 + 2y^3 + y^4 and
+# 2y + y^2 + 2y^3, and (y - 1)^4 for the mod-3 forms
+_QUINTIC_FULL = (1, -1, 0, -4, 4, 4, -4, 0, -1, 1)
+_QUINTIC_MID = (0, 2, -5, 3, 0, 0, 3, -5, 2)
+_QUARTIC = (1, -4, 6, -4, 1)
 
 
 def _sbar2(b: int, order: int) -> QSeries:
@@ -787,7 +782,7 @@ _FORM_BUILDERS: dict[str, Callable[[int], QSeries]] = {
         Family.OV_M2, _QUARTIC, ((-1, 6), (-1, 6)), order
     ),
     "mod3-kernel-onesided": lambda order: _kernel_sum(
-        Family.OV_RANK, {0: 1, 1: 1}, ((1, 3),), order
+        Family.OV_RANK, (1, 1), ((1, 3),), order
     ),
     # -1/2 plus the bilateral sum, whose left-out n = 0 term is exactly +1/2
     "mod3-kernel-bilateral": lambda order: lerch_sum(
@@ -795,7 +790,7 @@ _FORM_BUILDERS: dict[str, Callable[[int], QSeries]] = {
     ),
     "mod3-kernel-base9": _mod3_kernel_base9,
     "mod3-combined-rhs": lambda order: _kernel_product(
-        Family.OV_RANK, {0: 1, 1: 1}, ((1, 3),), order
+        Family.OV_RANK, (1, 1), ((1, 3),), order
     ),
     "theta-overpartition-rhs": _theta_overpartition_rhs,
     # the matching cube on both bracket factors is forced by the identity's
@@ -814,14 +809,14 @@ _FORM_BUILDERS: dict[str, Callable[[int], QSeries]] = {
     ),
     "theta-base9-rhs": _theta_base9_rhs,
     "ovm2-mod5-kernel-onesided": lambda order: _kernel_product(
-        Family.OV_M2, {0: 1, 1: -3, 2: 3, 3: -1}, ((-1, 10),), order
+        Family.OV_M2, (1, -3, 3, -1), ((-1, 10),), order
     ),
     "ovm2-mod5-kernel": lambda order: (
         closed_form("overpartition-gf", order).mul_scalar(2)
         * (_sbar2(1, order) + _sbar2(3, order).mul_scalar(3))
     ),
     "dom2-mod5-kernel-onesided": lambda order: _kernel_product(
-        Family.DO_M2, {0: 1, 1: -2, 3: 2, 4: -1}, ((-1, 10),), order
+        Family.DO_M2, (1, -2, 0, 2, -1), ((-1, 10),), order
     ),
     "dom2-mod5-kernel": lambda order: (
         closed_form("distinct-odd-gf", order)

@@ -21,13 +21,16 @@ So ``thmain_check`` carries each side as two packed int series, builds
 its prefactor once, untwisted, and ``DualSeries.mul`` twists it in the
 product, one small product and a shift per prefactor coefficient.
 
-Over ``RAT`` the binomial kernels with c = +-1 are C-level list passes,
-and an int c with 30 or more trailing zero bits on int coefficients is a
-product with its odd part and a shift past those bits, so that a packed
-power of z (see ``genfun``) costs a shift, not a big-integer product;
-``mul_scalar`` and ``add_shifted`` scale the same way.  Other rings and
-coefficients keep the per-element loop, which over ``RAT``, as in the
-general product, lifts each result (an integral value is an ``int``).
+Over ``RAT``, the integers, the binomial kernels with c = +-1 are
+C-level list passes, and an int c with 30 or more trailing zero bits is
+a product with its odd part and a shift past those bits, so that a
+packed power of z (see ``genfun``) costs a shift, not a big-integer
+product; ``mul_scalar`` and ``add_shifted`` scale the same way.  Other
+rings and coefficients keep the per-element loop: over ``RAT`` it
+makes ints from ints, and the rings of the tests' reference route
+(Laurent polynomials in a formal z, rationals, x-polynomials) take it
+too.  A product argument (``Monomial``) has an int coefficient, and a
+power of z in it needs a ring over a formal z (``mon``).
 ``add_shifted`` adds c*q^k*src into a coefficient list from offset k,
 so a sum of shifted terms never builds the zeros below each shift.
 ``balanced_digits`` reads an int back into signed digits, for the
@@ -40,34 +43,35 @@ A kernel's fresh coefficient list becomes its result as it is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import add, lshift, mul, sub
 
 from .errors import DivergentProduct
-from .rings import LAURENT, RAT, DualRing, LaurentPoly, term_text
+from .rings import RAT, DualRing, term_text
 
 
 @dataclass(frozen=True)
 class Monomial:
     """A product argument of shape coeff * q^qexp * z^zexp * x^xexp.
 
-    Every Pochhammer argument used by the engine has this shape; general
-    series arguments are deliberately unsupported.
+    Every Pochhammer argument used by the engine has this shape, with an
+    int coefficient; general series arguments are deliberately
+    unsupported.
     """
 
-    coeff: int | Fraction
+    coeff: int
     qexp: int
     zexp: int = 0
     xexp: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", RAT.lift(self.coeff))
+        RAT.lift(self.coeff)  # refuses a coefficient that is not an int
         if self.qexp < 0:
             raise ValueError("Monomial q-exponent must be >= 0")
 
     def bracket_partner(self, modulus: int) -> "Monomial":
-        """The companion argument q^modulus / self of a bracket product."""
+        """The companion argument q^modulus / self of a bracket product;
+        its coefficient is 1/coeff, so coeff must be +-1."""
         if self.xexp:
             raise ValueError("bracket arguments may not involve x")
         if not (1 <= self.qexp <= modulus - 1):
@@ -82,14 +86,18 @@ def mono(coeff, qexp, zexp=0, xexp=0) -> Monomial:
     return Monomial(coeff, qexp, zexp, xexp)
 
 
-def lift_zc(ring, coeff, zexp: int):
-    """Lift coeff * z^zexp into the ring (z needs a ring over LAURENT)."""
-    return ring.lift(LaurentPoly.term(zexp, coeff) if zexp else coeff)
-
-
 def mon(ring, m: Monomial):
-    """Lift the non-q part of a monomial, x included, into the ring."""
-    out = lift_zc(ring, m.coeff, m.zexp)
+    """Lift the non-q part of a monomial, x included, into the ring.  A
+    power of z needs a ring over a formal z, one whose base ring has
+    ``z_term`` (the tests' Laurent ring); over ``RAT`` and
+    ``DualRing(RAT)`` it is refused, never dropped."""
+    c = m.coeff
+    if m.zexp:
+        base = getattr(ring, "base", ring)
+        if not hasattr(base, "z_term"):
+            raise TypeError(f"cannot lift z^{m.zexp} into {ring.name}: it has no formal z")
+        c = base.z_term(c, m.zexp)
+    out = ring.lift(c)
     if m.xexp:
         out = out * ring.x_power(m.xexp)
     return out
@@ -195,7 +203,7 @@ class QSeries:
                 bj = b[j]
                 if bj:
                     out[i + j] = out[i + j] + ai * bj
-        return _lifted(self.ring, n, out)
+        return QSeries._of(self.ring, n, out)
 
     def mul_scalar(self, c) -> "QSeries":
         c = self.ring.lift(c)
@@ -223,7 +231,7 @@ class QSeries:
             lo = a[i - m]
             if lo:
                 out[i] = out[i] + c * lo
-        return _lifted(self.ring, self.order, out)
+        return QSeries._of(self.ring, self.order, out)
 
     def div_binomial(self, c, m: int) -> "QSeries":
         """Divide by (1 + c*q^m) in O(order) coefficient operations."""
@@ -246,16 +254,15 @@ class QSeries:
             lo = out[i - m]
             if lo:
                 out[i] = out[i] - c * lo
-        return _lifted(self.ring, self.order, out)
+        return QSeries._of(self.ring, self.order, out)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse modulo q^(order+1).
 
-        Requires an invertible constant term (nonzero rational; for
-        Laurent coefficients a single-term unit); the ring's `invert`
-        raises NonUnitConstantTerm otherwise.  Coefficient n reads only
-        the nonzero terms a_j with 1 <= j <= n, so t such terms take
-        O(order * t) steps: O(N^1.5) for a theta series.
+        Requires an invertible constant term (+-1 over the integers); the
+        ring's `invert` raises NonUnitConstantTerm otherwise.  Coefficient
+        n reads only the nonzero terms a_j with 1 <= j <= n, so t such
+        terms take O(order * t) steps: O(N^1.5) for a theta series.
         """
         inv0 = self.ring.invert(self.coeffs[0])
         out = [inv0] + [self.ring.zero] * self.order
@@ -302,15 +309,14 @@ class QSeries:
         )
 
     def integer_coefficients(self) -> list[int]:
-        """All coefficients as ints; raises if any denominator is not 1."""
+        """All coefficients, asserted to be ints: a value that reached a
+        ``RAT`` series through the constructor is refused, never truncated."""
         if self.ring is not RAT:
-            raise TypeError("integer view needs rational coefficients")
-        out = []
+            raise TypeError("integer view needs integer coefficients")
         for i, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                raise ValueError(f"coefficient of q^{i} is non-integral: {c}")
-            out.append(c.numerator)
-        return out
+            if type(c) is not int:
+                raise ValueError(f"coefficient of q^{i} is not an int: {c!r}")
+        return list(self.coeffs)
 
     def assert_integral(self) -> "QSeries":
         self.integer_coefficients()
@@ -333,10 +339,7 @@ class QSeries:
         bits = []
         for i, c in enumerate(self.coeffs):
             if c:
-                cs = str(c)
-                if isinstance(c, LaurentPoly) and not c.is_constant():
-                    cs = f"({cs})"
-                bits.append(term_text(cs, "q", i))
+                bits.append(term_text(str(c), "q", i))
         body = " + ".join(bits) if bits else "0"
         return f"{body} + O(q^{self.order + 1})".replace("+ -", "- ")
 
@@ -426,13 +429,6 @@ class DualSeries:
 def series_type(ring) -> type:
     """What a builder over `ring` makes: a DualSeries over a DualRing, else a QSeries."""
     return DualSeries if isinstance(ring, DualRing) else QSeries
-
-
-def _lifted(ring, order: int, coeffs: list) -> QSeries:
-    """The series of a kernel's fresh `coeffs`, over RAT each lifted so
-    that an integral Fraction from a product of mixed int and Fraction is
-    stored as an int."""
-    return QSeries._of(ring, order, list(map(RAT.lift, coeffs)) if ring is RAT else coeffs)
 
 
 def _shift(c, src) -> tuple | None:
@@ -665,23 +661,9 @@ def lerch_sum(
 
 
 def series_to_json(s: QSeries) -> dict:
-    """Exact JSON form: {ring, order, terms: [{q_exponent, coefficient}]}.
-
-    Rational coefficients become fraction strings; Laurent coefficients
-    become {z_exponent: fraction string} maps.  Zero terms are omitted.
-    """
-    terms = []
-    if s.ring is RAT:
-        ring_name = "rational"
-        for i, c in enumerate(s.coeffs):
-            if c:
-                terms.append({"q_exponent": i, "coefficient": str(c)})
-    elif s.ring is LAURENT:
-        ring_name = "laurent"
-        for i, c in enumerate(s.coeffs):
-            if c:
-                cmap = {str(e): str(v) for e, v in sorted(c.items())}
-                terms.append({"q_exponent": i, "coefficient": cmap})
-    else:
-        raise TypeError(f"serialization is defined for RAT and LAURENT, not {s.ring!r}")
-    return {"ring": ring_name, "order": s.order, "terms": terms}
+    """Exact JSON form: {ring, order, terms: [{q_exponent, coefficient}]},
+    each coefficient an integer string and zero terms omitted."""
+    if s.ring is not RAT:
+        raise TypeError(f"serialization is defined for RAT, not {s.ring!r}")
+    terms = [{"q_exponent": i, "coefficient": str(c)} for i, c in enumerate(s.coeffs) if c]
+    return {"ring": "rational", "order": s.order, "terms": terms}

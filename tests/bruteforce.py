@@ -3,15 +3,28 @@
 Everything here is deliberately dumb: dense dict-based polynomial
 arithmetic, product expansion factor by factor, and the classic
 recurrence for the partition numbers, and partition-like objects built
-from multisets and subsets of parts.  Nothing imports qcert series
-internals, so agreement is meaningful.  The x-derivative oracle lives
-here too: ``XPoly``, honest polynomials in x on qcert's sparse core,
-and its ring ``XPolyRing``; ``at_one_both`` runs a caller's builder over
-qcert's dual numbers and over it.  So does the per-n counting dynamic
-program that the oracle's all-weight tables replaced, taking the
-oracle's rows as arguments.  Two helpers that no part of qcert calls
-close the file: the reader of ``series_to_json``'s output, and the
-claim mutation behind the tests that every check can fail.
+from multisets and subsets of parts.  The naive expanders run none of
+qcert's series kernels, so agreement is meaningful.
+
+qcert computes over the integers only; the rings of the reference route
+live here, each a descriptor that qcert's ring-generic builders accept:
+
+* ``FRAC`` -- exact rationals, integer-first, on which the generic
+  per-element kernels run (qcert's C-level paths take ``RAT`` only);
+* ``LaurentPoly`` / ``LAURENT`` -- Laurent polynomials in a formal z,
+  with ``FormalZ``, the z-refined builders' map that keeps z formal:
+  the reference for every packed build, which ``unpack`` and
+  ``decode`` read back to it;
+* ``XPoly`` / ``XPolyRing`` -- the x-derivative oracle, honest
+  polynomials in x; ``at_one_both`` runs a caller's builder over qcert's
+  dual numbers and over it.
+
+``LaurentPoly`` and ``XPoly`` share one sparse core, ``_SparsePoly``.
+The per-n counting dynamic program that the oracle's all-weight tables
+replaced lives here too, taking the oracle's rows as arguments.  Two helpers that no part of qcert calls
+close the file: the writer and reader of the JSON form of a series over
+any of these rings, and the claim mutation behind the tests that every
+check can fail.
 """
 
 from collections import Counter
@@ -20,9 +33,11 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement
 
+from qcert import series
 from qcert.errors import NonUnitConstantTerm
-from qcert.rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly, _SparsePoly
-from qcert.series import QSeries
+from qcert.genfun import _ZMap, z_digits
+from qcert.rings import RAT, DualRing, DualScalar, term_text
+from qcert.series import DualSeries, QSeries
 
 
 def poly_mul(a: dict, b: dict, order: int) -> dict:
@@ -154,6 +169,260 @@ def lerch_ref(quad, lin, denom_step, denom_sign, order, denom_shift=0, num_shift
             out[v] = out.get(v, Fraction(0)) + c
             c, v = -d * c, v + m
     return {k: v for k, v in out.items() if v and k <= order}
+
+
+# -- the reference rings: rationals and Laurent polynomials in a formal z -----
+
+
+class FractionRing:
+    """Descriptor for exact rational coefficients, integer-first.
+
+    Values are ``int`` unless they are truly non-integral, in which case
+    they are ``Fraction``; a ``Fraction`` with denominator 1 is demoted
+    to ``int`` when lifted.  The kernels keep no such rule: over this
+    ring they take their generic per-element loops and store what those
+    compute."""
+
+    name = "fraction"
+    zero = 0
+    one = 1
+
+    def lift(self, x):
+        if isinstance(x, int):
+            return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
+        raise TypeError(f"cannot lift {type(x).__name__} into {self.name}")
+
+    def invert(self, c):
+        if not c:
+            raise NonUnitConstantTerm("division by zero rational")
+        return self.lift(Fraction(1) / c)
+
+    def x_power(self, j: int):
+        return self.one
+
+    def __repr__(self):
+        return "FRAC"
+
+
+FRAC = FractionRing()
+
+
+class _SparsePoly:
+    """One-variable polynomial stored as exponent -> nonzero coefficient.
+
+    Operands must be of exactly one class, so a polynomial in x over
+    ``LAURENT`` tells its ``LaurentPoly`` coefficients from itself.  No
+    table holds a zero and no sum starts from the int 0; the coefficient
+    rings have no zero divisors, so a single-term product needs no zero
+    filter.  A subclass sets its coefficient rule (``_lift``), which
+    every product coefficient passes, and its product with a
+    non-polynomial (``_scale_by``).
+    """
+
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs=None):
+        self._c = {int(e): w for e, v in (coeffs or {}).items() if (w := self._lift(v))}
+
+    @staticmethod
+    def _lift(v):
+        return v
+
+    def _new(self, table):
+        out = object.__new__(type(self))
+        out._c = table
+        return out
+
+    def items(self):
+        return self._c.items()
+
+    def __bool__(self):
+        return bool(self._c)
+
+    def __len__(self):
+        return len(self._c)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        c = dict(self._c)
+        for e, v in other._c.items():
+            s = c[e] + v if e in c else v
+            if s:
+                c[e] = s
+            else:
+                del c[e]
+        return self._new(c)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        c = dict(self._c)
+        for e, v in other._c.items():
+            s = c[e] - v if e in c else -v
+            if s:
+                c[e] = s
+            else:
+                del c[e]
+        return self._new(c)
+
+    def __neg__(self):
+        return self._new({e: -v for e, v in self._c.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._c == other._c
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return self._scale_by(other)
+        a, b, lift = self._c, other._c, self._lift
+        if len(a) == 1:
+            ((e, v),) = a.items()
+            return self._new({e + f: lift(v * w) for f, w in b.items()})
+        if len(b) == 1:
+            ((f, w),) = b.items()
+            return self._new({e + f: lift(v * w) for e, v in a.items()})
+        c = {}
+        for e, v in a.items():
+            for f, w in b.items():
+                g = e + f
+                s = c[g] + v * w if g in c else v * w
+                if s:
+                    c[g] = s
+                else:
+                    del c[g]
+        return self._new({e: lift(v) for e, v in c.items()})
+
+    def _scale_by(self, k):
+        return NotImplemented
+
+
+class LaurentPoly(_SparsePoly):
+    """Laurent polynomial in z with rational coefficients.
+
+    Stored sparsely as exponent -> nonzero ``FRAC`` value (an ``int``
+    unless truly non-integral).  Exponents may be negative; the zero
+    polynomial has an empty table.  An int or ``Fraction`` scales it
+    from either side.
+    """
+
+    __slots__ = ()
+    _lift = staticmethod(FRAC.lift)
+
+    @classmethod
+    def const(cls, c) -> "LaurentPoly":
+        return cls({0: c})
+
+    @classmethod
+    def term(cls, exponent: int, coeff=1) -> "LaurentPoly":
+        return cls({exponent: coeff})
+
+    def __getitem__(self, e: int):
+        return self._c.get(e, 0)
+
+    def is_constant(self) -> bool:
+        return not self._c or (len(self._c) == 1 and 0 in self._c)
+
+    def _scale_by(self, k):
+        return self.scale(k) if isinstance(k, (int, Fraction)) else NotImplemented
+
+    __rmul__ = _SparsePoly.__mul__
+
+    def scale(self, k) -> "LaurentPoly":
+        k = FRAC.lift(k)
+        return self._new({} if not k else {e: FRAC.lift(v * k) for e, v in self._c.items()})
+
+    def invert_term(self) -> "LaurentPoly":
+        """Inverse of a single-term unit c*z^e; raises otherwise."""
+        if len(self._c) != 1:
+            raise NonUnitConstantTerm(
+                "LaurentPoly is invertible only when it is a single term"
+            )
+        ((e, v),) = self._c.items()
+        return LaurentPoly({-e: FRAC.invert(v)})
+
+    def __repr__(self):
+        if not self._c:
+            return "0"
+        bits = [term_text(str(v), "z", e) for e, v in sorted(self._c.items())]
+        return " + ".join(bits).replace("+ -", "- ")
+
+
+class LaurentRing:
+    """Descriptor for LaurentPoly coefficients in z: the ring over a
+    formal z, whose ``z_term`` lets qcert's ``mon`` lift a power of z."""
+
+    name = "laurent"
+    zero = LaurentPoly()
+    one = LaurentPoly.const(1)
+
+    def lift(self, x):
+        if isinstance(x, LaurentPoly):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return LaurentPoly.const(x)
+        raise TypeError(f"cannot lift {type(x).__name__} into {self.name}")
+
+    def z_term(self, coeff, zexp: int) -> LaurentPoly:
+        return LaurentPoly.term(zexp, coeff)
+
+    def invert(self, c) -> LaurentPoly:
+        if not isinstance(c, LaurentPoly) or not c:
+            raise NonUnitConstantTerm("division by zero Laurent polynomial")
+        return c.invert_term()
+
+    def x_power(self, j: int):
+        return self.one
+
+    def __repr__(self):
+        return "LAURENT"
+
+
+LAURENT = LaurentRing()
+
+
+def lift_zc(ring, coeff, zexp: int):
+    """Lift coeff * z^zexp into the ring (z needs a ring over LAURENT)."""
+    return ring.lift(LaurentPoly.term(zexp, coeff) if zexp else coeff)
+
+
+class FormalZ(_ZMap):
+    """qcert's z-refined builders with z formal: c z^e q^m is c z^e over a
+    ring over LAURENT, at width 0, so no twist is applied.  This generic
+    route is the reference that every packed build is checked against."""
+
+    __slots__ = ()
+
+    def mul(self, c, e: int = 0, m: int = 0):
+        return lift_zc(self.ring, c, e)
+
+
+def unpack_coeff(c: int, width: int, j: int) -> LaurentPoly:
+    """A packed coefficient of q^j read back to z: digit i is z^(i-j)."""
+    return LaurentPoly(z_digits(c, width, j))
+
+
+def unpack(s, width: int) -> QSeries:
+    """A packed series read back to LaurentPoly coefficients: over LAURENT
+    from RAT, and over DualRing(LAURENT) from a DualSeries over RAT."""
+    if isinstance(s, DualSeries):
+        value, deriv = (unpack(h, width).coeffs for h in s.at_one())
+        return QSeries(DualRing(LAURENT), s.order, map(DualScalar, value, deriv))
+    return QSeries(LAURENT, s.order, [unpack_coeff(c, width, j) for j, c in enumerate(s.coeffs)])
+
+
+def decode(g) -> QSeries:
+    """A ``PackedZ`` (``rank_gf``, ``genovpair_series``) over LAURENT."""
+    return unpack(QSeries(RAT, len(g.coeffs) - 1, g.coeffs), g.width)
+
+
+def decode_sides(report) -> tuple[QSeries, QSeries]:
+    """The two packed sides of a ``thmain_check`` report over DualRing(LAURENT)."""
+    return tuple(unpack(side, report.width) for side in report.packed)
 
 
 # -- the x-derivative oracle: honest polynomials in x --------------------------
@@ -334,15 +603,34 @@ def pair_profile_at(pair_kinds, n: int) -> Counter:
     return profile
 
 
-# -- helpers no part of qcert calls: the JSON reader, the claim mutation -----
+# -- helpers no part of qcert calls: JSON over every ring, the claim mutation -
+
+
+def series_to_json(s: QSeries) -> dict:
+    """``qcert.series.series_to_json`` over RAT; over FRAC the coefficients
+    are fraction strings, tagged "fraction", and over LAURENT
+    {z_exponent: fraction string} maps, tagged "laurent"."""
+    if s.ring is RAT:
+        return series.series_to_json(s)
+    if s.ring is FRAC:
+        tag, text = "fraction", str
+    elif s.ring is LAURENT:
+        tag, text = "laurent", lambda c: {str(e): str(v) for e, v in sorted(c.items())}
+    else:
+        raise TypeError(f"serialization is defined for RAT, FRAC and LAURENT, not {s.ring!r}")
+    terms = [{"q_exponent": i, "coefficient": text(c)} for i, c in enumerate(s.coeffs) if c]
+    return {"ring": tag, "order": s.order, "terms": terms}
 
 
 def series_from_json(obj: dict) -> QSeries:
-    """The series written by ``qcert.series.series_to_json``."""
+    """The series written by ``series_to_json`` (qcert's, over RAT, or this
+    module's)."""
     ring_name = obj["ring"]
     order = int(obj["order"])
     if ring_name == "rational":
-        ring, coeff = RAT, lambda c: RAT.lift(Fraction(c))
+        ring, coeff = RAT, int
+    elif ring_name == "fraction":
+        ring, coeff = FRAC, lambda c: FRAC.lift(Fraction(c))
     elif ring_name == "laurent":
         ring, coeff = LAURENT, lambda c: LaurentPoly({e: Fraction(v) for e, v in c.items()})
     else:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
-from bruteforce import XPolyRing
+from bruteforce import LAURENT, FormalZ, LaurentPoly, XPolyRing, decode, decode_sides, unpack
 from qcert.combinatorics import raw_tally, tally
 from qcert.errors import UnknownFormId
 from qcert.genfun import (
@@ -29,9 +29,10 @@ from qcert.genfun import (
     nt_diff_gf,
     rank_gf,
     thmain_check,
-    unpack,
+    z_digits,
+    z_text,
 )
-from qcert.rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly
+from qcert.rings import RAT, DualRing, DualScalar
 from qcert.series import QSeries, balanced_digits
 
 ALL_FAMILIES = (Family.DYSON, Family.OV_RANK, Family.OV_M2, Family.DO_M2)
@@ -60,12 +61,12 @@ def _at_z_one(c: LaurentPoly):
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_rank_gf_constant_term(family):
-    g = rank_gf(family, 6).decode()
+    g = decode(rank_gf(family, 6))
     assert g.coeffs[0].is_constant() and g.coeffs[0][0] == 1
 
 
 def test_rank_gf_ovm2_marginal_is_overpartition_count():
-    g = rank_gf(Family.OV_M2, 8).decode()
+    g = decode(rank_gf(Family.OV_M2, 8))
     ovgf = closed_form("overpartition-gf", 8)
     for n in range(9):
         assert _at_z_one(g.coeffs[n]) == ovgf.coeffs[n]
@@ -74,7 +75,7 @@ def test_rank_gf_ovm2_marginal_is_overpartition_count():
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_rank_gf_distribution_matches_enumeration(family):
-    g = rank_gf(family, 12).decode()
+    g = decode(rank_gf(family, 12))
     for n in range(13):
         want = {m: Fraction(c) for m, c in raw_tally(_COUNT_OF[family], n).items()}
         got = dict(g.coeffs[n].items())
@@ -83,7 +84,7 @@ def test_rank_gf_distribution_matches_enumeration(family):
 
 def test_rank_gf_dyson_z_symmetry():
     # classical rank symmetry: z^m and z^-m coefficients agree
-    g = rank_gf(Family.DYSON, 16).decode()
+    g = decode(rank_gf(Family.DYSON, 16))
     for n in range(17):
         c = g.coeffs[n]
         for m, v in c.items():
@@ -404,7 +405,6 @@ def test_ovm2_prefactor_equals_base_q2_split(ring_name):
     # the one OV_M2 prefactor (-xq;q)_inf/(xq;q)_inf is, as a series, the
     # literal specialization (-xq^2,-xq;q^2)_inf/(xq^2,xq;q^2)_inf
     from qcert.genfun import _FAMILY_DATA
-    from qcert.rings import LAURENT
     from qcert.series import mono, pochhammer_quotient
 
     ring = XPolyRing(RAT) if ring_name == "xpoly-rat" else DualRing(LAURENT)
@@ -440,13 +440,13 @@ def _integer_first(series) -> bool:
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_laurent_series_are_integer_first(family):
-    assert _integer_first(rank_gf(family, 30).decode())
+    assert _integer_first(decode(rank_gf(family, 30)))
     report = thmain_check(family, 20)
-    assert _integer_first(report.lhs) and _integer_first(report.rhs)
+    assert all(_integer_first(side) for side in decode_sides(report))
 
 
 def test_genovpair_series_is_integer_first():
-    assert _integer_first(genovpair_series(1, 1, 1, 10).decode())
+    assert _integer_first(decode(genovpair_series(1, 1, 1, 10)))
 
 
 @pytest.mark.parametrize("form", form_ids())
@@ -476,6 +476,22 @@ def test_nt_diff_coefficients_are_ints():
 def test_ntdiff_closed_forms(form, family, b, k):
     order = 60
     assert nt_diff_gf(family, b, k, order) == closed_form(form, order)
+
+
+def test_kernel_y_polynomials_are_their_stated_products():
+    # the coefficient tuples of the kernel forms, against the products
+    # they are stated as, built over the tests' Laurent polynomials
+    from qcert.genfun import _QUARTIC, _QUINTIC_FULL, _QUINTIC_MID
+
+    def coefficients(p):
+        return tuple(p[j] for j in range(max(e for e, _ in p.items()) + 1))
+
+    y_minus_1 = LaurentPoly({0: -1, 1: 1})
+    cube = y_minus_1 * y_minus_1 * y_minus_1
+    cube_diff = cube * LaurentPoly({0: -1, 2: 1})
+    assert _QUINTIC_FULL == coefficients(cube_diff * LaurentPoly({0: 1, 1: 2, 2: 4, 3: 2, 4: 1}))
+    assert _QUINTIC_MID == coefficients(cube_diff * LaurentPoly({1: 2, 2: 1, 3: 2}))
+    assert _QUARTIC == coefficients(cube * y_minus_1)
 
 
 def test_quintic_closed_form_constant_term():
@@ -594,7 +610,7 @@ def test_thmain_constant_terms():
     # the value component is the x = 1 comparison; the constant term
     # carries no power of x, so its derivative component vanishes
     rep = thmain_check(Family.OV_RANK, 6)
-    for c in (rep.lhs.coeffs[0], rep.rhs.coeffs[0]):
+    for c in (side.coeffs[0] for side in decode_sides(rep)):
         assert c.value[0] == 1
         assert not c.deriv
 
@@ -612,7 +628,7 @@ _PACKED_ORDERS = (*range(13), 18, 40, 60)
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_packed_rank_gf_equals_laurent_builder(family):
     for order in _PACKED_ORDERS:
-        assert rank_gf(family, order).decode() == _rank_sum_of(family, _ZMap(LAURENT), order), order
+        assert decode(rank_gf(family, order)) == _rank_sum_of(family, FormalZ(LAURENT), order), order
 
 
 def test_rank_gf_reads_truncate_one_build_per_family(monkeypatch):
@@ -637,7 +653,7 @@ def test_rank_gf_reads_truncate_one_build_per_family(monkeypatch):
         assert sorted(built, key=str) == sorted(
             [(f, 60, m) for f in (Family.OV_M2, Family.DO_M2) for m in (True, False)], key=str)
         for family, order in ((Family.OV_M2, 24), (Family.DO_M2, 40)):
-            assert rank_gf(family, order).decode() == real(family, _ZMap(LAURENT), order)
+            assert decode(rank_gf(family, order)) == real(family, FormalZ(LAURENT), order)
         assert len(built) == 4
     finally:
         qcert.clear_caches()
@@ -649,8 +665,9 @@ def test_packed_thmain_sides_equal_dual_laurent_builders(family):
     for order in _PACKED_ORDERS:
         rep = thmain_check(family, order)
         assert rep.ok, (order, rep.first_mismatch)
-        assert rep.lhs.at_one() == _rank_sum_of(family, _ZMap(ring), order).at_one(), order
-        assert rep.rhs.at_one() == _thmain_rhs_over(family, _ZMap(ring), order).at_one(), order
+        lhs, rhs = decode_sides(rep)
+        assert lhs.at_one() == _rank_sum_of(family, FormalZ(ring), order).at_one(), order
+        assert rhs.at_one() == _thmain_rhs_over(family, FormalZ(ring), order).at_one(), order
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -662,8 +679,8 @@ def test_majorant_bounds_every_z_coefficient(family):
     maj = _ZMap(DualRing(RAT), 0, majorant=True)
     ring = DualRing(LAURENT)
     sides = (
-        (_rank_sum_of(family, maj, order), _rank_sum_of(family, _ZMap(ring), order)),
-        (_thmain_rhs_over(family, maj, order), _thmain_rhs_over(family, _ZMap(ring), order)),
+        (_rank_sum_of(family, maj, order), _rank_sum_of(family, FormalZ(ring), order)),
+        (_thmain_rhs_over(family, maj, order), _thmain_rhs_over(family, FormalZ(ring), order)),
     )
     for bound, side in sides:
         for part, b, c in zip(("value", "deriv"), bound.at_one(), side.at_one()):
@@ -675,12 +692,17 @@ def test_unpack_reads_balanced_digits_back_to_z():
     # after q -> zq, z = 2^width: q^2 (3z^-2 - z + 5z^2) packs to
     # 3 - 2^(2w) + 5 * 2^(4w), and a negative top digit borrows nothing
     w = 5
-    packed = QSeries(RAT, 2, [0, 0, 3 - (1 << 2 * w) + (5 << 4 * w)])
+    c = 3 - (1 << 2 * w) + (5 << 4 * w)
+    packed = QSeries(RAT, 2, [0, 0, c])
     got = unpack(packed, w)
     assert got.ring is LAURENT
     assert got.coeffs == [LaurentPoly(), LaurentPoly(), LaurentPoly({-2: 3, 0: -1, 2: 5})]
+    assert z_digits(c, w, 2) == {-2: 3, 0: -1, 2: 5}
+    assert z_text(c, w, 2) == "3*z^-2 - 1 + 5*z^2" == repr(got.coeffs[2])
+    assert z_text(0, w, 1) == "0" == repr(LaurentPoly())
     neg = QSeries(RAT, 1, [-(1 << w) + 15, 0])
     assert unpack(neg, w).coeffs[0] == LaurentPoly({0: 15, 1: -1})
+    assert z_text(neg.coeffs[0], w, 0) == "15 - z"
 
 
 # -- packed z read in place -------------------------------------------------------
@@ -707,8 +729,9 @@ def test_packed_reads_equal_the_decoded_laurent_reads():
         width, j = rng.choice((3, 5, 7, 8, 12, 13, 17, 31, 45, 64)), rng.randint(0, 60)
         c, digits = _random_packed(rng, width, j)
         g = PackedZ([0] * j + [c], width)
-        decoded = g.coeff(j)
-        assert dict(decoded.items()) == digits
+        decoded = bf.unpack_coeff(c, width, j)
+        assert dict(decoded.items()) == digits == z_digits(c, width, j)
+        assert g.text(j) == repr(decoded)
         for k in range(1, 14):
             want = [0] * k
             for e, v in decoded.items():
@@ -799,14 +822,14 @@ def test_pair_sample_majorants_are_bounded_by_the_shared_one():
         series = genovpair_samples(samples, order)
         assert len({g.width for g in series}) == 1
         for (d, e, x), g in zip(samples, series):
-            assert g.decode() == genovpair_series(d, e, x, order).decode(), (d, e, x)
+            assert decode(g) == decode(genovpair_series(d, e, x, order)), (d, e, x)
 
 
 # -- generic pair series -----------------------------------------------------------
 
 
 def test_genovpair_at_unit_weights_counts_pairs():
-    g = genovpair_series(1, 1, 1, 8).decode()
+    g = decode(genovpair_series(1, 1, 1, 8))
     pgf = closed_form("overpartition-pair-gf", 8)
     for n in range(9):
         assert _at_z_one(g.coeffs[n]) == pgf.coeffs[n]
@@ -815,7 +838,7 @@ def test_genovpair_at_unit_weights_counts_pairs():
 def test_genovpair_weight_one_coefficient():
     # objects of weight 1: (1,.), (1bar,.), (.,1), (.,1bar) with weights
     # x, dx, dex, ex and rank 0 throughout
-    g = genovpair_series(2, 3, 1, 4).decode()
+    g = decode(genovpair_series(2, 3, 1, 4))
     c = g.coeffs[1]
     assert c.is_constant()
     assert c[0] == 1 + 2 + 2 * 3 + 3
@@ -835,7 +858,7 @@ def test_rank_sum_dual_vs_polynomial(family):
     # the full rank sum evaluated by dual numbers and by honest
     # x-polynomials; both value and derivative must agree
     def build(ring):
-        return _rank_sum_of(family, _ZMap(ring), 16)
+        return _rank_sum_of(family, FormalZ(ring), 16)
 
     dual, poly = bf.at_one_both(build, LAURENT)
     assert dual == poly
@@ -857,7 +880,7 @@ def test_inner_sum_dual_vs_polynomial_order_30():
 
     for family in (Family.OV_M2, Family.DYSON):
         def build(ring, fam=family):
-            z = _ZMap(ring)
+            z = FormalZ(ring)
             acc = z.series.zeros(ring, 30)
             for _, common, quad in _inner_terms(fam, z, 30):
                 acc.add_shifted(common, quad)
@@ -879,7 +902,7 @@ def test_inner_terms_keep_only_their_window(ring, thmain_margin):
         d = _FAMILY_DATA[family]
         margin = (lambda n, s=d.qstep: s * n) if thmain_margin else None
         levels = 0
-        for n, common, quad in _inner_terms(family, _ZMap(ring), N, margin):
+        for n, common, quad in _inner_terms(family, FormalZ(ring), N, margin):
             assert quad == d.inner_quad(n)
             want = N - quad + (margin(n) if margin else 0)
             for half in common.at_one() if ring is not RAT else (common,):

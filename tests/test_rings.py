@@ -1,23 +1,28 @@
-"""Coefficient-domain laws: Laurent polynomials, dual numbers, x-polynomials."""
+"""Coefficient-domain laws: qcert's integer ring and dual numbers, and
+the reference rings of the tests (rationals, Laurent polynomials,
+x-polynomials)."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import XPoly, XPolyRing
+from bruteforce import FRAC, LAURENT, LaurentPoly, XPoly, XPolyRing
 from qcert.errors import NonUnitConstantTerm
-from qcert.rings import LAURENT, RAT, DualRing, DualScalar, LaurentPoly
+from qcert.rings import RAT, DualRing, DualScalar
 
 fracs = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4
 )
+ints = st.integers(min_value=-9, max_value=9)
 
 laurents = st.dictionaries(
     st.integers(min_value=-4, max_value=4), fracs, max_size=4
 ).map(LaurentPoly)
 
+# jets over the reference rationals, and over RAT's ints
 duals = st.tuples(fracs, fracs).map(lambda t: DualScalar(*t))
+int_duals = st.tuples(ints, ints).map(lambda t: DualScalar(*t))
 
 
 def test_laurent_basic():
@@ -31,7 +36,7 @@ def test_laurent_basic():
     )
 
 
-def test_laurent_coefficients_follow_rat_lift():
+def test_laurent_coefficients_follow_frac_lift():
     two = LaurentPoly({0: Fraction(4, 2)})[0]
     assert two == 2 and type(two) is int
     third = LaurentPoly.term(0, 3).invert_term()[0]
@@ -66,8 +71,9 @@ def test_laurent_ring_laws(a, b, c):
 
 
 @settings(max_examples=250)
-@given(duals, duals, duals)
-def test_dual_ring_laws(a, b, c):
+@given(st.one_of(st.tuples(duals, duals, duals), st.tuples(int_duals, int_duals, int_duals)))
+def test_dual_ring_laws(abc):
+    a, b, c = abc
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
@@ -83,20 +89,30 @@ def test_dual_product_law(a, b, c, d):
 
 
 def test_dual_ring_inverse():
-    ring = DualRing(RAT)
+    ring = DualRing(FRAC)
     x = DualScalar(Fraction(2), Fraction(3))
     inv = ring.invert(x)
     assert x * inv == ring.one
     with pytest.raises(NonUnitConstantTerm):
         ring.invert(DualScalar(Fraction(0), Fraction(1)))
+    # over the integers, a jet is a unit exactly when its value is +-1
+    ring = DualRing(RAT)
+    for x in (DualScalar(1, 3), DualScalar(-1, 5)):
+        inv = ring.invert(x)
+        assert x * inv == ring.one and type(inv.deriv) is int
+    for x in (DualScalar(2, 3), DualScalar(0, 1)):
+        with pytest.raises(NonUnitConstantTerm):
+            ring.invert(x)
 
 
 def test_dual_constant_and_generator():
     ring = DualRing(RAT)
-    assert ring.lift(7) == DualScalar(Fraction(7), Fraction(0))
-    x = DualScalar(Fraction(1), Fraction(1))
+    assert ring.lift(7) == DualScalar(7, 0)
+    x = DualScalar(1, 1)
     # x^3 = 1 + 3 eps
-    assert x * x * x == DualScalar(Fraction(1), Fraction(3))
+    assert x * x * x == DualScalar(1, 3)
+    with pytest.raises(TypeError):
+        ring.lift(Fraction(1, 2))
 
 
 def test_xpoly_value_and_derivative():
@@ -117,23 +133,40 @@ def test_xpoly_derivative_over_int_coefficients():
     assert d == 5 and type(d) is int
 
 
-def test_rat_ring_is_integer_first():
+def test_rat_is_an_integer_ring():
+    # lift takes an int only, and +-1 are the only units: anything else
+    # is refused, never rounded or demoted
     assert type(RAT.zero) is int and type(RAT.one) is int
-    two = RAT.lift(Fraction(6, 3))
-    assert two == 2 and type(two) is int
-    assert type(RAT.lift(5)) is int
-    assert RAT.lift(Fraction(1, 2)) == Fraction(1, 2)
-    for unit in (1, -1, Fraction(1), Fraction(-1)):
+    assert RAT.lift(5) == 5 and type(RAT.lift(5)) is int
+    for value in (Fraction(1, 2), Fraction(6, 3), 0.5, "1"):
+        with pytest.raises(TypeError):
+            RAT.lift(value)
+    for unit in (1, -1):
         inv = RAT.invert(unit)
         assert inv == unit and type(inv) is int
-    assert RAT.invert(2) == Fraction(1, 2)
-    assert RAT.invert(Fraction(2, 3)) == Fraction(3, 2)
-    three = RAT.invert(Fraction(1, 3))
+    for non_unit in (0, 2, -3, Fraction(1), Fraction(1, 2), 1.0):
+        with pytest.raises(NonUnitConstantTerm):
+            RAT.invert(non_unit)
+
+
+def test_frac_ring_is_integer_first():
+    # the reference rationals keep the rule RAT once had: an int unless
+    # truly non-integral
+    two = FRAC.lift(Fraction(6, 3))
+    assert two == 2 and type(two) is int
+    assert type(FRAC.lift(5)) is int
+    assert FRAC.lift(Fraction(1, 2)) == Fraction(1, 2)
+    for unit in (1, -1, Fraction(1), Fraction(-1)):
+        inv = FRAC.invert(unit)
+        assert inv == unit and type(inv) is int
+    assert FRAC.invert(2) == Fraction(1, 2)
+    assert FRAC.invert(Fraction(2, 3)) == Fraction(3, 2)
+    three = FRAC.invert(Fraction(1, 3))
     assert three == 3 and type(three) is int
     with pytest.raises(NonUnitConstantTerm):
-        RAT.invert(0)
+        FRAC.invert(0)
     with pytest.raises(TypeError):
-        RAT.lift(0.5)
+        FRAC.lift(0.5)
 
 
 def test_laurent_and_xpoly_do_not_mix():
@@ -165,7 +198,7 @@ def test_xpoly_over_laurent_cancels_to_empty():
 
 
 def test_laurent_products_store_integral_values_as_int():
-    # each product coefficient passes RAT.lift, single-term or not
+    # each product coefficient passes FRAC.lift, single-term or not
     for p in (
         LaurentPoly({0: Fraction(1, 2)}) * LaurentPoly({0: 2}),
         LaurentPoly({0: 2}) * LaurentPoly({0: Fraction(1, 2)}),
