@@ -21,10 +21,9 @@ terms, A'(1) = sum_n C_n(1) * g_n'(1), and the prefactor enters at
 x = 1 only: integers throughout (see ``nt_diff_gf``), packed along q,
 one int per summand on its window (``_packed_difference``).  A'(1) is
 cached per (family, b, k, order), and every miss first runs the A(1) = 0
-guard; a combination multiplies by the prefactor once per family.  Each
-family has one prefactor, shared by the part-count series and the main
-transformation; at x = 1 it is one over a sparse theta series with
-O(sqrt N) terms (Euler's pentagonal theorem, Gauss's phi and psi).
+guard.  At x = 1 the prefactor is one over a theta series with O(sqrt N)
+terms (Euler's pentagonal theorem, Gauss's phi and psi), so a series is
+A'(1) divided by it, and a combination divides once per theta series.
 
 Everything here is computed over the integers.  The generic helpers
 take the coefficient ring, which carries x: x = 1 over ``RAT``, 1 + eps
@@ -320,18 +319,16 @@ def _inner_maxima(family: Family, order: int) -> tuple:
     return tuple(max(map(abs, c.coeffs)) for _, c, _ in _inner_terms_rat(family, order))
 
 
-@lru_cache(maxsize=None)
-def _prefactor_rat(family: Family, order: int) -> QSeries:
-    """The part-count prefactor at x = 1, shared across all (b, k): one
-    over the family's theta series sum_{n in Z} (-1)^n q^{theta(n)},
-    whose O(sqrt N) terms `QSeries.invert` walks sparsely."""
-    t = _FAMILY_DATA[family].theta
-    theta = QSeries.one(RAT, order)
+def _theta(family: Family, order: int) -> tuple:
+    """The family's theta series sum_{n in Z} (-1)^n q^{theta(n)} to q^order,
+    one over its prefactor at x = 1 (Euler's pentagonal theorem, Gauss's
+    phi and psi): its O(sqrt N) nonzero terms (e, c), ascending."""
+    t, terms = _FAMILY_DATA[family].theta, {0: 1}
     for n in takewhile(lambda n: min(t(n), t(-n)) <= order, count(1)):  # both grow
         for e in (t(n), t(-n)):
             if e <= order:
-                theta.coeffs[e] += (-1) ** n
-    return theta.invert()
+                terms[e] = terms.get(e, 0) + (-1) ** n
+    return tuple(sorted(terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -490,28 +487,29 @@ def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
     (total parts with statistic = k-b mod k), computed as -d/dx at x = 1
     of the transformed rank sum P*A.
 
-    With x = 1 every power of x is 1, so the two halves of each inner
-    term cancel and A(1) = 0 coefficient by coefficient; that is
-    asserted on every miss of the cache of A'(1) (`_nt_deriv`).  Hence
-    d/dx(P*A) at x = 1 is P(1)*A'(1), and A'(1) = sum_n C_n(1) * g_n'(1)
-    needs only the x = 1 inner terms (see `_packed_difference`): A(1)
-    and A'(1) are shift-adds on one packed int per summand, and
-    P(1)*A'(1) is one integer convolution.  The inner sum over honest
-    x-polynomials, in the tests, is the oracle for this collapse.
+    With x = 1 every power of x is 1, so A(1) = 0 and d/dx(P*A) at x = 1
+    is P(1)*A'(1).  A'(1) = sum_n C_n(1) * g_n'(1) needs only the x = 1
+    inner terms (see `_packed_difference`), and every miss of its cache
+    (`_nt_deriv`) asserts the packed A(1) zero in its order + 1 digits.
+    P(1) is one over the family's theta series (`_theta`), so the result
+    is one sparse division (`QSeries.div_sparse`).  The inner sum over
+    honest x-polynomials, in the tests, is the oracle for this collapse.
     """
-    return -(_prefactor_rat(family, order) * _nt_deriv(family, b, k, order))
+    return -_nt_deriv(family, b, k, order).div_sparse(_theta(family, order))
 
 
 def nt_diff_combo(terms, order: int) -> QSeries:
     """Integer combination sum(c * nt_diff_gf(family, b, k)) of difference
     series; `terms` is an iterable of (coeff, family, b, k).  By linearity
-    it is -P(1) * sum c * A'(1) per family: one product per family."""
+    it is -sum c * A'(1) / theta per theta series: one division per theta
+    series, so OV_RANK and OV_M2, whose theta series are equal, share one."""
     derivs = {}
     for c, family, b, k in terms:
-        add_shifted(derivs.setdefault(family, [0] * (order + 1)), _nt_deriv(family, b, k, order).coeffs, 0, c)
+        d = derivs.setdefault(_theta(family, order), [0] * (order + 1))
+        add_shifted(d, _nt_deriv(family, b, k, order).coeffs, 0, c)
     acc = QSeries.zeros(RAT, order)
-    for family, d in derivs.items():
-        acc = acc - _prefactor_rat(family, order) * QSeries(RAT, order, d)
+    for theta, d in derivs.items():
+        acc = acc - QSeries(RAT, order, d).div_sparse(theta)
     return acc
 
 
@@ -864,7 +862,6 @@ def clear_caches():
     _inner_terms_rat.cache_clear()
     _inner_maxima.cache_clear()
     _packed_terms.cache_clear()
-    _prefactor_rat.cache_clear()
     _rank_build.cache_clear()
     rank_gf.cache_clear()
     _nt_deriv.cache_clear()

@@ -78,7 +78,7 @@ class DualScalar:
     In ``thmain_check`` a jet is only a kernel's scalar: each side is two
     packed int series (``series.DualSeries``), the prefactor is built
     once, and the product with it is applied as shifts.  ``nt_diff_gf``
-    reads its derivative from the x = 1 inner terms over integers."""
+    builds none: it divides its integer A'(1) by a theta series."""
 
     __slots__ = ("value", "deriv")
 

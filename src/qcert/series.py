@@ -23,31 +23,32 @@ product, one small product and a shift per prefactor coefficient.
 
 Over ``RAT``, the integers, the binomial kernels with c = +-1 are
 C-level list passes, and an int c with 30 or more trailing zero bits is
-a product with its odd part and a shift past those bits, so that a
-packed power of z (see ``genfun``) costs a shift, not a big-integer
-product; ``mul_scalar`` and ``add_shifted`` scale the same way.  Other
-rings and coefficients keep the per-element loop: over ``RAT`` it
-makes ints from ints, and the rings of the tests' reference route
-(Laurent polynomials in a formal z, rationals, x-polynomials) take it
-too.  A product argument (``Monomial``) has an int coefficient, and a
-power of z in it needs a ring over a formal z (``mon``).
-``add_shifted`` adds c*q^k*src into a coefficient list from offset k,
-so a sum of shifted terms never builds the zeros below each shift.
-``balanced_digits`` reads an int back into signed digits, for the
-q-products of ``_int_product`` and for packed z, and ``folded_digits``
-reads its digit sums by place mod k, from the int mod 2^(width*k) - 1.
-A kernel's fresh coefficient list becomes its result as it is
-(``QSeries._of``), without the copy and check of the constructor.
+a product with its odd part and a shift, so a packed power of z (see
+``genfun``) costs a shift, not a big-integer product; ``mul_scalar`` and
+``add_shifted`` (c*q^k*src added from offset k, with no zeros built below
+the shift) scale the same way.  ``div_sparse`` divides by a sparse
+series in C-level passes over blocks, and ``invert`` is one divided by
+the series.  Other rings and coefficients keep the per-element loop,
+which the rings of the tests' reference route take too.  A product
+argument (``Monomial``) has an int coefficient, and a power of z in it
+needs a ring over a formal z (``mon``).  ``balanced_digits`` reads an
+int back into signed digits, for the q-products of ``_int_product`` and
+for packed z, and ``folded_digits`` reads its digit sums by place mod k,
+from the int mod 2^(width*k) - 1.  A kernel's fresh coefficient list
+becomes its result as it is (``QSeries._of``), without the copy and
+check of the constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, repeat, takewhile
 from operator import add, lshift, mul, sub
 
 from .errors import DivergentProduct
 from .rings import RAT, DualRing, term_text
+
+_BLOCK = 64  # the coefficients of one slice pass of `QSeries.div_sparse`
 
 
 @dataclass(frozen=True)
@@ -256,29 +257,31 @@ class QSeries:
                 out[i] = out[i] - c * lo
         return QSeries._of(self.ring, self.order, out)
 
-    def invert(self) -> "QSeries":
-        """Multiplicative inverse modulo q^(order+1).
+    def div_sparse(self, terms) -> "QSeries":
+        """self / t modulo q^(order+1), t = sum c q^j over the pairs (j, c) of
+        `terms` (j >= 0, each once) with a unit t_0 (else the ring's `invert`
+        raises NonUnitConstantTerm): f_n = (a_n - sum_{j>=1} t_j f_(n-j)) / t_0,
+        O(order) steps a term.  A term with j >= _BLOCK reads only finished
+        blocks of _BLOCK coefficients: one C-level pass per block."""
+        t = dict(terms)
+        u, n = self.ring.invert(t.pop(0, self.ring.zero)), self.order
+        steps = sorted((j, u * c) for j, c in t.items() if j <= n and c)
+        near = [(j, c) for j, c in steps if j < _BLOCK]
+        out = list(self.coeffs) if u == 1 else [u * a for a in self.coeffs]
+        for s in range(0, n + 1, _BLOCK):
+            e = min(s + _BLOCK, n + 1)
+            for j, c in takewhile(lambda jc: jc[0] < e, steps[len(near):]):
+                add_shifted(out, out[max(s, j) - j : e - j], max(s, j), -c)
+            for i in range(s, e):
+                v = out[i]
+                for j, c in near if s else [(j, c) for j, c in near if j <= i]:
+                    v = v - c * out[i - j]
+                out[i] = v
+        return QSeries._of(self.ring, n, out)
 
-        Requires an invertible constant term (+-1 over the integers); the
-        ring's `invert` raises NonUnitConstantTerm otherwise.  Coefficient
-        n reads only the nonzero terms a_j with 1 <= j <= n, so t such
-        terms take O(order * t) steps: O(N^1.5) for a theta series.
-        """
-        inv0 = self.ring.invert(self.coeffs[0])
-        out = [inv0] + [self.ring.zero] * self.order
-        terms = [(j, aj) for j, aj in enumerate(self.coeffs) if j and aj]
-        live = 0  # terms[:live] are the terms with j <= n
-        for n in range(1, self.order + 1):
-            if live < len(terms) and terms[live][0] == n:
-                live += 1
-            acc = self.ring.zero
-            for j, aj in terms[:live]:
-                bj = out[n - j]
-                if bj:
-                    acc = acc + aj * bj
-            if acc:
-                out[n] = -(inv0 * acc)
-        return QSeries._of(self.ring, self.order, out)
+    def invert(self) -> "QSeries":
+        """One divided by self (`div_sparse`), modulo q^(order+1)."""
+        return QSeries.one(self.ring, self.order).div_sparse((j, c) for j, c in enumerate(self.coeffs) if c)
 
     # -- reshaping ---------------------------------------------------------
 

@@ -4,6 +4,7 @@ identities at working orders, and the dual-derivative operator law."""
 import random
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,16 +241,19 @@ def test_nt_diff_combo_is_the_sum_of_its_terms_for_every_registry_spec():
     assert checked >= 30
 
 
-def test_nt_diff_combo_multiplies_once_per_family(monkeypatch):
-    from qcert import genfun as G
+def test_nt_diff_combo_divides_once_per_theta_series(monkeypatch):
+    # OV_RANK and OV_M2 share the theta series sum (-1)^n q^(n^2), so five
+    # terms over three families take two divisions
+    from qcert import series
 
     calls = []
-    orig = G._prefactor_rat
-    monkeypatch.setattr(G, "_prefactor_rat", lambda *a: calls.append(a) or orig(*a))
-    terms = [(1, Family.DYSON, 1, 5), (-2, Family.DYSON, 2, 5), (3, Family.DYSON, 1, 7),
+    orig = series.QSeries.div_sparse
+    monkeypatch.setattr(series.QSeries, "div_sparse", lambda s, t: calls.append(t) or orig(s, t))
+    terms = [(1, Family.DYSON, 1, 5), (-2, Family.DYSON, 2, 5), (3, Family.OV_RANK, 1, 3),
              (1, Family.OV_M2, 1, 5), (4, Family.OV_M2, 2, 5)]
     combo = nt_diff_combo(terms, 40)
-    assert sorted(calls) == [(Family.DYSON, 40), (Family.OV_M2, 40)]
+    assert len(calls) == 2 and len(set(calls)) == 2
+    assert {c[:2] for c in calls} == {((0, 1), (1, -1)), ((0, 1), (1, -2))}
     want = QSeries.zeros(RAT, 40)
     for c, family, b, k in terms:
         want = want + nt_diff_gf(family, b, k, 40).mul_scalar(c)
@@ -377,7 +381,7 @@ def test_clear_caches_empties_every_lru_cache():
     tally("NTbar", 6, 5)
     raw_tally("N", 6)
     warm = {f"qcert.genfun.{name}" for name in (
-        "_inner_terms_rat", "_inner_maxima", "_packed_terms", "_prefactor_rat", "_nt_deriv",
+        "_inner_terms_rat", "_inner_maxima", "_packed_terms", "_nt_deriv",
         "nt_diff_gf", "_rank_build", "rank_gf", "closed_form")}
     warm |= {"qcert.combinatorics._table"}  # the tallies read the row tables
     assert warm <= set(filled()), filled()
@@ -387,16 +391,22 @@ def test_clear_caches_empties_every_lru_cache():
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_prefactor_is_sparse_theta_reciprocal(family):
-    # the x = 1 prefactor, one over a theta series (Euler's pentagonal
-    # theorem, Gauss's phi and psi), is the family's product quotient
-    from qcert.genfun import _FAMILY_DATA, _prefactor_rat
+    # the family's theta series (Euler's pentagonal theorem, Gauss's phi
+    # and psi) times its prefactor, the product quotient at x = 1, is 1,
+    # and dividing by it is multiplying by that quotient
+    from qcert.genfun import _FAMILY_DATA, _nt_deriv, _theta
     from qcert.series import pochhammer_quotient
 
     d = _FAMILY_DATA[family]
     orders = (0, 1, 2, 7, 60, 200) + ((1054,) if family is Family.DYSON else ())
     for order in orders:
-        got = _prefactor_rat(family, order)
-        assert got == pochhammer_quotient(d.pref_num, d.pref_den, order=order), order
+        theta = _theta(family, order)
+        assert len(theta) <= 3 * isqrt(order + 1) + 1, order  # sparse: O(sqrt N) terms
+        pref = pochhammer_quotient(d.pref_num, d.pref_den, order=order)
+        assert QSeries.from_terms(RAT, order, dict(theta)) * pref == QSeries.one(RAT, order), order
+        deriv = _nt_deriv(family, 1, 5, order)
+        got = deriv.div_sparse(theta)
+        assert got == deriv * pref, order
         assert all(type(c) is int for c in got.coeffs), order
 
 
@@ -623,6 +633,18 @@ def _thmain_rhs_over(family, z, order):
 # orders 0..12, one between, and the registry's reaches (ID-MAIN-* at 40,
 # ID-COUNTDIFF-* at 60)
 _PACKED_ORDERS = (*range(13), 18, 40, 60)
+
+
+@pytest.mark.parametrize("e", [1, -1, 2, -2])
+def test_packed_monomial_reads_back_as_the_formal_one(e):
+    # c z^e q^m packed (after the twist q -> zq, z = 2^width) and read back
+    # by z_digits is the formal route's c z^e: the rank sums are symmetric
+    # in z, so only an asymmetric monomial tells z from 1/z
+    for m in (max(0, -e), 2, 5):
+        for c in (1, -1, 3, -7):
+            packed = _ZMap(RAT, 8).mul(c, e, m)
+            assert LaurentPoly(z_digits(packed, 8, m)) == LaurentPoly({e: c}), (c, m)
+            assert FormalZ(LAURENT).mul(c, e, m) == LaurentPoly({e: c}), (c, m)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

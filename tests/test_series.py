@@ -479,6 +479,30 @@ def test_series_inverse_laws(a):
     assert a.invert().invert() == a
 
 
+@st.composite
+def sparse_division(draw, ring):
+    """(a, t) with a dense over `ring` and t sparse with t_0 = +-1, its
+    other terms +-1 or +-2 (the theta coefficients), and halves over FRAC,
+    some past the order and some past one block of div_sparse."""
+    order = draw(st.integers(min_value=0, max_value=200))
+    steps = [1, -1, 2, -2] if ring is RAT else [1, -2, Fraction(1, 2)]
+    t = draw(st.dictionaries(st.integers(min_value=1, max_value=order + 10), st.sampled_from(steps), max_size=12))
+    t[0] = draw(st.sampled_from([1, -1]))
+    den = 1 if ring is RAT else draw(st.integers(min_value=1, max_value=4))
+    a = draw(st.lists(small_ints, min_size=order + 1, max_size=order + 1))
+    return QSeries(ring, order, [ring.lift(c if den == 1 else Fraction(c, den)) for c in a]), t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse_division(RAT), sparse_division(FRAC)))
+def test_div_sparse_then_mul_gives_the_numerator(case):
+    a, t = case
+    quotient = a.div_sparse(t.items())
+    assert quotient * QSeries.from_terms(a.ring, a.order, t) == a
+    if a.ring is RAT:
+        assert all(type(c) is int for c in quotient.coeffs)
+
+
 @settings(max_examples=200, deadline=None)
 @given(rat_series_any, st.integers(min_value=0, max_value=6),
        st.sampled_from([1, -1, 3, -2, 1 << 40, 0, Fraction(3, 2)]))
