@@ -14,13 +14,13 @@ these four; the generic pair series, at sampled int weights, is
 ``genovpair_series``.
 
 Part-count difference series (total parts in objects with statistic
-congruent to b, minus those congruent to k - b) are produced by
-differentiating with respect to x at x = 1.  Every term of the inner
-sum vanishes at x = 1, so the derivative needs only the x = 1 inner
-terms, A'(1) = sum_n C_n(1) * g_n'(1), and the prefactor enters at
-x = 1 only: integers throughout (see ``nt_diff_gf``), packed along q,
-one int per summand on its window (``_packed_difference``).  A'(1) is
-cached per (family, b, k, order), and every miss first runs the A(1) = 0
+congruent to b, minus those congruent to k - b) are the x-derivative at
+x = 1.  Every inner term vanishes at x = 1, so A'(1) = sum_n C_n(1) *
+g_n'(1) and the prefactor enters at x = 1 only: integers packed along
+q, one int per summand on its window (``_packed_difference``), each
+C_n(1) a few shift-adds of its level factors, which cancel at x = 1 to
+O(1) factors over at most one 1 +- q^m (``_inner_residues``).  A'(1) is
+cached per (family, b, k, order); every miss first runs the A(1) = 0
 guard.  At x = 1 the prefactor is one over a theta series with O(sqrt N)
 terms (Euler's pentagonal theorem, Gauss's phi and psi), so a series is
 A'(1) divided by it, and a combination divides once per theta series.
@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import count, takewhile
+from math import prod
 from operator import lshift
 from typing import Callable
 
@@ -70,7 +71,6 @@ from .series import (
     Monomial,
     QSeries,
     add_shifted,
-    _pack,
     balanced_digits,
     folded_digits,
     lerch_sum,
@@ -100,8 +100,8 @@ class _FamilyData:
     pref_num: tuple[tuple[Monomial, int], ...]
     pref_den: tuple[tuple[Monomial, int], ...]
     theta: Callable[[int], int]  # at x = 1: 1 / sum_{n in Z} (-1)^n q^{theta(n)}
-    # inner summand: nums(n) * (-x)^n * q^{inner_quad(n)}
-    #                / ((q^s; q^s)_{n-1} * dens(n))
+    # inner summand: (-x)^n q^{inner_quad(n)} prod_{j<=n} nums(j) / dens(j) / (q^s; q^s)_{n-1},
+    # a row entry a is the factor 1 - a q^{(j-1)s} of level j; at x = 1 most cancel (`_inner_residues`)
     inner_num: tuple[Monomial, ...]
     inner_den: tuple[Monomial, ...]
     inner_quad: Callable[[int], int]
@@ -306,17 +306,44 @@ def _inner_terms(family: Family, z: _ZMap, order: int, margin=None):
         yield n, cur, quad
 
 
-@lru_cache(maxsize=None)
-def _inner_terms_rat(family: Family, order: int) -> tuple:
-    """Cached inner terms C_n(1) at x = 1, over integers, shared across
-    all (b, k)."""
-    return tuple(_inner_terms(family, _ZMap(RAT), order))
+def _inner_residues(family: Family, order: int):
+    """Yield (n, quad, scalar, nums, div) per level of `_inner_terms`, with
+    C_n(1) = scalar * prod_{(c, m) in nums} (1 + c q^m) / (1 + c' q^m') for
+    div = (c', m'), or None: the level factors at x = 1, equal factors and
+    divisors cancelled, the m = 0 factors in scalar.  A divisor other than
+    one 1 +- q^m, m > 0, is an AssertionError."""
+    d, net = _FAMILY_DATA[family], {}
+    rows = [(-a.coeff, a.qexp, 1) for a in d.inner_num] + [(-a.coeff, a.qexp, -1) for a in d.inner_den]
+    for n in takewhile(lambda n: d.inner_quad(n) <= order, count(1)):
+        for c, e, by in rows + [(-1, 0, -1)] * (n > 1):  # and (q^s; q^s)_(n-1)
+            f = (c, e + (n - 1) * d.qstep)
+            net[f] = net.get(f, 0) + by
+        net = {f: v for f, v in net.items() if v}
+        scalar = (-1) ** n * prod(1 + c for (c, m), v in net.items() if not m for _ in range(v))
+        nums = [(c, m) for (c, m), v in net.items() if m for _ in range(v)]
+        divs = [f for f, v in net.items() if v < 0 for _ in range(-v)]
+        if len(divs) > 1 or divs and (abs(divs[0][0]) != 1 or not divs[0][1]):
+            raise AssertionError(f"inner term {n} of {family.value} keeps the divisors {divs}")
+        yield n, d.inner_quad(n), scalar, nums, divs[0] if divs else None
 
 
-@lru_cache(maxsize=None)
-def _inner_maxima(family: Family, order: int) -> tuple:
-    """max |C_n(1)| of each inner term, shared by the widths of all (b, k)."""
-    return tuple(max(map(abs, c.coeffs)) for _, c, _ in _inner_terms_rat(family, order))
+def _residue_bound(scalar: int, nums, div) -> int:
+    """The largest |coefficient| of the numerator, or with a divisor 1 +- q^m,
+    whose quotient sums them with signs, their sum: a bound on C_n(1)."""
+    poly = {0: scalar}
+    for c, m in nums:
+        for e, v in list(poly.items()):
+            poly[e + m] = poly.get(e + m, 0) + c * v
+    return (sum if div else max)(map(abs, poly.values()))
+
+
+def _packed_term(scalar: int, nums, div, width: int, span: int) -> int:
+    """C_n(1) at q = 2^width: a shift-add per factor; a divisor 1 + c q^m, c = +-1, is
+    (1 - c q^m) / (1 - q^(2m)), one more shift-add and one `_div_packed` mod 2^span."""
+    x = scalar
+    for c, m in nums + [(-div[0], div[1])] if div else nums:
+        x += (c * x) << width * m
+    return _div_packed(x, width, 2 * div[1], span) if div else x
 
 
 def _theta(family: Family, order: int) -> tuple:
@@ -416,13 +443,6 @@ def rank_count_diff(family: Family, b1: int, b2: int, k: int, order: int) -> QSe
     return QSeries(RAT, order, out)
 
 
-@lru_cache(maxsize=None)
-def _packed_terms(family: Family, order: int, nbytes: int) -> tuple:
-    """The x = 1 inner terms C_n(1), each one int at q = 2^(8 nbytes)
-    (`_pack`), shared by every (b, k) whose bound needs that width."""
-    return tuple(_pack(c.coeffs, 8 * nbytes, nbytes) for _, c, _ in _inner_terms_rat(family, order))
-
-
 def _div_packed(x: int, width: int, m: int, span: int) -> int:
     """x / (1 - q^m) at q = 2^width, mod 2^span: times each factor
     (1 + q^(m 2^j)) below q^(span/width), one masked shift-add each."""
@@ -446,21 +466,22 @@ def _packed_difference(family: Family, b: int, k: int, order: int) -> tuple[int,
 
     and A(1) sums both halves C_n(1) (q^lo - q^hi) and C_n(1) (q^hi - q^lo),
     each over (1 - q^kn).  Each summand is built mod q^(order + 1 - start)
-    and added at q^start = q^min(lo, hi).  The width holds the bound
-    sum_n max|C_n| * 2k * (order//kn + 1)^2 on every coefficient of both,
-    and on every C_n (a numerator's absolute coefficient sum is at most 2k,
-    and that of 1/(1 - q^kn)^2 to q^order at most (order//kn + 1)^2)."""
-    s, terms = _FAMILY_DATA[family].qstep, _inner_terms_rat(family, order)
-    bound = sum(mx * 2 * k * (order // (s * k * n) + 1) ** 2
-                for (n, _, _), mx in zip(terms, _inner_maxima(family, order)))
-    nbytes = -(-_packing_width([bound]) // 8)  # whole bytes, for `_pack`
-    width, value, deriv = 8 * nbytes, 0, 0
-    for (n, _, quad), packed in zip(terms, _packed_terms(family, order, nbytes)):
+    and added at q^start = q^min(lo, hi), C_n(1) packed from its factors
+    (`_packed_term`).  The width holds the bound sum_n B_n * 2k *
+    (order//kn + 1)^2 on every coefficient of both, B_n = `_residue_bound`
+    (a numerator's absolute coefficient sum is at most 2k, and that of
+    1/(1 - q^kn)^2 to q^order at most (order//kn + 1)^2)."""
+    s, levels = _FAMILY_DATA[family].qstep, list(_inner_residues(family, order))
+    bound = sum(_residue_bound(scalar, nums, div) * 2 * k * (order // (s * k * n) + 1) ** 2
+                for n, _, scalar, nums, div in levels)
+    width, value, deriv = -(-_packing_width([bound]) // 8) * 8, 0, 0  # whole bytes read fastest
+    for n, quad, scalar, nums, div in levels:
         lo, hi, kn = quad + s * (b - 1) * n, quad + s * (k - b - 1) * n, s * k * n
         start = min(lo, hi)
         if start > order:
             continue
         span = width * (order - start + 1)
+        packed = _packed_term(scalar, nums, div, width, span)
         at_lo, at_hi = packed << width * (lo - start), packed << width * (hi - start)
         value += (_div_packed(at_lo - at_hi, width, kn, span)
                   + _div_packed(at_hi - at_lo, width, kn, span)) << width * start
@@ -859,9 +880,6 @@ def closed_form(form_id: str, order: int) -> QSeries:
 
 def clear_caches():
     """Drop every memoized series of this module (mainly for tests)."""
-    _inner_terms_rat.cache_clear()
-    _inner_maxima.cache_clear()
-    _packed_terms.cache_clear()
     _rank_build.cache_clear()
     rank_gf.cache_clear()
     _nt_deriv.cache_clear()

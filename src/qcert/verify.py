@@ -34,9 +34,10 @@ without failing the suite unless strict mode is on.
 from __future__ import annotations
 
 import random
+import re
 import time
 from dataclasses import dataclass, field
-from fnmatch import fnmatch
+from fnmatch import translate
 from operator import mul
 
 from . import combinatorics as comb
@@ -700,18 +701,14 @@ def get_spec(check_id: str) -> CheckSpec:
 
 
 def select_specs(only: str | None, include_informational: bool = True) -> list[CheckSpec]:
-    """Filter the registry by comma-separated categories or id globs."""
-    if not only:
-        chosen = [s for s in _REGISTRY]
-    else:
-        tokens = [t.strip() for t in only.split(",") if t.strip()]
-        chosen = []
-        for s in _REGISTRY:
-            for tok in tokens:
-                tl = _FILTER_ALIASES.get(tok.lower(), tok.lower())
-                if tok.lower() == "all" or s.category == tl or fnmatch(s.id.lower(), tok.lower()):
-                    chosen.append(s)
-                    break
+    """Filter the registry by comma-separated categories or id globs, case
+    blind: the tokens are lowered once, the globs joined into one pattern."""
+    chosen = list(_REGISTRY)
+    tokens = {t.strip().lower() for t in (only or "all").split(",")} - {""}
+    if "all" not in tokens:
+        ids = re.compile("|".join(map(translate, tokens)) or "(?!)").match  # no glob: no id
+        cats = {_FILTER_ALIASES.get(t, t) for t in tokens}
+        chosen = [s for s in chosen if s.category in cats or ids(s.id.lower())]
     if not include_informational:
         chosen = [s for s in chosen if not s.informational]
     return chosen

@@ -1,19 +1,24 @@
 """Engine mutants of the part-count series route.
 
 Each mutant breaks one datum or kernel of ``nt_diff_gf`` in place and
-names registry checks that must FAIL under it, read at their stated
-orders with conjectures strict; each named check PASSes on the
-unmutated engine first.  The first check of each row is a stated
-congruence, read from the series and from counting, whose series values
-the mutant breaks; the second compares the series with a closed form
-built from Pochhammer products, which reads neither the theta series nor
-the packed inner terms.
+names registry checks with the verdict each must reach under it, read at
+their stated orders with conjectures strict; each named check PASSes on
+the unmutated engine first.  The first check of each series-route row is
+a stated congruence, read from the series and from counting, whose
+series values the mutant breaks; the second compares the series with a
+closed form built from Pochhammer products, which reads neither the
+theta series nor the inner terms.  The inner-term rows also name the
+``ID-MAIN-*`` check of their family, which builds the inner sum over
+dual numbers from the same rows.
 
 The A(1) = 0 guard of ``_nt_deriv`` stays silent under all of them: the
 packed A(1) sums, per summand, the divisions of a numerator and of its
 negative, which cancel mod 2^span for every division that is additive
-mod 2^span, these included, so every row is a FAIL of the comparison,
-never an ERROR of the guard.
+mod 2^span, these included, so no row is an ERROR of the guard.  An
+inner row whose cancelled factors keep a divisor the packed terms cannot
+divide by is an ERROR of ``_inner_residues``; an inner row whose change
+vanishes at x = 1 (an x-exponent) leaves every C_n(1), and so the whole
+part-count route, unchanged, and only ``ID-MAIN-*`` sees it.
 """
 
 import dataclasses
@@ -22,7 +27,8 @@ import pytest
 
 import qcert
 from qcert import genfun as G
-from qcert.genfun import Family
+from qcert.genfun import _X, Family
+from qcert.series import mono
 from qcert.verify import VerifyConfig, get_spec, run_check
 
 
@@ -44,34 +50,66 @@ def _div_packed_by_next_power(monkeypatch):
 
 
 def _packed_term_plus_12345(monkeypatch):
-    """12345 added to the first packed inner term C_1(1)."""
-    orig = G._packed_terms
-    monkeypatch.setattr(G, "_packed_terms", lambda *args: (orig(*args)[0] + 12345, *orig(*args)[1:]))
+    """12345 added to the scalar of the first inner term C_1(1)."""
+    orig = G._inner_residues
+
+    def mutant(*args):
+        for n, quad, scalar, nums, div in orig(*args):
+            yield n, quad, scalar + 12345 * (n == 1), nums, div
+
+    monkeypatch.setattr(G, "_inner_residues", mutant)
+
+
+def _inner_row(family, **rows):
+    """One family's inner_num or inner_den row replaced."""
+
+    def patch(monkeypatch):
+        monkeypatch.setitem(G._FAMILY_DATA, family, dataclasses.replace(G._FAMILY_DATA[family], **rows))
+
+    return patch
+
+
+def _fail(*check_ids):
+    return dict.fromkeys(check_ids, "FAIL")
 
 
 MUTANTS = {
-    "theta-dyson": (_theta_exponent_off_by_one(Family.DYSON), ("NT5-I1", "CJ-NT7-ETA-7N4")),
-    "theta-ov-rank": (_theta_exponent_off_by_one(Family.OV_RANK), ("T2A", "ID-NTDIFF-OV-1-3")),
-    "theta-ov-m2": (_theta_exponent_off_by_one(Family.OV_M2), ("T1", "ID-NTDIFF-OVM2-1-5")),
-    "theta-do-m2": (_theta_exponent_off_by_one(Family.DO_M2), ("T3", "ID-NTDIFF-DOM2-1-5")),
-    "div-packed-next-power": (_div_packed_by_next_power, ("NT5-I1", "ID-NTDIFF-OV-1-3")),
-    "packed-term-plus-12345": (_packed_term_plus_12345, ("T3", "ID-NTDIFF-OVM2-1-3")),
+    "theta-dyson": (_theta_exponent_off_by_one(Family.DYSON), _fail("NT5-I1", "CJ-NT7-ETA-7N4")),
+    "theta-ov-rank": (_theta_exponent_off_by_one(Family.OV_RANK), _fail("T2A", "ID-NTDIFF-OV-1-3")),
+    "theta-ov-m2": (_theta_exponent_off_by_one(Family.OV_M2), _fail("T1", "ID-NTDIFF-OVM2-1-5")),
+    "theta-do-m2": (_theta_exponent_off_by_one(Family.DO_M2), _fail("T3", "ID-NTDIFF-DOM2-1-5")),
+    "div-packed-next-power": (_div_packed_by_next_power, _fail("NT5-I1", "ID-NTDIFF-OV-1-3")),
+    "packed-term-plus-12345": (_packed_term_plus_12345, _fail("T3", "ID-NTDIFF-OVM2-1-3", "NT5-I1")),
+    # (1 - x q^n) -> (1 - x q^(n+1)): C_n(1) keeps the divisor 1 - q
+    "inner-num-dyson-next-power": (
+        _inner_row(Family.DYSON, inner_num=(mono(1, 2, xexp=_X),)),
+        _fail("NT5-I1", "CJ-NT7-ETA-7N4", "ID-MAIN-DYSON"),
+    ),
+    # (1 + x q^(2n-1)) -> (1 - x q^(2n-1)) as a divisor: nothing cancels it
+    "inner-den-ov-m2-sign": (
+        _inner_row(Family.OV_M2, inner_den=(mono(-1, 2, xexp=_X), mono(1, 1, xexp=_X))),
+        {"T1": "ERROR", "ID-NTDIFF-OVM2-1-5": "ERROR", "ID-MAIN-OVM2": "FAIL"},
+    ),
+    # (1 + x q^(2n-1)) -> (1 + q^(2n-1)) as a divisor: equal at x = 1
+    "inner-den-do-m2-no-x": (
+        _inner_row(Family.DO_M2, inner_den=(mono(-1, 1),)),
+        {"T3": "PASS", "ID-NTDIFF-DOM2-1-5": "PASS", "ID-MAIN-DOM2": "FAIL"},
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_series_route_mutant_fails_its_named_checks(name, monkeypatch):
-    patch, check_ids = MUTANTS[name]
+    patch, expected = MUTANTS[name]
     config = VerifyConfig(strict_conjectures=True)
     qcert.clear_caches()
     try:
-        for check_id in check_ids:
+        for check_id in expected:
             assert run_check(get_spec(check_id), config=config).status == "PASS", check_id
         qcert.clear_caches()
         patch(monkeypatch)
-        for check_id in check_ids:
-            rep = run_check(get_spec(check_id), config=config)
-            assert rep.status == "FAIL", (check_id, rep.status, rep.error)
+        got = {check_id: run_check(get_spec(check_id), config=config) for check_id in expected}
+        assert {i: rep.status for i, rep in got.items()} == expected, {i: rep.error for i, rep in got.items()}
     finally:
         monkeypatch.undo()
         qcert.clear_caches()

@@ -16,6 +16,7 @@ from qcert.errors import UnknownFormId
 from qcert.genfun import (
     Family,
     PackedZ,
+    _inner_terms,
     _pair_sum,
     _rank_sum_of,
     _thmain_prefactor,
@@ -34,7 +35,7 @@ from qcert.genfun import (
     z_text,
 )
 from qcert.rings import RAT, DualRing, DualScalar
-from qcert.series import QSeries, balanced_digits
+from qcert.series import QSeries, balanced_digits, mono
 
 ALL_FAMILIES = (Family.DYSON, Family.OV_RANK, Family.OV_M2, Family.DO_M2)
 
@@ -162,10 +163,10 @@ _WINDOW_PAIRS = ((1, 3), (2, 3), (2, 5), (4, 5), (3, 7), (5, 7), (6, 11), (10, 1
 def _assert_packed_difference_matches_reference(family, b, k, order):
     """The packed A(1) and A'(1) read back digit by digit equal the
     full-length references, and A'(1) is what `_nt_deriv` caches."""
-    from qcert.genfun import _FAMILY_DATA, _inner_terms_rat, _nt_deriv, _packed_difference
+    from qcert.genfun import _FAMILY_DATA, _inner_terms, _nt_deriv, _packed_difference
 
     s = _FAMILY_DATA[family].qstep
-    plain = [(n, c.coeffs, quad) for n, c, quad in _inner_terms_rat(family, order)]
+    plain = [(n, c.coeffs, quad) for n, c, quad in _inner_terms(family, _ZMap(RAT), order)]
     value, deriv, width = _packed_difference(family, b, k, order)
     want_value = bf.difference_sum_ref(plain, s, b, k, order)
     assert balanced_digits(value, width, order + 1) == want_value == [0] * (order + 1)
@@ -178,10 +179,10 @@ def _assert_packed_difference_matches_reference(family, b, k, order):
     "family, order", [(f, 200) for f in ALL_FAMILIES] + [(Family.DYSON, 1054)]
 )
 def test_windowed_difference_sums_match_full_length_reference(family, order):
-    from qcert.genfun import _FAMILY_DATA, _inner_terms_rat
+    from qcert.genfun import _FAMILY_DATA, _inner_terms
 
     s = _FAMILY_DATA[family].qstep
-    terms = _inner_terms_rat(family, order)
+    terms = list(_inner_terms(family, _ZMap(RAT), order))
     starts_past_order = False
     for b, k in _WINDOW_PAIRS:
         _assert_packed_difference_matches_reference(family, b, k, order)
@@ -189,6 +190,113 @@ def test_windowed_difference_sums_match_full_length_reference(family, order):
             quad + s * min(b - 1, k - b - 1) * n > order for n, _, quad in terms
         )
     assert starts_past_order
+
+
+# C_n(1) of each family after its level factors cancel: (scalar, numerator
+# factors (c, m) of 1 + c q^m, divisor) as functions of n
+_RESIDUES = {
+    Family.DYSON: lambda n: ((-1) ** n, [(-1, n)], None),
+    Family.OV_RANK: lambda n: (2 * (-1) ** n, [(-1, n)], (1, n)),
+    Family.OV_M2: lambda n: (2 * (-1) ** n, [(-1, 2 * n)], (1, 2 * n)),
+    Family.DO_M2: lambda n: ((-1) ** n, [(-1, 2 * n)], None),
+}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_inner_residues_pin_the_cancelled_factors(family):
+    from qcert.genfun import _FAMILY_DATA, _inner_residues
+
+    quad = _FAMILY_DATA[family].inner_quad
+    got = list(_inner_residues(family, 200))
+    assert [n for n, *_ in got] == list(range(1, len(got) + 1)) and quad(len(got) + 1) > 200
+    assert got == [(n, quad(n), *_RESIDUES[family](n)) for n in range(1, len(got) + 1)]
+
+
+def _assert_packed_terms_match_list_terms(family, order):
+    """Each packed C_n(1), read back digit by digit, is the list-built
+    term, and `_residue_bound` is its largest |coefficient| or above it."""
+    from qcert.genfun import _inner_residues, _inner_terms, _packed_term, _packing_width, _residue_bound
+
+    levels = list(_inner_residues(family, order))
+    terms = list(_inner_terms(family, _ZMap(RAT), order))
+    assert [lvl[:2] for lvl in levels] == [(n, quad) for n, _, quad in terms]
+    for (n, quad, scalar, nums, div), (_, c, _) in zip(levels, terms):
+        bound = _residue_bound(scalar, nums, div)
+        assert max(map(abs, c.coeffs)) <= bound, n
+        width = _packing_width([bound])
+        packed = _packed_term(scalar, nums, div, width, width * len(c.coeffs))
+        assert balanced_digits(packed, width, len(c.coeffs)) == c.coeffs, (family, order, n)
+
+
+@pytest.mark.parametrize(
+    "family, orders",
+    [pytest.param(f, [*range(14), 60, 200], id=f"{f.value}-0..13,60,200") for f in ALL_FAMILIES]
+    + [pytest.param(Family.DYSON, [1054], id="dyson-1054")],
+)
+def test_packed_inner_terms_match_the_list_built_terms(family, orders):
+    from qcert.genfun import _inner_residues, _residue_bound
+
+    for order in orders:
+        _assert_packed_terms_match_list_terms(family, order)
+    # on the four families the bound is the largest |coefficient| of every
+    # term that reaches q^(2m), so the widths stay those of the list maxima
+    exact = [
+        _residue_bound(scalar, nums, div) == max(map(abs, c.coeffs))
+        for (_, _, scalar, nums, div), (_, c, _) in zip(
+            _inner_residues(family, 200), _inner_terms(family, _ZMap(RAT), 200))
+        if len(c.coeffs) > 2 * nums[0][1]
+    ]
+    assert len(exact) >= 7 and all(exact)
+
+
+# inner rows that keep other divisors at x = 1: (1 - q^n)(1 - q^(n+1)) / (1 - q),
+# the one divisor 1 - q^m, is packed; (1 - q^n) over prod_j (1 + q^j) keeps
+# n divisors, and 3 (1 - q^n) / (1 + 2 q^n) one divisor 1 + 2 q^n
+_ONE_MINUS_DIVISOR = (Family.DYSON, {"inner_num": (mono(1, 2, xexp=1),)})
+_KEPT_DIVISORS = {
+    "two-divisors": (Family.DYSON, {"inner_den": (mono(-1, 1, xexp=1),)}, "NT5-I1"),
+    "divisor-1+2q^m": (
+        Family.OV_RANK,
+        {"inner_num": (mono(1, 1, xexp=1), mono(-2, 0)), "inner_den": (mono(-2, 1, xexp=1),)},
+        "ID-NTDIFF-OV-1-3",
+    ),
+}
+
+
+def test_packed_inner_term_divides_by_one_minus_q_m(monkeypatch):
+    import dataclasses
+
+    from qcert import genfun as G
+
+    family, rows = _ONE_MINUS_DIVISOR
+    monkeypatch.setitem(G._FAMILY_DATA, family, dataclasses.replace(G._FAMILY_DATA[family], **rows))
+    assert [lvl[4] for lvl in G._inner_residues(family, 60)][:3] == [None, (-1, 1), (-1, 1)]
+    for order in (0, 1, 2, 7, 13, 60):
+        _assert_packed_terms_match_list_terms(family, order)
+
+
+@pytest.mark.parametrize("name", sorted(_KEPT_DIVISORS))
+def test_inner_row_keeping_another_divisor_is_a_check_error(name, monkeypatch):
+    # the packed terms divide by one 1 +- q^m only; any other divisor left
+    # after the cancellation is refused, and the runner reports an ERROR
+    import dataclasses
+
+    import qcert
+    from qcert import genfun as G
+    from qcert.verify import run_all
+
+    family, rows, check_id = _KEPT_DIVISORS[name]
+    monkeypatch.setitem(G._FAMILY_DATA, family, dataclasses.replace(G._FAMILY_DATA[family], **rows))
+    qcert.clear_caches()
+    try:
+        with pytest.raises(AssertionError, match=f"inner term .* of {family.value} keeps the divisors"):
+            nt_diff_gf(family, 1, 5, 30)
+        result = run_all(only=check_id, order=23)
+    finally:
+        qcert.clear_caches()
+    (rep,) = result.reports
+    assert rep.status == "ERROR" and rep.error.startswith("AssertionError: inner term")
+    assert result.exit_code == 2
 
 
 def test_packed_difference_matches_reference_for_every_registry_key():
@@ -381,8 +489,7 @@ def test_clear_caches_empties_every_lru_cache():
     tally("NTbar", 6, 5)
     raw_tally("N", 6)
     warm = {f"qcert.genfun.{name}" for name in (
-        "_inner_terms_rat", "_inner_maxima", "_packed_terms", "_nt_deriv",
-        "nt_diff_gf", "_rank_build", "rank_gf", "closed_form")}
+        "_nt_deriv", "nt_diff_gf", "_rank_build", "rank_gf", "closed_form")}
     warm |= {"qcert.combinatorics._table"}  # the tallies read the row tables
     assert warm <= set(filled()), filled()
     qcert.clear_caches()

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from bruteforce import mutate_first_term
+from test_benchmark_reports import perfbench  # noqa: F401  (the fixture)
 from qcert import combinatorics
 from qcert.combinatorics import require_limit
 from qcert.errors import InsufficientOrder
@@ -116,6 +117,36 @@ def test_select_specs():
     got = {s.id for s in select_specs("T1,X-*")}
     assert "T1" in got and "X-PAIR" in got
     assert all(not s.informational for s in select_specs("all", include_informational=False))
+
+
+def _select_per_token(only, include_informational=True):
+    """The per-spec, per-token selection that select_specs replaces."""
+    from fnmatch import fnmatch
+
+    from qcert.verify import _FILTER_ALIASES
+
+    tokens = [t.strip() for t in (only or "all").split(",") if t.strip()]
+    chosen = [
+        s for s in registry()
+        if any(t.lower() == "all" or s.category == _FILTER_ALIASES.get(t.lower(), t.lower())
+               or fnmatch(s.id.lower(), t.lower()) for t in tokens)
+    ]
+    return [s for s in chosen if include_informational or not s.informational]
+
+
+def test_select_specs_matches_the_per_token_globs(perfbench):  # noqa: F811
+    from qcert.verify import _FILTER_ALIASES
+
+    categories = sorted({s.category for s in registry()})
+    onlys = [w.only for w in perfbench.WORKLOADS.values()]
+    onlys += [*_FILTER_ALIASES, *(a.upper() for a in _FILTER_ALIASES), *categories]
+    onlys += [None, "", ",", " , ", "all", "ALL", "t1,All", "x-*", "Nt5-I?", "[ct]*,theorems",
+              "*-scan-*", "no-such-thing", "identity, cj-nt1[13]-*", "ID-MAIN-*,X-*,xchecks"]
+    for only in onlys:
+        for informational in (True, False):
+            want = _select_per_token(only, informational)
+            assert select_specs(only, informational) == want, (only, informational)
+    assert len({len(select_specs(only)) for only in onlys}) >= 8
 
 
 @pytest.mark.parametrize("cid", THEOREM_IDS)
