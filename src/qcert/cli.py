@@ -191,7 +191,7 @@ def verify(only, order, strict_conjectures, unsafe_bounds, seed, explore, fmt, r
         require_order(specs, order)  # before the path probe leaves a file
         for path in filter(None, (report_path, output)):
             _open(path, "a").close()  # an unwritable path fails before any check runs
-        result = run_all(only=only, order=order, config=cfg)
+        result = run_all(order=order, config=cfg, specs=specs)
     except QcertError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

@@ -15,15 +15,19 @@ these four; the generic pair series, at sampled int weights, is
 
 Part-count difference series (total parts in objects with statistic
 congruent to b, minus those congruent to k - b) are the x-derivative at
-x = 1.  Every inner term vanishes at x = 1, so A'(1) = sum_n C_n(1) *
-g_n'(1) and the prefactor enters at x = 1 only: integers packed along
-q, one int per summand on its window (``_packed_difference``), each
-C_n(1) a few shift-adds of its level factors, which cancel at x = 1 to
-O(1) factors over at most one 1 +- q^m (``_inner_residues``).  A'(1) is
-cached per (family, b, k, order); every miss first runs the A(1) = 0
-guard.  At x = 1 the prefactor is one over a theta series with O(sqrt N)
-terms (Euler's pentagonal theorem, Gauss's phi and psi), so a series is
-A'(1) divided by it, and a combination divides once per theta series.
+x = 1.  Every inner term vanishes at x = 1, so A(1) = 0 by construction,
+A'(1) = sum_n C_n(1) * g_n'(1), and the prefactor enters at x = 1 only:
+integers packed along q, one int per summand on its window
+(``_packed_difference``), each C_n(1) a few shift-adds of its level
+factors, which cancel at x = 1 to O(1) factors over at most one 1 +- q^m
+(``_inner_residues``).  Each A'(1) build asserts every digit within the
+bound that set its width.  At x = 1 the prefactor is one over a theta
+series with O(sqrt N) terms (Euler's pentagonal theorem, Gauss's phi and
+psi), so a series is A'(1) divided by it, once per theta series.
+Each series has one build per key, at the widest order read, that lower
+reads truncate (``_widest``): A'(1) per (family, b, k), the theta series,
+level factors and rank sum per family, and each closed form; ``_CACHES``
+lists every memo, for ``clear_caches``.
 
 Everything here is computed over the integers.  The generic helpers
 take the coefficient ring, which carries x: x = 1 over ``RAT``, 1 + eps
@@ -37,9 +41,8 @@ route is the reference for every packed build.  ``rank_gf`` and
 ``genovpair_series`` are built packed over ``RAT`` and read in place
 (``PackedZ``): a distribution is compared as one packed int, residue
 sums mod k are the digits of the int folded mod 2^(Wk) - 1, and only a
-witness reads the digits back, as text (``z_text``).
-``rank_gf`` keeps one build per family, at the widest order read, and
-the samples of the pair series share one width (``genovpair_samples``).
+witness reads the digits back, as text (``z_text``).  The samples of
+the pair series share one width (``genovpair_samples``).
 ``thmain_check`` compares its sides packed over ``DualRing(RAT)``, each
 two int series (value and derivative); it builds the prefactor once,
 untwisted, for the majorant and the packed side, and twists it in the
@@ -48,10 +51,10 @@ majorant of the same build, asserted by ``_packing_width``.
 
 The closed forms live in one table, ``_FORM_BUILDERS``.  Every infinite
 product in a closed form is one ``pochhammer_quotient`` call, its powers
-stated by repeating factor rows (``_poch``, ``_bracket``).  The forms
-that multiply a generating function by an alternating kernel sum all
-come from one builder, ``_kernel_product``, over a three-row table keyed
-by kernel family.
+stated by repeating factor rows (``_poch``, ``_bracket``), which it
+merges into net powers.  The forms that multiply a generating function
+by an alternating kernel sum all come from one builder,
+``_kernel_product``, over a three-row table keyed by kernel family.
 """
 
 from __future__ import annotations
@@ -275,6 +278,21 @@ class PackedZ:
         return z_text(self.coeffs[j], self.width, j)
 
 
+@lru_cache(maxsize=None)
+def _slot(build, *key) -> list:
+    """[order, value] of the one build of `build` (module-level, so a stable key) at `key`."""
+    return []
+
+
+def _widest(build, *key, order: int, cut=QSeries.truncate):
+    """build(*key, order) from its one build, made at the first read, rebuilt
+    for a wider one (as ``combinatorics._table``), `cut` for a lower one."""
+    slot = _slot(build, *key)
+    if not slot or slot[0] < order:
+        slot[:] = [order, build(*key, order)]
+    return slot[1] if slot[0] == order else cut(slot[1], order)
+
+
 def _inner_terms(family: Family, z: _ZMap, order: int, margin=None):
     """Yield (n, common, quad) where common is the inner summand at level
     n without its q^{quad} shift and without the residue bracket.
@@ -327,6 +345,11 @@ def _inner_residues(family: Family, order: int):
         yield n, d.inner_quad(n), scalar, nums, divs[0] if divs else None
 
 
+def _level_table(family: Family, order: int) -> list:
+    """The levels of `_inner_residues`, each with its `_residue_bound` appended."""
+    return [(*lv, _residue_bound(*lv[2:])) for lv in _inner_residues(family, order)]
+
+
 def _residue_bound(scalar: int, nums, div) -> int:
     """The largest |coefficient| of the numerator, or with a divisor 1 +- q^m,
     whose quotient sums them with signs, their sum: a bound on C_n(1)."""
@@ -350,6 +373,10 @@ def _theta(family: Family, order: int) -> tuple:
     """The family's theta series sum_{n in Z} (-1)^n q^{theta(n)} to q^order,
     one over its prefactor at x = 1 (Euler's pentagonal theorem, Gauss's
     phi and psi): its O(sqrt N) nonzero terms (e, c), ascending."""
+    return _widest(_theta_terms, family, order=order, cut=lambda t, n: tuple(takewhile(lambda ec: ec[0] <= n, t)))
+
+
+def _theta_terms(family: Family, order: int) -> tuple:
     t, terms = _FAMILY_DATA[family].theta, {0: 1}
     for n in takewhile(lambda n: min(t(n), t(-n)) <= order, count(1)):  # both grow
         for e in (t(n), t(-n)):
@@ -395,26 +422,20 @@ def _rank_sum_of(family: Family, z: _ZMap, order: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _rank_build(family: Family) -> list:
-    """The one packed rank sum of `family`, built at the widest order read
-    (the pattern of ``combinatorics._table``)."""
-    return []
-
-
-@lru_cache(maxsize=None)
 def rank_gf(family: Family, order: int) -> PackedZ:
     """z-refined rank generating function at x = 1, packed (`PackedZ`):
     coefficient of z^m q^n counts objects of weight n with statistic m.
 
-    A read truncates the family's one build; a wider read rebuilds it,
-    its width from the majorant of the same build.  Each coefficient c is
-    asserted as an int: its digits lie in the rank range, -H_n <= c <
-    2^(width(2n+1)) - H_n with H_n half a digit in each of the 2n + 1
-    places, and their sum, the balanced residue of c mod 2^width - 1, is
-    the count form's coefficient."""
-    build = _rank_build(family)
-    if build and len(build[0].coeffs) > order:
-        return PackedZ(build[0].coeffs[: order + 1], build[0].width)
+    A read truncates the family's one build (`_widest`); a wider read
+    rebuilds it, its width from the majorant of the same build.  Each
+    coefficient c is asserted as an int: its digits lie in the rank range,
+    -H_n <= c < 2^(width(2n+1)) - H_n with H_n half a digit in each of the
+    2n + 1 places, and their sum, the balanced residue of c mod
+    2^width - 1, is the count form's coefficient."""
+    return _widest(_rank_packed, family, order=order, cut=lambda g, n: PackedZ(g.coeffs[: n + 1], g.width))
+
+
+def _rank_packed(family: Family, order: int) -> PackedZ:
     width = _packing_width(_rank_sum_of(family, _ZMap(RAT, 0, majorant=True), order).coeffs)
     g = PackedZ(_rank_sum_of(family, _ZMap(RAT, width), order).coeffs, width)
     counts = closed_form(_FAMILY_DATA[family].count_form, order).coeffs
@@ -429,7 +450,6 @@ def rank_gf(family: Family, order: int) -> PackedZ:
         (total,) = folded_digits(c, width, 1)
         if total != counts[n]:
             raise AssertionError(f"rank counts at q^{n} sum to {total}, not to the count {counts[n]}")
-    build[:] = [g]
     return g
 
 
@@ -455,27 +475,25 @@ def _div_packed(x: int, width: int, m: int, span: int) -> int:
 
 
 def _packed_difference(family: Family, b: int, k: int, order: int) -> tuple[int, int, int]:
-    """(A(1), A'(1), width): the inner sum A at x = 1 and its x-derivative
-    there, each one int at q = 2^width, from the x = 1 inner terms C_n(1).
+    """(A'(1), width, bound): the inner sum A's x-derivative at x = 1 as one
+    int at q = 2^width, from the x = 1 inner terms C_n(1), and its digit bound.
 
     Each summand of A is C_n(x) * g_n(x) with g_n(1) = 0, so C_n'(1)
-    drops out and A'(1) = sum_n C_n(1) * g_n'(1), where, with
-    lo = quad + s(b-1)n, hi = quad + s(k-b-1)n and kn = s*k*n,
+    drops out (and A(1) = 0) and A'(1) = sum_n C_n(1) * g_n'(1), where,
+    with lo = quad + s(b-1)n, hi = quad + s(k-b-1)n and kn = s*k*n,
 
-        g_n'(1) = [(k-b) q^hi - b q^lo + b q^(hi+kn) - (k-b) q^(lo+kn)] / (1 - q^kn)^2,
+        g_n'(1) = [(k-b) q^hi - b q^lo + b q^(hi+kn) - (k-b) q^(lo+kn)] / (1 - q^kn)^2.
 
-    and A(1) sums both halves C_n(1) (q^lo - q^hi) and C_n(1) (q^hi - q^lo),
-    each over (1 - q^kn).  Each summand is built mod q^(order + 1 - start)
-    and added at q^start = q^min(lo, hi), C_n(1) packed from its factors
-    (`_packed_term`).  The width holds the bound sum_n B_n * 2k *
-    (order//kn + 1)^2 on every coefficient of both, B_n = `_residue_bound`
-    (a numerator's absolute coefficient sum is at most 2k, and that of
-    1/(1 - q^kn)^2 to q^order at most (order//kn + 1)^2)."""
-    s, levels = _FAMILY_DATA[family].qstep, list(_inner_residues(family, order))
-    bound = sum(_residue_bound(scalar, nums, div) * 2 * k * (order // (s * k * n) + 1) ** 2
-                for n, _, scalar, nums, div in levels)
-    width, value, deriv = -(-_packing_width([bound]) // 8) * 8, 0, 0  # whole bytes read fastest
-    for n, quad, scalar, nums, div in levels:
+    Each summand is built mod q^(order + 1 - start) and added at q^start =
+    q^min(lo, hi), C_n(1) packed from its factors (`_packed_term`).  The
+    width holds the bound sum_n B_n * 2k * (order//kn + 1)^2, B_n =
+    `_residue_bound` (a numerator's absolute coefficient sum is at most
+    2k, and that of 1/(1 - q^kn)^2 to q^order at most (order//kn + 1)^2)."""
+    s = _FAMILY_DATA[family].qstep
+    levels = _widest(_level_table, family, order=order, cut=lambda ls, n: [lv for lv in ls if lv[1] <= n])
+    bound = sum(rb * 2 * k * (order // (s * k * n) + 1) ** 2 for n, *_, rb in levels)
+    width, deriv = -(-_packing_width([bound]) // 8) * 8, 0  # whole bytes read fastest
+    for n, quad, scalar, nums, div, _ in levels:
         lo, hi, kn = quad + s * (b - 1) * n, quad + s * (k - b - 1) * n, s * k * n
         start = min(lo, hi)
         if start > order:
@@ -483,23 +501,26 @@ def _packed_difference(family: Family, b: int, k: int, order: int) -> tuple[int,
         span = width * (order - start + 1)
         packed = _packed_term(scalar, nums, div, width, span)
         at_lo, at_hi = packed << width * (lo - start), packed << width * (hi - start)
-        value += (_div_packed(at_lo - at_hi, width, kn, span)
-                  + _div_packed(at_hi - at_lo, width, kn, span)) << width * start
         num = (k - b) * at_hi - b * at_lo + ((b * at_hi - (k - b) * at_lo) << width * kn)
         deriv += _div_packed(_div_packed(num, width, kn, span), width, kn, span) << width * start
-    return value, deriv, width
+    return deriv, width, bound
 
 
-@lru_cache(maxsize=None)
 def _nt_deriv(family: Family, b: int, k: int, order: int) -> QSeries:
-    """A'(1) for one (family, b, k), cached; every miss first asserts
-    A(1) = 0 mod 2^(width * (order + 1)) of the same `_packed_difference`."""
+    """A'(1) for one (family, b, k), read from its one build (`_widest`)."""
     if not 1 <= b <= k - 1:
         raise ValueError("need 1 <= b <= k-1")
-    value, deriv, width = _packed_difference(family, b, k, order)
-    if value & ((1 << width * (order + 1)) - 1):
-        raise AssertionError("x = 1 evaluation of the inner difference sum must vanish")
-    return QSeries(RAT, order, balanced_digits(deriv, width, order + 1))
+    return _widest(_deriv_digits, family, b, k, order=order)
+
+
+def _deriv_digits(family: Family, b: int, k: int, order: int) -> QSeries:
+    """`_packed_difference` read back, each digit asserted within its bound."""
+    deriv, width, bound = _packed_difference(family, b, k, order)
+    digits = balanced_digits(deriv, width, order + 1)
+    if max(map(abs, digits)) > bound:
+        n = next(n for n, d in enumerate(digits) if abs(d) > bound)
+        raise AssertionError(f"packed A'(1) digit {digits[n]} at q^{n} is past its bound {bound}")
+    return QSeries._of(RAT, order, digits)
 
 
 @lru_cache(maxsize=None)
@@ -510,8 +531,8 @@ def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
 
     With x = 1 every power of x is 1, so A(1) = 0 and d/dx(P*A) at x = 1
     is P(1)*A'(1).  A'(1) = sum_n C_n(1) * g_n'(1) needs only the x = 1
-    inner terms (see `_packed_difference`), and every miss of its cache
-    (`_nt_deriv`) asserts the packed A(1) zero in its order + 1 digits.
+    inner terms (see `_packed_difference`), and each build of it
+    (`_nt_deriv`) asserts every digit within its stated bound.
     P(1) is one over the family's theta series (`_theta`), so the result
     is one sparse division (`QSeries.div_sparse`).  The inner sum over
     honest x-polynomials, in the tests, is the oracle for this collapse.
@@ -868,20 +889,20 @@ def form_ids() -> list[str]:
 
 @lru_cache(maxsize=None)
 def closed_form(form_id: str, order: int) -> QSeries:
-    """Expand a registered closed form to the requested order."""
+    """Expand a registered closed form to the requested order, from its one build."""
     try:
         builder = _FORM_BUILDERS[form_id]
     except KeyError:
         raise UnknownFormId(
             f"unknown form id {form_id!r}; known ids: {', '.join(form_ids())}"
         ) from None
-    return builder(order)
+    return _widest(builder, order=order)
+
+
+_CACHES = (_slot, rank_gf, nt_diff_gf, closed_form)
 
 
 def clear_caches():
     """Drop every memoized series of this module (mainly for tests)."""
-    _rank_build.cache_clear()
-    rank_gf.cache_clear()
-    _nt_deriv.cache_clear()
-    nt_diff_gf.cache_clear()
-    closed_form.cache_clear()
+    for cache in _CACHES:
+        cache.cache_clear()

@@ -22,7 +22,8 @@ its prefactor once, untwisted, and ``DualSeries.mul`` twists it in the
 product, one small product and a shift per prefactor coefficient.
 
 Over ``RAT``, the integers, the binomial kernels with c = +-1 are
-C-level list passes, and an int c with 30 or more trailing zero bits is
+C-level list passes, and so is a product of factors 1 +- q^m (net powers
+of 1 - q^m, in place), and an int c with 30 or more trailing zero bits is
 a product with its odd part and a shift, so a packed power of z (see
 ``genfun``) costs a shift, not a big-integer product; ``mul_scalar`` and
 ``add_shifted`` (c*q^k*src added from offset k, with no zeros built below
@@ -243,8 +244,9 @@ class QSeries:
             unit = self.ring.one + c
             return self.mul_scalar(self.ring.invert(unit))
         if self.ring is RAT and c in (1, -1):  # 1/(1 + q^m) = (1 - q^m)/(1 - q^2m)
-            a = self.coeffs if c == -1 else self.mul_binomial(-1, m).coeffs
-            return QSeries._of(RAT, self.order, _div_one_minus(a, m if c == -1 else 2 * m))
+            a = list(self.coeffs) if c == -1 else self.mul_binomial(-1, m).coeffs
+            _div_one_minus(a, m if c == -1 else 2 * m)
+            return QSeries._of(RAT, self.order, a)
         out = list(self.coeffs)
         if self.ring is RAT and (sh := _shift(c, out)):
             odd, k = sh
@@ -456,17 +458,15 @@ def _scaled(src: list, c):
     return map(lshift, src if odd == 1 else map(mul, src, repeat(odd)), repeat(k))
 
 
-def _div_one_minus(a: list, m: int) -> list:
-    """a / (1 - q^m), m >= 1, in C-level passes: prefix sums along each
-    residue class mod m while m*m <= len(a), else one per block of m."""
-    out = list(a)
-    if m * m <= len(out):
+def _div_one_minus(a: list, m: int) -> None:
+    """a /= (1 - q^m), m >= 1, in place, in C-level passes: prefix sums along
+    each residue class mod m while m*m <= len(a), else one per block of m."""
+    if m * m <= len(a):
         for r in range(m):
-            out[r::m] = accumulate(out[r::m])
+            a[r::m] = accumulate(a[r::m])
     else:
-        for i in range(m, len(out), m):
-            out[i : i + m] = map(add, out[i : i + m], out[i - m : i])
-    return out
+        for i in range(m, len(a), m):
+            a[i : i + m] = map(add, a[i : i + m], a[i - m : i])
 
 
 def add_shifted(dst: list, src, k: int, c=1) -> None:
@@ -575,24 +575,37 @@ def pochhammer_quotient(num, den=(), *, order: int, ring=RAT) -> QSeries | DualS
     Built from binomial factors only: a factor whose q-valuation exceeds
     the order contributes 1.  Every argument must carry a positive
     q-power (or be 0, giving the empty product); otherwise the constant
-    term never settles.
+    term never settles.  Over RAT with arguments +-q^e the factors become
+    net powers of (1 - q^m), reading 1 + q^m as (1 - q^2m)/(1 - q^m), so
+    equal rows merge and rows on both sides cancel, and the product runs
+    in place on one list; other rings take the binomial kernels.
     """
     for a, step in (*num, *den):
         if step < 1:
             raise ValueError("qstep must be >= 1")
         if a.coeff and a.qexp == 0:
-            raise DivergentProduct(
-                "infinite product needs a positive q-power in its argument"
-            )
-    s = series_type(ring).one(ring, order)
-    for side, divide in ((num, False), (den, True)):
-        for a, step in side:
-            if not a.coeff:
-                continue
+            raise DivergentProduct("infinite product needs a positive q-power in its argument")
+    rows = [(a, step, by) for side, by in ((num, 1), (den, -1)) for a, step in side if a.coeff]
+    if ring is not RAT or any(a.coeff not in (1, -1) or a.zexp for a, _, _ in rows):
+        s = series_type(ring).one(ring, order)  # the kernel route, and the reference
+        for a, step, by in rows:
             coeff = -mon(ring, a)
             for pos in range(a.qexp, order + 1, step):
-                s = s.div_binomial(coeff, pos) if divide else s.mul_binomial(coeff, pos)
-    return s
+                s = s.mul_binomial(coeff, pos) if by > 0 else s.div_binomial(coeff, pos)
+        return s
+    power = [0] * (order + 1)  # of each 1 - q^m
+    for a, step, by in rows:
+        for m in range(a.qexp, order + 1, step):
+            power[m] += by * a.coeff
+            if a.coeff == -1 and 2 * m <= order:
+                power[2 * m] += by
+    out = [1] + [0] * order
+    for m, p in enumerate(power):  # one C-level pass per unit of power
+        for _ in range(p):
+            out[m:] = map(sub, out[m:], out[:-m])
+        for _ in range(-p):
+            _div_one_minus(out, m)
+    return QSeries._of(RAT, order, out)
 
 
 def pochhammer_infinite(a: Monomial, qstep: int = 1, *, order: int, ring=RAT) -> QSeries:

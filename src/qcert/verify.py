@@ -251,9 +251,10 @@ def _lhs_reader(spec: CheckSpec, bound: int, upto: int, config: VerifyConfig):
                     for t in spec.lhs if t.family in _SERIES_FAMILY]
     series_vals = nt_diff_combo(series_terms, bound).integer_coefficients() if series_terms else None
     enum_terms = [t for t in spec.lhs if t.family not in _SERIES_FAMILY]
-    if enum_terms:
-        limit = require_limit(spec.id, [t.family for t in enum_terms], upto, config.unsafe_bounds)
-        upto = max(upto, min(bound, limit))
+    if not enum_terms:
+        return series_vals.__getitem__
+    limit = require_limit(spec.id, [t.family for t in enum_terms], upto, config.unsafe_bounds)
+    upto = max(upto, min(bound, limit))
 
     def value(n: int) -> int:
         val = _enum_value(enum_terms, n, upto)
@@ -748,11 +749,15 @@ class RunResult:
         }
 
 
-def run_all(only: str | None = None, order: int | None = None, config: VerifyConfig | None = None) -> RunResult:
-    """Run the (filtered) registry; never aborts on a single check's error.
-    A too-small `order` is a usage problem, raised before any check runs."""
+def run_all(only: str | None = None, order: int | None = None, config: VerifyConfig | None = None,
+            specs: list[CheckSpec] | None = None) -> RunResult:
+    """Run the (filtered) registry, or the `specs` already selected; never
+    aborts on a single check's error.  A too-small `order` is a usage
+    problem, raised before any check runs.  The widest bounds run first
+    (ties in registry order), so each shared series is built once, and the
+    reports keep the registry order."""
     config = config or VerifyConfig()
-    specs = select_specs(only, config.include_informational)
+    specs = select_specs(only, config.include_informational) if specs is None else specs
     require_order(specs, order)
 
     def run_one(spec: CheckSpec) -> CheckReport:
@@ -763,7 +768,8 @@ def run_all(only: str | None = None, order: int | None = None, config: VerifyCon
             report.skip_reason = f"{type(exc).__name__}: {exc}"
             return report
 
-    reports = [run_one(s) for s in specs]
+    done = {s.id: run_one(s) for s in sorted(specs, key=lambda s: -s.bound)}
+    reports = [done[s.id] for s in specs]
 
     exit_code = 0
     for r in reports:

@@ -315,3 +315,21 @@ def test_readme_command_lines_parse():
             assert exc.exit_code == 0, line
         except click.UsageError as exc:
             pytest.fail(f"{line}: {exc.format_message()}")
+
+
+def test_verify_selects_the_registry_once(monkeypatch):
+    # the command selects the checks and hands them to run_all as they are
+    from qcert import cli, verify
+
+    calls = []
+    real = verify.select_specs
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "select_specs", spy)
+    monkeypatch.setattr(verify, "select_specs", spy)
+    res = run("verify", "--only", "ID-KERNEL3-*", "--order", "30", "--format", "csv")
+    assert res.exit_code == 0 and len(res.output.splitlines()) == 3
+    assert calls == [("ID-KERNEL3-*", True)]

@@ -11,14 +11,20 @@ theta series nor the inner terms.  The inner-term rows also name the
 ``ID-MAIN-*`` check of their family, which builds the inner sum over
 dual numbers from the same rows.
 
-The A(1) = 0 guard of ``_nt_deriv`` stays silent under all of them: the
-packed A(1) sums, per summand, the divisions of a numerator and of its
-negative, which cancel mod 2^span for every division that is additive
-mod 2^span, these included, so no row is an ERROR of the guard.  An
-inner row whose cancelled factors keep a divisor the packed terms cannot
-divide by is an ERROR of ``_inner_residues``; an inner row whose change
-vanishes at x = 1 (an x-exponent) leaves every C_n(1), and so the whole
-part-count route, unchanged, and only ``ID-MAIN-*`` sees it.
+The packed route builds A'(1) only: A(1) vanishes by construction (each
+summand adds the divisions of a numerator and of its negative, which
+cancel mod 2^span for any division additive mod 2^span), so it checks
+nothing and is not built.  The guard of each A'(1) build is its digit
+bound: every digit read back is asserted within the bound that set the
+packed width.  That bound is loose (17 to 380 times the largest digit
+over the registry's keys), so the mutants that scale or shift a term stay
+within it and FAIL; a division by (1 - q^m)^2 instead of 1 - q^m makes
+the digits grow with the order, past the bound at the order-200 and
+order-300 checks (ERROR), while the order-60 identities still read it
+(FAIL).  An inner row whose cancelled factors keep a divisor the packed
+terms cannot divide by is an ERROR of ``_inner_residues``; an inner row
+whose change vanishes at x = 1 (an x-exponent) leaves every C_n(1), and
+so the whole part-count route, unchanged, and only ``ID-MAIN-*`` sees it.
 """
 
 import dataclasses
@@ -47,6 +53,12 @@ def _div_packed_by_next_power(monkeypatch):
     """x / (1 - q^(m+1)) for x / (1 - q^m) in the packed A'(1)."""
     orig = G._div_packed
     monkeypatch.setattr(G, "_div_packed", lambda x, width, m, span: orig(x, width, m + 1, span))
+
+
+def _div_packed_squared(monkeypatch):
+    """x / (1 - q^m)^2 for x / (1 - q^m) in the packed A'(1)."""
+    orig = G._div_packed
+    monkeypatch.setattr(G, "_div_packed", lambda x, width, m, span: orig(orig(x, width, m, span), width, m, span))
 
 
 def _packed_term_plus_12345(monkeypatch):
@@ -79,6 +91,11 @@ MUTANTS = {
     "theta-ov-m2": (_theta_exponent_off_by_one(Family.OV_M2), _fail("T1", "ID-NTDIFF-OVM2-1-5")),
     "theta-do-m2": (_theta_exponent_off_by_one(Family.DO_M2), _fail("T3", "ID-NTDIFF-DOM2-1-5")),
     "div-packed-next-power": (_div_packed_by_next_power, _fail("NT5-I1", "ID-NTDIFF-OV-1-3")),
+    # the digits outgrow their bound with the order: the digit-bound guard
+    "div-packed-squared": (
+        _div_packed_squared,
+        {"NT5-I1": "ERROR", "T1": "ERROR", "CJ-NT7-ETA-7N4": "ERROR", "ID-NTDIFF-OV-1-3": "FAIL"},
+    ),
     "packed-term-plus-12345": (_packed_term_plus_12345, _fail("T3", "ID-NTDIFF-OVM2-1-3", "NT5-I1")),
     # (1 - x q^n) -> (1 - x q^(n+1)): C_n(1) keeps the divisor 1 - q
     "inner-num-dyson-next-power": (
@@ -110,6 +127,8 @@ def test_series_route_mutant_fails_its_named_checks(name, monkeypatch):
         patch(monkeypatch)
         got = {check_id: run_check(get_spec(check_id), config=config) for check_id in expected}
         assert {i: rep.status for i, rep in got.items()} == expected, {i: rep.error for i, rep in got.items()}
+        errors = [rep.error for rep in got.values() if rep.status == "ERROR"]
+        assert all(e.startswith(("AssertionError: packed A'(1) digit", "AssertionError: inner term")) for e in errors)
     finally:
         monkeypatch.undo()
         qcert.clear_caches()

@@ -161,17 +161,19 @@ _WINDOW_PAIRS = ((1, 3), (2, 3), (2, 5), (4, 5), (3, 7), (5, 7), (6, 11), (10, 1
 
 
 def _assert_packed_difference_matches_reference(family, b, k, order):
-    """The packed A(1) and A'(1) read back digit by digit equal the
-    full-length references, and A'(1) is what `_nt_deriv` caches."""
+    """The packed A'(1) read back digit by digit equals the full-length
+    reference, each digit within the stated bound, and it is what
+    `_nt_deriv` reads; the reference's A(1), which the packed route does
+    not build, is 0."""
     from qcert.genfun import _FAMILY_DATA, _inner_terms, _nt_deriv, _packed_difference
 
     s = _FAMILY_DATA[family].qstep
     plain = [(n, c.coeffs, quad) for n, c, quad in _inner_terms(family, _ZMap(RAT), order)]
-    value, deriv, width = _packed_difference(family, b, k, order)
-    want_value = bf.difference_sum_ref(plain, s, b, k, order)
-    assert balanced_digits(value, width, order + 1) == want_value == [0] * (order + 1)
+    deriv, width, bound = _packed_difference(family, b, k, order)
+    assert bf.difference_sum_ref(plain, s, b, k, order) == [0] * (order + 1)
     want_deriv = bf.difference_deriv_ref(plain, s, b, k, order)
     assert balanced_digits(deriv, width, order + 1) == want_deriv
+    assert max(map(abs, want_deriv)) <= bound < 1 << (width - 1)
     assert _nt_deriv(family, b, k, order).coeffs == want_deriv
 
 
@@ -375,22 +377,28 @@ def test_nt_diff_combo_validates_every_term(b):
 
 
 def test_derivative_cache_miss_runs_the_vanishing_guard(monkeypatch):
-    # A(1) = 0 is asserted once per (family, b, k, order) computed, and a
-    # cached A'(1) serves nt_diff_gf and nt_diff_combo alike
+    # one guarded build per (family, b, k): A'(1) is built, and its digits
+    # asserted within their bound, at the widest order read; it serves
+    # nt_diff_gf and nt_diff_combo alike, a lower read truncates it and a
+    # wider one rebuilds it in place
     import qcert
     from qcert import genfun as G
 
     guards = []
     orig = G._packed_difference
-    monkeypatch.setattr(G, "_packed_difference", lambda *a: guards.append(a[:3]) or orig(*a))
+    monkeypatch.setattr(G, "_packed_difference", lambda *a: guards.append(a) or orig(*a))
     qcert.clear_caches()
     try:
         nt_diff_combo([(1, Family.DYSON, 1, 5), (1, Family.DYSON, 2, 5)], 30)
         nt_diff_gf(Family.DYSON, 2, 5, 30)
-        nt_diff_combo([(3, Family.DYSON, 1, 5)], 30)
-        assert guards == [(Family.DYSON, 1, 5), (Family.DYSON, 2, 5)]
+        low = nt_diff_combo([(3, Family.DYSON, 1, 5)], 12)
+        assert guards == [(Family.DYSON, 1, 5, 30), (Family.DYSON, 2, 5, 30)]
         nt_diff_gf(Family.DYSON, 1, 5, 31)
-        assert guards[2:] == [(Family.DYSON, 1, 5)]
+        nt_diff_gf(Family.DYSON, 1, 5, 20)
+        assert guards[2:] == [(Family.DYSON, 1, 5, 31)]
+        qcert.clear_caches()
+        assert nt_diff_combo([(3, Family.DYSON, 1, 5)], 12) == low
+        assert guards[3:] == [(Family.DYSON, 1, 5, 12)]
     finally:
         qcert.clear_caches()
 
@@ -488,8 +496,10 @@ def test_clear_caches_empties_every_lru_cache():
     closed_form("ovm2-ntdiff-1-3-rhs", 20)
     tally("NTbar", 6, 5)
     raw_tally("N", 6)
-    warm = {f"qcert.genfun.{name}" for name in (
-        "_nt_deriv", "nt_diff_gf", "_rank_build", "rank_gf", "closed_form")}
+    # genfun lists its caches once, for clear_caches; each one is warm now
+    cached = {name for name, obj in vars(genfun).items() if hasattr(obj, "cache_info")}
+    assert cached == {cache.__name__ for cache in genfun._CACHES}
+    warm = {f"qcert.genfun.{cache.__name__}" for cache in genfun._CACHES}
     warm |= {"qcert.combinatorics._table"}  # the tallies read the row tables
     assert warm <= set(filled()), filled()
     qcert.clear_caches()
@@ -706,6 +716,21 @@ def test_closed_forms_hold_no_floats():
 def test_closed_forms_are_truncation_stable(form):
     # a form built at a higher order and truncated is the form built there
     assert closed_form(form, 160).truncate(80) == closed_form(form, 80)
+
+
+@pytest.mark.parametrize("form", form_ids())
+def test_closed_form_reads_equal_builds_at_their_own_order(form):
+    # closed_form keeps one build per form and truncates it for a lower
+    # read; that read equals the form built at its own order from cold caches
+    import qcert
+
+    qcert.clear_caches()
+    low = closed_form(form, 80)
+    qcert.clear_caches()
+    try:
+        assert closed_form(form, 160).truncate(80) == closed_form(form, 80) == low
+    finally:
+        qcert.clear_caches()
 
 
 def test_unknown_form():

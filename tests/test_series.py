@@ -193,6 +193,47 @@ def test_pochhammer_quotient_over_rationals():
         assert got == _quotient_by_hand(num, den, 60, ring), ring
 
 
+_SIGNS = st.sampled_from((1, -1))
+# (sign, q-exponent, step, repeats) of a Pochhammer row, and (sign, exponent
+# seed, modulus, repeats) of a bracket, whose exponent lies in [1, modulus)
+_ROWS = st.lists(st.tuples(_SIGNS, st.integers(1, 12), st.integers(1, 9), st.integers(1, 3)), max_size=4)
+_BRACKETS = st.lists(st.tuples(_SIGNS, st.integers(0, 20), st.integers(2, 9), st.integers(1, 2)), max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROWS, _ROWS, _BRACKETS, _BRACKETS, st.integers(0, 4), st.integers(0, 120))
+def test_in_place_product_equals_the_kernel_route(num, den, num_br, den_br, shared, order):
+    # over RAT with +-1 arguments the quotient runs in place on one list, as
+    # net powers of (1 - q^m); it equals the kernel route, one binomial
+    # kernel call per factor, over repeated rows, brackets and equal rows on
+    # both sides.  Over DualRing(RAT) the value half of that route runs the
+    # RAT kernels themselves, and no argument here carries x.
+    def rows(spec, brackets):
+        out = sum((((mono(c, e), step),) * k for c, e, step, k in spec), ())
+        for c, e, modulus, k in brackets:
+            a = mono(c, 1 + e % (modulus - 1))
+            out += ((a, modulus), (a.bracket_partner(modulus), modulus)) * k
+        return out
+
+    top, bottom = rows(num, num_br), rows(den, den_br)
+    bottom += top[:shared]
+    kernels = pochhammer_quotient(top, bottom, order=order, ring=DualRing(RAT))
+    assert kernels.deriv.is_zero()
+    assert pochhammer_quotient(top, bottom, order=order) == kernels.value
+
+
+def test_unit_products_over_rat_call_no_binomial_kernel(monkeypatch):
+    # the closed forms' products (+-1 arguments over RAT) run in place
+    def refuse(self, c, m):
+        raise AssertionError("a binomial kernel ran")
+
+    want = pochhammer_quotient(((mono(-1, 1), 1),) * 2, ((mono(1, 1), 1),) * 2, order=40, ring=DualRing(RAT))
+    monkeypatch.setattr(QSeries, "mul_binomial", refuse)
+    monkeypatch.setattr(QSeries, "div_binomial", refuse)
+    got = pochhammer_quotient(((mono(-1, 1), 1),) * 2, ((mono(1, 1), 1),) * 2, order=40)
+    assert got == want.value and got.coeffs[:4] == [1, 4, 12, 32]
+
+
 def test_pochhammer_quotient_over_dual_laurent():
     ring = DualRing(LAURENT)
     num = ((mono(1, 1, zexp=1), 1), (mono(-1, 1, xexp=1), 2))

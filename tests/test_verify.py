@@ -4,6 +4,7 @@ report determinism."""
 import json
 import re
 import sys
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from qcert import combinatorics
 from qcert.combinatorics import require_limit
 from qcert.errors import InsufficientOrder
 from qcert.verify import (
+    _SERIES_FAMILY,
     CheckSpec,
     StatTerm,
     VerifyConfig,
@@ -392,29 +394,96 @@ def test_non_integral_series_is_an_error_not_a_fallback(monkeypatch):
 
 
 def test_nonvanishing_inner_sum_is_a_check_error(monkeypatch):
-    # a nonzero x = 1 value in the inner difference sum breaks the
-    # collapse P*A -> P(1)*A'(1); nt_diff_gf must refuse, and the
-    # runner must turn that into a per-check ERROR
+    # the inner difference sum vanishes at x = 1 by construction, so the
+    # packed route builds A'(1) only, and guards each build by its digit
+    # bound: a digit of A'(1) past the bound that set its width makes
+    # nt_diff_gf refuse, and the runner turns that into a per-check ERROR
     import qcert
     from qcert import genfun as G
 
     orig = G._packed_difference
 
     def broken(*args):
-        value, deriv, width = orig(*args)
-        return value + (1 << width * 3), deriv, width  # one nonzero digit at q^3
+        deriv, width, bound = orig(*args)
+        # |digit| <= bound, so digit + 2 bound + 1 > bound, below half a digit here
+        return deriv + ((2 * bound + 1) << width * 3), width, bound
 
     monkeypatch.setattr(G, "_packed_difference", broken)
     qcert.clear_caches()
     try:
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match=r"packed A'\(1\) digit .* at q\^3 is past its bound"):
             G.nt_diff_gf(G.Family.DYSON, 1, 5, 12)
         result = run_all(only="ID-NTDIFF-OV-1-3", order=23)
     finally:
         qcert.clear_caches()
     (rep,) = result.reports
-    assert rep.status == "ERROR" and rep.error.startswith("AssertionError")
+    assert rep.status == "ERROR" and rep.error.startswith("AssertionError: packed A'(1) digit")
     assert result.exit_code == 2
+
+
+def test_full_registry_builds_each_series_key_once(monkeypatch):
+    # the runner takes the widest bound first, so each A'(1) key, theta
+    # series, level-factor family, closed form and rank sum is built once,
+    # at the widest order any check reads, and every lower read truncates it
+    import qcert
+    from qcert import genfun as G
+
+    builds = Counter()
+
+    def counted(name, build):
+        def spy(*args):
+            builds[(name, *args[:-1])] += 1
+            return build(*args)
+        return spy
+
+    kinds = ("_deriv_digits", "_theta_terms", "_level_table", "_rank_packed")
+    for name in kinds:
+        monkeypatch.setattr(G, name, counted(name, getattr(G, name)))
+    for form_id, builder in G._FORM_BUILDERS.items():
+        monkeypatch.setitem(G._FORM_BUILDERS, form_id, counted(form_id, builder))
+    qcert.clear_caches()
+    try:
+        result = run_all(config=VerifyConfig(seed=1))
+    finally:
+        qcert.clear_caches()
+    assert result.exit_code == 0
+    assert [key for key, n in builds.items() if n > 1] == []
+    per_kind = Counter(key[0] for key in builds)
+    assert [per_kind[name] for name in kinds[1:]] == [4, 4, 4]
+    keys = set()
+    for spec in registry():
+        keys |= {(_SERIES_FAMILY[t.family], t.residue, t.modulus) for t in spec.lhs if t.family in _SERIES_FAMILY}
+        if spec.xcheck and spec.xcheck.rank_family:
+            keys |= {(spec.xcheck.rank_family, b, k) for b, k in spec.xcheck.pairs}
+    assert {key[1:] for key in builds if key[0] == "_deriv_digits"} == keys and len(keys) >= 20
+    assert sum(per_kind[form_id] for form_id in G._FORM_BUILDERS) >= 25
+
+
+def test_checks_run_widest_bound_first_and_report_in_registry_order(monkeypatch):
+    from qcert import verify
+
+    ran = []
+    real = verify.run_check
+    monkeypatch.setattr(verify, "run_check", lambda spec, **kw: ran.append(spec) or real(spec, **kw))
+    only = "CJ-NT11-*,CJ-NT13-*,CG-*,ID-NTDIFF-*,CJ-NT7-ETA-7N4"
+    result = run_all(only=only)
+    specs = select_specs(only)
+    assert [r.id for r in result.reports] == [s.id for s in specs]
+    assert ran == sorted(specs, key=lambda s: -s.bound)  # stable: ties in registry order
+    assert [s.bound for s in ran[:2]] == [1054, 200] and ran[-1].bound == 60
+
+
+def test_series_only_checks_read_no_counting_terms(monkeypatch):
+    from qcert import verify
+
+    calls = []
+    real = verify._enum_value
+    monkeypatch.setattr(verify, "_enum_value", lambda terms, n, upto: calls.append(len(terms)) or real(terms, n, upto))
+    for check_id in ("CJ-NT11-I6", "CG-CHAIN-OVM2-MOD5", "ID-NTDIFF-OV-1-3"):
+        assert run_check(get_spec(check_id)).status == "PASS", check_id
+    assert calls == []
+    assert run_check(get_spec("CJ-MWNT5-I0")).status == "PASS"
+    assert calls and 0 not in calls
 
 
 def test_whole_registry_at_smallest_order():
