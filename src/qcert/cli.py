@@ -27,7 +27,7 @@ from .rings import RAT
 from .series import QSeries, series_to_json
 from .verify import VerifyConfig, require_order, run_all, select_specs
 
-_CATEGORIES = "theorems, classic, new, conjectures, identities, xchecks"
+_CATEGORIES = "theorems, classic, new, conjectures, identities, xchecks, exploratory"
 
 
 def _open(path: str, mode: str = "w"):

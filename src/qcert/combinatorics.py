@@ -10,7 +10,9 @@ overpartitions are expanded from it.  The tests hold the tallies to these
 enumerators.  The tallies count without walking: a statistic's row writes
 it as a head term of the largest part plus a term per part (the crank's,
 once its number of ones is fixed), and one pass of a dynamic program over
-part values, ``_tabulate``, counts a row's objects of every weight.
+part values, ``_tabulate``, counts a row's objects of every weight.  Each
+row holds one table in the shared store (``memo.widest``), built to the
+widest reach read; the per-n sweeps are views into it.
 
 Conventions for objects a definition leaves open:
 
@@ -31,6 +33,7 @@ from functools import lru_cache, partial
 from typing import Iterator
 
 from .errors import BoundExceeded, RepeatedOddPart
+from .memo import widest
 
 # Weight limits of the tallies, the one counting-limit rule (require_limit).
 # A cold row table to each takes at most 0.23 s (the pair profile's, 0.41 s);
@@ -339,21 +342,19 @@ def _pair_profiles(N: int) -> list[Counter]:
     return profiles
 
 
-@lru_cache(maxsize=None)
-def _table(row) -> list:
-    """The one table of `row` (a module-level function, so a stable key)."""
-    return []
+@widest(lambda table, N: table)
+def _table(row, N: int) -> list:
+    """The one table of `row` (a module-level function, so a stable key),
+    built to weight N; a longer one serves every weight below its reach."""
+    return row(N) if row in (_crank_table, _pair_profiles) else _tabulate(row, N)
 
 
 def _read(row, n: int, upto: int | None = None):
-    """Row `row`'s counters at n; a read past its table rebuilds it to `upto`."""
+    """Row `row`'s counters at n, from its table built to the reach
+    max(n, `upto`); a read past the table rebuilds it there."""
     if n < 0:
         raise ValueError("weight must be >= 0")
-    table = _table(row)
-    if n >= len(table):
-        N = max(n, upto or 0)
-        table[:] = row(N) if row in (_crank_table, _pair_profiles) else _tabulate(row, N)
-    return table[n]
+    return _table(row, max(n, upto or 0))[n]
 
 
 def _view(n: int, **families) -> dict[str, Counter]:
@@ -445,9 +446,5 @@ def raw_tally(family: str, n: int, upto: int | None = None) -> Counter:
 
 def clear_caches():
     """Drop all memoized tables and sweeps (mainly for tests)."""
-    _table.cache_clear()
-    partition_sweep.cache_clear()
-    overpartition_sweep.cache_clear()
-    distinct_odd_sweep.cache_clear()
-    pair_sweep.cache_clear()
-    pair_profile.cache_clear()
+    for cache in (_table, partition_sweep, overpartition_sweep, distinct_odd_sweep, pair_sweep, pair_profile):
+        cache.cache_clear()

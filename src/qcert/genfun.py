@@ -24,10 +24,11 @@ factors, which cancel at x = 1 to O(1) factors over at most one 1 +- q^m
 bound that set its width.  At x = 1 the prefactor is one over a theta
 series with O(sqrt N) terms (Euler's pentagonal theorem, Gauss's phi and
 psi), so a series is A'(1) divided by it, once per theta series.
-Each series has one build per key, at the widest order read, that lower
-reads truncate (``_widest``): A'(1) per (family, b, k), the theta series,
-level factors and rank sum per family, and each closed form; ``_CACHES``
-lists every memo, for ``clear_caches``.
+Each series is a reader of the one store (``memo.widest``): one build per
+key, at the widest order read, that lower reads cut.  The readers are
+A'(1) and the difference series per (family, b, k), the theta series,
+level factors and rank sum per family, and each closed form by its id;
+``_CACHES`` lists them, for ``clear_caches``.
 
 Everything here is computed over the integers.  The generic helpers
 take the coefficient ring, which carries x: x = 1 over ``RAT``, 1 + eps
@@ -61,13 +62,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import count, takewhile
 from math import prod
 from operator import lshift
 from typing import Callable
 
 from .errors import UnknownFormId
+from .memo import widest
 from .rings import RAT, DualRing, term_text
 from .series import (
     DualSeries,
@@ -202,7 +203,7 @@ class _ZMap:
     def factor(self, a: Monomial, m: int, div: bool = False):
         """The c of (1 + c q^m) = (1 - a) with a's q-power at q^m, a divisor
         when `div` (as ``pochhammer_quotient`` reads its factors)."""
-        c = (self.div if div else self.mul)(-a.coeff, a.zexp, m)
+        c = (self.div if div else self.mul)(-a.coeff, m=m)
         return c * self.ring.x_power(a.xexp) if a.xexp else c
 
 
@@ -278,21 +279,6 @@ class PackedZ:
         return z_text(self.coeffs[j], self.width, j)
 
 
-@lru_cache(maxsize=None)
-def _slot(build, *key) -> list:
-    """[order, value] of the one build of `build` (module-level, so a stable key) at `key`."""
-    return []
-
-
-def _widest(build, *key, order: int, cut=QSeries.truncate):
-    """build(*key, order) from its one build, made at the first read, rebuilt
-    for a wider one (as ``combinatorics._table``), `cut` for a lower one."""
-    slot = _slot(build, *key)
-    if not slot or slot[0] < order:
-        slot[:] = [order, build(*key, order)]
-    return slot[1] if slot[0] == order else cut(slot[1], order)
-
-
 def _inner_terms(family: Family, z: _ZMap, order: int, margin=None):
     """Yield (n, common, quad) where common is the inner summand at level
     n without its q^{quad} shift and without the residue bracket.
@@ -345,6 +331,7 @@ def _inner_residues(family: Family, order: int):
         yield n, d.inner_quad(n), scalar, nums, divs[0] if divs else None
 
 
+@widest(lambda levels, n: [lv for lv in levels if lv[1] <= n])
 def _level_table(family: Family, order: int) -> list:
     """The levels of `_inner_residues`, each with its `_residue_bound` appended."""
     return [(*lv, _residue_bound(*lv[2:])) for lv in _inner_residues(family, order)]
@@ -369,14 +356,11 @@ def _packed_term(scalar: int, nums, div, width: int, span: int) -> int:
     return _div_packed(x, width, 2 * div[1], span) if div else x
 
 
+@widest(lambda terms, n: tuple(takewhile(lambda ec: ec[0] <= n, terms)))
 def _theta(family: Family, order: int) -> tuple:
     """The family's theta series sum_{n in Z} (-1)^n q^{theta(n)} to q^order,
     one over its prefactor at x = 1 (Euler's pentagonal theorem, Gauss's
     phi and psi): its O(sqrt N) nonzero terms (e, c), ascending."""
-    return _widest(_theta_terms, family, order=order, cut=lambda t, n: tuple(takewhile(lambda ec: ec[0] <= n, t)))
-
-
-def _theta_terms(family: Family, order: int) -> tuple:
     t, terms = _FAMILY_DATA[family].theta, {0: 1}
     for n in takewhile(lambda n: min(t(n), t(-n)) <= order, count(1)):  # both grow
         for e in (t(n), t(-n)):
@@ -421,21 +405,17 @@ def _rank_sum_of(family: Family, z: _ZMap, order: int) -> QSeries:
     return _rank_sum(z, [(1, a) for a in d.lhs_extra], d.lhs_quad, d.qstep, x, x, order)
 
 
-@lru_cache(maxsize=None)
+@widest(lambda g, n: PackedZ(g.coeffs[: n + 1], g.width))
 def rank_gf(family: Family, order: int) -> PackedZ:
     """z-refined rank generating function at x = 1, packed (`PackedZ`):
     coefficient of z^m q^n counts objects of weight n with statistic m.
 
-    A read truncates the family's one build (`_widest`); a wider read
+    A lower read cuts the family's one build (`widest`); a wider read
     rebuilds it, its width from the majorant of the same build.  Each
     coefficient c is asserted as an int: its digits lie in the rank range,
     -H_n <= c < 2^(width(2n+1)) - H_n with H_n half a digit in each of the
     2n + 1 places, and their sum, the balanced residue of c mod
     2^width - 1, is the count form's coefficient."""
-    return _widest(_rank_packed, family, order=order, cut=lambda g, n: PackedZ(g.coeffs[: n + 1], g.width))
-
-
-def _rank_packed(family: Family, order: int) -> PackedZ:
     width = _packing_width(_rank_sum_of(family, _ZMap(RAT, 0, majorant=True), order).coeffs)
     g = PackedZ(_rank_sum_of(family, _ZMap(RAT, width), order).coeffs, width)
     counts = closed_form(_FAMILY_DATA[family].count_form, order).coeffs
@@ -490,7 +470,7 @@ def _packed_difference(family: Family, b: int, k: int, order: int) -> tuple[int,
     `_residue_bound` (a numerator's absolute coefficient sum is at most
     2k, and that of 1/(1 - q^kn)^2 to q^order at most (order//kn + 1)^2)."""
     s = _FAMILY_DATA[family].qstep
-    levels = _widest(_level_table, family, order=order, cut=lambda ls, n: [lv for lv in ls if lv[1] <= n])
+    levels = _level_table(family, order)
     bound = sum(rb * 2 * k * (order // (s * k * n) + 1) ** 2 for n, *_, rb in levels)
     width, deriv = -(-_packing_width([bound]) // 8) * 8, 0  # whole bytes read fastest
     for n, quad, scalar, nums, div, _ in levels:
@@ -506,15 +486,12 @@ def _packed_difference(family: Family, b: int, k: int, order: int) -> tuple[int,
     return deriv, width, bound
 
 
+@widest(QSeries.truncate)
 def _nt_deriv(family: Family, b: int, k: int, order: int) -> QSeries:
-    """A'(1) for one (family, b, k), read from its one build (`_widest`)."""
+    """A'(1) for one (family, b, k): `_packed_difference` read back, each
+    digit asserted within its bound."""
     if not 1 <= b <= k - 1:
         raise ValueError("need 1 <= b <= k-1")
-    return _widest(_deriv_digits, family, b, k, order=order)
-
-
-def _deriv_digits(family: Family, b: int, k: int, order: int) -> QSeries:
-    """`_packed_difference` read back, each digit asserted within its bound."""
     deriv, width, bound = _packed_difference(family, b, k, order)
     digits = balanced_digits(deriv, width, order + 1)
     if max(map(abs, digits)) > bound:
@@ -523,7 +500,7 @@ def _deriv_digits(family: Family, b: int, k: int, order: int) -> QSeries:
     return QSeries._of(RAT, order, digits)
 
 
-@lru_cache(maxsize=None)
+@widest(QSeries.truncate)
 def nt_diff_gf(family: Family, b: int, k: int, order: int) -> QSeries:
     """Series over n of (total parts with statistic = b mod k) minus
     (total parts with statistic = k-b mod k), computed as -d/dx at x = 1
@@ -887,7 +864,7 @@ def form_ids() -> list[str]:
     return sorted(_FORM_BUILDERS)
 
 
-@lru_cache(maxsize=None)
+@widest(QSeries.truncate)
 def closed_form(form_id: str, order: int) -> QSeries:
     """Expand a registered closed form to the requested order, from its one build."""
     try:
@@ -896,10 +873,10 @@ def closed_form(form_id: str, order: int) -> QSeries:
         raise UnknownFormId(
             f"unknown form id {form_id!r}; known ids: {', '.join(form_ids())}"
         ) from None
-    return _widest(builder, order=order)
+    return builder(order)
 
 
-_CACHES = (_slot, rank_gf, nt_diff_gf, closed_form)
+_CACHES = (_nt_deriv, _theta, _level_table, rank_gf, nt_diff_gf, closed_form)
 
 
 def clear_caches():

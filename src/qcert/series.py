@@ -31,8 +31,8 @@ the shift) scale the same way.  ``div_sparse`` divides by a sparse
 series in C-level passes over blocks, and ``invert`` is one divided by
 the series.  Other rings and coefficients keep the per-element loop,
 which the rings of the tests' reference route take too.  A product
-argument (``Monomial``) has an int coefficient, and a power of z in it
-needs a ring over a formal z (``mon``).  ``balanced_digits`` reads an
+argument (``Monomial``) is c q^e x^j with an int c; z enters only
+through the maps of ``genfun``.  ``balanced_digits`` reads an
 int back into signed digits, for the q-products of ``_int_product`` and
 for packed z, and ``folded_digits`` reads its digit sums by place mod k,
 from the int mod 2^(width*k) - 1.  A kernel's fresh coefficient list
@@ -54,7 +54,7 @@ _BLOCK = 64  # the coefficients of one slice pass of `QSeries.div_sparse`
 
 @dataclass(frozen=True)
 class Monomial:
-    """A product argument of shape coeff * q^qexp * z^zexp * x^xexp.
+    """A product argument of shape coeff * q^qexp * x^xexp.
 
     Every Pochhammer argument used by the engine has this shape, with an
     int coefficient; general series arguments are deliberately
@@ -63,7 +63,6 @@ class Monomial:
 
     coeff: int
     qexp: int
-    zexp: int = 0
     xexp: int = 0
 
     def __post_init__(self):
@@ -80,26 +79,17 @@ class Monomial:
             raise DivergentProduct(
                 "bracket product needs 1 <= qexp < modulus on both arguments"
             )
-        return Monomial(RAT.invert(self.coeff), modulus - self.qexp, -self.zexp)
+        return Monomial(RAT.invert(self.coeff), modulus - self.qexp)
 
 
-def mono(coeff, qexp, zexp=0, xexp=0) -> Monomial:
+def mono(coeff, qexp, xexp=0) -> Monomial:
     """Shorthand Monomial constructor."""
-    return Monomial(coeff, qexp, zexp, xexp)
+    return Monomial(coeff, qexp, xexp)
 
 
 def mon(ring, m: Monomial):
-    """Lift the non-q part of a monomial, x included, into the ring.  A
-    power of z needs a ring over a formal z, one whose base ring has
-    ``z_term`` (the tests' Laurent ring); over ``RAT`` and
-    ``DualRing(RAT)`` it is refused, never dropped."""
-    c = m.coeff
-    if m.zexp:
-        base = getattr(ring, "base", ring)
-        if not hasattr(base, "z_term"):
-            raise TypeError(f"cannot lift z^{m.zexp} into {ring.name}: it has no formal z")
-        c = base.z_term(c, m.zexp)
-    out = ring.lift(c)
+    """Lift the non-q part of a monomial, x included, into the ring."""
+    out = ring.lift(m.coeff)
     if m.xexp:
         out = out * ring.x_power(m.xexp)
     return out
@@ -586,7 +576,7 @@ def pochhammer_quotient(num, den=(), *, order: int, ring=RAT) -> QSeries | DualS
         if a.coeff and a.qexp == 0:
             raise DivergentProduct("infinite product needs a positive q-power in its argument")
     rows = [(a, step, by) for side, by in ((num, 1), (den, -1)) for a, step in side if a.coeff]
-    if ring is not RAT or any(a.coeff not in (1, -1) or a.zexp for a, _, _ in rows):
+    if ring is not RAT or any(a.coeff not in (1, -1) for a, _, _ in rows):
         s = series_type(ring).one(ring, order)  # the kernel route, and the reference
         for a, step, by in rows:
             coeff = -mon(ring, a)

@@ -354,7 +354,7 @@ class LaurentPoly(_SparsePoly):
 
 class LaurentRing:
     """Descriptor for LaurentPoly coefficients in z: the ring over a
-    formal z, whose ``z_term`` lets qcert's ``mon`` lift a power of z."""
+    formal z (`lift_zc` lifts a power of it)."""
 
     name = "laurent"
     zero = LaurentPoly()
@@ -366,9 +366,6 @@ class LaurentRing:
         if isinstance(x, (int, Fraction)):
             return LaurentPoly.const(x)
         raise TypeError(f"cannot lift {type(x).__name__} into {self.name}")
-
-    def z_term(self, coeff, zexp: int) -> LaurentPoly:
-        return LaurentPoly.term(zexp, coeff)
 
     def invert(self, c) -> LaurentPoly:
         if not isinstance(c, LaurentPoly) or not c:

@@ -227,6 +227,22 @@ def test_verify_usage_errors_certify_nothing():
     assert res.exit_code == 0 and "PASS" in res.output
 
 
+def test_only_help_names_every_category():
+    # each registry category is named, as --only spells it, in the option's
+    # help and in the usage error of an empty selection, and selects itself
+    from qcert.verify import _FILTER_ALIASES, registry, select_specs
+
+    spelled = {cat: tok for tok, cat in _FILTER_ALIASES.items()}
+    help_text = " ".join(run("verify", "--help").output.split())
+    error = run("verify", "--only", "exploratory", "--no-explore")
+    assert error.exit_code == 2 and "selects no check" in error.output
+    for cat in {s.category for s in registry()}:
+        token = spelled.get(cat, cat)
+        assert token in help_text and token in error.output, token
+        assert select_specs(token) == [s for s in registry() if s.category == cat], token
+    assert len(select_specs("exploratory")) == 15
+
+
 def test_crosscheck_dyson():
     # the cross-checks run through verify alone: the crosscheck command
     # and the "crosschecks" alias are gone

@@ -442,13 +442,16 @@ _QCERT_MODULES = sorted(p.stem for p in Path(qcert.__file__).parent.glob("*.py")
     ("rings", {"combinatorics"}),
     ("series", {"combinatorics"}),
     ("genfun", {"combinatorics"}),
+    ("memo", {"series", "genfun", "rings", "combinatorics"}),
     *[(m, {"fractions"}) for m in _QCERT_MODULES],
-], ids=["combinatorics", "rings", "series", "genfun", *[f"{m}-no-fractions" for m in _QCERT_MODULES]])
+], ids=["combinatorics", "rings", "series", "genfun", "memo",
+        *[f"{m}-no-fractions" for m in _QCERT_MODULES]])
 def test_enumeration_oracle_imports_no_series_code(module, forbidden):
     # the oracle must stay an independent second route: it may not
     # import the series engine, the generating functions or the rings,
-    # and none of those may import the oracle; and no module computes
-    # over rationals, so none imports fractions
+    # and none of those may import the oracle; the store both routes
+    # share imports neither route; and no module computes over
+    # rationals, so none imports fractions
     import ast
     import importlib
 

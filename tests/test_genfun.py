@@ -739,6 +739,52 @@ def test_unknown_form():
     assert "overpartition-gf" in form_ids()
 
 
+@pytest.mark.parametrize("reader, key", [
+    (closed_form, ("overpartition-gf",)),
+    (nt_diff_gf, (Family.OV_M2, 1, 5)),
+    (rank_gf, (Family.DYSON,)),
+], ids=["closed_form", "nt_diff_gf", "rank_gf"])
+def test_a_lower_read_cuts_the_one_held_build(reader, key):
+    # a read below a wider one is a cut of the held build, equal to a cold
+    # build at its own order, and the reader holds one build for the key
+    import qcert
+
+    def same(a, b):
+        return decode(a) == decode(b) if isinstance(a, PackedZ) else a == b
+
+    qcert.clear_caches()
+    try:
+        cold = reader(*key, 10)
+        wide = reader(*key, 20)
+        low = reader(*key, 10)
+        assert same(low, cold)
+        if isinstance(wide, PackedZ):
+            assert low.width == wide.width and low.coeffs == wide.coeffs[:11]
+        else:
+            assert low == wide.truncate(10)
+        info = reader.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 2, 1)
+    finally:
+        qcert.clear_caches()
+
+
+def test_a_build_that_raises_stores_and_counts_nothing():
+    import qcert
+
+    qcert.clear_caches()
+    with pytest.raises(UnknownFormId):
+        closed_form("no-such-form", 4)
+    with pytest.raises(ValueError, match="1 <= b <= k-1"):
+        nt_diff_gf(Family.DYSON, 0, 5, 8)
+    for reader in (closed_form, nt_diff_gf):
+        assert tuple(reader.cache_info()) == (0, 0, 0)  # hits, misses, currsize
+    closed_form("partition-gf", 6)
+    closed_form("partition-gf", 4)
+    assert tuple(closed_form.cache_info()) == (1, 1, 1)
+    qcert.clear_caches()
+    assert tuple(closed_form.cache_info()) == (0, 0, 0)
+
+
 # -- the main transformation -----------------------------------------------------
 
 

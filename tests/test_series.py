@@ -236,8 +236,8 @@ def test_unit_products_over_rat_call_no_binomial_kernel(monkeypatch):
 
 def test_pochhammer_quotient_over_dual_laurent():
     ring = DualRing(LAURENT)
-    num = ((mono(1, 1, zexp=1), 1), (mono(-1, 1, xexp=1), 2))
-    den = ((mono(1, 1, zexp=-1, xexp=1), 1), (mono(2, 2, zexp=1), 3))
+    num = ((mono(1, 1), 1), (mono(-1, 1, xexp=1), 2))
+    den = ((mono(1, 1, xexp=1), 1), (mono(2, 2), 3))
     got = pochhammer_quotient(num, den, order=20, ring=ring)
     assert bf.joined(got) == _quotient_by_hand(num, den, 20, ring)
 
@@ -263,20 +263,12 @@ def test_rings_carry_x_and_share_one_lift(ring):
             assert ring.x_power(j) == ring.one
         else:
             assert ring.at_one(ring.x_power(j)) == (base.one, base.lift(j))
-    # one lift: a monomial is its z-part times x^xexp, in every ring; a
-    # ring with no formal z refuses the z-part, never drops it
-    m = mono(3, 2, zexp=1, xexp=2)
-    if base is not LAURENT:
-        with pytest.raises(TypeError, match="no formal z"):
-            mon(ring, m)
-        with pytest.raises(TypeError):
-            bf.lift_zc(ring, 1, 1)
-        return
-    three_z = LaurentPoly.term(1, 3)
+    # one lift: a monomial is its coefficient times x^xexp, in every ring
+    got = mon(ring, mono(3, 2, xexp=2))
     if ring is base:
-        assert mon(ring, m) == three_z
+        assert got == ring.lift(3)
     else:
-        assert ring.at_one(mon(ring, m)) == (three_z, three_z.scale(2))
+        assert ring.at_one(got) == (base.lift(3), base.lift(6))
 
 
 def test_monomial_coefficients_follow_rat_lift():
@@ -287,22 +279,6 @@ def test_monomial_coefficients_follow_rat_lift():
     for coeff in (Fraction(4, 2), Fraction(1, 2), 1.5):
         with pytest.raises(TypeError):
             mono(coeff, 1)
-
-
-@pytest.mark.parametrize(
-    "ring, build",
-    [(RAT, lambda r: pochhammer_infinite(mono(1, 1, zexp=1), order=6, ring=r)),
-     (RAT, lambda r: pochhammer_finite(mono(-1, 1, zexp=-2), 3, order=6, ring=r)),
-     (DualRing(RAT), lambda r: bracket_infinite(mono(1, 1, zexp=1), 5, order=6, ring=r)),
-     (DualRing(RAT), lambda r: pochhammer_quotient((), ((mono(1, 2, zexp=3, xexp=1), 1),),
-                                                   order=6, ring=r))],
-    ids=["infinite-rat", "finite-rat", "bracket-dual", "quotient-dual"],
-)
-def test_builders_over_integers_refuse_a_power_of_z(ring, build):
-    # z is formal only over the tests' Laurent ring: a z-monomial given
-    # to a builder over RAT or DualRing(RAT) is refused, never dropped
-    with pytest.raises(TypeError, match="no formal z"):
-        build(ring)
 
 
 def test_frac_kernels_keep_what_the_generic_loops_compute():

@@ -4,7 +4,6 @@ report determinism."""
 import json
 import re
 import sys
-from collections import Counter
 
 import pytest
 
@@ -421,42 +420,31 @@ def test_nonvanishing_inner_sum_is_a_check_error(monkeypatch):
     assert result.exit_code == 2
 
 
-def test_full_registry_builds_each_series_key_once(monkeypatch):
+def test_full_registry_builds_each_series_key_once():
     # the runner takes the widest bound first, so each A'(1) key, theta
-    # series, level-factor family, closed form and rank sum is built once,
-    # at the widest order any check reads, and every lower read truncates it
+    # series, level-factor family, closed form, rank sum and counting table
+    # is built once, at the widest order any check reads, and every lower
+    # read cuts it: every store reader has as many builds as keys held
     import qcert
-    from qcert import genfun as G
+    from qcert import combinatorics as C, genfun as G
 
-    builds = Counter()
-
-    def counted(name, build):
-        def spy(*args):
-            builds[(name, *args[:-1])] += 1
-            return build(*args)
-        return spy
-
-    kinds = ("_deriv_digits", "_theta_terms", "_level_table", "_rank_packed")
-    for name in kinds:
-        monkeypatch.setattr(G, name, counted(name, getattr(G, name)))
-    for form_id, builder in G._FORM_BUILDERS.items():
-        monkeypatch.setitem(G._FORM_BUILDERS, form_id, counted(form_id, builder))
     qcert.clear_caches()
     try:
         result = run_all(config=VerifyConfig(seed=1))
+        infos = {reader.__name__: reader.cache_info() for reader in (*G._CACHES, C._table)}
     finally:
         qcert.clear_caches()
     assert result.exit_code == 0
-    assert [key for key, n in builds.items() if n > 1] == []
-    per_kind = Counter(key[0] for key in builds)
-    assert [per_kind[name] for name in kinds[1:]] == [4, 4, 4]
+    assert {name: info.misses for name, info in infos.items()} == {
+        name: info.currsize for name, info in infos.items()}
+    assert [infos[name].currsize for name in ("_theta", "_level_table", "rank_gf")] == [4, 4, 4]
     keys = set()
     for spec in registry():
         keys |= {(_SERIES_FAMILY[t.family], t.residue, t.modulus) for t in spec.lhs if t.family in _SERIES_FAMILY}
         if spec.xcheck and spec.xcheck.rank_family:
             keys |= {(spec.xcheck.rank_family, b, k) for b, k in spec.xcheck.pairs}
-    assert {key[1:] for key in builds if key[0] == "_deriv_digits"} == keys and len(keys) >= 20
-    assert sum(per_kind[form_id] for form_id in G._FORM_BUILDERS) >= 25
+    assert infos["_nt_deriv"].currsize == len(keys) >= 20
+    assert infos["closed_form"].currsize >= 25 and infos["_table"].currsize == 7
 
 
 def test_checks_run_widest_bound_first_and_report_in_registry_order(monkeypatch):
